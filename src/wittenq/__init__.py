@@ -12,16 +12,16 @@ from .errors import (CapsMismatchError, DimensionError,
                      OrderMismatchError)
 from .qseries import QSeries, Q2Series, rat
 from .nilring import NilPoly, subst_linear
-from .theta import (ThetaKind, UniSeries, jacobi_check, numeric_theta,
+from .theta import (ThetaKind, jacobi_check, numeric_theta,
                     numeric_transform_suite, phi, psi, psi_product,
                     x_over_phi)
-from .bundles import (SymLaurent, lemma42_check, lemma42_report, lfactor_4k,
-                      lfactor_4k2, root_factor)
+from .bundles import (lemma42_check, lemma42_report, lfactor_4k, lfactor_4k2,
+                      root_factor)
 from .gci import (ConditionReport, GCIData, codim_ok, condition_report, dims,
                   is_spin, is_string, is_stringc, p1_matrix, thm42_ok,
                   w2_vector)
-from .genera import (GenusReport, dim4_closed_form, integrality_and_parity,
-                     mod2_witten, sigma1_series, wc_genus, witten_genus)
+from .genera import (GenusReport, dim4_closed_form, mod2_witten,
+                     sigma1_series, wc_genus, witten_genus)
 from .modforms import (ModFormFit, eisenstein, fit, sigma,
                        theta_constant_e4_check, weight_basis)
 from .search import FoundInstance, SearchQuery, find_string, find_stringc
@@ -32,15 +32,14 @@ __all__ = [
     "CapsMismatchError", "DimensionError", "InsufficientDegreeError",
     "NonIntegralError", "NonUnitError", "OrderMismatchError",
     "QSeries", "Q2Series", "rat", "NilPoly", "subst_linear",
-    "ThetaKind", "UniSeries", "jacobi_check", "numeric_theta",
+    "ThetaKind", "jacobi_check", "numeric_theta",
     "numeric_transform_suite", "phi", "psi", "psi_product", "x_over_phi",
-    "SymLaurent", "lemma42_check", "lemma42_report", "lfactor_4k",
-    "lfactor_4k2", "root_factor",
+    "lemma42_check", "lemma42_report", "lfactor_4k", "lfactor_4k2",
+    "root_factor",
     "ConditionReport", "GCIData", "codim_ok", "condition_report", "dims",
     "is_spin", "is_string", "is_stringc", "p1_matrix", "thm42_ok",
     "w2_vector",
-    "GenusReport", "dim4_closed_form", "integrality_and_parity",
-    "mod2_witten", "sigma1_series", "wc_genus", "witten_genus",
+    "GenusReport", "dim4_closed_form", "mod2_witten", "sigma1_series", "wc_genus", "witten_genus",
     "ModFormFit", "eisenstein", "fit", "sigma", "theta_constant_e4_check",
     "weight_basis",
     "FoundInstance", "SearchQuery", "find_string", "find_stringc",

@@ -8,7 +8,8 @@ symmetric and exterior powers of line-bundle roots; at a Chern root x
     Sym_t(L + L*):      1 / ((1 - t e^x)(1 - t e^-x))
 
 with t a monomial in q.  Assembling these and the A-hat-type square root
-gives the per-root factors of the genera.  The same factors arise as
+gives the per-root factors of the genera, truncated power series in x held as
+one-generator NilPolys like the theta factors.  The same factors arise as
 theta-function ratios; the two constructions are kept deliberately
 separate so each can serve as an oracle for the other.
 """
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qseries import QSeries, RAT_ZERO, rat, rat_is_integer
-from .theta import (UniSeries, _exp_factor, _one_pm_q, cosh_half,
+from .nilring import NilPoly
+from .qseries import QSeries, rat
+from .theta import (_exp_factor, _one_pm_q, _x_series, cosh_half,
                     two_sinh_half)
 
 
@@ -35,8 +37,8 @@ def root_factor(x_order, q_order):
     The inverse pairs are Sym_{q^2m}(L + L*) normalized by its rank series;
     the whole thing equals x/Phi(x) but is assembled from the bundle side.
     """
-    sinh_unit = UniSeries(two_sinh_half(x_order + 1, q_order).coeffs[1:],
-                          x_order, q_order)
+    sinh_unit = _x_series(two_sinh_half(x_order + 1, q_order).coeffs[1:],
+                          q_order)
     res = sinh_unit.inv_unit()
     for m in range(1, q_order // 2 + 1):
         res = res * _lambda_pair(-1, 2 * m, x_order, q_order).inv_unit()
@@ -69,90 +71,22 @@ def lfactor_4k2(x_order, q_order):
 
 
 # -- symmetric Laurent polynomials and the cancellation lemma ---------
+#
+# A symmetric Laurent polynomial in y is a polynomial in u = y + 1/y; it is
+# held as a one-generator NilPoly in u whose cap is its full degree, so
+# nothing is ever truncated.
 
-class SymLaurent:
-    """A symmetric Laurent polynomial in y with QSeries coefficients.
+def _shifted(p):
+    """Re-express a polynomial in u in powers of w = u - 2 (Horner at u = w + 2).
 
-    Stored in the basis u^k where u = y + 1/y; symmetric Laurent
-    polynomials are exactly the polynomials in u.
+    The shift feeds every u^k into all lower w-degrees, so the result
+    keeps the cap, and with it every w-degree, of the input.
     """
-
-    __slots__ = ("q_order", "ucoeffs")
-
-    def __init__(self, ucoeffs, q_order=None):
-        ucoeffs = list(ucoeffs)
-        if q_order is None:
-            q_order = ucoeffs[0].order
-        while len(ucoeffs) > 1 and ucoeffs[-1].is_zero():
-            ucoeffs.pop()
-        self.q_order = q_order
-        self.ucoeffs = ucoeffs
-
-    @classmethod
-    def constant(cls, c, q_order=None):
-        if not isinstance(c, QSeries):
-            c = QSeries.constant(c, q_order)
-        return cls([c], c.order)
-
-    @classmethod
-    def one(cls, q_order):
-        return cls.constant(1, q_order)
-
-    def degree(self):
-        return len(self.ucoeffs) - 1
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.ucoeffs)
-
-    def __add__(self, other):
-        n = max(len(self.ucoeffs), len(other.ucoeffs))
-        z = QSeries.zero(self.q_order)
-        a = self.ucoeffs + [z] * (n - len(self.ucoeffs))
-        b = other.ucoeffs + [z] * (n - len(other.ucoeffs))
-        return SymLaurent([x + y for x, y in zip(a, b)], self.q_order)
-
-    def __neg__(self):
-        return SymLaurent([-c for c in self.ucoeffs], self.q_order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return SymLaurent([c * other for c in self.ucoeffs], self.q_order)
-        out = [QSeries.zero(self.q_order)] * (len(self.ucoeffs)
-                                              + len(other.ucoeffs) - 1)
-        for i, a in enumerate(self.ucoeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.ucoeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return SymLaurent(out, self.q_order)
-
-    def shifted(self):
-        """Re-express in powers of w = u - 2 (i.e. substitute u = w + 2).
-
-        No degree truncation happens here: the shift feeds every u^k
-        downward into low w-degrees, so all of them must be kept exact.
-        """
-        n = len(self.ucoeffs)
-        out = [QSeries.zero(self.q_order) for _ in range(n)]
-        # binomial expansion (w + 2)^k
-        for k, c in enumerate(self.ucoeffs):
-            if c.is_zero():
-                continue
-            binom = 1
-            pow2 = 1 << k
-            for j in range(k + 1):
-                out[j] = out[j] + c * (binom * (pow2 >> j))
-                binom = binom * (k - j) // (j + 1)
-        return SymLaurent(out, self.q_order)
-
-    def __repr__(self):
-        parts = [f"({c!r})*u^{k}" for k, c in enumerate(self.ucoeffs)
-                 if not c.is_zero()]
-        return f"SymLaurent({' + '.join(parts) or '0'})"
+    w_plus_2 = NilPoly(p.caps, p.q_order, {(0,): 2, (1,): 1})
+    out = NilPoly.zero(p.caps, p.q_order)
+    for c in reversed(p.coeffs):
+        out = out * w_plus_2 + c
+    return out
 
 
 def _pair_product(sign, exps, q_order):
@@ -160,12 +94,13 @@ def _pair_product(sign, exps, q_order):
 
     Each pair equals 1 + q^(2e) + sign*q^e*u, a degree-1 polynomial in u.
     """
-    res = SymLaurent.one(q_order)
+    caps = (len(exps),)
+    res = NilPoly.one(caps, q_order)
     den = QSeries.one(q_order)
     for e in exps:
         const = QSeries.one(q_order) + QSeries.monomial(1, 2 * e, q_order)
         lin = QSeries.monomial(sign, e, q_order)
-        res = res * SymLaurent([const, lin], q_order)
+        res = res * NilPoly(caps, q_order, {(0,): const, (1,): lin})
         den = den * _one_pm_q(sign, e, q_order) ** 2
     return res * den.inv_unit()
 
@@ -191,19 +126,16 @@ def lemma42_report(q_order, flip_sign=False):
     second = _pair_product(1, exps, q_order)
     if flip_sign:
         second = -second
-    diff = (first - second).shifted()
-    const_zero = diff.ucoeffs[0].is_zero()
-    halves_integral = True
-    for c in diff.ucoeffs[1:]:
-        half = c * rat(Fraction(1, 2))
-        if not half.is_integral():
-            halves_integral = False
-            break
-    w1 = diff.ucoeffs[1] if len(diff.ucoeffs) > 1 else QSeries.zero(q_order)
+    diff = _shifted(first - second)
+    const_zero = (0,) not in diff.terms
+    half = rat(Fraction(1, 2))
+    halves_integral = all((c * half).is_integral()
+                          for e, c in diff.terms.items() if e[0])
+    w1 = diff.terms.get((1,), QSeries.zero(q_order))
     quotient_q2 = w1.coefficient(2) / 2
     return {
         "q_order": q_order,
-        "w_degree": diff.degree(),
+        "w_degree": max((e[0] for e in diff.terms), default=0),
         "const_zero": const_zero,
         "halves_integral": halves_integral,
         "quotient_q2": quotient_q2,
@@ -211,13 +143,10 @@ def lemma42_report(q_order, flip_sign=False):
     }
 
 
-def lemma42_check(q_order, w_degree=None, flip_sign=False):
+def lemma42_check(q_order, flip_sign=False):
     """True iff the difference is divisible by w with an even integral quotient.
 
     The computation is exact in w: after the u = w + 2 shift no degree can
-    be discarded, so every w-coefficient is checked.  The coefficient of
-    u^k carries q^(k(k+1)) at minimum, so w-degrees beyond that bound are
-    identically zero to truncation and hold vacuously; w_degree is accepted
-    as a requested coverage level and is always met for that reason.
+    be discarded, so every w-coefficient is checked.
     """
     return lemma42_report(q_order, flip_sign=flip_sign)["passed"]

@@ -13,10 +13,22 @@ from typing import Optional, Sequence
 from .errors import DimensionError
 
 
+def _ints(v, what):
+    """v as a tuple of plain ints (type() is int, so bool is refused)."""
+    if not isinstance(v, (list, tuple)) or not all(type(x) is int for x in v):
+        raise TypeError(f"{what} must be a list of integers, got {v!r}")
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class GCIData:
     """A GCI instance: ambient dims n (length s), degree matrix D (t x s),
-    optional ambient spin^c coefficients C (length s)."""
+    optional ambient spin^c coefficients C (length s).
+
+    Every entry must be a plain int (bool is refused) and n, D, its rows
+    and C lists or tuples: malformed input raises TypeError instead of
+    being coerced.
+    """
 
     n: tuple
     D: tuple
@@ -24,8 +36,14 @@ class GCIData:
     q_order: int = 20
 
     def __init__(self, n, D, C=None, q_order=20):
-        n = tuple(int(v) for v in n)
-        D = tuple(tuple(int(d) for d in row) for row in D)
+        n = _ints(n, "n")
+        if not isinstance(D, (list, tuple)):
+            raise TypeError(f"D must be a list of degree rows, got {D!r}")
+        D = tuple(_ints(row, "a degree row") for row in D)
+        if type(q_order) is not int:
+            raise TypeError(f"q_order must be an integer, got {q_order!r}")
+        if q_order < 0:
+            raise ValueError(f"q_order must be >= 0, got {q_order}")
         s = len(n)
         if any(v < 1 for v in n):
             raise ValueError("ambient dimensions must be >= 1")
@@ -33,7 +51,7 @@ class GCIData:
             if len(row) != s:
                 raise ValueError("degree row length must match number of factors")
         if C is not None:
-            C = tuple(int(c) for c in C)
+            C = _ints(C, "C")
             if len(C) != s:
                 raise ValueError("C length must match number of factors")
         if sum(n) - len(D) < 0:
@@ -41,7 +59,7 @@ class GCIData:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "q_order", int(q_order))
+        object.__setattr__(self, "q_order", q_order)
 
     @property
     def s(self):

@@ -23,7 +23,7 @@ from .gci import GCIData, dims, even_rows, p1_matrix
 from .modforms import sigma
 from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
 from .qseries import QSeries, Q2Series, rat
-from .theta import ThetaKind, UniSeries
+from .theta import ThetaKind
 
 
 @dataclass
@@ -89,8 +89,7 @@ def _psi1_series(x_order, q_order):
 def _root_power(cap, q_order, route):
     """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the cap)."""
     full = _root_series(_granular(cap), q_order, route)
-    base = UniSeries(full.coeffs[: cap + 1], cap, q_order)
-    return base ** (cap + 1)
+    return NilPoly.from_univariate(full.coeffs, 0, (cap,), q_order) ** (cap + 1)
 
 
 def _phi_specs(g: GCIData, route, skip_row=None):
@@ -190,10 +189,6 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
                       even_q_support=precursor.even_q_support(),
                       instance=g, precursor=precursor)
     return rep
-
-
-def integrality_and_parity(r: GenusReport):
-    return r.integral, r.even_q_support
 
 
 # -- dimension-4 closed form ------------------------------------------

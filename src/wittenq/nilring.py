@@ -3,6 +3,10 @@
 Models the truncated cohomology ring of a product of projective spaces:
 generators x_1..x_s with x_b^(cap_b + 1) = 0, scalars in Q[[q]] truncated
 at a common q-order.  Monomials that overflow a cap are silently dropped.
+This is the package's only ring of series in x: a one-generator NilPoly
+with cap N is a power series in x truncated after x^N (the theta and
+bundle factors), or an exact polynomial of degree <= N (the u-polynomials
+of the cancellation lemma).
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -14,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      NonUnitError, OrderMismatchError)
-from .qseries import QSeries, RAT_ZERO, rat
+from .qseries import QSeries, RAT_ZERO, mul_into, rat
 
 
 class NilPoly:
@@ -86,6 +91,15 @@ class NilPoly:
     def is_zero(self):
         return not self.terms
 
+    @property
+    def coeffs(self):
+        """The QSeries coefficients by x-degree of a one-generator poly."""
+        if len(self.caps) != 1:
+            raise ValueError("coeffs needs a one-generator NilPoly, "
+                             f"caps are {self.caps}")
+        zero = QSeries.zero(self.q_order)
+        return [self.terms.get((k,), zero) for k in range(self.caps[0] + 1)]
+
     def constant_term(self):
         zero_exp = (0,) * len(self.caps)
         return self.terms.get(zero_exp, QSeries.zero(self.q_order))
@@ -149,10 +163,11 @@ class NilPoly:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            if other.is_zero():
-                return NilPoly.zero(self.caps, self.q_order)
             out = NilPoly(self.caps, self.q_order)
-            out.terms = {e: c * other for e, c in self.terms.items()}
+            for e, c in self.terms.items():
+                c = c * other
+                if not c.is_zero():
+                    out.terms[e] = c
             return out
         if not isinstance(other, NilPoly):
             c = rat(other)
@@ -163,30 +178,20 @@ class NilPoly:
         self._check(other)
         caps = self.caps
         qo = self.q_order
+        add, le = operator.add, operator.le
         acc = {}
         for ea, ca in self.terms.items():
             A = ca.coeffs
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(x > cap for x, cap in zip(e, caps)):
+                e = tuple(map(add, ea, eb))
+                if not all(map(le, e, caps)):
                     continue
                 slot = acc.get(e)
                 if slot is None:
-                    slot = [RAT_ZERO] * (qo + 1)
-                    acc[e] = slot
-                B = cb.coeffs
-                for i, ai in enumerate(A):
-                    if not ai:
-                        continue
-                    for j in range(qo + 1 - i):
-                        bj = B[j]
-                        if bj:
-                            slot[i + j] += ai * bj
+                    slot = acc[e] = [RAT_ZERO] * (qo + 1)
+                mul_into(slot, A, cb.coeffs)
         out = NilPoly(caps, qo)
-        for e, coeffs in acc.items():
-            c = QSeries(coeffs, qo)
-            if not c.is_zero():
-                out.terms[e] = c
+        out.terms = {e: QSeries._raw(c, qo) for e, c in acc.items() if any(c)}
         return out
 
     __rmul__ = __mul__
@@ -205,21 +210,32 @@ class NilPoly:
         return result
 
     def inv_unit(self):
-        """Inverse via the finite Neumann series; constant term must be a unit."""
+        """Inverse by the graded recursion; constant term must be a unit.
+
+        b_0 = a_0^-1 and b_E = -a_0^-1 * sum_{0 < e <= E} a_e * b_(E-e),
+        with E running over the cap grid in lexicographic order, so every
+        b_(E-e) is known when b_E is formed.
+        """
+        caps, qo = self.caps, self.q_order
         a0 = self.constant_term()
         if not a0.is_unit():
             raise NonUnitError("constant term of NilPoly is not a unit series")
         inv0 = a0.inv_unit()
-        # a = a0 (1 - u) with u nilpotent of index <= sum(caps) + 1
-        u = NilPoly.one(self.caps, self.q_order) - self * inv0
-        result = NilPoly.one(self.caps, self.q_order)
-        power = NilPoly.one(self.caps, self.q_order)
-        for _ in range(sum(self.caps)):
-            power = power * u
-            if power.is_zero():
-                break
-            result = result + power
-        return result * inv0
+        zero = (0,) * len(caps)
+        rest = [(e, c.coeffs) for e, c in self.terms.items() if e != zero]
+        out = NilPoly(caps, qo)
+        out.terms[zero] = inv0
+        sub, le = operator.sub, operator.le
+        for E in itertools.product(*[range(c + 1) for c in caps]):
+            acc = [RAT_ZERO] * (qo + 1)
+            for e, A in rest:
+                if all(map(le, e, E)):
+                    b = out.terms.get(tuple(map(sub, E, e)))
+                    if b is not None:
+                        mul_into(acc, A, b.coeffs)
+            if any(acc):
+                out.terms[E] = -(QSeries._raw(acc, qo) * inv0)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, NilPoly):
@@ -361,22 +377,3 @@ def mul_univariate(poly, coeffs, index):
     out = NilPoly(caps, qo)
     out.terms = {e: c for e, c in acc.items() if not c.is_zero()}
     return out
-
-
-def _unit_tuples(s):
-    for i in range(s):
-        e = [0] * s
-        e[i] = 1
-        yield tuple(e)
-
-
-def mul(a, b):
-    return a * b
-
-
-def inv_unit(a):
-    return a.inv_unit()
-
-
-def top_coeff(a):
-    return a.top_coeff()

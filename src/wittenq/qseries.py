@@ -30,6 +30,23 @@ def rat_is_integer(v):
     return v.denominator == 1
 
 
+def mul_into(out, a, b):
+    """Add the product of coefficient lists a and b into out, truncated.
+
+    The one q-convolution of the package: every series product, bare or
+    inside a polynomial over QSeries, accumulates through here.  Terms of
+    degree len(out) and above are dropped.
+    """
+    n = len(out)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(n - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+
+
 class QSeries:
     """A truncated series c0 + c1*q + ... + c_order*q^order over exact rationals."""
 
@@ -138,17 +155,9 @@ class QSeries:
             c = rat(other)
             return QSeries._raw([a * c for a in self.coeffs], self.order)
         self._check(other)
-        n = self.order
-        out = [RAT_ZERO] * (n + 1)
-        bc = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n - i + 1):
-                b = bc[j]
-                if b:
-                    out[i + j] += a * b
-        return QSeries._raw(out, n)
+        out = [RAT_ZERO] * (self.order + 1)
+        mul_into(out, self.coeffs, other.coeffs)
+        return QSeries._raw(out, self.order)
 
     __rmul__ = __mul__
 
@@ -238,21 +247,3 @@ class Q2Series:
         terms = [f"q^{k}" for k, b in enumerate(self.bits) if b]
         body = " + ".join(terms) if terms else "0"
         return f"Q2Series({body}; O(q^{self.order + 1}))"
-
-
-# Module-level names mirroring the public operation surface.
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def inv_unit(a):
-    return a.inv_unit()
-
-
-def reduce_mod2(a):
-    return a.reduce_mod2()

@@ -10,9 +10,11 @@ e^{2*pi*i*z} -> e^x, so
     Psi_2(x) =               prod_j (1 - e^x q^(2j-1))(1 - e^-x q^(2j-1)) / (1 - q^(2j-1))^2
     Psi_3(x) =               prod_j (1 + e^x q^(2j-1))(1 + e^-x q^(2j-1)) / (1 + q^(2j-1))^2
 
-with every q^(1/4) prefactor cancelling.  A separate complex-numeric
-evaluator checks the analytic transformation laws, which the formal
-truncated series cannot see.
+with every q^(1/4) prefactor cancelling.  Each factor is a power series
+in x truncated at a given x-order, held as a one-generator NilPoly with
+cap x_order; its `coeffs` lists the QSeries coefficients by x-degree.  A
+separate complex-numeric evaluator checks the analytic transformation
+laws, which the formal truncated series cannot see.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import NonUnitError, OrderMismatchError
-from .qseries import QSeries, RAT_ONE, RAT_ZERO, rat
+from .nilring import NilPoly
+from .qseries import QSeries, RAT_ONE, rat
 
 
 class ThetaKind(enum.Enum):
@@ -32,159 +34,22 @@ class ThetaKind(enum.Enum):
     THETA3 = 3
 
 
-class UniSeries:
-    """Univariate power series in x with QSeries coefficients, truncated at x_order."""
-
-    __slots__ = ("x_order", "q_order", "coeffs")
-
-    def __init__(self, coeffs, x_order=None, q_order=None):
-        coeffs = list(coeffs)
-        if x_order is None:
-            x_order = len(coeffs) - 1
-        if q_order is None:
-            q_order = coeffs[0].order
-        if len(coeffs) < x_order + 1:
-            coeffs = coeffs + [QSeries.zero(q_order)] * (x_order + 1 - len(coeffs))
-        self.x_order = x_order
-        self.q_order = q_order
-        self.coeffs = coeffs[: x_order + 1]
-
-    @classmethod
-    def zero(cls, x_order, q_order):
-        return cls([QSeries.zero(q_order)], x_order, q_order)
-
-    @classmethod
-    def one(cls, x_order, q_order):
-        return cls([QSeries.one(q_order)], x_order, q_order)
-
-    @classmethod
-    def constant(cls, c, x_order, q_order=None):
-        if not isinstance(c, QSeries):
-            c = QSeries.constant(c, q_order)
-        return cls([c], x_order, c.order)
-
-    @classmethod
-    def x(cls, x_order, q_order):
-        return cls([QSeries.zero(q_order), QSeries.one(q_order)],
-                   x_order, q_order)
-
-    def coefficient(self, k):
-        return self.coeffs[k] if k <= self.x_order else QSeries.zero(self.q_order)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def _check(self, other):
-        if self.x_order != other.x_order or self.q_order != other.q_order:
-            raise OrderMismatchError("UniSeries order mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, UniSeries):
-            other = UniSeries.constant(other, self.x_order, self.q_order)
-        self._check(other)
-        return UniSeries([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                         self.x_order, self.q_order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniSeries([-c for c in self.coeffs], self.x_order, self.q_order)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniSeries):
-            other = UniSeries.constant(other, self.x_order, self.q_order)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return UniSeries([c * other for c in self.coeffs],
-                             self.x_order, self.q_order)
-        if not isinstance(other, UniSeries):
-            c = rat(other)
-            return UniSeries([a * c for a in self.coeffs],
-                             self.x_order, self.q_order)
-        self._check(other)
-        n = self.x_order
-        zero = QSeries.zero(self.q_order)
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return UniSeries(out, n, self.q_order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inv_unit() ** (-k)
-        result = UniSeries.one(self.x_order, self.q_order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
-
-    def inv_unit(self):
-        c0 = self.coeffs[0]
-        if not c0.is_unit():
-            raise NonUnitError("constant term is not a unit q-series")
-        n = self.x_order
-        inv0 = c0.inv_unit()
-        out = [inv0] + [QSeries.zero(self.q_order)] * n
-        for k in range(1, n + 1):
-            acc = QSeries.zero(self.q_order)
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if not aj.is_zero():
-                    acc = acc + aj * out[k - j]
-            out[k] = -(acc * inv0)
-        return UniSeries(out, n, self.q_order)
-
-    def scale_x(self, d):
-        """Substitute x -> d*x for an integer d."""
-        out = []
-        p = RAT_ONE
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * d
-        return UniSeries(out, self.x_order, self.q_order)
-
-    def is_even(self):
-        return all(c.is_zero() for c in self.coeffs[1::2])
-
-    def is_odd(self):
-        return all(c.is_zero() for c in self.coeffs[0::2])
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return (self.x_order == other.x_order and self.q_order == other.q_order
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        parts = [f"({c!r})*x^{k}" for k, c in enumerate(self.coeffs)
-                 if not c.is_zero()]
-        return f"UniSeries({' + '.join(parts) or '0'}; O(x^{self.x_order + 1}))"
-
-
 # -- exponential-type building blocks ---------------------------------
 
+def _x_series(coeffs, q_order):
+    """The series sum_k coeffs[k] x^k, truncated after x^(len(coeffs) - 1)."""
+    return NilPoly.from_univariate(coeffs, 0, (len(coeffs) - 1,), q_order)
+
+
 def exp_x(lam, x_order, q_order):
-    """e^(lam*x) with exact rational lam, as a UniSeries."""
+    """e^(lam*x) with exact rational lam."""
     lam = rat(Fraction(lam)) if isinstance(lam, str) else rat(lam)
     out = []
     term = RAT_ONE
     for k in range(x_order + 1):
         out.append(QSeries.constant(term, q_order))
         term = term * lam / (k + 1)
-    return UniSeries(out, x_order, q_order)
+    return _x_series(out, q_order)
 
 
 def two_sinh_half(x_order, q_order):
@@ -211,7 +76,7 @@ def _exp_factor(sign, q_exp, lam_sign, x_order, q_order):
             c = c + 1
         out.append(c)
         term = term * lam_sign / (k + 1)
-    return UniSeries(out, x_order, q_order)
+    return _x_series(out, q_order)
 
 
 def _one_pm_q(sign, q_exp, q_order):
@@ -238,10 +103,10 @@ def psi(kind, x_order, q_order):
         res = cosh_half(x_order, q_order)
         sign, exps = 1, [2 * j for j in range(1, q_order // 2 + 1)]
     elif kind == ThetaKind.THETA2:
-        res = UniSeries.one(x_order, q_order)
+        res = NilPoly.one((x_order,), q_order)
         sign, exps = -1, [2 * j - 1 for j in range(1, (q_order + 1) // 2 + 1)]
     elif kind == ThetaKind.THETA3:
-        res = UniSeries.one(x_order, q_order)
+        res = NilPoly.one((x_order,), q_order)
         sign, exps = 1, [2 * j - 1 for j in range(1, (q_order + 1) // 2 + 1)]
     else:
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
@@ -262,9 +127,7 @@ def psi_product(x_order, q_order):
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    full = phi(x_order + 1, q_order)
-    unit = UniSeries(full.coeffs[1:], x_order, q_order)
-    return unit.inv_unit()
+    return _x_series(phi(x_order + 1, q_order).coeffs[1:], q_order).inv_unit()
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------

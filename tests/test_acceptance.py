@@ -28,7 +28,7 @@ def test_criterion_01_jacobi_identity():
 
 
 def test_criterion_02_x_over_phi_weight2_coefficient():
-    c2 = theta.x_over_phi(4, 20).coefficient(2)
+    c2 = theta.x_over_phi(4, 20).coeffs[2]
     sigma1 = {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12}
     ok = Fraction(str(c2.coefficient(0))) == Fraction(-1, 24)
     ok = ok and all(c2.coefficient(2 * n) == v for n, v in sigma1.items())
@@ -37,7 +37,7 @@ def test_criterion_02_x_over_phi_weight2_coefficient():
 
 
 def test_criterion_03_psi_product_weight2_coefficient():
-    c2 = theta.psi_product(4, 20).coefficient(2)
+    c2 = theta.psi_product(4, 20).coeffs[2]
     ok = Fraction(str(c2.coefficient(0))) == Fraction(1, 8)
     ok = ok and all(c2.coefficient(2 * n) == -3 * modforms.sigma(1, n)
                     for n in range(1, 11))
@@ -74,7 +74,7 @@ def test_criterion_07_mod2_vanishing():
 
 def test_criterion_08_cp2_nonvanishing_control():
     rep = witten_genus(GCIData([2], [], q_order=10))
-    oracle = (theta.x_over_phi(2, 10) ** 3).coefficient(2)
+    oracle = (theta.x_over_phi(2, 10) ** 3).coeffs[2]
     head = {0: Fraction(-1, 8), 2: Fraction(3)}
     ok = rep.coeffs == oracle
     ok = ok and all(Fraction(str(rep.coeffs.coefficient(k))) == v
@@ -95,9 +95,9 @@ def test_criterion_09_bundle_theta_oracle_equivalence():
 
 
 def test_criterion_10_cancellation_lemma():
-    ok = lemma42_check(20, w_degree=6)
+    ok = lemma42_check(20)
     ok = ok and not lemma42_check(20, flip_sign=True)
-    _report(10, "cancellation lemma holds to q-order 20, w-degree 6; "
+    _report(10, "cancellation lemma holds to q-order 20 in every w-degree; "
                 "sign-mutated control fails", ok)
 
 

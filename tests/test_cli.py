@@ -100,7 +100,34 @@ def test_q_order_env_default(tmp_path, monkeypatch, capsys):
     assert doc["instance"]["q_order"] == 6
     assert len(doc["coeffs"]) == 7
     monkeypatch.setenv("WITTENQ_Q_ORDER", "not-a-number")
-    assert cli.default_q_order() == 20
+    with pytest.raises(ValueError):
+        cli.default_q_order()
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": [4.7], "D": [[1], [2]]},        # float, was truncated to 4
+    {"n": 4, "D": [[1], [2]]},            # not a list, was a TypeError
+    {"n": [4], "D": [[1], [2]], "q_order": -1},  # was a precondition exit
+    {"n": [True, 3], "D": [[1, 1]]},      # bool, was read as 1
+], ids=["float", "scalar_n", "negative_q_order", "bool"])
+def test_malformed_instance_exits_2(tmp_path, capsys, doc):
+    path = _write(tmp_path, "bad.json", doc)
+    assert run(["genus", path]) == EXIT_INPUT
+    assert run(["check", path]) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_q_order_exits_2(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "cp2.json", {"n": [2], "D": []})
+    for argv in (["genus", path, "--q-order", "-1"],
+                 ["search", "--s", "1", "--t", "1", "--q-order", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_INPUT
+    monkeypatch.setenv("WITTENQ_Q_ORDER", "abc")  # was silently ignored
+    assert run(["genus", path]) == EXIT_INPUT
+    assert run(["verify", "--suite", "theta"]) == EXIT_INPUT
+    assert "WITTENQ_Q_ORDER" in capsys.readouterr().err
 
 
 def test_instance_q_order_precedence(tmp_path, capsys):

@@ -18,6 +18,16 @@ def test_validation():
         GCIData([2], [[1]], C=[1, 1])
     with pytest.raises(DimensionError):
         GCIData([1], [[1], [1]])
+    # no coercion: non-int or bool entries and non-list shapes are refused
+    for n, D, C in [([4.7], [[1]], None), ([True], [], None), (4, [], None),
+                    ("4", [], None), ([4], [1], None), ([4], [[1]], [1.5])]:
+        with pytest.raises(TypeError):
+            GCIData(n, D, C)
+    with pytest.raises(TypeError):
+        GCIData([4], [[1]], q_order=2.0)
+    with pytest.raises(ValueError):
+        GCIData([4], [[1]], q_order=-1)
+    assert GCIData((4,), ((1,),), q_order=0).n == (4,)
 
 
 def test_shape_properties_and_dims():

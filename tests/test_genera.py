@@ -7,9 +7,8 @@ import pytest
 from wittenq import theta
 from wittenq.errors import DimensionError, NonIntegralError
 from wittenq.gci import GCIData
-from wittenq.genera import (dim4_closed_form, integrality_and_parity,
-                            mod2_witten, quadratic_pairing, sigma1_series,
-                            wc_genus, witten_genus)
+from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
+                            sigma1_series, wc_genus, witten_genus)
 from wittenq.qseries import QSeries
 
 
@@ -23,9 +22,8 @@ def test_witten_cp2_values_and_flags():
     expect = {0: Fraction(-1, 8), 2: 3, 4: 9, 6: 12, 8: 21, 10: 18}
     for k, v in expect.items():
         assert _frac(rep.coeffs, k) == v
-    integral, even = integrality_and_parity(rep)
-    assert not integral  # CP^2 is not spin
-    assert even
+    assert not rep.integral  # CP^2 is not spin
+    assert rep.even_q_support
 
 
 def test_witten_cp2_matches_direct_residue_oracle():
@@ -33,7 +31,7 @@ def test_witten_cp2_matches_direct_residue_oracle():
     qo = 10
     cube = theta.x_over_phi(2, qo) ** 3
     rep = witten_genus(GCIData([2], [], q_order=qo))
-    assert rep.coeffs == cube.coefficient(2)
+    assert rep.coeffs == cube.coeffs[2]
 
 
 def test_witten_k3_values():

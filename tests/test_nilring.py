@@ -174,3 +174,19 @@ def test_from_univariate_and_scalar_mul():
     assert p.terms[(0, 1)] == QSeries.constant(3, 2)
     assert (p * 0).is_zero()
     assert (2 * p).terms[(0, 1)] == QSeries.constant(6, 2)
+
+
+def test_series_product_drops_terms_that_truncate_to_zero():
+    # q^2 * q vanishes at q-order 2, so the product has no terms left
+    p = NilPoly((1,), 2, {(0,): QSeries.monomial(1, 2, 2)})
+    prod = p * QSeries.monomial(1, 1, 2)
+    assert prod.is_zero()
+    assert prod == NilPoly.zero((1,), 2)
+
+
+def test_coeffs_of_one_generator_poly():
+    p = NilPoly((3,), 1, {(1,): 2, (3,): QSeries([0, 1], 1)})
+    assert p.coeffs == [QSeries.zero(1), QSeries.constant(2, 1),
+                        QSeries.zero(1), QSeries([0, 1], 1)]
+    with pytest.raises(ValueError):
+        NilPoly.one((1, 1), 1).coeffs
