@@ -10,17 +10,31 @@ symmetric and exterior powers of line-bundle roots; at a Chern root x
 with t a monomial in q.  Assembling these and the A-hat-type square root
 gives the per-root factors of the genera, truncated power series in x held as
 one-generator NilPolys like the theta factors.  The same factors arise as
-theta-function ratios; the two constructions are kept deliberately
-separate so each can serve as an oracle for the other.
+theta-function ratios, which `theta` builds as exponentials of Eisenstein
+logarithms; this module keeps the product formulas, so each construction
+serves as an oracle for the other.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, rat
-from .theta import (_exp_factor, _one_pm_q, _x_series, cosh_half,
-                    two_sinh_half)
+from .qseries import QSeries, RAT_ONE, rat
+from .theta import _one_pm_q, _x_series, cosh_half, two_sinh_half
+
+
+def _exp_factor(sign, q_exp, lam_sign, x_order, q_order):
+    """The series 1 + sign * q^q_exp * e^(lam_sign * x/1)."""
+    t = QSeries.monomial(sign, q_exp, q_order)
+    out = []
+    term = RAT_ONE
+    for k in range(x_order + 1):
+        c = t * term
+        if k == 0:
+            c = c + 1
+        out.append(c)
+        term = term * lam_sign / (k + 1)
+    return _x_series(out, q_order)
 
 
 def _lambda_pair(sign, q_exp, x_order, q_order):

@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 verification-suite failure, 2 malformed input,
 q-order is 20, overridable per-invocation by --q-order and globally by
 the WITTENQ_Q_ORDER environment variable (which sets the default only).
 A negative or non-integer q-order, from either source, is malformed input.
+`wittenq --version` names the active scalar backend and warns on stderr
+when it is the slow fractions.Fraction fallback.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ import json
 import os
 import sys
 
-from . import bundles, modforms, theta
+from . import __version__, bundles, modforms, theta
 from .errors import DimensionError, NonIntegralError
 from .gci import GCIData, condition_report, dims, thm42_ok
 from .genera import mod2_witten, wc_genus, witten_genus
-from .qseries import QSeries
+from .qseries import SCALAR_BACKEND, QSeries
 from .search import SearchQuery, find_string, find_stringc
 
 EXIT_OK = 0
@@ -273,10 +275,28 @@ def cmd_search(args):
     return EXIT_OK
 
 
+class _VersionAction(argparse.Action):
+    """Print the version and the scalar backend, then exit 0."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0,
+                         default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"wittenq {__version__} (scalar backend: {SCALAR_BACKEND})")
+        if SCALAR_BACKEND == "fractions.Fraction":
+            print("warning: gmpy2 is not installed; exact arithmetic runs on "
+                  "the much slower fractions.Fraction fallback",
+                  file=sys.stderr)
+        parser.exit()
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="wittenq",
         description="Witten-type genera of generalized complete intersections")
+    p.add_argument("--version", action=_VersionAction,
+                   help="show the version and the scalar backend, then exit")
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", help="evaluate condition checkers")

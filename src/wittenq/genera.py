@@ -20,7 +20,6 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .modforms import sigma
 from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
 from .qseries import QSeries, Q2Series, rat
 from .theta import ThetaKind
@@ -48,9 +47,7 @@ def _granular(x_order):
 
 
 @functools.lru_cache(maxsize=None)
-def _root_series(x_order, q_order, route):
-    if route == "theta":
-        return theta.x_over_phi(x_order, q_order)
+def _bundle_root_series(x_order, q_order):
     return bundles.root_factor(x_order, q_order)
 
 
@@ -87,8 +84,16 @@ def _psi1_series(x_order, q_order):
 
 @functools.lru_cache(maxsize=None)
 def _root_power(cap, q_order, route):
-    """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the cap)."""
-    full = _root_series(_granular(cap), q_order, route)
+    """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the cap).
+
+    On the theta route this is exp((cap+1) * log(x/Phi)), one exponential
+    from the logarithm cached at the granular x-order; the bundle route
+    raises its product-formula factor to the power.
+    """
+    if route == "theta":
+        logs = theta.log_coeffs(ThetaKind.THETA, _granular(cap), q_order)
+        return theta.exp_series(logs, cap, q_order, scale=cap + 1)
+    full = _bundle_root_series(_granular(cap), q_order)
     return NilPoly.from_univariate(full.coeffs, 0, (cap,), q_order) ** (cap + 1)
 
 
@@ -194,11 +199,8 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
 # -- dimension-4 closed form ------------------------------------------
 
 def sigma1_series(q_order):
-    """-1/24 + sum sigma_1(n) q^(2n): the normalized weight-2 Eisenstein shape."""
-    coeffs = [rat(Fraction(-1, 24))]
-    for k in range(1, q_order + 1):
-        coeffs.append(rat(sigma(1, k // 2)) if k % 2 == 0 else rat(0))
-    return QSeries(coeffs, q_order)
+    """-1/24 + sum sigma_1(n) q^(2n): the weight-2 Eisenstein series G_2(q^2)."""
+    return theta.eisenstein_g(1, q_order)
 
 
 def quadratic_pairing(g: GCIData, M):

@@ -13,6 +13,8 @@ try:
 except ImportError:  # pragma: no cover
     Q = Fraction
 
+SCALAR_BACKEND = "fractions.Fraction" if Q is Fraction else "gmpy2.mpq"
+
 from .errors import NonIntegralError, NonUnitError, OrderMismatchError
 
 RAT_ZERO = Q(0)

@@ -2,7 +2,10 @@
 
 The diagonal Diophantine equations determine the ambient dimensions from
 the degree columns (n_b + 1 = sum_a d_ab^2 [+ k c_b^2]), so only degree
-rows and spin^c coefficients are enumerated.  Instances are emitted in a
+rows and spin^c coefficients are enumerated.  The off-diagonal equations
+sum_a d_ab d_ac = -k c_b c_c (k = 0 for string) are checked on the raw
+integers before any instance is built, which rejects almost every
+candidate over two or more factors.  Instances are emitted in a
 canonical form: degree rows sorted, ambient factors (columns) sorted,
 deduplicated up to column permutation.  Row signs are not quotiented.
 """
@@ -63,6 +66,12 @@ def _row_multisets(q: SearchQuery, s, t):
     return itertools.combinations_with_replacement(rows, t)
 
 
+def _gram_offdiag(D):
+    """(b, c, sum_a d_ab * d_ac) for every pair of ambient factors b < c."""
+    return [(b, c, sum(row[b] * row[c] for row in D))
+            for b, c in itertools.combinations(range(len(D[0])), 2)]
+
+
 def _emit(q: SearchQuery, n, D, C, check):
     n, D, C = _canonical(n, D, C)
     g = GCIData(n, D, C, q_order=q.q_order)
@@ -84,6 +93,8 @@ def find_string(q: SearchQuery):
                 n = [sum(row[b] ** 2 for row in D) - 1 for b in range(s)]
                 if any(v < 1 for v in n) or sum(n) < t:
                     continue
+                if any(dot for _, _, dot in _gram_offdiag(D)):
+                    continue
                 inst = _emit(q, n, D, None, is_string)
                 if inst is not None:
                     found.setdefault(inst.key(), inst)
@@ -101,12 +112,16 @@ def find_stringc(q: SearchQuery, parity):
         cvals = list(range(-q.c_max, q.c_max + 1))
         for t in range(1, q.t_max + 1):
             for D in _row_multisets(q, s, t):
+                offdiag = _gram_offdiag(D)
                 for C in itertools.product(cvals, repeat=s):
                     n = [sum(row[b] ** 2 for row in D) + coef * C[b] ** 2 - 1
                          for b in range(s)]
                     if any(v < 1 for v in n) or sum(n) < t:
                         continue
                     if (sum(n) - t) * 2 % 4 != residue:
+                        continue
+                    if any(dot + coef * C[b] * C[c]
+                           for b, c, dot in offdiag):
                         continue
 
                     def check(g):

@@ -10,21 +10,30 @@ e^{2*pi*i*z} -> e^x, so
     Psi_2(x) =               prod_j (1 - e^x q^(2j-1))(1 - e^-x q^(2j-1)) / (1 - q^(2j-1))^2
     Psi_3(x) =               prod_j (1 + e^x q^(2j-1))(1 + e^-x q^(2j-1)) / (1 + q^(2j-1))^2
 
-with every q^(1/4) prefactor cancelling.  Each factor is a power series
-in x truncated at a given x-order, held as a one-generator NilPoly with
-cap x_order; its `coeffs` lists the QSeries coefficients by x-degree.  A
-separate complex-numeric evaluator checks the analytic transformation
-laws, which the formal truncated series cannot see.
+with every q^(1/4) prefactor cancelling.  The factors are not built from
+these products.  Taking logarithms turns each product into divisor sums:
+log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
+G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
+Psi_i have sign-twisted analogues (see `log_coeffs`).  Each factor is then
+one exponential of its logarithm, computed exactly in the truncated ring.
+The bundle route (`bundles`) keeps the product formulas and is the
+independent oracle these builders are checked against.
+
+Each factor is a power series in x truncated at a given x-order, held as a
+one-generator NilPoly with cap x_order; its `coeffs` lists the QSeries
+coefficients by x-degree.  A separate complex-numeric evaluator checks the
+analytic transformation laws, which the formal truncated series cannot see.
 """
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, RAT_ONE, rat
+from .qseries import QSeries, RAT_ONE, RAT_ZERO, mul_into, rat
 
 
 class ThetaKind(enum.Enum):
@@ -34,7 +43,7 @@ class ThetaKind(enum.Enum):
     THETA3 = 3
 
 
-# -- exponential-type building blocks ---------------------------------
+# -- elementary series in x ------------------------------------------
 
 def _x_series(coeffs, q_order):
     """The series sum_k coeffs[k] x^k, truncated after x^(len(coeffs) - 1)."""
@@ -65,69 +74,137 @@ def cosh_half(x_order, q_order):
     return s * rat(Fraction(1, 2))
 
 
-def _exp_factor(sign, q_exp, lam_sign, x_order, q_order):
-    """The series 1 + sign * q^q_exp * e^(lam_sign * x/1)."""
-    t = QSeries.monomial(sign, q_exp, q_order)
-    out = []
-    term = RAT_ONE
-    for k in range(x_order + 1):
-        c = t * term
-        if k == 0:
-            c = c + 1
-        out.append(c)
-        term = term * lam_sign / (k + 1)
-    return _x_series(out, q_order)
-
-
 def _one_pm_q(sign, q_exp, q_order):
     return QSeries.one(q_order) + QSeries.monomial(sign, q_exp, q_order)
+
+
+# -- logarithms: Bernoulli numbers and divisor sums -------------------
+
+@functools.lru_cache(maxsize=None)
+def bernoulli(n):
+    """The Bernoulli number B_n (B_1 = -1/2), from sum_(j<=n) C(n+1, j) B_j = 0."""
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
+
+
+def _divisor_sums(k, q_order, odd, alternating):
+    """Integer coefficients of sum_(m*e = N) eps^(m+1) * m^(2k-1) * q^N.
+
+    e runs over the odd (odd=True) or the even positive integers, and eps
+    is -1 when alternating, +1 otherwise.  The q^0 coefficient is 0.
+    """
+    out = [0] * (q_order + 1)
+    for m in range(1, q_order + 1):
+        w = -m ** (2 * k - 1) if alternating and m % 2 == 0 else m ** (2 * k - 1)
+        for N in range(m if odd else 2 * m, q_order + 1, 2 * m):
+            out[N] += w
+    return out
+
+
+def eisenstein_g(k, q_order):
+    """G_2k(q^2) = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^(2N), k >= 1."""
+    coeffs = _divisor_sums(k, q_order, odd=False, alternating=False)
+    coeffs[0] = -bernoulli(2 * k) / (4 * k)
+    return QSeries(coeffs, q_order)
+
+
+@functools.lru_cache(maxsize=None)
+def log_coeffs(kind, x_order, q_order):
+    """The logarithm of a factor as q-coefficient tuples by x-degree 0..x_order.
+
+    THETA stands for x/Phi; THETA1..3 for Psi_1..3.  Every logarithm is
+    even in x with no constant term, and its x^2k coefficient is 2/(2k)!
+    times
+        x/Phi:  G_2k(q^2)
+        Psi_1:  (2^2k - 1) B_2k/(4k) + sum_N sum_(m|N) (-1)^(m+1) m^(2k-1) q^(2N)
+        Psi_2:  -sum_N sum_(m|N, N/m odd) m^(2k-1) q^N
+        Psi_3:  sum_N sum_(m|N, N/m odd) (-1)^(m+1) m^(2k-1) q^N
+    from log(1 + t e^x) + log(1 + t e^-x) - 2 log(1 + t)
+    = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
+    log(sinh(x/2)/(x/2)) and log cosh(x/2).  Callers slice the cached
+    result rather than asking for a lower x-order.
+    """
+    if kind == ThetaKind.THETA:
+        def body(k):
+            return eisenstein_g(k, q_order).coeffs
+    elif kind == ThetaKind.THETA1:
+        def body(k):
+            c = _divisor_sums(k, q_order, odd=False, alternating=True)
+            c[0] = (4 ** k - 1) * bernoulli(2 * k) / (4 * k)
+            return c
+    elif kind == ThetaKind.THETA2:
+        def body(k):
+            return [-v for v in
+                    _divisor_sums(k, q_order, odd=True, alternating=False)]
+    elif kind == ThetaKind.THETA3:
+        def body(k):
+            return _divisor_sums(k, q_order, odd=True, alternating=True)
+    else:
+        raise ValueError(f"no logarithm for {kind}")
+    out = [(RAT_ZERO,) * (q_order + 1)] * (x_order + 1)
+    for k in range(1, x_order // 2 + 1):
+        scale = rat(Fraction(2, math.factorial(2 * k)))
+        out[2 * k] = tuple(rat(v) * scale for v in body(k))
+    return tuple(out)
+
+
+# -- exponentials -----------------------------------------------------
+
+def exp_series(logs, x_order, q_order, scale=1):
+    """exp(scale * sum_j logs[j] x^j), truncated after x^x_order.
+
+    The logarithm is even in x with no constant term, so f = exp(L) has
+    f_0 = 1, f_odd = 0 and, from f' = L'f, n f_n = sum_(j even) j L_j f_(n-j).
+    Only logs[0..x_order] are read.
+    """
+    zero = [RAT_ZERO] * (q_order + 1)
+    f = [[RAT_ONE] + zero[1:]]
+    jl = {j: [c * (j * scale) for c in logs[j]]
+          for j in range(2, x_order + 1, 2)}
+    for n in range(1, x_order + 1):
+        if n % 2:
+            f.append(zero)
+            continue
+        acc = list(zero)
+        for j in range(2, n + 1, 2):
+            mul_into(acc, jl[j], f[n - j])
+        inv = RAT_ONE / n
+        f.append([c * inv for c in acc])
+    return _x_series([QSeries._raw(c, q_order) for c in f], q_order)
 
 
 def phi(x_order, q_order):
     """Normalized theta ratio Phi(x) = 2*pi*i * theta(x/(2*pi*i)) / theta'(0).
 
-    Odd in x, leading term x.
+    Odd in x, leading term x: Phi = x * exp(-log(x/Phi)).
     """
-    res = two_sinh_half(x_order, q_order)
-    den = QSeries.one(q_order)
-    for j in range(1, q_order // 2 + 1):
-        res = res * _exp_factor(-1, 2 * j, 1, x_order, q_order)
-        res = res * _exp_factor(-1, 2 * j, -1, x_order, q_order)
-        den = den * _one_pm_q(-1, 2 * j, q_order) ** 2
-    return res * den.inv_unit()
+    logs = log_coeffs(ThetaKind.THETA, x_order, q_order)
+    unit = exp_series(logs, max(x_order - 1, 0), q_order, scale=-1)
+    return _x_series([QSeries.zero(q_order)] + unit.coeffs[:x_order], q_order)
 
 
 def psi(kind, x_order, q_order):
     """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
-    if kind == ThetaKind.THETA1:
-        res = cosh_half(x_order, q_order)
-        sign, exps = 1, [2 * j for j in range(1, q_order // 2 + 1)]
-    elif kind == ThetaKind.THETA2:
-        res = NilPoly.one((x_order,), q_order)
-        sign, exps = -1, [2 * j - 1 for j in range(1, (q_order + 1) // 2 + 1)]
-    elif kind == ThetaKind.THETA3:
-        res = NilPoly.one((x_order,), q_order)
-        sign, exps = 1, [2 * j - 1 for j in range(1, (q_order + 1) // 2 + 1)]
-    else:
+    if kind not in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
-    den = QSeries.one(q_order)
-    for e in exps:
-        res = res * _exp_factor(sign, e, 1, x_order, q_order)
-        res = res * _exp_factor(sign, e, -1, x_order, q_order)
-        den = den * _one_pm_q(sign, e, q_order) ** 2
-    return res * den.inv_unit()
+    return exp_series(log_coeffs(kind, x_order, q_order), x_order, q_order)
 
 
 def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
-    return (psi(ThetaKind.THETA1, x_order, q_order)
-            * psi(ThetaKind.THETA2, x_order, q_order)
-            * psi(ThetaKind.THETA3, x_order, q_order))
+    parts = [log_coeffs(kind, x_order, q_order) for kind in
+             (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)]
+    logs = [[a + b + c for a, b, c in zip(*by_kind)] for by_kind in zip(*parts)]
+    return exp_series(logs, x_order, q_order)
 
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    return _x_series(phi(x_order + 1, q_order).coeffs[1:], q_order).inv_unit()
+    logs = log_coeffs(ThetaKind.THETA, x_order, q_order)
+    return exp_series(logs, x_order, q_order)
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------

@@ -183,3 +183,16 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     assert run(["verify", "--suite", "theta"]) == EXIT_SUITE
     out = capsys.readouterr().out
     assert "FAIL broken" in out
+
+
+@pytest.mark.parametrize("backend,warns", [("gmpy2.mpq", False),
+                                           ("fractions.Fraction", True)])
+def test_version_names_scalar_backend(monkeypatch, capsys, backend, warns):
+    monkeypatch.setattr(cli, "SCALAR_BACKEND", backend)
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("wittenq 0.1.0")
+    assert f"scalar backend: {backend}" in captured.out
+    assert ("warning" in captured.err) == warns

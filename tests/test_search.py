@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from wittenq import search
 from wittenq.gci import (GCIData, codim_ok, dims, is_string, is_stringc,
                          stringc_coefficient)
 from wittenq.search import (FoundInstance, SearchQuery, find_string,
@@ -111,3 +112,26 @@ def test_found_instance_key_shape():
     assert isinstance(inst, FoundInstance)
     n, D, C = inst.key()
     assert isinstance(n, tuple) and isinstance(D, tuple) and C is None
+
+
+@pytest.mark.parametrize("query", [
+    SearchQuery(s_max=2, t_max=3, d_max=2, c_max=2),
+    SearchQuery(s_max=2, t_max=2, d_max=2, c_max=1, positive=False),
+    SearchQuery(s_max=3, t_max=2, d_max=1, c_max=1, positive=False,
+                require_codim=False),
+], ids=["positive", "signed", "signed_s3_nocodim"])
+def test_offdiag_prefilter_keeps_results(monkeypatch, query):
+    """The raw-integer off-diagonal check only skips candidates that fail."""
+    def run_all():
+        out = [(i.key(), i.report) for i in find_string(query)]
+        for parity in ("dim4k", "dim4k2"):
+            out += [(i.key(), i.report) for i in find_stringc(query, parity)]
+        return out
+
+    filtered = run_all()
+    monkeypatch.setattr(search, "_gram_offdiag", lambda D: [])
+    unfiltered = run_all()
+    assert filtered == unfiltered
+    # the signed queries must exercise the off-diagonal branch at all
+    if not query.positive:
+        assert any(len(key[0]) > 1 for key, _ in filtered)
