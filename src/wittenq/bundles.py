@@ -1,48 +1,63 @@
 """Characteristic factors built bundle-by-bundle.
 
 The graded tensor bundles that enter the elliptic genera are built from
-symmetric and exterior powers of line-bundle roots; at a Chern root x
-(normalized so Chern classes carry no 2*pi*i) they contribute
+symmetric and exterior powers of line-bundle roots.  Their characters are
+products of normalized Lambda pairs, one per monomial t = +-q^e:
 
-    Lambda_t(L + L*):   (1 + t e^x)(1 + t e^-x)
-    Sym_t(L + L*):      1 / ((1 - t e^x)(1 - t e^-x))
+    Lambda_t(L + L*) / (1 + t)^2 = (1 + t y)(1 + t/y) / (1 + t)^2
+                                 = 1 + t/(1 + t)^2 * w,   w = y + 1/y - 2,
 
-with t a monomial in q.  Assembling these and the A-hat-type square root
-gives the per-root factors of the genera, truncated power series in x held as
-one-generator NilPolys like the theta factors.  The same factors arise as
-theta-function ratios, which `theta` builds as exponentials of Eisenstein
-logarithms; this module keeps the product formulas, so each construction
-serves as an oracle for the other.
+and the Sym_t(L + L*) pairs are their inverses at -t.  Each pair is linear
+in w, so a product of pairs is a polynomial in w (`_pairs`).  The
+cancellation lemma works in w directly; at a Chern root x (normalized so
+Chern classes carry no 2*pi*i) y = e^x and w = (2 sinh(x/2))^2, so the
+per-root factors of the genera are those polynomials evaluated at w(x)
+(`_at_w`) times an elementary sinh or cosh, truncated power series in x
+held as one-generator NilPolys like the theta factors.  The same factors
+arise as theta-function ratios, which `theta` builds as exponentials of
+Eisenstein logarithms; this module keeps the product formulas, so each
+construction serves as an oracle for the other.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, RAT_ONE, rat
+from .qseries import QSeries, rat
 from .theta import _one_pm_q, _x_series, cosh_half, two_sinh_half
 
 
-def _exp_factor(sign, q_exp, lam_sign, x_order, q_order):
-    """The series 1 + sign * q^q_exp * e^(lam_sign * x/1)."""
-    t = QSeries.monomial(sign, q_exp, q_order)
-    out = []
-    term = RAT_ONE
-    for k in range(x_order + 1):
-        c = t * term
-        if k == 0:
-            c = c + 1
-        out.append(c)
-        term = term * lam_sign / (k + 1)
-    return _x_series(out, q_order)
+def _terms(sign, first, q_order):
+    """The pair monomials sign*q^e for e = first, first + 2, ... <= q_order."""
+    return [(sign, e) for e in range(first, q_order + 1, 2)]
 
 
-def _lambda_pair(sign, q_exp, x_order, q_order):
-    """(1 + sign*q^q_exp*e^x)(1 + sign*q^q_exp*e^-x) / (1 + sign*q^q_exp)^2."""
-    num = (_exp_factor(sign, q_exp, 1, x_order, q_order)
-           * _exp_factor(sign, q_exp, -1, x_order, q_order))
-    den = _one_pm_q(sign, q_exp, q_order) ** 2
-    return num * den.inv_unit()
+def _pairs(terms, cap, q_order):
+    """prod over (sign, e) in terms of 1 + c*w, c = t/(1 + t)^2, t = sign*q^e.
+
+    A one-generator NilPoly in w = y + 1/y - 2 with cap `cap`; a cap of
+    len(terms) keeps every w-degree.
+    """
+    caps = (cap,)
+    res = NilPoly.one(caps, q_order)
+    for sign, e in terms:
+        t = QSeries.monomial(sign, e, q_order)
+        c = t * (_one_pm_q(sign, e, q_order) ** 2).inv_unit()
+        res = res * NilPoly(caps, q_order, {(0,): 1, (1,): c})
+    return res
+
+
+def _at_w(p, x_order, q_order):
+    """The w-polynomial p at w = (2 sinh(x/2))^2, truncated after x^x_order.
+
+    w has x-valuation 2, so only w-degrees <= x_order // 2 matter and p
+    needs no larger cap.
+    """
+    w = two_sinh_half(x_order, q_order) ** 2
+    res = NilPoly.zero((x_order,), q_order)
+    for c in reversed(p.coeffs):
+        res = res * w + c
+    return res
 
 
 def root_factor(x_order, q_order):
@@ -53,10 +68,8 @@ def root_factor(x_order, q_order):
     """
     sinh_unit = _x_series(two_sinh_half(x_order + 1, q_order).coeffs[1:],
                           q_order)
-    res = sinh_unit.inv_unit()
-    for m in range(1, q_order // 2 + 1):
-        res = res * _lambda_pair(-1, 2 * m, x_order, q_order).inv_unit()
-    return res
+    pairs = _pairs(_terms(-1, 2, q_order), x_order // 2, q_order)
+    return sinh_unit.inv_unit() * _at_w(pairs.inv_unit(), x_order, q_order)
 
 
 def lfactor_4k(x_order, q_order):
@@ -64,13 +77,10 @@ def lfactor_4k(x_order, q_order):
 
     cosh(x/2) * prod Lambda-pairs at +q^2m, -q^(2m-1), +q^(2m-1).
     """
-    res = cosh_half(x_order, q_order)
-    for m in range(1, q_order // 2 + 1):
-        res = res * _lambda_pair(1, 2 * m, x_order, q_order)
-    for m in range(1, (q_order + 1) // 2 + 1):
-        res = res * _lambda_pair(-1, 2 * m - 1, x_order, q_order)
-        res = res * _lambda_pair(1, 2 * m - 1, x_order, q_order)
-    return res
+    terms = (_terms(1, 2, q_order) + _terms(-1, 1, q_order)
+             + _terms(1, 1, q_order))
+    pairs = _pairs(terms, x_order // 2, q_order)
+    return cosh_half(x_order, q_order) * _at_w(pairs, x_order, q_order)
 
 
 def lfactor_4k2(x_order, q_order):
@@ -78,46 +88,18 @@ def lfactor_4k2(x_order, q_order):
 
     Equals Phi(x)/2; the halving is the Jacobi triple-null cancellation.
     """
-    res = two_sinh_half(x_order, q_order) * rat(Fraction(1, 2))
-    for m in range(1, q_order // 2 + 1):
-        res = res * _lambda_pair(-1, 2 * m, x_order, q_order)
-    return res
+    pairs = _pairs(_terms(-1, 2, q_order), x_order // 2, q_order)
+    return (two_sinh_half(x_order, q_order) * rat(Fraction(1, 2))
+            * _at_w(pairs, x_order, q_order))
 
 
-# -- symmetric Laurent polynomials and the cancellation lemma ---------
-#
-# A symmetric Laurent polynomial in y is a polynomial in u = y + 1/y; it is
-# held as a one-generator NilPoly in u whose cap is its full degree, so
-# nothing is ever truncated.
-
-def _shifted(p):
-    """Re-express a polynomial in u in powers of w = u - 2 (Horner at u = w + 2).
-
-    The shift feeds every u^k into all lower w-degrees, so the result
-    keeps the cap, and with it every w-degree, of the input.
-    """
-    w_plus_2 = NilPoly(p.caps, p.q_order, {(0,): 2, (1,): 1})
-    out = NilPoly.zero(p.caps, p.q_order)
-    for c in reversed(p.coeffs):
-        out = out * w_plus_2 + c
-    return out
+def psi1_factor(x_order, q_order):
+    """Psi_1 = cosh(x/2) * prod Lambda-pairs at +q^2m, from the bundle side."""
+    pairs = _pairs(_terms(1, 2, q_order), x_order // 2, q_order)
+    return cosh_half(x_order, q_order) * _at_w(pairs, x_order, q_order)
 
 
-def _pair_product(sign, exps, q_order):
-    """prod over e in exps of ((1 + sign*q^e*y)(1 + sign*q^e/y)) / (1 + sign*q^e)^2.
-
-    Each pair equals 1 + q^(2e) + sign*q^e*u, a degree-1 polynomial in u.
-    """
-    caps = (len(exps),)
-    res = NilPoly.one(caps, q_order)
-    den = QSeries.one(q_order)
-    for e in exps:
-        const = QSeries.one(q_order) + QSeries.monomial(1, 2 * e, q_order)
-        lin = QSeries.monomial(sign, e, q_order)
-        res = res * NilPoly(caps, q_order, {(0,): const, (1,): lin})
-        den = den * _one_pm_q(sign, e, q_order) ** 2
-    return res * den.inv_unit()
-
+# -- the cancellation lemma -------------------------------------------
 
 def lemma42_report(q_order, flip_sign=False):
     """Cancellation lemma for the difference of the two even-index products.
@@ -125,22 +107,21 @@ def lemma42_report(q_order, flip_sign=False):
     Let D(y, q) = prod (1 - q^2m y)(1 - q^2m/y)/(1 - q^2m)^2
                 - prod (1 + q^2m y)(1 + q^2m/y)/(1 + q^2m)^2.
 
-    In the shifted variable w = y + 1/y - 2 (which vanishes at y = 1),
-    D must have zero constant term and all higher w-coefficients even
-    integral q-series: D is twice an integral class built on (y-1)-type
-    factors.  flip_sign=True is a negative control (replaces the second
-    product's minus by plus so the cancellation fails).
+    In the variable w = y + 1/y - 2 (which vanishes at y = 1), D must
+    have zero constant term and all higher w-coefficients even integral
+    q-series: D is twice an integral class built on (y-1)-type factors.
+    flip_sign=True is a negative control (replaces the second product's
+    minus by plus so the cancellation fails).
 
     Returns a report dict; 'quotient_q2' is the q^2-coefficient of the
     w^1-part divided by 2, a small sanity value (-1 for the true lemma).
     """
-    m_max = q_order // 2
-    exps = [2 * m for m in range(1, m_max + 1)]
-    first = _pair_product(-1, exps, q_order)
-    second = _pair_product(1, exps, q_order)
+    cap = q_order // 2  # one w-degree per pair: nothing is truncated
+    first = _pairs(_terms(-1, 2, q_order), cap, q_order)
+    second = _pairs(_terms(1, 2, q_order), cap, q_order)
     if flip_sign:
         second = -second
-    diff = _shifted(first - second)
+    diff = first - second
     const_zero = (0,) not in diff.terms
     half = rat(Fraction(1, 2))
     halves_integral = all((c * half).is_integral()
@@ -160,7 +141,7 @@ def lemma42_report(q_order, flip_sign=False):
 def lemma42_check(q_order, flip_sign=False):
     """True iff the difference is divisible by w with an even integral quotient.
 
-    The computation is exact in w: after the u = w + 2 shift no degree can
-    be discarded, so every w-coefficient is checked.
+    The computation is exact in w: every pair has w-degree 1 and the cap
+    holds them all, so every w-coefficient is checked.
     """
     return lemma42_report(q_order, flip_sign=flip_sign)["passed"]

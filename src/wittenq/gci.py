@@ -132,7 +132,12 @@ def codim_ok(g: GCIData):
 
 
 def even_rows(g: GCIData):
-    return [a for a, row in enumerate(g.D) if all(d % 2 == 0 for d in row)]
+    """Indices of the nonzero degree rows whose entries are all even.
+
+    An all-zero row cuts out the empty set, so it is never distinguished.
+    """
+    return [a for a, row in enumerate(g.D)
+            if any(row) and all(d % 2 == 0 for d in row)]
 
 
 def thm42_ok(g: GCIData):
@@ -184,6 +189,9 @@ def condition_report(g: GCIData):
     if not cod:
         diags.append("codimension hypothesis m_b + 2 <= n_b fails; "
                      "matrix conditions are sufficient-only")
+    for a, degrees in enumerate(g.D):
+        if not any(degrees):  # a nowhere-zero section: V is empty
+            diags.append(f"degree row {a} is all zero: V is empty")
     t42, row = thm42_ok(g)
     return ConditionReport(spin=spin, string=string, stringc=stringc,
                            codim_ok=cod, thm42_ok=t42, even_row=row,

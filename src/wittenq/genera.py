@@ -74,12 +74,14 @@ def _twist4k_series(x_order, q_order, route):
 
 
 @functools.lru_cache(maxsize=None)
-def _psi1_series_at(x_order, q_order):
-    return theta.psi(ThetaKind.THETA1, x_order, q_order)
+def _psi1_series_at(x_order, q_order, route):
+    if route == "theta":
+        return theta.psi(ThetaKind.THETA1, x_order, q_order)
+    return bundles.psi1_factor(x_order, q_order)
 
 
-def _psi1_series(x_order, q_order):
-    return _psi1_series_at(_granular(x_order), q_order)
+def _psi1_series(x_order, q_order, route):
+    return _psi1_series_at(_granular(x_order), q_order, route)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,25 +171,26 @@ def wc_genus(g: GCIData, route="theta"):
 def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
     """The mod 2 Witten genus of an 8k+2 dimensional instance.
 
-    One all-even degree row is split off: its linear form is fed to the
-    Psi_1 twist instead of Phi, producing an integral rational precursor R
-    whose mod 2 reduction is the genus.  The result must not depend on
-    which all-even row is chosen.
+    One nonzero all-even degree row is split off: its linear form is fed
+    to the Psi_1 twist instead of Phi, producing an integral rational
+    precursor R whose mod 2 reduction is the genus.  The result must not
+    depend on which all-even row is chosen.
     """
     _, rdim = dims(g)
     if strict and rdim % 8 != 2:
         raise DimensionError(
             f"mod 2 Witten genus needs real dim = 2 mod 8, got {rdim}")
+    rows = even_rows(g)
     if even_row is None:
-        rows = even_rows(g)
         if not rows:
             raise ValueError("no all-even degree row to distinguish")
         even_row = rows[0]
-    if not 0 <= even_row < g.t:
-        raise ValueError(f"even_row {even_row} out of range")
+    elif even_row not in rows:
+        raise ValueError(
+            f"even_row {even_row} is not a nonzero all-even degree row")
     qo, total = g.q_order, sum(g.n)
     specs = _phi_specs(g, route, skip_row=even_row)
-    specs.append((_psi1_series(total, qo), g.D[even_row]))
+    specs.append((_psi1_series(total, qo, route), g.D[even_row]))
     precursor = _residue(g, route, specs)
     reduced = precursor.reduce_mod2()  # raises NonIntegralError if not integral
     rep = GenusReport(kind="PHI_MOD2", coeffs=reduced, integral=True,

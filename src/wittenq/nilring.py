@@ -5,8 +5,8 @@ generators x_1..x_s with x_b^(cap_b + 1) = 0, scalars in Q[[q]] truncated
 at a common q-order.  Monomials that overflow a cap are silently dropped.
 This is the package's only ring of series in x: a one-generator NilPoly
 with cap N is a power series in x truncated after x^N (the theta and
-bundle factors), or an exact polynomial of degree <= N (the u-polynomials
-of the cancellation lemma).
+bundle factors), or an exact polynomial of degree <= N (the products of
+Lambda pairs in w = y + 1/y - 2 of the cancellation lemma).
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -271,19 +271,10 @@ def subst_linear(f_coeffs, d, caps, q_order):
             f"series given to degree {len(f_coeffs) - 1}, need {total}")
     if len(d) != len(caps):
         raise ValueError("direction vector arity mismatch")
+    degrees = {k for k in range(total + 1) if not f_coeffs[k].is_zero()}
     out = NilPoly(caps, q_order)
-    for e in itertools.product(*[range(c + 1) for c in caps]):
-        k = sum(e)
-        fk = f_coeffs[k]
-        if fk.is_zero():
-            continue
-        weight = math.factorial(k)
-        for eb, db in zip(e, d):
-            weight = weight // math.factorial(eb) * db ** eb
-        if weight:
-            c = fk * weight
-            if not c.is_zero():
-                out.terms[e] = c
+    out.terms = {e: f_coeffs[sum(e)] * weight
+                 for e, weight in linear_weights(caps, d, degrees).items()}
     return out
 
 

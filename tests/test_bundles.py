@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from wittenq import bundles, theta
-from wittenq.bundles import _shifted, lemma42_check, lemma42_report
+from wittenq.bundles import _pairs, lemma42_check, lemma42_report
 from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, rat
 
@@ -62,19 +62,25 @@ def test_symlaurent_mul_matches_y_expansion():
             assert value(prod, u) == value(a, u) * value(b, u)
 
 
-def test_symlaurent_shift_is_exact_substitution():
-    rng = random.Random(6)
-    qo = 2
-    p = _u_poly(rng, 3, 3, qo)
-    s = _shifted(p)
-    # evaluating p at u = w + 2 must agree with s at w, for several w
-    for w in (0, 1, -1, 3):
+def test_pairs_are_lambda_pairs_in_w():
+    # each factor (1 + t y)(1 + t/y)/(1 + t)^2 is linear in w = y + 1/y - 2;
+    # with cap len(terms) the product keeps every w-degree, so its value at
+    # any rational y is exact
+    qo = 14
+    terms = [(-1, 2), (1, 2), (1, 1), (-1, 3), (1, 5)]  # exponents sum to 13
+    p = _pairs(terms, len(terms), qo)
+    assert (len(terms),) in p.terms
+    one = QSeries.one(qo)
+    for y in (Fraction(2), Fraction(-3), Fraction(1, 3), Fraction(-5, 7)):
+        w = y + 1 / y - 2
         lhs = QSeries.zero(qo)
         for k, c in enumerate(p.coeffs):
-            lhs = lhs + c * ((w + 2) ** k)
-        rhs = QSeries.zero(qo)
-        for k, c in enumerate(s.coeffs):
-            rhs = rhs + c * (w ** k)
+            lhs = lhs + c * rat(w ** k)
+        rhs = one
+        for sign, e in terms:
+            t = QSeries.monomial(sign, e, qo)
+            rhs = (rhs * (one + t * rat(y)) * (one + t * rat(1 / y))
+                   * ((one + t) * (one + t)).inv_unit())
         assert lhs == rhs
 
 

@@ -73,6 +73,18 @@ def test_genus_integrality_exit(tmp_path, capsys):
                 "--q-order", "6"]) == EXIT_INTEGRALITY
 
 
+def test_genus_phi2_skips_all_zero_row(tmp_path, capsys):
+    # V is empty, so phi2 is 0; the zero row is refused as the even row
+    path = _write(tmp_path, "empty.json", {"n": [8], "D": [[0], [2], [2]]})
+    assert run(["genus", path, "--kind", "phi2", "--q-order", "4"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert all(e["value"] == "0" for e in doc["coeffs"])
+    assert "degree row 0 is all zero: V is empty" in \
+        doc["conditions"]["diagnostics"]
+    assert run(["genus", path, "--kind", "phi2", "--q-order", "4",
+                "--even-row", "0"]) == EXIT_PRECONDITION
+
+
 def test_genus_phi2_happy_path(tmp_path, capsys):
     path = _write(tmp_path, "m2.json", {"n": [7], "D": [[2], [2]]})
     assert run(["genus", path, "--kind", "phi2",

@@ -10,7 +10,6 @@ of Lambda pairs for each single Psi_i.
 import pytest
 
 from wittenq import bundles, genera, theta
-from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, rat
 from wittenq.theta import ThetaKind
 
@@ -21,15 +20,11 @@ Q_ORDERS = [0, 1, 2, 3, 5, 8, 13]
 def _psi_by_products(kind, x_order, q_order):
     """Psi_i as cosh(x/2) (i = 1 only) times its Lambda pairs."""
     if kind == ThetaKind.THETA1:
-        res = theta.cosh_half(x_order, q_order)
-        pairs = [(1, 2 * m) for m in range(1, q_order // 2 + 1)]
-    else:
-        res = NilPoly.one((x_order,), q_order)
-        sign = -1 if kind == ThetaKind.THETA2 else 1
-        pairs = [(sign, 2 * m - 1) for m in range(1, (q_order + 1) // 2 + 1)]
-    for sign, q_exp in pairs:
-        res = res * bundles._lambda_pair(sign, q_exp, x_order, q_order)
-    return res
+        return bundles.psi1_factor(x_order, q_order)
+    sign = -1 if kind == ThetaKind.THETA2 else 1
+    terms = [(sign, 2 * m - 1) for m in range(1, (q_order + 1) // 2 + 1)]
+    pairs = bundles._pairs(terms, x_order // 2, q_order)
+    return bundles._at_w(pairs, x_order, q_order)
 
 
 @pytest.mark.parametrize("q_order", Q_ORDERS)

@@ -94,6 +94,17 @@ def test_even_rows_and_thm42():
     assert not ok2 and row2 is None
 
 
+def test_all_zero_row_is_flagged_and_never_even():
+    g = GCIData([8], [[0], [2], [2]])
+    assert even_rows(g) == [1, 2]
+    assert thm42_ok(g)[1] == 1
+    rep = condition_report(g)
+    assert rep.even_row == 1
+    assert "degree row 0 is all zero: V is empty" in rep.diagnostics
+    plain = condition_report(GCIData([7], [[2], [2]]))
+    assert not any("all zero" in d for d in plain.diagnostics)
+
+
 def test_condition_report_diagnostics():
     rep = condition_report(GCIData([2], []))
     assert not rep.spin and not rep.string

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenq import theta
+from wittenq import genera, theta
 from wittenq.errors import DimensionError, NonIntegralError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
@@ -123,6 +123,8 @@ def test_mod2_gates():
         mod2_witten(GCIData([6], [[1], [3]]), strict=False)  # no even row
     with pytest.raises(ValueError):
         mod2_witten(GCIData([7], [[2], [2]]), even_row=5)
+    with pytest.raises(ValueError):  # row 2 has an odd degree
+        mod2_witten(GCIData([8], [[2], [2], [1]]), even_row=2)
 
 
 def test_route_equivalence():
@@ -137,6 +139,37 @@ def test_route_equivalence():
     g = GCIData([7], [[2], [2]], q_order=8)
     assert (mod2_witten(g, route="theta").precursor
             == mod2_witten(g, route="bundle").precursor)
+
+
+def test_mod2_skips_all_zero_row():
+    # an all-zero degree row is a nowhere-zero section, so V is empty and
+    # every genus is 0; the zero row must not be taken as the even row
+    g = GCIData([8], [[0], [2], [2]], q_order=6)
+    for route in ("theta", "bundle"):
+        rep = mod2_witten(g, route=route)
+        assert rep.precursor.is_zero() and rep.coeffs.is_zero()
+    assert mod2_witten(g, even_row=2).coeffs.is_zero()
+    with pytest.raises(ValueError, match="not a nonzero all-even"):
+        mod2_witten(g, even_row=0)
+
+
+def test_bundle_route_builds_no_theta_factor(monkeypatch):
+    # the bundle route is the independent oracle: no theta builder may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta builder called on the bundle route")
+
+    for name in ("phi", "psi", "psi_product", "x_over_phi", "log_coeffs",
+                 "exp_series"):
+        monkeypatch.setattr(theta, name, refuse)
+    for cached in (genera._phi_series_at, genera._twist4k_series_at,
+                   genera._psi1_series_at, genera._root_power,
+                   genera._bundle_root_series):
+        cached.cache_clear()
+    witten_genus(GCIData([3], [[2]], q_order=4), route="bundle")
+    wc_genus(GCIData([5], [[2]], C=[1], q_order=4), route="bundle")
+    wc_genus(GCIData([6], [[3]], C=[2], q_order=4), route="bundle")
+    mod2_witten(GCIData([9], [[2], [4]], q_order=4), route="bundle",
+                strict=False)
 
 
 def test_sigma1_series_values():
