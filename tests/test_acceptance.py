@@ -2,10 +2,14 @@
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines as they execute; each test also asserts, so the suite fails loudly.
+Criterion 12, the mass run, is marked `slow`: `pytest -m "not slow"` skips
+it for a quick loop.
 """
 
 import itertools
 from fractions import Fraction
+
+import pytest
 
 from wittenq import bundles, modforms, theta
 from wittenq.bundles import lemma42_check
@@ -108,6 +112,7 @@ def test_criterion_11_numeric_theta_transformations():
                 "relative error < 1e-9", ok)
 
 
+@pytest.mark.slow
 def test_criterion_12_mass_vanishing_run():
     cases = vanishing_cases(SearchQuery(q_order=12))
     failures = [(label, g.n, g.D, g.C)

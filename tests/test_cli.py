@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -74,15 +77,19 @@ def test_genus_integrality_exit(tmp_path, capsys):
 
 
 def test_genus_phi2_skips_all_zero_row(tmp_path, capsys):
-    # V is empty, so phi2 is 0; the zero row is refused as the even row
-    path = _write(tmp_path, "empty.json", {"n": [8], "D": [[0], [2], [2]]})
-    assert run(["genus", path, "--kind", "phi2", "--q-order", "4"]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert all(e["value"] == "0" for e in doc["coeffs"])
-    assert "degree row 0 is all zero: V is empty" in \
-        doc["conditions"]["diagnostics"]
-    assert run(["genus", path, "--kind", "phi2", "--q-order", "4",
-                "--even-row", "0"]) == EXIT_PRECONDITION
+    # V is empty, so phi2 is 0, also with no nonzero even row left; the
+    # zero row is refused as the even row
+    for D in ([[0], [2], [2]], [[0], [0], [0]]):
+        path = _write(tmp_path, "empty.json", {"n": [8], "D": D})
+        assert run(["genus", path, "--kind", "phi2",
+                    "--q-order", "4"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["coeffs"]) == 5
+        assert all(e["value"] == "0" for e in doc["coeffs"])
+        assert "degree row 0 is all zero: V is empty" in \
+            doc["conditions"]["diagnostics"]
+        assert run(["genus", path, "--kind", "phi2", "--q-order", "4",
+                    "--even-row", "0"]) == EXIT_PRECONDITION
 
 
 def test_genus_phi2_happy_path(tmp_path, capsys):
@@ -208,3 +215,16 @@ def test_version_names_scalar_backend(monkeypatch, capsys, backend, warns):
     assert captured.out.startswith("wittenq 0.1.0")
     assert f"scalar backend: {backend}" in captured.out
     assert ("warning" in captured.err) == warns
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "wittenq", "--version"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("wittenq ")
+    assert "scalar backend" in done.stdout

@@ -4,14 +4,16 @@
 logarithm.  Here each one is compared, coefficient for coefficient, with
 a product-formula reference over a grid of x- and q-orders: the bundle
 route for x/Phi, Phi, Psi_1Psi_2Psi_3 and the root powers, and products
-of Lambda pairs for each single Psi_i.
+of Lambda pairs for each single Psi_i.  The merged one-direction factors
+of the theta-route genera (`genera._direction_series`) are checked against
+the same references.
 """
 
 import pytest
 
 from wittenq import bundles, genera, theta
 from wittenq.qseries import QSeries, rat
-from wittenq.theta import ThetaKind
+from wittenq.theta import ThetaKind, _x_series
 
 X_ORDERS = [0, 1, 2, 3, 7, 16, 33, 64]
 Q_ORDERS = [0, 1, 2, 3, 5, 8, 13]
@@ -36,8 +38,35 @@ def test_theta_factors_equal_product_formulas(x_order, q_order):
     assert theta.psi_product(xo, qo) == bundles.lfactor_4k(xo, qo)
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         assert theta.psi(kind, xo, qo) == _psi_by_products(kind, xo, qo)
-    assert (genera._root_power(xo, qo, "theta")
-            == genera._root_power(xo, qo, "bundle"))
+    assert (genera._direction_series([(ThetaKind.THETA, xo + 1, 1)], 0, xo, qo)
+            == genera._root_power(xo, qo).coeffs)
+
+
+@pytest.mark.parametrize("q_order", Q_ORDERS)
+@pytest.mark.parametrize("x_order", X_ORDERS[1:])
+def test_direction_series_equal_product_formulas(x_order, q_order):
+    # the theta route's merged factors: Phi = y exp(-L), the 4k twist
+    # exp(L(y) - L(2y)) by the duplication formula, Psi_1 = exp(L1)
+    xo, qo = x_order, q_order
+    K = ThetaKind
+
+    def direction(terms, r=0):
+        return genera._direction_series(terms, r, xo, qo)
+
+    assert direction([(K.THETA, -1, 1)], r=1) == \
+        (bundles.lfactor_4k2(xo, qo) * 2).coeffs
+    assert direction([(K.THETA, 1, 1), (K.THETA, -1, 2)]) == \
+        bundles.lfactor_4k(xo, qo).coeffs
+    assert direction([(K.THETA1, 1, 1)]) == bundles.psi1_factor(xo, qo).coeffs
+    # Phi(-y) * Phi(2y) = (-1)(2) y^2 exp(-L(-y) - L(2y)): one merged factor
+    phi = (bundles.lfactor_4k2(xo, qo) * 2).coeffs
+    at_m = [_x_series([c * m ** k for k, c in enumerate(phi)], qo)
+            for m in (-1, 2)]
+    merged = direction([(K.THETA, -1, -1), (K.THETA, -1, 2)], r=2)
+    if xo < 2:
+        assert merged is None  # y^2 truncates to 0
+    else:
+        assert [c * -2 for c in merged] == (at_m[0] * at_m[1]).coeffs
 
 
 def test_sigma1_series_is_the_x2_log_coefficient():

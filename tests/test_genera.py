@@ -1,5 +1,6 @@
 """Tests for the genus computations: values, vanishing, structure."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -143,14 +144,17 @@ def test_route_equivalence():
 
 def test_mod2_skips_all_zero_row():
     # an all-zero degree row is a nowhere-zero section, so V is empty and
-    # every genus is 0; the zero row must not be taken as the even row
+    # every genus is 0, also when no nonzero even row is left; the zero
+    # row must not be taken as the even row
+    for D in ([[0], [2], [2]], [[0], [0], [0]], [[0], [1], [3]]):
+        g = GCIData([8], D, q_order=6)
+        for route in ("theta", "bundle"):
+            rep = mod2_witten(g, route=route)
+            assert rep.precursor.is_zero() and rep.coeffs.is_zero()
+        with pytest.raises(ValueError, match="not a nonzero all-even"):
+            mod2_witten(g, even_row=0)
     g = GCIData([8], [[0], [2], [2]], q_order=6)
-    for route in ("theta", "bundle"):
-        rep = mod2_witten(g, route=route)
-        assert rep.precursor.is_zero() and rep.coeffs.is_zero()
     assert mod2_witten(g, even_row=2).coeffs.is_zero()
-    with pytest.raises(ValueError, match="not a nonzero all-even"):
-        mod2_witten(g, even_row=0)
 
 
 def test_bundle_route_builds_no_theta_factor(monkeypatch):
@@ -161,9 +165,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
     for name in ("phi", "psi", "psi_product", "x_over_phi", "log_coeffs",
                  "exp_series"):
         monkeypatch.setattr(theta, name, refuse)
-    for cached in (genera._phi_series_at, genera._twist4k_series_at,
-                   genera._psi1_series_at, genera._root_power,
-                   genera._bundle_root_series):
+    for cached in (genera._bundle_factor_at, genera._root_power):
         cached.cache_clear()
     witten_genus(GCIData([3], [[2]], q_order=4), route="bundle")
     wc_genus(GCIData([5], [[2]], C=[1], q_order=4), route="bundle")
@@ -201,3 +203,28 @@ def test_dim4_closed_form_matches_residue():
         dim4_closed_form(GCIData([3], [], q_order=qo))
     with pytest.raises(ValueError):
         dim4_closed_form(GCIData([2], [], q_order=qo), use_c=True)
+
+
+def _dim4_instances():
+    """Every real-dimension-4 instance over one or two factors with n_b <= 4,
+    degree entries in -1..2 (-3..3 on one factor) and C entries in -1..1."""
+    for n in ([2], [3], [4], [1, 1], [1, 2], [2, 1], [1, 3], [2, 2], [3, 1]):
+        s = len(n)
+        entries = range(-3, 4) if s == 1 else range(-1, 3)
+        rows = list(itertools.product(entries, repeat=s))
+        for D in itertools.combinations_with_replacement(rows, sum(n) - 2):
+            for C in itertools.product(range(-1, 2), repeat=s):
+                yield n, [list(r) for r in D], list(C)
+
+
+def test_dim4_closed_form_on_enumeration():
+    # p1 * G_2(q^2) is the weight-2 part of the theta-route exponential,
+    # derived independently of it
+    count = 0
+    for n, D, C in _dim4_instances():
+        g = GCIData(n, D, C, q_order=4)
+        if all(c == 0 for c in C):
+            assert dim4_closed_form(g) == witten_genus(g).coeffs
+        assert dim4_closed_form(g, use_c=True) == wc_genus(g).coeffs
+        count += 1
+    assert count > 1000
