@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 verification-suite failure, 2 malformed input,
 q-order is 20, overridable per-invocation by --q-order and globally by
 the WITTENQ_Q_ORDER environment variable (which sets the default only).
 A negative or non-integer q-order, from either source, is malformed input.
-`wittenq --version` names the active scalar backend and warns on stderr
-when it is the slow fractions.Fraction fallback.
+`wittenq --version` names the scalar backend, the type in which series
+coefficients are shown; series arithmetic itself runs on int.
 """
 from __future__ import annotations
 
@@ -284,10 +284,6 @@ class _VersionAction(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         print(f"wittenq {__version__} (scalar backend: {SCALAR_BACKEND})")
-        if SCALAR_BACKEND == "fractions.Fraction":
-            print("warning: gmpy2 is not installed; exact arithmetic runs on "
-                  "the much slower fractions.Fraction fallback",
-                  file=sys.stderr)
         parser.exit()
 
 

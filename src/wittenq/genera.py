@@ -46,7 +46,7 @@ from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
 from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
-from .qseries import QSeries, Q2Series, RAT_ZERO, rat
+from .qseries import QSeries, QSum, Q2Series, rat
 from .theta import ThetaKind
 
 
@@ -99,13 +99,10 @@ def _direction_series(terms, r, degree, q_order):
               for kind in sums}
     logs = [None] * (n + 1)
     for k in range(2, n + 1, 2):
-        acc = [RAT_ZERO] * (q_order + 1)
+        acc = QSum(q_order)
         for kind, pairs in sums.items():
-            p = sum(coef * m ** k for coef, m in pairs)
-            if p:
-                for i, v in enumerate(tables[kind][k]):
-                    acc[i] += v * p
-        logs[k] = acc
+            acc.add(tables[kind][k], sum(coef * m ** k for coef, m in pairs))
+        logs[k] = acc.series()
     unit = theta.exp_series(logs, n, q_order).coeffs
     return [QSeries.zero(q_order)] * r + unit
 
@@ -218,6 +215,11 @@ def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
     return _residue(g, [_root_power(cap, qo) for cap in g.n], specs)
 
 
+def _check_route(route):
+    if route not in ("theta", "bundle"):
+        raise ValueError(f"route must be 'theta' or 'bundle', got {route!r}")
+
+
 def _report(kind, series, g):
     return GenusReport(kind=kind, coeffs=series,
                        integral=series.is_integral(),
@@ -227,6 +229,7 @@ def _report(kind, series, g):
 
 def witten_genus(g: GCIData, route="theta"):
     """The Witten genus W(V) as a truncated q-series (real dim must be 4k)."""
+    _check_route(route)
     _, rdim = dims(g)
     if rdim % 4 != 0:
         raise DimensionError(f"Witten genus needs real dim = 0 mod 4, got {rdim}")
@@ -235,6 +238,7 @@ def witten_genus(g: GCIData, route="theta"):
 
 def wc_genus(g: GCIData, route="theta"):
     """The generalized (spin^c) Witten genus W_c(V); dispatches on dim mod 4."""
+    _check_route(route)
     if g.C is None:
         raise ValueError("wc_genus requires the spin^c coefficient vector C")
     _, rdim = dims(g)
@@ -254,6 +258,7 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
     depend on which all-even row is chosen.  An all-zero degree row makes
     V empty, so the precursor is 0 whatever the other rows are.
     """
+    _check_route(route)
     _, rdim = dims(g)
     if strict and rdim % 8 != 2:
         raise DimensionError(

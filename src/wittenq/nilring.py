@@ -8,11 +8,16 @@ with cap N is a power series in x truncated after x^N (the theta and
 bundle factors), or an exact polynomial of degree <= N (the products of
 Lambda pairs in w = y + 1/y - 2 of the cancellation lemma).
 
+Every product of coefficients accumulates through `qseries.QSum`, the
+package's one q-convolution: a product's terms are summed as int
+numerators over one denominator per monomial and reduced once.
+
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
 weights; subst_linear builds such polynomials directly and rank_pair_mul
-multiplies two of them with integer convolutions plus a small table of
-series products, which is far cheaper than termwise ring multiplication.
+multiplies two of them through the integer coefficients of
+ell_a^k * ell_b^j on the cap grid plus a small table of series products,
+which is far cheaper than termwise ring multiplication.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      NonUnitError, OrderMismatchError)
-from .qseries import QSeries, RAT_ZERO, mul_into, rat
+from .qseries import QSeries, QSum, rat
 
 
 class NilPoly:
@@ -115,13 +120,12 @@ class NilPoly:
         """
         self._check(other)
         caps = self.caps
-        acc = QSeries.zero(self.q_order)
+        acc = QSum(self.q_order)
         for e, c in self.terms.items():
-            comp = tuple(cap - x for cap, x in zip(caps, e))
-            d = other.terms.get(comp)
+            d = other.terms.get(tuple(map(operator.sub, caps, e)))
             if d is not None:
-                acc = acc + c * d
-        return acc
+                acc.add_product(c, d)
+        return acc.series()
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -181,18 +185,15 @@ class NilPoly:
         add, le = operator.add, operator.le
         acc = {}
         for ea, ca in self.terms.items():
-            A = ca.coeffs
             for eb, cb in other.terms.items():
                 e = tuple(map(add, ea, eb))
                 if not all(map(le, e, caps)):
                     continue
                 slot = acc.get(e)
                 if slot is None:
-                    slot = acc[e] = [RAT_ZERO] * (qo + 1)
-                mul_into(slot, A, cb.coeffs)
-        out = NilPoly(caps, qo)
-        out.terms = {e: QSeries._raw(c, qo) for e, c in acc.items() if any(c)}
-        return out
+                    slot = acc[e] = QSum(qo)
+                slot.add_product(ca, cb)
+        return _from_sums(caps, qo, acc)
 
     __rmul__ = __mul__
 
@@ -222,19 +223,20 @@ class NilPoly:
             raise NonUnitError("constant term of NilPoly is not a unit series")
         inv0 = a0.inv_unit()
         zero = (0,) * len(caps)
-        rest = [(e, c.coeffs) for e, c in self.terms.items() if e != zero]
+        rest = [(e, c) for e, c in self.terms.items() if e != zero]
         out = NilPoly(caps, qo)
         out.terms[zero] = inv0
         sub, le = operator.sub, operator.le
         for E in itertools.product(*[range(c + 1) for c in caps]):
-            acc = [RAT_ZERO] * (qo + 1)
-            for e, A in rest:
+            acc = QSum(qo)
+            for e, a in rest:
                 if all(map(le, e, E)):
                     b = out.terms.get(tuple(map(sub, E, e)))
                     if b is not None:
-                        mul_into(acc, A, b.coeffs)
-            if any(acc):
-                out.terms[E] = -(QSeries._raw(acc, qo) * inv0)
+                        acc.add_product(a, b)
+            s = acc.series()
+            if not s.is_zero():
+                out.terms[E] = -(s * inv0)
         return out
 
     def __eq__(self, other):
@@ -298,12 +300,55 @@ def linear_weights(caps, d, degrees=None):
     return out
 
 
+def _power_weights(caps, da, db, deg_a, deg_b):
+    """Integer coefficients of ell_a^i * ell_b^j on the cap grid.
+
+    Returns {E: {i: [x^E] ell_a^i ell_b^(|E|-i)}} over i in deg_a and
+    j = |E| - i in deg_b, zero weights dropped.  Each power is the
+    previous one times ell_a or ell_b, a homogeneous polynomial held by
+    flat grid index.
+    """
+    cells = list(itertools.product(*[range(c + 1) for c in caps]))
+    index = {e: k for k, e in enumerate(cells)}
+
+    def moves(d):
+        # (d_b, the cell one step up axis b, or None at the cap) per d_b != 0
+        return [(coef, [index.get(e[:b] + (e[b] + 1,) + e[b + 1:])
+                        for e in cells])
+                for b, coef in enumerate(d) if coef]
+
+    def times(poly, steps):
+        out = {}
+        for k, v in poly.items():
+            for coef, up in steps:
+                t = up[k]
+                if t is not None:
+                    out[t] = out.get(t, 0) + coef * v
+        return {k: v for k, v in out.items() if v}
+
+    up_a, up_b = moves(da), moves(db)
+    weights = {}
+    row = {0: 1}  # ell_a^i; cell 0 is the zero exponent
+    for i in range(max(deg_a, default=-1) + 1):
+        poly = row if i in deg_a else {}
+        for j in range(max(deg_b, default=-1) + 1):
+            if not poly:
+                break
+            if j in deg_b:
+                for k, v in poly.items():
+                    weights.setdefault(cells[k], {})[i] = v
+            poly = times(poly, up_b)
+        row = times(row, up_a)
+    return weights
+
+
 def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     """NilPoly product f_a(ell_a) * f_b(ell_b) using the separable structure.
 
     The product coefficient at x^E is sum_k W_E[k] * f_a[k] * f_b[|E|-k]
-    with purely integer W; the series products are drawn from a small
-    memo table instead of being recomputed per monomial pair.
+    with the integers W_E[k] = [x^E] ell_a^k ell_b^(|E|-k); the series
+    products are drawn from a small memo table instead of being
+    recomputed per monomial.
     """
     if hasattr(fa_coeffs, "coeffs"):
         fa_coeffs = fa_coeffs.coeffs
@@ -316,32 +361,17 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
                                       f"{total}")
     deg_a = {k for k in range(total + 1) if not fa_coeffs[k].is_zero()}
     deg_b = {k for k in range(total + 1) if not fb_coeffs[k].is_zero()}
-    wa = linear_weights(caps, da, deg_a)
-    wb = linear_weights(caps, db, deg_b)
-    weights = {}  # E -> {k: integer}
-    for ea, va in wa.items():
-        ka = sum(ea)
-        for eb, vb in wb.items():
-            E = tuple(x + y for x, y in zip(ea, eb))
-            if any(x > cap for x, cap in zip(E, caps)):
-                continue
-            slot = weights.setdefault(E, {})
-            slot[ka] = slot.get(ka, 0) + va * vb
     table = {}
-    out = NilPoly(caps, q_order)
-    for E, slot in weights.items():
+    acc = {}
+    for E, slot in _power_weights(caps, da, db, deg_a, deg_b).items():
         kE = sum(E)
-        acc = None
+        s = acc[E] = QSum(q_order)
         for k, v in slot.items():
-            key = (k, kE - k)
-            prod = table.get(key)
+            prod = table.get((k, kE))
             if prod is None:
-                prod = table[key] = fa_coeffs[k] * fb_coeffs[kE - k]
-            term = prod * v
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out.terms[E] = acc
-    return out
+                prod = table[k, kE] = fa_coeffs[k] * fb_coeffs[kE - k]
+            s.add(prod, v)
+    return _from_sums(caps, q_order, acc)
 
 
 def mul_univariate(poly, coeffs, index):
@@ -354,17 +384,27 @@ def mul_univariate(poly, coeffs, index):
         coeffs = coeffs.coeffs
     caps, qo = poly.caps, poly.q_order
     cap = caps[index]
+    nonzero = [(k, uk) for k, uk in enumerate(coeffs[:cap + 1])
+               if not uk.is_zero()]
     acc = {}
     for e, c in poly.terms.items():
-        for k, uk in enumerate(coeffs):
-            if e[index] + k > cap:
+        head, base, tail = e[:index], e[index], e[index + 1:]
+        for k, uk in nonzero:
+            if base + k > cap:
                 break
-            if uk.is_zero():
-                continue
-            e2 = e[:index] + (e[index] + k,) + e[index + 1:]
-            prev = acc.get(e2)
-            term = c * uk
-            acc[e2] = term if prev is None else prev + term
-    out = NilPoly(caps, qo)
-    out.terms = {e: c for e, c in acc.items() if not c.is_zero()}
+            e2 = head + (base + k,) + tail
+            slot = acc.get(e2)
+            if slot is None:
+                slot = acc[e2] = QSum(qo)
+            slot.add_product(c, uk)
+    return _from_sums(caps, qo, acc)
+
+
+def _from_sums(caps, q_order, sums):
+    """The NilPoly whose monomial e carries sums[e].series(), zeros dropped."""
+    out = NilPoly(caps, q_order)
+    for e, s in sums.items():
+        c = s.series()
+        if not c.is_zero():
+            out.terms[e] = c
     return out

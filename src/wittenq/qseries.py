@@ -1,11 +1,23 @@
 """Truncated power series in the nome q with exact rational coefficients.
 
 This is the universal scalar of the package: dense coefficient lists,
-truncated at a fixed order, no floating point anywhere.  Coefficients are
-gmpy2 rationals when available (much faster), stdlib Fractions otherwise.
+truncated at a fixed order, no floating point anywhere.  A series is held
+as stdlib int numerators over one positive denominator, kept reduced
+(gcd(den, *num) = 1, and the zero series has den 1), so equal values have
+equal representations and equality and hashing are value-based.  The
+genera have integral Fourier expansions whose only denominators come from
+Bernoulli numbers and x-factorials, so the numerators stay small and every
+coefficient product is an int product.
+
+`QSum` is the one q-convolution of the package: it accumulates integer
+multiples of series and of products of series into one numerator list
+and reduces once when read out.  `coeffs` and `coefficient` are the
+rational view, in gmpy2 `mpq` when it is installed and stdlib `Fraction`
+otherwise; arithmetic never goes through them.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -28,31 +40,67 @@ def rat(v):
     return Q(v)
 
 
-def rat_is_integer(v):
-    return v.denominator == 1
+class QSum:
+    """A running sum of integer multiples of series and series products.
 
-
-def mul_into(out, a, b):
-    """Add the product of coefficient lists a and b into out, truncated.
-
-    The one q-convolution of the package: every series product, bare or
-    inside a polynomial over QSeries, accumulates through here.  Terms of
-    degree len(out) and above are dropped.
+    The sum is held as int numerators over one denominator, the lcm of the
+    denominators added so far: a term whose denominator divides it is
+    scaled up, otherwise the sum is rescaled to the new lcm first.  Terms
+    of degree above `order` are dropped.  `series()` reduces once and
+    hands the numerator list to the result, so a QSum is read out once.
     """
-    n = len(out)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+
+    __slots__ = ("order", "num", "den")
+
+    def __init__(self, order):
+        self.order = order
+        self.num = [0] * (order + 1)
+        self.den = 1
+
+    def _scale(self, d):
+        """The factor that brings a term over denominator d to self.den."""
+        D = self.den
+        if D % d:
+            lcm = D // math.gcd(D, d) * d
+            r = lcm // D
+            self.num = [x * r for x in self.num]
+            self.den = D = lcm
+        return D // d
+
+    def add(self, a, w=1):
+        """self += w * a."""
+        s = w * self._scale(a.den)
+        out = self.num
+        for i, ai in enumerate(a.num):
+            if ai:
+                out[i] += s * ai
+
+    def add_product(self, a, b, w=1):
+        """self += w * a * b, truncated at the order."""
+        s = w * self._scale(a.den * b.den)
+        out, B = self.num, b.num
+        n = len(out)
+        for i, ai in enumerate(a.num):
+            if ai:
+                ai *= s
+                for j in range(n - i):
+                    bj = B[j]
+                    if bj:
+                        out[i + j] += ai * bj
+
+    def series(self, divisor=1):
+        """The sum divided by the positive integer `divisor`, as a QSeries."""
+        return QSeries._make(self.num, self.den * divisor, self.order)
 
 
 class QSeries:
-    """A truncated series c0 + c1*q + ... + c_order*q^order over exact rationals."""
+    """A truncated series c0 + c1*q + ... + c_order*q^order over exact rationals.
 
-    __slots__ = ("order", "coeffs")
+    Stored as `num[k] / den` with int numerators and a positive
+    denominator, reduced; `coeffs` gives the rational coefficients.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, coeffs, order=None):
         coeffs = [rat(c) for c in coeffs]
@@ -62,30 +110,38 @@ class QSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [RAT_ZERO] * (order + 1 - len(coeffs))
-        elif len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
+        coeffs = coeffs[: order + 1]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
+        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
         self.order = order
-        self.coeffs = coeffs
+        self.num = num + [0] * (order + 1 - len(num))
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _raw(coeffs, order):
-        """Internal: wrap an already-coerced, right-length coefficient list."""
+    def _make(num, den, order):
+        """Internal: wrap int numerators (length order + 1) over den > 0,
+        reducing to lowest terms.  Takes ownership of `num`."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
         obj = object.__new__(QSeries)
         obj.order = order
-        obj.coeffs = coeffs
+        obj.num = num
+        obj.den = den
         return obj
 
     @classmethod
     def zero(cls, order):
-        return cls([RAT_ZERO], order)
+        return cls._make([0] * (order + 1), 1, order)
 
     @classmethod
     def one(cls, order):
-        return cls([RAT_ONE], order)
+        return cls._make([1] + [0] * order, 1, order)
 
     @classmethod
     def constant(cls, value, order):
@@ -102,28 +158,37 @@ class QSeries:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The rational coefficients of q^0 .. q^order."""
+        den = self.den
+        if den == 1:
+            return [Q(x) for x in self.num]
+        return [Q(x, den) for x in self.num]
+
     def coefficient(self, k):
-        return self.coeffs[k] if k <= self.order else RAT_ZERO
+        return Q(self.num[k], self.den) if k <= self.order else RAT_ZERO
 
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(not c for c in self.coeffs[1:])
+        return (self.den == 1 and self.num[0] == 1
+                and not any(self.num[1:]))
 
     def is_unit(self):
-        return bool(self.coeffs[0])
+        return bool(self.num[0])
 
     def is_integral(self):
-        return all(rat_is_integer(c) for c in self.coeffs)
+        return self.den == 1
 
     def even_q_support(self):
-        return all(not c for c in self.coeffs[1::2])
+        return not any(self.num[1::2])
 
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: order + 1], order)
+        return QSeries._make(self.num[: order + 1], self.den, order)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -136,13 +201,15 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.constant(other, self.order)
         self._check(other)
-        return QSeries._raw([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                            self.order)
+        acc = QSum(self.order)
+        acc.add(self)
+        acc.add(other)
+        return acc.series()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries._raw([-a for a in self.coeffs], self.order)
+        return QSeries._make([-a for a in self.num], self.den, self.order)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -155,11 +222,13 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             c = rat(other)
-            return QSeries._raw([a * c for a in self.coeffs], self.order)
+            p, d = int(c.numerator), int(c.denominator)
+            return QSeries._make([a * p for a in self.num], self.den * d,
+                                 self.order)
         self._check(other)
-        out = [RAT_ZERO] * (self.order + 1)
-        mul_into(out, self.coeffs, other.coeffs)
-        return QSeries._raw(out, self.order)
+        acc = QSum(self.order)
+        acc.add_product(self, other)
+        return acc.series()
 
     __rmul__ = __mul__
 
@@ -176,43 +245,49 @@ class QSeries:
         return result
 
     def inv_unit(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
-        if not self.coeffs[0]:
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With self = A/d, the integers B_k = A_0^(k+1) * [q^k] 1/A satisfy
+        B_0 = 1 and B_k = -sum_(j=1..k) A_j A_0^(j-1) B_(k-j), so
+        1/self = d * B_k * A_0^(n-k) / A_0^(n+1) over n = order.
+        """
+        A = self.num
+        a0 = A[0]
+        if not a0:
             raise NonUnitError("constant term is zero")
         n = self.order
-        a0 = self.coeffs[0]
-        inv0 = RAT_ONE / a0
-        out = [inv0] + [RAT_ZERO] * n
+        scaled = [0] + [A[j] * a0 ** (j - 1) for j in range(1, n + 1)]
+        B = [1]
         for k in range(1, n + 1):
-            acc = RAT_ZERO
-            for j in range(1, k + 1):
-                aj = self.coeffs[j]
-                if aj:
-                    acc += aj * out[k - j]
-            out[k] = -acc * inv0
-        return QSeries._raw(out, n)
+            B.append(-sum(scaled[j] * B[k - j] for j in range(1, k + 1)
+                          if scaled[j]))
+        d, den = self.den, a0 ** (n + 1)
+        if den < 0:
+            d, den = -d, -den
+        return QSeries._make([d * B[k] * a0 ** (n - k) for k in range(n + 1)],
+                             den, n)
 
     def reduce_mod2(self):
         """Reduce an integral series to its coefficients modulo 2."""
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if not rat_is_integer(c):
-                raise NonIntegralError(
-                    f"coefficient of q^{k} is {c}, not an integer")
-            bits.append(int(c) % 2)
-        return Q2Series(bits, self.order)
+        if self.den != 1:
+            k = next(k for k, x in enumerate(self.num) if x % self.den)
+            raise NonIntegralError(
+                f"coefficient of q^{k} is {self.coefficient(k)}, "
+                "not an integer")
+        return Q2Series([x % 2 for x in self.num], self.order)
 
     # -- misc ---------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)) or type(other) is type(RAT_ZERO):
             return self == QSeries.constant(other, self.order)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        return hash((self.order, self.den, tuple(self.num)))
 
     def __repr__(self):
         terms = [f"{c}*q^{k}" for k, c in enumerate(self.coeffs) if c]

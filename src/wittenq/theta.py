@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, RAT_ONE, RAT_ZERO, mul_into, rat
+from .qseries import QSeries, QSum, RAT_ONE, rat
 
 
 class ThetaKind(enum.Enum):
@@ -113,7 +113,7 @@ def eisenstein_g(k, q_order):
 
 @functools.lru_cache(maxsize=None)
 def log_coeffs(kind, x_order, q_order):
-    """The logarithm of a factor as q-coefficient tuples by x-degree 0..x_order.
+    """The logarithm of a factor as QSeries coefficients by x-degree 0..x_order.
 
     THETA stands for x/Phi; THETA1..3 for Psi_1..3.  Every logarithm is
     even in x with no constant term, and its x^2k coefficient is 2/(2k)!
@@ -129,25 +129,26 @@ def log_coeffs(kind, x_order, q_order):
     """
     if kind == ThetaKind.THETA:
         def body(k):
-            return eisenstein_g(k, q_order).coeffs
+            return eisenstein_g(k, q_order)
     elif kind == ThetaKind.THETA1:
         def body(k):
             c = _divisor_sums(k, q_order, odd=False, alternating=True)
             c[0] = (4 ** k - 1) * bernoulli(2 * k) / (4 * k)
-            return c
+            return QSeries(c, q_order)
     elif kind == ThetaKind.THETA2:
         def body(k):
-            return [-v for v in
-                    _divisor_sums(k, q_order, odd=True, alternating=False)]
+            return -QSeries(_divisor_sums(k, q_order, odd=True,
+                                          alternating=False), q_order)
     elif kind == ThetaKind.THETA3:
         def body(k):
-            return _divisor_sums(k, q_order, odd=True, alternating=True)
+            return QSeries(_divisor_sums(k, q_order, odd=True,
+                                         alternating=True), q_order)
     else:
         raise ValueError(f"no logarithm for {kind}")
-    out = [(RAT_ZERO,) * (q_order + 1)] * (x_order + 1)
+    out = [QSeries.zero(q_order)] * (x_order + 1)
     for k in range(1, x_order // 2 + 1):
-        scale = rat(Fraction(2, math.factorial(2 * k)))
-        out[2 * k] = tuple(rat(v) * scale for v in body(k))
+        scale = Fraction(2, math.factorial(2 * k))
+        out[2 * k] = body(k) * scale
     return tuple(out)
 
 
@@ -158,22 +159,20 @@ def exp_series(logs, x_order, q_order, scale=1):
 
     The logarithm is even in x with no constant term, so f = exp(L) has
     f_0 = 1, f_odd = 0 and, from f' = L'f, n f_n = sum_(j even) j L_j f_(n-j).
-    Only logs[0..x_order] are read.
+    logs holds QSeries, of which only logs[2], logs[4], ... up to x_order
+    are read; scale is an integer.
     """
-    zero = [RAT_ZERO] * (q_order + 1)
-    f = [[RAT_ONE] + zero[1:]]
-    jl = {j: [c * (j * scale) for c in logs[j]]
-          for j in range(2, x_order + 1, 2)}
+    zero = QSeries.zero(q_order)
+    f = [QSeries.one(q_order)]
     for n in range(1, x_order + 1):
         if n % 2:
             f.append(zero)
             continue
-        acc = list(zero)
+        acc = QSum(q_order)
         for j in range(2, n + 1, 2):
-            mul_into(acc, jl[j], f[n - j])
-        inv = RAT_ONE / n
-        f.append([c * inv for c in acc])
-    return _x_series([QSeries._raw(c, q_order) for c in f], q_order)
+            acc.add_product(logs[j], f[n - j], j * scale)
+        f.append(acc.series(n))
+    return _x_series(f, q_order)
 
 
 def phi(x_order, q_order):
@@ -197,7 +196,7 @@ def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
     parts = [log_coeffs(kind, x_order, q_order) for kind in
              (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)]
-    logs = [[a + b + c for a, b, c in zip(*by_kind)] for by_kind in zip(*parts)]
+    logs = [a + b + c for a, b, c in zip(*parts)]
     return exp_series(logs, x_order, q_order)
 
 

@@ -204,9 +204,10 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     assert "FAIL broken" in out
 
 
-@pytest.mark.parametrize("backend,warns", [("gmpy2.mpq", False),
-                                           ("fractions.Fraction", True)])
-def test_version_names_scalar_backend(monkeypatch, capsys, backend, warns):
+@pytest.mark.parametrize("backend", ["gmpy2.mpq", "fractions.Fraction"])
+def test_version_names_scalar_backend(monkeypatch, capsys, backend):
+    # series arithmetic runs on int whichever type the rational view uses,
+    # so the Fraction fallback is no longer slow and draws no warning
     monkeypatch.setattr(cli, "SCALAR_BACKEND", backend)
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
@@ -214,7 +215,7 @@ def test_version_names_scalar_backend(monkeypatch, capsys, backend, warns):
     captured = capsys.readouterr()
     assert captured.out.startswith("wittenq 0.1.0")
     assert f"scalar backend: {backend}" in captured.out
-    assert ("warning" in captured.err) == warns
+    assert captured.err == ""
 
 
 def test_python_dash_m_runs_the_cli():

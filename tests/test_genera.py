@@ -142,6 +142,17 @@ def test_route_equivalence():
             == mod2_witten(g, route="bundle").precursor)
 
 
+def test_unknown_route_is_refused():
+    calls = [(witten_genus, GCIData([3], [[2]], q_order=4)),
+             (wc_genus, GCIData([5], [[2]], C=[1], q_order=4)),
+             (mod2_witten, GCIData([7], [[2], [2]], q_order=4)),
+             (mod2_witten, GCIData([8], [[0], [2], [2]], q_order=4))]
+    for fn, g in calls:
+        for route in ("thta", "Theta", None):
+            with pytest.raises(ValueError, match="route must be"):
+                fn(g, route=route)
+
+
 def test_mod2_skips_all_zero_row():
     # an all-zero degree row is a nowhere-zero section, so V is empty and
     # every genus is 0, also when no nonzero even row is left; the zero

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -131,12 +132,19 @@ def test_linear_weights_multinomial():
 
 def test_rank_pair_mul_matches_naive_product():
     rng = random.Random(55)
-    for _ in range(8):
+    for trial in range(16):
         caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         qo = rng.randint(0, 3)
         total = sum(caps)
         fa = _random_uni(rng, total, qo)
         fb = _random_uni(rng, total, qo)
+        if trial % 2:
+            # rational coefficients on some x-degrees only, as the theta
+            # factors have (even in x, up to a power of x)
+            fa = [c * Fraction(1, k + 1) if k % 2 == 0 else 0 * c
+                  for k, c in enumerate(fa)]
+            fb = [c * Fraction(k + 1, 6) if k % 3 else 0 * c
+                  for k, c in enumerate(fb)]
         da = [rng.randint(-3, 3) for _ in caps]
         db = [rng.randint(-3, 3) for _ in caps]
         got = rank_pair_mul(fa, da, fb, db, caps, qo)

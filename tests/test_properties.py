@@ -9,14 +9,21 @@ q-order <= 4, so each genus takes milliseconds.  Checked:
   phi2;
 - every genus is invariant under permuting the degree rows and under
   permuting the projective factors;
-- C -> -C leaves W_c unchanged in real dimension 4k and negates it in 4k+2.
+- C -> -C leaves W_c unchanged in real dimension 4k and negates it in 4k+2;
+- W is multiplicative: a block-diagonal instance, V1 x V2, has W(V1) W(V2).
+
+Over an enumeration of spin 8k+2 instances with two or more nonzero
+all-even rows, every choice of the distinguished row gives an integral
+precursor with the same mod 2 reduction.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenq.errors import NonIntegralError
-from wittenq.gci import GCIData, dims, even_rows
+from wittenq.gci import GCIData, dims, even_rows, is_spin
 from wittenq.genera import mod2_witten, wc_genus, witten_genus
 
 PROPS = settings(deadline=None, max_examples=200, derandomize=True,
@@ -125,3 +132,44 @@ def test_c_sign_law(g):
         assert a == b
     else:
         assert a == -b
+
+
+@PROPS
+@given(instances("W"), instances("W"))
+def test_w_is_multiplicative_on_products(g1, g2):
+    q_order = min(g1.q_order, g2.q_order)
+    g1 = GCIData(g1.n, g1.D, q_order=q_order)
+    g2 = GCIData(g2.n, g2.D, q_order=q_order)
+    pad1, pad2 = [0] * g2.s, [0] * g1.s
+    g = GCIData(list(g1.n) + list(g2.n),
+                [list(r) + pad1 for r in g1.D] + [pad2 + list(r) for r in g2.D],
+                q_order=q_order)
+    assert _genus("W", g) == _genus("W", g1) * _genus("W", g2)
+
+
+def _spin_phi2_instances():
+    """Spin instances of real dimension 8k+2 with at least two nonzero
+    all-even rows: n_b <= 8 over one factor (entries -2..4) and
+    n_1 + n_2 <= 6 over two (entries -2..2), two to four rows."""
+    for n in ([5], [6], [7], [8], [1, 4], [2, 3], [3, 2], [1, 5], [2, 4],
+              [3, 3], [4, 2]):
+        entries = range(-2, 5) if len(n) == 1 else range(-2, 3)
+        rows = [r for r in itertools.product(entries, repeat=len(n)) if any(r)]
+        for t in range(2, 5):
+            if (sum(n) - t) % 4 != 1:
+                continue
+            for D in itertools.combinations_with_replacement(rows, t):
+                g = GCIData(n, [list(r) for r in D], q_order=4)
+                if len(even_rows(g)) >= 2 and is_spin(g):
+                    yield g
+
+
+def test_phi2_independent_of_even_row():
+    count = 0
+    for g in _spin_phi2_instances():
+        rows = even_rows(g)
+        first = mod2_witten(g, even_row=rows[0]).coeffs
+        for e in rows[1:]:
+            assert mod2_witten(g, even_row=e).coeffs == first, (g, e)
+        count += 1
+    assert count > 1000

@@ -1,12 +1,15 @@
 """Unit tests for the exact truncated q-series scalar layer."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittenq.errors import NonIntegralError, NonUnitError, OrderMismatchError
-from wittenq.qseries import Q2Series, QSeries, rat
+from wittenq.qseries import Q2Series, QSeries, QSum, rat
 
 
 def _random_series(rng, order, int_only=False):
@@ -175,3 +178,109 @@ def test_ring_axioms_randomized():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+# -- the integer kernel against a Fraction-list reference -------------
+
+KERNEL = settings(deadline=None, max_examples=200, derandomize=True,
+                  database=None)
+
+
+def mul_into(out, a, b):
+    """Reference: add the product of Fraction lists a and b into out,
+    truncated at len(out) (the convolution the integer kernel replaced)."""
+    n = len(out)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+
+
+def ref_inv(a):
+    """Reference inverse of a Fraction list by the usual recursion."""
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum(a[j] * out[k - j] for j in range(1, k + 1)) / a[0])
+    return out
+
+
+def _fractions(c):
+    return [Fraction(str(x)) for x in c]
+
+
+def _canonical(s):
+    return (s.den > 0 and math.gcd(s.den, *s.num) == 1
+            and (s.den == 1 or any(s.num))
+            and all(type(x) is int for x in s.num))
+
+
+ratios = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def rational_lists(draw, count):
+    """`count` Fraction lists of one common length 1..9, zeros frequent."""
+    n = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(Fraction(0)), ratios)
+    return [draw(st.lists(entry, min_size=n, max_size=n))
+            for _ in range(count)]
+
+
+@KERNEL
+@given(rational_lists(2), ratios)
+def test_kernel_ring_ops_match_fraction_reference(lists, c):
+    a, b = lists
+    A, B = QSeries(a), QSeries(b)
+    prod = [Fraction(0)] * len(a)
+    mul_into(prod, a, b)
+    expect = {
+        "+": [x + y for x, y in zip(a, b)],
+        "-": [x - y for x, y in zip(a, b)],
+        "*": prod,
+        "scalar": [x * c for x in a],
+    }
+    got = {"+": A + B, "-": A - B, "*": A * B, "scalar": A * c}
+    for op, series in got.items():
+        assert _fractions(series.coeffs) == expect[op], op
+        assert _canonical(series), op
+    assert _fractions((c * A).coeffs) == expect["scalar"]
+    if a[0]:
+        inv = A.inv_unit()
+        assert _fractions(inv.coeffs) == ref_inv(a)
+        assert _canonical(inv)
+
+
+@KERNEL
+@given(rational_lists(4), st.lists(st.integers(-30, 30), min_size=3,
+                                   max_size=3), st.integers(1, 12))
+def test_kernel_weighted_sums_match_fraction_reference(lists, w, divisor):
+    a, b, c, d = lists
+    acc = QSum(len(a) - 1)
+    acc.add_product(QSeries(a), QSeries(b), w[0])
+    acc.add(QSeries(c), w[1])
+    acc.add_product(QSeries(c), QSeries(d), w[2])
+    expect = [Fraction(0)] * len(a)
+    mul_into(expect, [w[0] * x for x in a], b)
+    mul_into(expect, [w[2] * x for x in c], d)
+    expect = [(x + w[1] * y) / divisor for x, y in zip(expect, c)]
+    got = acc.series(divisor)
+    assert _fractions(got.coeffs) == expect
+    assert _canonical(got)
+
+
+@KERNEL
+@given(rational_lists(3))
+def test_kernel_equal_values_compare_and_hash_equal(lists):
+    a, b, c = lists
+    A, B, C = QSeries(a), QSeries(b), QSeries(c)
+    pairs = [(A * B, B * A),
+             ((A + B) - B, A),
+             (A * (B + C), A * B + A * C),
+             (QSeries([2 * x for x in a]) * Fraction(1, 2), A),
+             (QSeries(A.coeffs), A),
+             (A - A, QSeries.zero(A.order))]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert _canonical(x) and _canonical(y)
+    assert (A - A).den == 1
