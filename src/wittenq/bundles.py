@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, rat
+from .qseries import QSeries
 from .theta import _one_pm_q, _x_series, cosh_half, two_sinh_half
 
 
@@ -89,7 +89,7 @@ def lfactor_4k2(x_order, q_order):
     Equals Phi(x)/2; the halving is the Jacobi triple-null cancellation.
     """
     pairs = _pairs(_terms(-1, 2, q_order), x_order // 2, q_order)
-    return (two_sinh_half(x_order, q_order) * rat(Fraction(1, 2))
+    return (two_sinh_half(x_order, q_order) * Fraction(1, 2)
             * _at_w(pairs, x_order, q_order))
 
 
@@ -123,7 +123,7 @@ def lemma42_report(q_order, flip_sign=False):
         second = -second
     diff = first - second
     const_zero = (0,) not in diff.terms
-    half = rat(Fraction(1, 2))
+    half = Fraction(1, 2)
     halves_integral = all((c * half).is_integral()
                           for e, c in diff.terms.items() if e[0])
     w1 = diff.terms.get((1,), QSeries.zero(q_order))

@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 verification-suite failure, 2 malformed input,
 q-order is 20, overridable per-invocation by --q-order and globally by
 the WITTENQ_Q_ORDER environment variable (which sets the default only).
 A negative or non-integer q-order, from either source, is malformed input.
-`wittenq --version` names the scalar backend, the type in which series
-coefficients are shown; series arithmetic itself runs on int.
 """
 from __future__ import annotations
 
@@ -19,7 +17,7 @@ from . import __version__, bundles, modforms, theta
 from .errors import DimensionError, NonIntegralError
 from .gci import GCIData, condition_report, dims, thm42_ok
 from .genera import mod2_witten, wc_genus, witten_genus
-from .qseries import SCALAR_BACKEND, QSeries
+from .qseries import QSeries
 from .search import SearchQuery, find_string, find_stringc
 
 EXIT_OK = 0
@@ -47,11 +45,19 @@ def default_q_order():
                          f"got {text!r}") from None
 
 
+# "conditions" is in every `wittenq search` line; it is recomputed, not read
+_INSTANCE_KEYS = {"n", "D", "C", "q_order", "conditions"}
+
+
 def _load_instance(path, q_order=None):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "n" not in doc or "D" not in doc:
         raise ValueError("instance file must be an object with 'n' and 'D'")
+    unknown = sorted(set(doc) - _INSTANCE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown instance keys {unknown}; allowed are "
+                         f"{sorted(_INSTANCE_KEYS)}")
     qo = q_order if q_order is not None else doc.get("q_order",
                                                      default_q_order())
     return GCIData(doc["n"], doc["D"], doc.get("C"), q_order=qo)
@@ -97,6 +103,10 @@ def cmd_check(args):
 
 
 def cmd_genus(args):
+    if args.even_row is not None and args.kind != "phi2":
+        print("error: --even-row applies to --kind phi2 only",
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         g = _load_instance(args.instance, args.q_order)
     except (OSError, TypeError, ValueError) as exc:
@@ -126,7 +136,8 @@ def cmd_genus(args):
         "modular_fit": None,
     }
     if args.modfit and isinstance(rep.coeffs, QSeries):
-        weight = dims(g)[1] // 2
+        # the complex dimension, less 1 for W_c in real dimension 4k+2
+        weight = dims(g)[0] - (rep.kind == "Wc4k2")
         try:
             ft = modforms.fit(rep.coeffs, weight)
             doc["modular_fit"] = {
@@ -275,24 +286,12 @@ def cmd_search(args):
     return EXIT_OK
 
 
-class _VersionAction(argparse.Action):
-    """Print the version and the scalar backend, then exit 0."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0,
-                         default=argparse.SUPPRESS, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"wittenq {__version__} (scalar backend: {SCALAR_BACKEND})")
-        parser.exit()
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="wittenq",
         description="Witten-type genera of generalized complete intersections")
-    p.add_argument("--version", action=_VersionAction,
-                   help="show the version and the scalar backend, then exit")
+    p.add_argument("--version", action="version",
+                   version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check", help="evaluate condition checkers")

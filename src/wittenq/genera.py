@@ -25,10 +25,12 @@ the exponent, so all the forms on one line u (up to sign, L being even)
 fold into one univariate factor y^r_u * exp(sum_k p_(u,k) L_k y^k) in
 y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
 number of linear prefactors on u; the integers m of those prefactors
-multiply the residue.  The factor of an axis x_b enters as a one-axis
-convolution, the others are paired by `rank_pair_mul` (or placed by
-`subst_linear`) and the last piece is contracted against the rest with
-`top_product`.  Nothing on this route is cached but `theta.log_coeffs`.
+multiply the residue.  `theta.direction_series` builds each such factor
+from the (kind, coef, m) of its forms.  The factor of an axis x_b enters
+as a one-axis convolution, the others are paired by `rank_pair_mul` (or
+placed by `subst_linear`) and the last piece is contracted against the
+rest with `top_product`.  Nothing on this route is cached but
+`theta.log_coeffs`.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
@@ -46,7 +48,7 @@ from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
 from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
-from .qseries import QSeries, QSum, Q2Series, rat
+from .qseries import QSeries, Q2Series
 from .theta import ThetaKind
 
 
@@ -60,16 +62,6 @@ class GenusReport:
     precursor: Optional[QSeries] = None  # integral lift, PHI_MOD2 only
 
 
-def _granular(x_order):
-    """x_order rounded up to a multiple of 16, so nearby sizes share a cache.
-
-    Linear-form consumers only read coefficients up to the total degree
-    they need, and truncating a factor in x leaves lower coefficients
-    untouched.
-    """
-    return -(-max(x_order, 1) // 16) * 16
-
-
 # -- theta route: one exponential per direction ------------------------
 
 def _primitive(d):
@@ -78,33 +70,6 @@ def _primitive(d):
     if next(x for x in d if x) < 0:
         m = -m
     return tuple(x // m for x in d), m
-
-
-def _direction_series(terms, r, degree, q_order):
-    """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^degree.
-
-    terms holds (kind, coef, m) with kind THETA for L = log(x/Phi) and
-    THETA1 for L1 = log Psi_1; the exponent's y^k coefficient is
-    sum_kind p_k * log_kind_k with the integer power sum p_k = sum coef * m^k.
-    Returns the QSeries coefficients by y-degree, or None when r > degree
-    (the factor truncates to 0).
-    """
-    if r > degree:
-        return None
-    n = degree - r
-    sums = {}
-    for kind, coef, m in terms:
-        sums.setdefault(kind, []).append((coef, m))
-    tables = {kind: theta.log_coeffs(kind, _granular(degree), q_order)
-              for kind in sums}
-    logs = [None] * (n + 1)
-    for k in range(2, n + 1, 2):
-        acc = QSum(q_order)
-        for kind, pairs in sums.items():
-            acc.add(tables[kind][k], sum(coef * m ** k for coef, m in pairs))
-        logs[k] = acc.series()
-    unit = theta.exp_series(logs, n, q_order).coeffs
-    return [QSeries.zero(q_order)] * r + unit
 
 
 def _theta_residue(g: GCIData, logs, linear):
@@ -133,13 +98,13 @@ def _theta_residue(g: GCIData, logs, linear):
     for u, ts in terms.items():
         on_axis = u in axes
         degree = caps[u.index(1)] if on_axis else sum(caps)
-        f = _direction_series(ts, power.get(u, 0), degree, qo)
-        if f is None:
+        f = theta.direction_series(ts, power.get(u, 0), degree, qo)
+        if f.is_zero():
             return QSeries.zero(qo)
         if on_axis:
-            axis_factors.append(f)
+            axis_factors.append(f.coeffs)
         else:
-            specs.append((f, u))
+            specs.append((f.coeffs, u))
     return _residue(g, axis_factors, specs) * scale
 
 
@@ -157,7 +122,7 @@ def _bundle_factor_at(name, x_order, q_order):
 
 
 def _bundle_factor(name, x_order, q_order):
-    return _bundle_factor_at(name, _granular(x_order), q_order)
+    return _bundle_factor_at(name, theta._granular(x_order), q_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,7 +133,8 @@ def _root_power(cap, q_order):
 
 
 def _residue(g: GCIData, axes, specs):
-    """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i).
+    """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i), every
+    factor a sequence of QSeries by x-degree.
 
     The linear-form factors are combined pairwise with rank_pair_mul, the
     axis factors enter as one-axis convolutions, and the last piece is
@@ -207,12 +173,12 @@ def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
             logs.append((ThetaKind.THETA1, 1, psi1_row))
         return _theta_residue(g, logs, phi_rows)
     total, qo = sum(g.n), g.q_order
-    specs = [(_bundle_factor("phi", total, qo), d) for d in phi_rows]
+    specs = [(_bundle_factor("phi", total, qo).coeffs, d) for d in phi_rows]
     if twist4k is not None:
-        specs.append((_bundle_factor("twist4k", total, qo), twist4k))
+        specs.append((_bundle_factor("twist4k", total, qo).coeffs, twist4k))
     if psi1_row is not None:
-        specs.append((_bundle_factor("psi1", total, qo), psi1_row))
-    return _residue(g, [_root_power(cap, qo) for cap in g.n], specs)
+        specs.append((_bundle_factor("psi1", total, qo).coeffs, psi1_row))
+    return _residue(g, [_root_power(cap, qo).coeffs for cap in g.n], specs)
 
 
 def _check_route(route):
@@ -246,7 +212,7 @@ def wc_genus(g: GCIData, route="theta"):
         series = _integrand_residue(g, route, g.D, twist4k=g.C)
         return _report("Wc4k", series, g)
     series = _integrand_residue(g, route, g.D + (g.C,))
-    return _report("Wc4k2", series * rat(Fraction(1, 2)), g)
+    return _report("Wc4k2", series * Fraction(1, 2), g)
 
 
 def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
@@ -300,7 +266,7 @@ def quadratic_pairing(g: GCIData, M):
                 e = [0] * g.s
                 e[b] += 1
                 e[c] += 1
-                quad = quad + NilPoly(caps, qo, {tuple(e): rat(M[b][c])})
+                quad = quad + NilPoly(caps, qo, {tuple(e): M[b][c]})
     dual = NilPoly.one(caps, qo)
     one_coeffs = [QSeries.zero(qo), QSeries.one(qo)] + \
         [QSeries.zero(qo)] * (sum(caps) - 1)

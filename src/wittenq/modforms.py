@@ -8,9 +8,10 @@ basis E4^a E6^b of weight 4a + 6b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .qseries import QSeries, RAT_ONE, RAT_ZERO, rat
+from .qseries import QSeries
 
 
 def sigma(k, n):
@@ -25,8 +26,7 @@ def eisenstein(k, order):
     scale = {2: -24, 4: 240, 6: -504}
     if k not in scale:
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    coeffs = [RAT_ONE] + [rat(scale[k] * sigma(k - 1, n))
-                          for n in range(1, order + 1)]
+    coeffs = [1] + [scale[k] * sigma(k - 1, n) for n in range(1, order + 1)]
     return QSeries(coeffs, order)
 
 
@@ -58,7 +58,7 @@ def _solve_exact(rows, rhs):
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = RAT_ONE / a[col][col]
+        inv = 1 / a[col][col]
         a[col] = [v * inv for v in a[col]]
         for r in range(m):
             if r != col and a[r][col]:
@@ -97,8 +97,7 @@ def fit(series: QSeries, weight):
     if sol is None:
         return ModFormFit(weight, basis, None, False, None)
     for j in range(n_tilde + 1):
-        fitted = sum((s * mat.coefficient(j) for s, mat in zip(sol, mats)),
-                     RAT_ZERO)
+        fitted = sum(s * mat.coefficient(j) for s, mat in zip(sol, mats))
         if fitted != target.coefficient(j):
             return ModFormFit(weight, basis, None, False, j)
     return ModFormFit(weight, basis, sol, True)
@@ -138,7 +137,7 @@ def theta_constant_e4_check(order, exponent=8):
     # (2 q^(1/4))^exponent: for exponent 8 this is the classical 256 q^2
     pref = QSeries.monomial(2 ** exponent, exponent // 4, q_order)
     total = (pref * t1 ** exponent + t2 ** exponent + t3 ** exponent) \
-        * rat("1/2")
+        * Fraction(1, 2)
     if not total.even_q_support():
         return False
     tilde = QSeries([total.coefficient(2 * j) for j in range(order + 1)],

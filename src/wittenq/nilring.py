@@ -17,12 +17,14 @@ coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
 weights; subst_linear builds such polynomials directly and rank_pair_mul
 multiplies two of them through the integer coefficients of
 ell_a^k * ell_b^j on the cap grid plus a small table of series products,
-which is far cheaper than termwise ring multiplication.
+which is far cheaper than termwise ring multiplication.  Both read their
+weights from `_power_weights`; subst_linear is the case ell_b = 0.  A
+univariate series is handed to them, and to mul_univariate, as a
+sequence of QSeries by x-degree.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
@@ -261,11 +263,9 @@ def subst_linear(f_coeffs, d, caps, q_order):
 
     f_coeffs is a sequence of QSeries indexed by x-degree and must reach
     total degree sum(caps); d is an integer vector of length s.  Each ring
-    monomial x^e receives f_{|e|} times the multinomial weight
-    (|e|; e) * prod d_b^{e_b}, so no ring multiplications are needed.
+    monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|, so no
+    ring multiplications are needed.
     """
-    if hasattr(f_coeffs, "coeffs"):
-        f_coeffs = f_coeffs.coeffs
     caps = tuple(caps)
     total = sum(caps)
     if len(f_coeffs) - 1 < total:
@@ -274,29 +274,10 @@ def subst_linear(f_coeffs, d, caps, q_order):
     if len(d) != len(caps):
         raise ValueError("direction vector arity mismatch")
     degrees = {k for k in range(total + 1) if not f_coeffs[k].is_zero()}
+    weights = _power_weights(caps, d, (0,) * len(caps), degrees, {0})
     out = NilPoly(caps, q_order)
-    out.terms = {e: f_coeffs[sum(e)] * weight
-                 for e, weight in linear_weights(caps, d, degrees).items()}
-    return out
-
-
-def linear_weights(caps, d, degrees=None):
-    """Integer weights of the powers of ell = sum d_b x_b on the cap grid.
-
-    Returns {exponent e: multinomial(|e|; e) * prod d_b^e_b}, restricted to
-    |e| in `degrees` when given (the degrees whose series coefficient is
-    nonzero), zero weights dropped.
-    """
-    out = {}
-    for e in itertools.product(*[range(c + 1) for c in caps]):
-        k = sum(e)
-        if degrees is not None and k not in degrees:
-            continue
-        weight = math.factorial(k)
-        for eb, db in zip(e, d):
-            weight = weight // math.factorial(eb) * db ** eb
-        if weight:
-            out[e] = weight
+    out.terms = {e: f_coeffs[k] * w
+                 for e, slot in weights.items() for k, w in slot.items()}
     return out
 
 
@@ -345,15 +326,12 @@ def _power_weights(caps, da, db, deg_a, deg_b):
 def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     """NilPoly product f_a(ell_a) * f_b(ell_b) using the separable structure.
 
-    The product coefficient at x^E is sum_k W_E[k] * f_a[k] * f_b[|E|-k]
+    fa_coeffs and fb_coeffs are sequences of QSeries by x-degree.  The
+    product coefficient at x^E is sum_k W_E[k] * f_a[k] * f_b[|E|-k]
     with the integers W_E[k] = [x^E] ell_a^k ell_b^(|E|-k); the series
     products are drawn from a small memo table instead of being
     recomputed per monomial.
     """
-    if hasattr(fa_coeffs, "coeffs"):
-        fa_coeffs = fa_coeffs.coeffs
-    if hasattr(fb_coeffs, "coeffs"):
-        fb_coeffs = fb_coeffs.coeffs
     caps = tuple(caps)
     total = sum(caps)
     if len(fa_coeffs) - 1 < total or len(fb_coeffs) - 1 < total:
@@ -375,13 +353,12 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
 
 
 def mul_univariate(poly, coeffs, index):
-    """Multiply a NilPoly by a univariate series in generator `index`.
+    """Multiply a NilPoly by sum_k coeffs[k] * x_index^k, coeffs a
+    sequence of QSeries by x-degree.
 
     A one-axis convolution: much cheaper than a general product when the
     other factor only involves a single generator.
     """
-    if hasattr(coeffs, "coeffs"):
-        coeffs = coeffs.coeffs
     caps, qo = poly.caps, poly.q_order
     cap = caps[index]
     nonzero = [(k, uk) for k, uk in enumerate(coeffs[:cap + 1])

@@ -12,32 +12,22 @@ coefficient product is an int product.
 `QSum` is the one q-convolution of the package: it accumulates integer
 multiples of series and of products of series into one numerator list
 and reduces once when read out.  `coeffs` and `coefficient` are the
-rational view, in gmpy2 `mpq` when it is installed and stdlib `Fraction`
-otherwise; arithmetic never goes through them.
+rational view, always stdlib `Fraction`, the package's one rational type;
+arithmetic never goes through them.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
-
-SCALAR_BACKEND = "fractions.Fraction" if Q is Fraction else "gmpy2.mpq"
-
 from .errors import NonIntegralError, NonUnitError, OrderMismatchError
-
-RAT_ZERO = Q(0)
-RAT_ONE = Q(1)
 
 
 def rat(v):
-    """Coerce an int, Fraction, mpq or 'p/q' string to the scalar type."""
+    """Coerce an int, Fraction or 'p/q' string to a Fraction."""
     if isinstance(v, float):
         raise TypeError("floating point coefficients are not allowed")
-    return Q(v)
+    return Fraction(v)
 
 
 class QSum:
@@ -112,8 +102,8 @@ class QSeries:
             raise ValueError("order must be >= 0")
         coeffs = coeffs[: order + 1]
         # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(int(c.denominator) for c in coeffs))
-        num = [int(c.numerator) * (den // int(c.denominator)) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         self.order = order
         self.num = num + [0] * (order + 1 - len(num))
         self.den = den
@@ -152,8 +142,8 @@ class QSeries:
         """value * q^exponent, truncated (zero if exponent > order)."""
         if exponent > order:
             return cls.zero(order)
-        coeffs = [RAT_ZERO] * (order + 1)
-        coeffs[exponent] = rat(value)
+        coeffs = [0] * (order + 1)
+        coeffs[exponent] = value
         return cls(coeffs, order)
 
     # -- queries ------------------------------------------------------
@@ -161,13 +151,10 @@ class QSeries:
     @property
     def coeffs(self):
         """The rational coefficients of q^0 .. q^order."""
-        den = self.den
-        if den == 1:
-            return [Q(x) for x in self.num]
-        return [Q(x, den) for x in self.num]
+        return [Fraction(x, self.den) for x in self.num]
 
     def coefficient(self, k):
-        return Q(self.num[k], self.den) if k <= self.order else RAT_ZERO
+        return Fraction(self.num[k] if k <= self.order else 0, self.den)
 
     def is_zero(self):
         return not any(self.num)
@@ -222,8 +209,8 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             c = rat(other)
-            p, d = int(c.numerator), int(c.denominator)
-            return QSeries._make([a * p for a in self.num], self.den * d,
+            return QSeries._make([a * c.numerator for a in self.num],
+                                 self.den * c.denominator,
                                  self.order)
         self._check(other)
         acc = QSum(self.order)
@@ -282,7 +269,7 @@ class QSeries:
         if isinstance(other, QSeries):
             return (self.order == other.order and self.den == other.den
                     and self.num == other.num)
-        if isinstance(other, (int, Fraction)) or type(other) is type(RAT_ZERO):
+        if isinstance(other, (int, Fraction)):
             return self == QSeries.constant(other, self.order)
         return NotImplemented
 

@@ -15,7 +15,11 @@ these products.  Taking logarithms turns each product into divisor sums:
 log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
 G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
 Psi_i have sign-twisted analogues (see `log_coeffs`).  Each factor is then
-one exponential of its logarithm, computed exactly in the truncated ring.
+one exponential of its logarithm, computed exactly in the truncated ring
+by `direction_series`, the one exponential builder: it exponentiates an
+integer combination of these logarithms at multiples m*x, so `phi`, `psi`,
+`psi_product`, `x_over_phi` and the merged direction factors of the
+theta-route genera are each one call of it.
 The bundle route (`bundles`) keeps the product formulas and is the
 independent oracle these builders are checked against.
 
@@ -33,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, QSum, RAT_ONE, rat
+from .qseries import QSeries, QSum, rat
 
 
 class ThetaKind(enum.Enum):
@@ -52,9 +56,9 @@ def _x_series(coeffs, q_order):
 
 def exp_x(lam, x_order, q_order):
     """e^(lam*x) with exact rational lam."""
-    lam = rat(Fraction(lam)) if isinstance(lam, str) else rat(lam)
+    lam = rat(lam)
     out = []
-    term = RAT_ONE
+    term = Fraction(1)
     for k in range(x_order + 1):
         out.append(QSeries.constant(term, q_order))
         term = term * lam / (k + 1)
@@ -63,15 +67,15 @@ def exp_x(lam, x_order, q_order):
 
 def two_sinh_half(x_order, q_order):
     """2*sinh(x/2) = e^(x/2) - e^(-x/2)."""
-    half = rat(Fraction(1, 2))
+    half = Fraction(1, 2)
     return exp_x(half, x_order, q_order) - exp_x(-half, x_order, q_order)
 
 
 def cosh_half(x_order, q_order):
     """cosh(x/2)."""
-    half = rat(Fraction(1, 2))
+    half = Fraction(1, 2)
     s = exp_x(half, x_order, q_order) + exp_x(-half, x_order, q_order)
-    return s * rat(Fraction(1, 2))
+    return s * half
 
 
 def _one_pm_q(sign, q_exp, q_order):
@@ -154,25 +158,46 @@ def log_coeffs(kind, x_order, q_order):
 
 # -- exponentials -----------------------------------------------------
 
-def exp_series(logs, x_order, q_order, scale=1):
-    """exp(scale * sum_j logs[j] x^j), truncated after x^x_order.
+def _granular(x_order):
+    """x_order rounded up to a multiple of 16, so nearby sizes share a cache.
 
-    The logarithm is even in x with no constant term, so f = exp(L) has
-    f_0 = 1, f_odd = 0 and, from f' = L'f, n f_n = sum_(j even) j L_j f_(n-j).
-    logs holds QSeries, of which only logs[2], logs[4], ... up to x_order
-    are read; scale is an integer.
+    Consumers of a factor only read coefficients up to the degree they
+    need, and truncating a series in x leaves lower coefficients untouched.
     """
+    return -(-max(x_order, 1) // 16) * 16
+
+
+def direction_series(terms, r, x_order, q_order):
+    """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order.
+
+    terms holds integer triples (kind, coef, m), kind naming a logarithm
+    of `log_coeffs`.  The exponent's y^k coefficient is
+    sum_kind p_k * log_kind_k with the integer power sum
+    p_k = sum coef * m^k.  It is even in y with no constant term, so
+    f = exp(...) has f_0 = 1, f_odd = 0 and, from f' = L'f,
+    n f_n = sum_(j even) j L_j f_(n-j).  The result is a one-generator
+    NilPoly with cap x_order, zero when r > x_order.
+    """
+    sums = {}
+    for kind, coef, m in terms:
+        sums.setdefault(kind, []).append((coef, m))
+    tables = {kind: log_coeffs(kind, _granular(x_order), q_order)
+              for kind in sums}
     zero = QSeries.zero(q_order)
-    f = [QSeries.one(q_order)]
-    for n in range(1, x_order + 1):
+    logs, f = {}, [QSeries.one(q_order)]
+    for n in range(1, x_order - r + 1):
         if n % 2:
             f.append(zero)
             continue
         acc = QSum(q_order)
+        for kind, pairs in sums.items():
+            acc.add(tables[kind][n], sum(coef * m ** n for coef, m in pairs))
+        logs[n] = acc.series()
+        acc = QSum(q_order)
         for j in range(2, n + 1, 2):
-            acc.add_product(logs[j], f[n - j], j * scale)
+            acc.add_product(logs[j], f[n - j], j)
         f.append(acc.series(n))
-    return _x_series(f, q_order)
+    return _x_series(([zero] * r + f)[:x_order + 1], q_order)
 
 
 def phi(x_order, q_order):
@@ -180,30 +205,25 @@ def phi(x_order, q_order):
 
     Odd in x, leading term x: Phi = x * exp(-log(x/Phi)).
     """
-    logs = log_coeffs(ThetaKind.THETA, x_order, q_order)
-    unit = exp_series(logs, max(x_order - 1, 0), q_order, scale=-1)
-    return _x_series([QSeries.zero(q_order)] + unit.coeffs[:x_order], q_order)
+    return direction_series([(ThetaKind.THETA, -1, 1)], 1, x_order, q_order)
 
 
 def psi(kind, x_order, q_order):
     """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
     if kind not in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
-    return exp_series(log_coeffs(kind, x_order, q_order), x_order, q_order)
+    return direction_series([(kind, 1, 1)], 0, x_order, q_order)
 
 
 def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
-    parts = [log_coeffs(kind, x_order, q_order) for kind in
-             (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)]
-    logs = [a + b + c for a, b, c in zip(*parts)]
-    return exp_series(logs, x_order, q_order)
+    kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
+    return direction_series([(k, 1, 1) for k in kinds], 0, x_order, q_order)
 
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    logs = log_coeffs(ThetaKind.THETA, x_order, q_order)
-    return exp_series(logs, x_order, q_order)
+    return direction_series([(ThetaKind.THETA, 1, 1)], 0, x_order, q_order)
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import wittenq
 from wittenq import cli
 from wittenq.cli import (EXIT_INPUT, EXIT_INTEGRALITY, EXIT_OK,
                          EXIT_PRECONDITION, EXIT_SUITE, run)
@@ -37,6 +38,27 @@ def test_check_malformed_input(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
 
+def test_instance_unknown_key_refused(tmp_path, capsys):
+    path = _write(tmp_path, "typo.json",
+                  {"n": [4], "D": [[1], [2]], "qorder": 3})
+    assert run(["check", path]) == EXIT_INPUT
+    assert run(["genus", path]) == EXIT_INPUT
+    assert "qorder" in capsys.readouterr().err
+
+
+def test_search_lines_are_instance_files(tmp_path, capsys):
+    for parity in ("string", "dim4k2"):
+        assert run(["search", "--s", "1", "--t", "2", "--dmax", "3",
+                    "--parity", parity, "--q-order", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines
+        for k, line in enumerate(lines):
+            path = tmp_path / f"{parity}{k}.json"
+            path.write_text(line)
+            assert run(["check", str(path)]) == EXIT_OK
+            capsys.readouterr()
+
+
 def test_genus_roundtrip_report(tmp_path, capsys):
     path = _write(tmp_path, "cp2.json", {"n": [2], "D": []})
     out = str(tmp_path / "report.json")
@@ -61,6 +83,17 @@ def test_genus_vanishing_and_modfit(tmp_path, capsys):
     assert doc["modular_fit"]["weight"] == 2  # real dim 4 halved
     # weight 2 has an empty basis; only the zero series fits, trivially
     assert doc["modular_fit"]["solution"] == []
+
+
+def test_genus_modfit_wc_in_dim_4k_plus_2(tmp_path, capsys):
+    # W_c in real dimension 4k+2 has weight 2k, the complex dimension - 1
+    path = _write(tmp_path, "wc6.json", {"n": [4], "D": [[2]], "C": [1]})
+    assert run(["genus", path, "--kind", "Wc", "--q-order", "8",
+                "--modfit"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert all(e["value"] == "0" for e in doc["coeffs"])
+    assert doc["modular_fit"]["ok"] is True
+    assert doc["modular_fit"]["weight"] == 2
 
 
 def test_genus_precondition_exit(tmp_path, capsys):
@@ -90,6 +123,14 @@ def test_genus_phi2_skips_all_zero_row(tmp_path, capsys):
             doc["conditions"]["diagnostics"]
         assert run(["genus", path, "--kind", "phi2", "--q-order", "4",
                     "--even-row", "0"]) == EXIT_PRECONDITION
+
+
+def test_even_row_refused_outside_phi2(tmp_path, capsys):
+    path = _write(tmp_path, "ls.json", {"n": [4], "D": [[1], [2]], "C": [1]})
+    for kind in ("W", "Wc"):
+        assert run(["genus", path, "--kind", kind, "--q-order", "2",
+                    "--even-row", "1"]) == EXIT_INPUT
+        assert "phi2 only" in capsys.readouterr().err
 
 
 def test_genus_phi2_happy_path(tmp_path, capsys):
@@ -205,17 +246,19 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("backend", ["gmpy2.mpq", "fractions.Fraction"])
-def test_version_names_scalar_backend(monkeypatch, capsys, backend):
-    # series arithmetic runs on int whichever type the rational view uses,
-    # so the Fraction fallback is no longer slow and draws no warning
-    monkeypatch.setattr(cli, "SCALAR_BACKEND", backend)
+def test_version_names_scalar_backend(capsys, backend):
+    # the rational view is always fractions.Fraction, so the version line
+    # names neither the deleted gmpy2 view nor the type it fell back to
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("wittenq 0.1.0")
-    assert f"scalar backend: {backend}" in captured.out
+    assert captured.out == "wittenq 0.1.0\n"
+    assert backend not in captured.out
     assert captured.err == ""
+    rational = type(wittenq.rat(0))
+    assert f"{rational.__module__}.{rational.__qualname__}" == \
+        "fractions.Fraction"
 
 
 def test_python_dash_m_runs_the_cli():
@@ -227,5 +270,4 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("wittenq ")
-    assert "scalar backend" in done.stdout
+    assert done.stdout == "wittenq 0.1.0\n"

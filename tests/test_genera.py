@@ -174,7 +174,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
         raise AssertionError("theta builder called on the bundle route")
 
     for name in ("phi", "psi", "psi_product", "x_over_phi", "log_coeffs",
-                 "exp_series"):
+                 "direction_series"):
         monkeypatch.setattr(theta, name, refuse)
     for cached in (genera._bundle_factor_at, genera._root_power):
         cached.cache_clear()

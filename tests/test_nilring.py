@@ -9,8 +9,8 @@ import pytest
 
 from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
                             NonUnitError)
-from wittenq.nilring import (NilPoly, linear_weights, mul_univariate,
-                             rank_pair_mul, subst_linear)
+from wittenq.nilring import (NilPoly, mul_univariate, rank_pair_mul,
+                             subst_linear)
 from wittenq.qseries import QSeries
 
 
@@ -90,21 +90,27 @@ def test_inv_unit_requires_unit_constant():
 
 
 def test_subst_linear_against_horner_oracle():
-    rng = random.Random(33)
-    for _ in range(8):
-        caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        qo = rng.randint(0, 3)
-        total = sum(caps)
-        f = _random_uni(rng, total, qo)
-        d = [rng.randint(-3, 3) for _ in caps]
-        got = subst_linear(f, d, caps, qo)
+    def check(f, d, caps, qo):
         ell = NilPoly.zero(caps, qo)
         for b, db in enumerate(d):
             ell = ell + NilPoly.generator(caps, b, qo) * db
         expect = NilPoly.zero(caps, qo)
-        for k in range(total, -1, -1):  # Horner evaluation of f at ell
+        for k in range(sum(caps), -1, -1):  # Horner evaluation of f at ell
             expect = expect * ell + NilPoly.constant(caps, f[k])
-        assert got == expect
+        assert subst_linear(f, d, caps, qo) == expect
+
+    rng = random.Random(33)
+    for _ in range(8):
+        caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+        qo = rng.randint(0, 3)
+        f = _random_uni(rng, sum(caps), qo)
+        d = [rng.randint(-3, 3) for _ in caps]
+        check(f, d, caps, qo)
+    # the all-zero direction, and zero entries over 2 and 3 generators
+    for caps, d in [((2, 3), [0, 0]), ((1, 2, 2), [0, 0, 0]),
+                    ((2, 2), [0, 2]), ((3, 1), [-1, 0]),
+                    ((1, 2, 2), [2, 0, -1]), ((2, 1, 2), [0, 3, 0])]:
+        check(_random_uni(rng, sum(caps), 2), d, caps, 2)
 
 
 def test_subst_linear_insufficient_degree():
@@ -123,11 +129,12 @@ def test_subst_linear_accepts_longer_series():
 
 
 def test_linear_weights_multinomial():
-    w = linear_weights((2, 2), [1, 1])
-    # weight at (i, j) is the binomial coefficient C(i+j, i)
-    for (i, j), v in w.items():
-        assert v == math.comb(i + j, i)
-    assert linear_weights((2,), [0]) == {(0,): 1}
+    # the all-ones series at x + y carries C(i+j, i) at x^i y^j
+    ones = [QSeries.one(0)] * 5
+    p = subst_linear(ones, [1, 1], (2, 2), 0)
+    assert p.terms == {(i, j): QSeries.constant(math.comb(i + j, i), 0)
+                       for i in range(3) for j in range(3)}
+    assert subst_linear(ones[:3], [0], (2,), 0) == NilPoly.one((2,), 0)
 
 
 def test_rank_pair_mul_matches_naive_product():

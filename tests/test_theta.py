@@ -42,7 +42,7 @@ def test_uniseries_inv_and_scale():
     u = NilPoly.one((6,), 4) + x
     assert u * u.inv_unit() == NilPoly.one((6,), 4)
     # (1 + x) at the linear form 3x is 1 + 3x
-    s = subst_linear(u, [3], (6,), 4)
+    s = subst_linear(u.coeffs, [3], (6,), 4)
     assert s.coeffs[1] == QSeries.constant(3, 4)
 
 
