@@ -6,13 +6,6 @@ Run:  python3 demos/modular_forms.py
 from wittenq import modforms
 from wittenq.gci import GCIData
 from wittenq.genera import witten_genus
-from wittenq.qseries import QSeries
-
-
-def lift(tilde, q_order):
-    """Reindex a q-tilde series into the nome q (even exponents only)."""
-    return QSeries([tilde.coefficient(j // 2) if j % 2 == 0 else 0
-                    for j in range(q_order + 1)], q_order)
 
 
 def main():
@@ -35,12 +28,12 @@ def main():
     tilde = 10
     synth = (modforms.eisenstein(4, tilde) ** 3 * 5
              - modforms.eisenstein(6, tilde) ** 2 * 7)
-    ft = modforms.fit(lift(synth, 20), 12)
+    ft = modforms.fit(modforms.lift(synth, 20), 12)
     print(f"  5*E4^3 - 7*E6^2 at weight 12: ok={ft.ok}, "
           f"solution={[str(v) for v in ft.solution]} on basis {ft.basis}")
 
     # E2 is quasi-modular and must be rejected
-    ft = modforms.fit(lift(modforms.eisenstein(2, tilde), 20), 2)
+    ft = modforms.fit(modforms.lift(modforms.eisenstein(2, tilde), 20), 2)
     print(f"  E2 at weight 2: ok={ft.ok} "
           f"(first mismatch at q-tilde^{ft.failure_exponent})")
 

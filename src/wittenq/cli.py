@@ -3,14 +3,18 @@
 Exit codes: 0 success, 1 verification-suite failure, 2 malformed input,
 3 precondition failure, 4 internal integrality failure.  The default
 q-order is 20, overridable per-invocation by --q-order and globally by
-the WITTENQ_Q_ORDER environment variable (which sets the default only).
-A negative or non-integer q-order, from either source, is malformed input.
+the WITTENQ_Q_ORDER environment variable (which sets the default only),
+except `verify --suite vanishing`, which runs at q-order 12 unless given
+--q-order.  A negative or non-integer q-order, from either source, is
+malformed input.  Run as a program, wittenq dies quietly of SIGPIPE.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
+import signal
 import sys
 
 from . import __version__, bundles, modforms, theta
@@ -63,20 +67,6 @@ def _load_instance(path, q_order=None):
     return GCIData(doc["n"], doc["D"], doc.get("C"), q_order=qo)
 
 
-def _conditions_dict(rep):
-    return {
-        "spin": rep.spin,
-        "string": rep.string,
-        "stringc": rep.stringc,
-        "codim_ok": rep.codim_ok,
-        "thm42_ok": rep.thm42_ok,
-        "even_row": rep.even_row,
-        "dims": list(rep.dims),
-        "sufficient_only": rep.sufficient_only,
-        "diagnostics": rep.diagnostics,
-    }
-
-
 def _instance_dict(g):
     out = {"n": list(g.n), "D": [list(r) for r in g.D], "q_order": g.q_order}
     if g.C is not None:
@@ -98,7 +88,7 @@ def cmd_check(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     rep = condition_report(g)
-    print(json.dumps(_conditions_dict(rep), indent=2))
+    print(json.dumps(dataclasses.asdict(rep), indent=2))
     return EXIT_OK
 
 
@@ -106,6 +96,10 @@ def cmd_genus(args):
     if args.even_row is not None and args.kind != "phi2":
         print("error: --even-row applies to --kind phi2 only",
               file=sys.stderr)
+        return EXIT_INPUT
+    if args.modfit and args.kind == "phi2":
+        print("error: --modfit applies to --kind W and Wc only; phi2 is a "
+              "series mod 2", file=sys.stderr)
         return EXIT_INPUT
     try:
         g = _load_instance(args.instance, args.q_order)
@@ -127,15 +121,14 @@ def cmd_genus(args):
         return EXIT_PRECONDITION
     doc = {
         "instance": _instance_dict(g),
-        "kind": "phi2" if rep.kind == "PHI_MOD2"
-                else ("Wc" if rep.kind.startswith("Wc") else "W"),
+        "kind": args.kind,
         "coeffs": _series_entries(rep.coeffs),
         "integral": rep.integral,
         "even_q_support": rep.even_q_support,
-        "conditions": _conditions_dict(condition_report(g)),
+        "conditions": dataclasses.asdict(condition_report(g)),
         "modular_fit": None,
     }
-    if args.modfit and isinstance(rep.coeffs, QSeries):
+    if args.modfit:
         # the complex dimension, less 1 for W_c in real dimension 4k+2
         weight = dims(g)[0] - (rep.kind == "Wc4k2")
         try:
@@ -226,20 +219,15 @@ def suite_modular(q_order):
     results = {}
     tilde = q_order // 2
     for weight in range(0, 26, 2):
-        basis = modforms.weight_basis(weight)
         ok = True
-        for i, _ in enumerate(basis):
-            mono = (modforms.eisenstein(4, tilde) ** basis[i][0]
-                    * modforms.eisenstein(6, tilde) ** basis[i][1])
-            lifted = [mono.coefficient(j // 2) if j % 2 == 0 else 0
-                      for j in range(q_order + 1)]
-            ft = modforms.fit(QSeries(lifted, q_order), weight)
+        for a, b in modforms.weight_basis(weight):
+            mono = (modforms.eisenstein(4, tilde) ** a
+                    * modforms.eisenstein(6, tilde) ** b)
+            ft = modforms.fit(modforms.lift(mono, q_order), weight)
             ok = ok and ft.ok and ft.solution is not None
         results[f"roundtrip_weight_{weight}"] = ok
-    e2 = modforms.eisenstein(2, tilde)
-    lifted = [e2.coefficient(j // 2) if j % 2 == 0 else 0
-              for j in range(q_order + 1)]
-    results["E2_rejected"] = not modforms.fit(QSeries(lifted, q_order), 2).ok
+    e2 = modforms.lift(modforms.eisenstein(2, tilde), q_order)
+    results["E2_rejected"] = not modforms.fit(e2, 2).ok
     results["theta_constant_E4"] = modforms.theta_constant_e4_check(
         max(tilde, 10))
     return results
@@ -281,7 +269,7 @@ def cmd_search(args):
         results = find_stringc(query, args.parity)
     for inst in results:
         doc = _instance_dict(inst.g)
-        doc["conditions"] = _conditions_dict(inst.report)
+        doc["conditions"] = dataclasses.asdict(inst.report)
         print(json.dumps(doc))
     return EXIT_OK
 
@@ -332,6 +320,8 @@ def build_parser():
 
 
 def run(argv=None):
+    if argv is None and hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     try:
         default_q_order()

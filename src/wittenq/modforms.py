@@ -30,6 +30,12 @@ def eisenstein(k, order):
     return QSeries(coeffs, order)
 
 
+def lift(tilde, q_order):
+    """Reindex a q-tilde series into q: q-tilde^j becomes q^(2j)."""
+    return QSeries([tilde.coefficient(j // 2) if j % 2 == 0 else 0
+                    for j in range(q_order + 1)], q_order)
+
+
 def weight_basis(weight):
     """Exponent pairs (a, b) with 4a + 6b = weight, sorted by descending a."""
     if weight < 0 or weight % 2:

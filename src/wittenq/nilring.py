@@ -14,13 +14,13 @@ numerators over one denominator per monomial and reduced once.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
-weights; subst_linear builds such polynomials directly and rank_pair_mul
-multiplies two of them through the integer coefficients of
-ell_a^k * ell_b^j on the cap grid plus a small table of series products,
-which is far cheaper than termwise ring multiplication.  Both read their
-weights from `_power_weights`; subst_linear is the case ell_b = 0.  A
-univariate series is handed to them, and to mul_univariate, as a
-sequence of QSeries by x-degree.
+weights.  rank_pair_mul builds a product f_a(ell_a) * f_b(ell_b) of two
+such polynomials through the integer coefficients of ell_a^k * ell_b^j
+on the cap grid (`_power_weights`) plus a small table of series
+products, which is far cheaper than termwise ring multiplication;
+subst_linear is its case f_b = 1, ell_b = 0.  A univariate series is
+handed to them, and to mul_univariate, as a sequence of QSeries by
+x-degree.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      NonUnitError, OrderMismatchError)
-from .qseries import QSeries, QSum, rat
+from .qseries import QSeries, QSum, power, rat
 
 
 class NilPoly:
@@ -200,17 +200,7 @@ class NilPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inv_unit() ** (-k)
-        result = NilPoly.one(self.caps, self.q_order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            if k > 1:
-                base = base * base
-            k >>= 1
-        return result
+        return power(self, k, NilPoly.one(self.caps, self.q_order))
 
     def inv_unit(self):
         """Inverse by the graded recursion; constant term must be a unit.
@@ -263,22 +253,11 @@ def subst_linear(f_coeffs, d, caps, q_order):
 
     f_coeffs is a sequence of QSeries indexed by x-degree and must reach
     total degree sum(caps); d is an integer vector of length s.  Each ring
-    monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|, so no
-    ring multiplications are needed.
+    monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|: the
+    rank_pair_mul product with the constant 1 at the zero form.
     """
-    caps = tuple(caps)
-    total = sum(caps)
-    if len(f_coeffs) - 1 < total:
-        raise InsufficientDegreeError(
-            f"series given to degree {len(f_coeffs) - 1}, need {total}")
-    if len(d) != len(caps):
-        raise ValueError("direction vector arity mismatch")
-    degrees = {k for k in range(total + 1) if not f_coeffs[k].is_zero()}
-    weights = _power_weights(caps, d, (0,) * len(caps), degrees, {0})
-    out = NilPoly(caps, q_order)
-    out.terms = {e: f_coeffs[k] * w
-                 for e, slot in weights.items() for k, w in slot.items()}
-    return out
+    one = [QSeries.one(q_order)] + [QSeries.zero(q_order)] * sum(caps)
+    return rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
 
 
 def _power_weights(caps, da, db, deg_a, deg_b):
@@ -337,6 +316,8 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     if len(fa_coeffs) - 1 < total or len(fb_coeffs) - 1 < total:
         raise InsufficientDegreeError("series not supplied to degree "
                                       f"{total}")
+    if len(da) != len(caps) or len(db) != len(caps):
+        raise ValueError("direction vector arity mismatch")
     deg_a = {k for k in range(total + 1) if not fa_coeffs[k].is_zero()}
     deg_b = {k for k in range(total + 1) if not fb_coeffs[k].is_zero()}
     table = {}

@@ -11,7 +11,8 @@ coefficient product is an int product.
 
 `QSum` is the one q-convolution of the package: it accumulates integer
 multiples of series and of products of series into one numerator list
-and reduces once when read out.  `coeffs` and `coefficient` are the
+and reduces once when read out.  `power` is the one repeated-squaring
+loop, for QSeries and NilPoly alike.  `coeffs` and `coefficient` are the
 rational view, always stdlib `Fraction`, the package's one rational type;
 arithmetic never goes through them.
 """
@@ -28,6 +29,21 @@ def rat(v):
     if isinstance(v, float):
         raise TypeError("floating point coefficients are not allowed")
     return Fraction(v)
+
+
+def power(base, k, one):
+    """base ** k by repeated squaring, `one` being the unit of base's ring;
+    a negative k raises the inverse, base.inv_unit(), to -k."""
+    if k < 0:
+        base, k = base.inv_unit(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 class QSum:
@@ -220,16 +236,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inv_unit() ** (-k)
-        result = QSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, QSeries.one(self.order))
 
     def inv_unit(self):
         """Multiplicative inverse; requires a nonzero constant term.

@@ -84,51 +84,43 @@ def _emit(q: SearchQuery, n, D, C, check):
     return FoundInstance(g, condition_report(g))
 
 
-def find_string(q: SearchQuery):
-    """All canonical string instances within bounds (n derived from columns)."""
+def _find(q: SearchQuery, coef, residue, check):
+    """Canonical instances with n_b + 1 = sum_a d_ab^2 + coef * c_b^2 that
+    pass the off-diagonal equations and `check`.  coef 0 is the string
+    case, with C = None; otherwise C runs over [-c_max, c_max]^s and the
+    real dimension must be residue mod 4."""
     found = {}
     for s in range(1, q.s_max + 1):
+        cvals = range(-q.c_max, q.c_max + 1)
+        cvecs = list(itertools.product(cvals, repeat=s)) if coef else [None]
         for t in range(1, q.t_max + 1):
             for D in _row_multisets(q, s, t):
-                n = [sum(row[b] ** 2 for row in D) - 1 for b in range(s)]
-                if any(v < 1 for v in n) or sum(n) < t:
-                    continue
-                if any(dot for _, _, dot in _gram_offdiag(D)):
-                    continue
-                inst = _emit(q, n, D, None, is_string)
-                if inst is not None:
-                    found.setdefault(inst.key(), inst)
+                base = [sum(row[b] ** 2 for row in D) - 1 for b in range(s)]
+                offdiag = _gram_offdiag(D)
+                for C in cvecs:
+                    c = C or (0,) * s
+                    n = [v + coef * cb ** 2 for v, cb in zip(base, c)]
+                    if any(v < 1 for v in n) or sum(n) < t:
+                        continue
+                    if coef and (sum(n) - t) * 2 % 4 != residue:
+                        continue
+                    if any(dot + coef * c[b] * c[e] for b, e, dot in offdiag):
+                        continue
+                    inst = _emit(q, n, D, C, check)
+                    if inst is not None:
+                        found.setdefault(inst.key(), inst)
     return [found[k] for k in sorted(found)]
+
+
+def find_string(q: SearchQuery):
+    """All canonical string instances within bounds (n derived from columns)."""
+    return _find(q, 0, None, is_string)
 
 
 def find_stringc(q: SearchQuery, parity):
     """Canonical string^c instances; parity selects the dim 4k or 4k+2 branch."""
     if parity not in ("dim4k", "dim4k2"):
         raise ValueError("parity must be 'dim4k' or 'dim4k2'")
-    coef = 3 if parity == "dim4k" else 1
-    residue = 0 if parity == "dim4k" else 2
-    found = {}
-    for s in range(1, q.s_max + 1):
-        cvals = list(range(-q.c_max, q.c_max + 1))
-        for t in range(1, q.t_max + 1):
-            for D in _row_multisets(q, s, t):
-                offdiag = _gram_offdiag(D)
-                for C in itertools.product(cvals, repeat=s):
-                    n = [sum(row[b] ** 2 for row in D) + coef * C[b] ** 2 - 1
-                         for b in range(s)]
-                    if any(v < 1 for v in n) or sum(n) < t:
-                        continue
-                    if (sum(n) - t) * 2 % 4 != residue:
-                        continue
-                    if any(dot + coef * C[b] * C[c]
-                           for b, c, dot in offdiag):
-                        continue
-
-                    def check(g):
-                        return (is_stringc(g)
-                                and stringc_coefficient(g) == coef)
-
-                    inst = _emit(q, n, D, C, check)
-                    if inst is not None:
-                        found.setdefault(inst.key(), inst)
-    return [found[k] for k in sorted(found)]
+    coef, residue = (3, 0) if parity == "dim4k" else (1, 2)
+    return _find(q, coef, residue,
+                 lambda g: is_stringc(g) and stringc_coefficient(g) == coef)

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, QSum, rat
+from .qseries import QSeries, QSum
 
 
 class ThetaKind(enum.Enum):
@@ -54,28 +54,20 @@ def _x_series(coeffs, q_order):
     return NilPoly.from_univariate(coeffs, 0, (len(coeffs) - 1,), q_order)
 
 
-def exp_x(lam, x_order, q_order):
-    """e^(lam*x) with exact rational lam."""
-    lam = rat(lam)
-    out = []
-    term = Fraction(1)
-    for k in range(x_order + 1):
-        out.append(QSeries.constant(term, q_order))
-        term = term * lam / (k + 1)
-    return _x_series(out, q_order)
-
-
 def two_sinh_half(x_order, q_order):
-    """2*sinh(x/2) = e^(x/2) - e^(-x/2)."""
-    half = Fraction(1, 2)
-    return exp_x(half, x_order, q_order) - exp_x(-half, x_order, q_order)
+    """2*sinh(x/2) = e^(x/2) - e^(-x/2): 2/(2^k k!) at odd k, 0 at even k."""
+    return _x_series([QSeries.constant(Fraction(2 * (k % 2),
+                                                2 ** k * math.factorial(k)),
+                                       q_order)
+                      for k in range(x_order + 1)], q_order)
 
 
 def cosh_half(x_order, q_order):
-    """cosh(x/2)."""
-    half = Fraction(1, 2)
-    s = exp_x(half, x_order, q_order) + exp_x(-half, x_order, q_order)
-    return s * half
+    """cosh(x/2): 1/(2^k k!) at even k, 0 at odd k."""
+    return _x_series([QSeries.constant(Fraction(1 - k % 2,
+                                                2 ** k * math.factorial(k)),
+                                       q_order)
+                      for k in range(x_order + 1)], q_order)
 
 
 def _one_pm_q(sign, q_exp, q_order):

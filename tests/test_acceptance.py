@@ -16,7 +16,6 @@ from wittenq.bundles import lemma42_check
 from wittenq.cli import vanishing_cases
 from wittenq.gci import GCIData
 from wittenq.genera import dim4_closed_form, mod2_witten, wc_genus, witten_genus
-from wittenq.qseries import QSeries
 from wittenq.search import SearchQuery
 
 
@@ -130,14 +129,10 @@ def test_criterion_13_modular_fitter():
         for a, b in modforms.weight_basis(weight):
             mono = (modforms.eisenstein(4, tilde) ** a
                     * modforms.eisenstein(6, tilde) ** b)
-            lifted = [mono.coefficient(j // 2) if j % 2 == 0 else 0
-                      for j in range(q_order + 1)]
-            ft = modforms.fit(QSeries(lifted, q_order), weight)
+            ft = modforms.fit(modforms.lift(mono, q_order), weight)
             ok = ok and ft.ok
-    e2 = modforms.eisenstein(2, tilde)
-    lifted = [e2.coefficient(j // 2) if j % 2 == 0 else 0
-              for j in range(q_order + 1)]
-    ok = ok and not modforms.fit(QSeries(lifted, q_order), 2).ok
+    e2 = modforms.lift(modforms.eisenstein(2, tilde), q_order)
+    ok = ok and not modforms.fit(e2, 2).ok
     ok = ok and modforms.theta_constant_e4_check(10)
     _report(13, "fitter round-trips weights <= 24, rejects E2, "
                 "theta-null E4 identity to q~-order 10", ok)

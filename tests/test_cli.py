@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -94,6 +95,16 @@ def test_genus_modfit_wc_in_dim_4k_plus_2(tmp_path, capsys):
     assert all(e["value"] == "0" for e in doc["coeffs"])
     assert doc["modular_fit"]["ok"] is True
     assert doc["modular_fit"]["weight"] == 2
+
+
+def test_modfit_refused_for_phi2(tmp_path, capsys):
+    # phi2 is a series mod 2, which has no modular-form fit
+    path = _write(tmp_path, "m2.json", {"n": [7], "D": [[2], [2]]})
+    assert run(["genus", path, "--kind", "phi2", "--q-order", "4",
+                "--modfit"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--modfit" in captured.err
 
 
 def test_genus_precondition_exit(tmp_path, capsys):
@@ -261,13 +272,34 @@ def test_version_names_scalar_backend(capsys, backend):
         "fractions.Fraction"
 
 
-def test_python_dash_m_runs_the_cli():
+def _subprocess_env():
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "wittenq", "--version"],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+                          capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "wittenq 0.1.0\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_pipe_ends_quietly_by_sigpipe():
+    # about 190 kB of JSON lines, more than a pipe and a write buffer hold,
+    # so the writer is still writing when the reader goes away
+    with subprocess.Popen(
+            [sys.executable, "-m", "wittenq", "search", "--parity", "dim4k",
+             "--cmax", "3", "--q-order", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+            env=_subprocess_env()) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE, err
+    assert json.loads(line)["conditions"]["stringc"]
+    assert "Traceback" not in err

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from wittenq.modforms import (eisenstein, fit, sigma, theta_constant_e4_check,
-                              weight_basis)
+from wittenq.modforms import (eisenstein, fit, lift, sigma,
+                              theta_constant_e4_check, weight_basis)
 from wittenq.qseries import QSeries
 
 
@@ -68,12 +68,6 @@ def test_weight_basis_dimensions():
         weight_basis(5)
 
 
-def _lift(tilde_series, q_order):
-    """Reindex a q-tilde series into q (even exponents only)."""
-    return QSeries([tilde_series.coefficient(j // 2) if j % 2 == 0 else 0
-                    for j in range(q_order + 1)], q_order)
-
-
 def test_fit_roundtrip_random_combinations():
     rng = random.Random(99)
     q_order = 20
@@ -86,14 +80,14 @@ def test_fit_roundtrip_random_combinations():
         for (a, b), c in zip(basis, coeffs):
             synth = synth + (eisenstein(4, tilde) ** a
                              * eisenstein(6, tilde) ** b) * c
-        ft = fit(_lift(synth, q_order), weight)
+        ft = fit(lift(synth, q_order), weight)
         assert ft.ok
         assert [Fraction(str(v)) for v in ft.solution] == coeffs
 
 
 def test_fit_rejects_e2():
     q_order = 20
-    e2 = _lift(eisenstein(2, q_order // 2), q_order)
+    e2 = lift(eisenstein(2, q_order // 2), q_order)
     ft = fit(e2, 2)
     assert not ft.ok
     assert ft.failure_exponent is not None
@@ -106,7 +100,7 @@ def test_fit_rejects_odd_support():
 
 def test_fit_detects_wrong_weight():
     q_order = 20
-    e4 = _lift(eisenstein(4, q_order // 2), q_order)
+    e4 = lift(eisenstein(4, q_order // 2), q_order)
     # weight 8 basis is [(2, 0)] alone and E4 != E4^2, so the fit must fail
     ft = fit(e4, 8)
     assert not ft.ok

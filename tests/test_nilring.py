@@ -137,6 +137,18 @@ def test_linear_weights_multinomial():
     assert subst_linear(ones[:3], [0], (2,), 0) == NilPoly.one((2,), 0)
 
 
+@pytest.mark.parametrize("bad", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_rank_pair_mul_refuses_direction_of_wrong_arity(bad):
+    caps, qo = (2, 2), 1
+    f = [QSeries.one(qo)] * 5
+    with pytest.raises(ValueError):
+        rank_pair_mul(f, bad, f, (1, 1), caps, qo)
+    with pytest.raises(ValueError):
+        rank_pair_mul(f, (1, 1), f, bad, caps, qo)
+    with pytest.raises(ValueError):
+        subst_linear(f, bad, caps, qo)
+
+
 def test_rank_pair_mul_matches_naive_product():
     rng = random.Random(55)
     for trial in range(16):

@@ -1,6 +1,9 @@
 """Tests for the exhaustive instance search."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -135,3 +138,20 @@ def test_offdiag_prefilter_keeps_results(monkeypatch, query):
     # the signed queries must exercise the off-diagonal branch at all
     if not query.positive:
         assert any(len(key[0]) > 1 for key, _ in filtered)
+
+
+def test_default_catalog_is_pinned():
+    """The default query's three catalogs, their keys and condition
+    reports, against a recorded digest: any instance gained, lost or
+    reported differently changes it."""
+    q = SearchQuery()
+    runs = [find_string(q), find_stringc(q, "dim4k"),
+            find_stringc(q, "dim4k2")]
+    assert [len(r) for r in runs] == [65, 271, 174]
+    h = hashlib.sha256()
+    for r in runs:
+        for inst in sorted(r, key=FoundInstance.key):
+            doc = [inst.key(), dataclasses.asdict(inst.report)]
+            h.update(json.dumps(doc).encode() + b"\n")
+    assert h.hexdigest() == ("c6cff203fadae62a5ad9bc18ef937f5f"
+                             "a052d0a8f66c4d16d6cff6bfc042421e")

@@ -46,14 +46,6 @@ def test_uniseries_inv_and_scale():
     assert s.coeffs[1] == QSeries.constant(3, 4)
 
 
-def test_exp_x_taylor_coefficients():
-    e = theta.exp_x(1, 6, 0)
-    for k in range(7):
-        assert _frac(e.coeffs[k], 0) == Fraction(1, math.factorial(k))
-    half = theta.exp_x("1/2", 4, 0)
-    assert _frac(half.coeffs[2], 0) == Fraction(1, 8)
-
-
 def test_sinh_cosh_parity_and_leading_terms():
     s = theta.two_sinh_half(7, 2)
     c = theta.cosh_half(6, 2)
