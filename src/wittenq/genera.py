@@ -26,11 +26,12 @@ fold into one univariate factor y^r_u * exp(sum_k p_(u,k) L_k y^k) in
 y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
 number of linear prefactors on u; the integers m of those prefactors
 multiply the residue.  `theta.direction_series` builds each such factor
-from the (kind, coef, m) of its forms.  The factor of an axis x_b enters
-as a one-axis convolution, the others are paired by `rank_pair_mul` (or
-placed by `subst_linear`) and the last piece is contracted against the
-rest with `top_product`.  Nothing on this route is cached but
-`theta.log_coeffs`.
+from the (kind, coef, m) of its forms.  The off-axis factors are paired
+by `rank_pair_mul` (or placed by `subst_linear`).  With at most one such
+piece the axis factors are contracted against it directly; otherwise the
+factor of an axis x_b enters as a one-axis convolution and the last
+piece is contracted against the rest with `top_product` (see
+`_residue`).  Nothing on this route is cached but `theta.log_coeffs`.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
@@ -48,7 +49,7 @@ from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
 from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
-from .qseries import QSeries, Q2Series
+from .qseries import QSeries, QSum, Q2Series
 from .theta import ThetaKind
 
 
@@ -136,10 +137,14 @@ def _residue(g: GCIData, axes, specs):
     """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i), every
     factor a sequence of QSeries by x-degree.
 
-    The linear-form factors are combined pairwise with rank_pair_mul, the
-    axis factors enter as one-axis convolutions, and the last piece is
-    contracted against the rest instead of fully multiplied, so general
-    ring products are needed only beyond four linear forms.
+    The linear-form factors are combined pairwise with rank_pair_mul, an
+    odd one out by subst_linear.  With at most one such piece P the axis
+    factors A_b are contracted, not multiplied in:
+    top(P * prod_b A_b(x_b)) = sum_e P[e] * prod_b A_b[cap_b - e_b],
+    summed out one axis at a time, the last first; with no piece it is
+    prod_b A_b[cap_b].  With more pieces the axis factors enter the first
+    as one-axis convolutions, the middle ones are general ring products,
+    and the last is contracted against the rest with top_product.
     """
     caps, qo = g.n, g.q_order
     pieces = [rank_pair_mul(specs[i][0], specs[i][1],
@@ -148,14 +153,21 @@ def _residue(g: GCIData, axes, specs):
     if len(specs) % 2:
         f, d = specs[-1]
         pieces.append(subst_linear(f, d, caps, qo))
-    acc = pieces[0] if pieces else NilPoly.one(caps, qo)
+    if len(pieces) <= 1:
+        level = pieces[0].terms if pieces else {(0,) * g.s: QSeries.one(qo)}
+        for b in reversed(range(g.s)):
+            sums = {}
+            for e, c in level.items():
+                sums.setdefault(e[:b], QSum(qo)).add_product(
+                    c, axes[b][caps[b] - e[b]])
+            level = {e: s.series() for e, s in sums.items()}
+        return level.get((), QSeries.zero(qo))
+    acc = pieces[0]
     for b, f in enumerate(axes):
         acc = mul_univariate(acc, f, b)
     for p in pieces[1:-1]:
         acc = acc * p
-    if len(pieces) >= 2:
-        return acc.top_product(pieces[-1])
-    return acc.top_coeff()
+    return acc.top_product(pieces[-1])
 
 
 def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,

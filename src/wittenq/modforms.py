@@ -36,6 +36,13 @@ def lift(tilde, q_order):
                     for j in range(q_order + 1)], q_order)
 
 
+def restrict(series, tilde_order):
+    """The inverse of `lift`: q^(2j) becomes q-tilde^j, up to
+    q-tilde^tilde_order; odd powers of q are dropped."""
+    return QSeries([series.coefficient(2 * j) for j in range(tilde_order + 1)],
+                   tilde_order)
+
+
 def weight_basis(weight):
     """Exponent pairs (a, b) with 4a + 6b = weight, sorted by descending a."""
     if weight < 0 or weight % 2:
@@ -84,8 +91,7 @@ def fit(series: QSeries, weight):
         if k % 2 and c:
             raise ValueError(f"odd q-exponent {k} present; not a level-1 form")
     n_tilde = series.order // 2
-    target = QSeries([series.coefficient(2 * j) for j in range(n_tilde + 1)],
-                     n_tilde)
+    target = restrict(series, n_tilde)
     basis = weight_basis(weight)
     if not basis:
         # the space is zero-dimensional; only the zero series fits
@@ -146,6 +152,4 @@ def theta_constant_e4_check(order, exponent=8):
         * Fraction(1, 2)
     if not total.even_q_support():
         return False
-    tilde = QSeries([total.coefficient(2 * j) for j in range(order + 1)],
-                    order)
-    return tilde == eisenstein(4, order)
+    return restrict(total, order) == eisenstein(4, order)

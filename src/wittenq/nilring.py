@@ -8,23 +8,27 @@ with cap N is a power series in x truncated after x^N (the theta and
 bundle factors), or an exact polynomial of degree <= N (the products of
 Lambda pairs in w = y + 1/y - 2 of the cancellation lemma).
 
-Every product of coefficients accumulates through `qseries.QSum`, the
-package's one q-convolution: a product's terms are summed as int
-numerators over one denominator per monomial and reduced once.
+The general product, top_product and inv_unit accumulate each monomial
+in a `qseries.QSum`: int numerators over one denominator, reduced once.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
 weights.  rank_pair_mul builds a product f_a(ell_a) * f_b(ell_b) of two
-such polynomials through the integer coefficients of ell_a^k * ell_b^j
-on the cap grid (`_power_weights`) plus a small table of series
-products, which is far cheaper than termwise ring multiplication;
-subst_linear is its case f_b = 1, ell_b = 0.  A univariate series is
-handed to them, and to mul_univariate, as a sequence of QSeries by
+such polynomials from the integer coefficients of ell_a^i * ell_b^j on
+the cap grid, one recurrence that peels off one linear factor per step,
+and one table of series products per total degree, which is far cheaper
+than termwise ring multiplication; subst_linear is its case f_b = 1,
+ell_b = 0.  mul_univariate multiplies by a series in one generator.
+Both put their terms over one denominator once (mul_univariate per
+operand, rank_pair_mul per total degree) and run their inner sums as int
+dot products, so every output monomial costs one reduction.
+A univariate series is handed to them as a sequence of QSeries by
 x-degree.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
@@ -195,7 +199,12 @@ class NilPoly:
                 if slot is None:
                     slot = acc[e] = QSum(qo)
                 slot.add_product(ca, cb)
-        return _from_sums(caps, qo, acc)
+        out = NilPoly(caps, qo)
+        for e, slot in acc.items():
+            c = slot.series()
+            if not c.is_zero():
+                out.terms[e] = c
+        return out
 
     __rmul__ = __mul__
 
@@ -260,56 +269,33 @@ def subst_linear(f_coeffs, d, caps, q_order):
     return rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
 
 
-def _power_weights(caps, da, db, deg_a, deg_b):
-    """Integer coefficients of ell_a^i * ell_b^j on the cap grid.
-
-    Returns {E: {i: [x^E] ell_a^i ell_b^(|E|-i)}} over i in deg_a and
-    j = |E| - i in deg_b, zero weights dropped.  Each power is the
-    previous one times ell_a or ell_b, a homogeneous polynomial held by
-    flat grid index.
-    """
-    cells = list(itertools.product(*[range(c + 1) for c in caps]))
-    index = {e: k for k, e in enumerate(cells)}
-
-    def moves(d):
-        # (d_b, the cell one step up axis b, or None at the cap) per d_b != 0
-        return [(coef, [index.get(e[:b] + (e[b] + 1,) + e[b + 1:])
-                        for e in cells])
-                for b, coef in enumerate(d) if coef]
-
-    def times(poly, steps):
-        out = {}
-        for k, v in poly.items():
-            for coef, up in steps:
-                t = up[k]
-                if t is not None:
-                    out[t] = out.get(t, 0) + coef * v
-        return {k: v for k, v in out.items() if v}
-
-    up_a, up_b = moves(da), moves(db)
-    weights = {}
-    row = {0: 1}  # ell_a^i; cell 0 is the zero exponent
-    for i in range(max(deg_a, default=-1) + 1):
-        poly = row if i in deg_a else {}
-        for j in range(max(deg_b, default=-1) + 1):
-            if not poly:
-                break
-            if j in deg_b:
-                for k, v in poly.items():
-                    weights.setdefault(cells[k], {})[i] = v
-            poly = times(poly, up_b)
-        row = times(row, up_a)
-    return weights
+def _over_one_den(series):
+    """The int numerator lists of QSeries (or QSums) over their lcm
+    denominator, and that denominator."""
+    den = math.lcm(*(c.den for c in series))
+    return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
+            for c in series], den
 
 
 def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     """NilPoly product f_a(ell_a) * f_b(ell_b) using the separable structure.
 
     fa_coeffs and fb_coeffs are sequences of QSeries by x-degree.  The
-    product coefficient at x^E is sum_k W_E[k] * f_a[k] * f_b[|E|-k]
-    with the integers W_E[k] = [x^E] ell_a^k ell_b^(|E|-k); the series
-    products are drawn from a small memo table instead of being
-    recomputed per monomial.
+    coefficient at x^E, |E| = K, is sum_i W_E[i] * f_a[i] * f_b[K-i] with
+    the integers W_E[i] = [x^E] ell_a^i ell_b^(K-i), from one recurrence
+    over the cap grid that peels off one linear factor:
+
+        W_E[i] = sum_b a_b * W_(E-e_b)[i-1]  (i > 0),
+        W_E[0] = sum_b b_b * W_(E-e_b)[0],   W_0 = [1],
+
+    with a = ell_a and b = ell_b.  A cell keeps only the window of i that
+    it and its successors read, K - max deg f_b <= i <= min(K, max deg f_a).
+    The cells are built in lexicographic order, and a cell's vector is
+    dropped once its last successor is built.  Per K the nonzero products
+    f_a[i] * f_b[K-i] (f_a[i] itself where f_b[K-i] is 1) are put over one
+    denominator and stored as one int row per q-degree, so a cell's
+    numerators are the dot products of its weights at those i with the
+    rows, reduced once.
     """
     caps = tuple(caps)
     total = sum(caps)
@@ -318,19 +304,52 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
                                       f"{total}")
     if len(da) != len(caps) or len(db) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    deg_a = {k for k in range(total + 1) if not fa_coeffs[k].is_zero()}
-    deg_b = {k for k in range(total + 1) if not fb_coeffs[k].is_zero()}
-    table = {}
-    acc = {}
-    for E, slot in _power_weights(caps, da, db, deg_a, deg_b).items():
-        kE = sum(E)
-        s = acc[E] = QSum(q_order)
-        for k, v in slot.items():
-            prod = table.get((k, kE))
-            if prod is None:
-                prod = table[k, kE] = fa_coeffs[k] * fb_coeffs[kE - k]
-            s.add(prod, v)
-    return _from_sums(caps, q_order, acc)
+    fa, fb = fa_coeffs[:total + 1], fb_coeffs[:total + 1]
+    nz_a = [not c.is_zero() for c in fa]
+    nz_b = [not c.is_zero() for c in fb]
+    top_a = max(itertools.compress(range(total + 1), nz_a), default=-1)
+    top_b = max(itertools.compress(range(total + 1), nz_b), default=-1)
+    tables = []  # per K: (mask of the nonzero products, rows, denominator)
+    for K in range(total + 1):
+        window = range(max(0, K - top_b), min(K, top_a) + 1)
+        mask = [nz_a[i] and nz_b[K - i] for i in window]
+        nums, den = _over_one_den([
+            fa[i] if fb[K - i].is_one()
+            else QSum(q_order).add_product(fa[i], fb[K - i])
+            for i in itertools.compress(window, mask)])
+        rows = list(zip(*nums))
+        tables.append((mask, rows, den) if any(map(any, rows)) else None)
+    strides = [math.prod(c + 1 for c in caps[b + 1:])
+               for b in range(len(caps))]
+    steps_a = [(b, st, c) for b, (st, c) in enumerate(zip(strides, da)) if c]
+    steps_b = [(b, st, c) for b, (st, c) in enumerate(zip(strides, db)) if c]
+    out = NilPoly(caps, q_order)
+    W = [None] * (strides[0] * (caps[0] + 1))
+    for idx, E in enumerate(itertools.product(*[range(c + 1) for c in caps])):
+        K = sum(E)
+        lo, hi = max(0, K - top_b), min(K, top_a)
+        if lo > hi:
+            continue
+        if idx:
+            vec = [0] * (hi - max(lo, 1) + 1)
+            for b, st, c in steps_a:
+                if E[b]:
+                    vec = [x + c * y for x, y in zip(vec, W[idx - st])]
+            if not lo:
+                vec.insert(0, sum(c * W[idx - st][0]
+                                  for b, st, c in steps_b if E[b]))
+            if E[0]:  # E is the last successor of E - e_0 to be built
+                W[idx - strides[0]] = None
+        else:
+            vec = [1]
+        W[idx] = vec
+        if tables[K]:
+            mask, rows, den = tables[K]
+            v = list(itertools.compress(vec, mask))
+            num = [sum(map(operator.mul, v, row)) for row in rows]
+            if any(num):
+                out.terms[E] = QSeries._make(num, den, q_order)
+    return out
 
 
 def mul_univariate(poly, coeffs, index):
@@ -338,31 +357,48 @@ def mul_univariate(poly, coeffs, index):
     sequence of QSeries by x-degree.
 
     A one-axis convolution: much cheaper than a general product when the
-    other factor only involves a single generator.
+    other factor only involves a single generator.  The poly and the
+    factor are each brought to one denominator once.  Along a line of
+    cells a_m (m the x_index-degree) the q^t numerator at degree n is
+    sum_(i+j=t) sum_k a_(n-k)[i] * coeffs[k][j]: one int dot product per
+    pair of nonzero q-degrees (i, j).  When the factor's nonzero degrees
+    lie in k0 + gZ (g = 2 for an even or odd theta factor), k runs over
+    that progression only, and n only over m + k0 + gZ from the lowest
+    occupied m of each class mod g: every other output is zero.  Each
+    output monomial is reduced once.
     """
     caps, qo = poly.caps, poly.q_order
     cap = caps[index]
-    nonzero = [(k, uk) for k, uk in enumerate(coeffs[:cap + 1])
-               if not uk.is_zero()]
-    acc = {}
-    for e, c in poly.terms.items():
-        head, base, tail = e[:index], e[index], e[index + 1:]
-        for k, uk in nonzero:
-            if base + k > cap:
-                break
-            e2 = head + (base + k,) + tail
-            slot = acc.get(e2)
-            if slot is None:
-                slot = acc[e2] = QSum(qo)
-            slot.add_product(c, uk)
-    return _from_sums(caps, qo, acc)
-
-
-def _from_sums(caps, q_order, sums):
-    """The NilPoly whose monomial e carries sums[e].series(), zeros dropped."""
-    out = NilPoly(caps, q_order)
-    for e, s in sums.items():
-        c = s.series()
-        if not c.is_zero():
-            out.terms[e] = c
+    out = NilPoly(caps, qo)
+    factor, den_f = _over_one_den(coeffs[:cap + 1])
+    ks = [k for k, u in enumerate(factor) if any(u)]
+    if not ks:
+        return out
+    k0 = ks[0]
+    g = math.gcd(*(k - k0 for k in ks)) or 1
+    fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
+    nums, den_p = _over_one_den(poly.terms.values())
+    lines = {}
+    for e, a in zip(poly.terms, nums):
+        lines.setdefault(e[:index] + e[index + 1:], {})[e[index]] = a
+    zeros = [0] * (qo + 1)
+    for rest, line in lines.items():
+        # acol[cap - m] is the q^i numerator of a_m
+        grid = [line.get(m, zeros) for m in range(cap, -1, -1)]
+        acols = [(i, acol) for i, acol in enumerate(zip(*grid)) if any(acol)]
+        # n reaches only the classes mod g of the occupied m, from the
+        # lowest occupied m of each class up
+        starts = {m % g: m for m in sorted(line, reverse=True)}.values()
+        for n in itertools.chain(*[range(m + k0, cap + 1, g)
+                                   for m in starts]):
+            num = [0] * (qo + 1)
+            for i, acol in acols:
+                acol = acol[cap - n + k0::g]
+                for j, fcol in fcols:
+                    if i + j > qo:
+                        break
+                    num[i + j] += sum(map(operator.mul, fcol, acol))
+            if any(num):
+                out.terms[rest[:index] + (n,) + rest[index:]] = \
+                    QSeries._make(num, den_p * den_f, qo)
     return out

@@ -9,12 +9,14 @@ genera have integral Fourier expansions whose only denominators come from
 Bernoulli numbers and x-factorials, so the numerators stay small and every
 coefficient product is an int product.
 
-`QSum` is the one q-convolution of the package: it accumulates integer
+`QSum` is the package's q-convolution of series: it accumulates integer
 multiples of series and of products of series into one numerator list
-and reduces once when read out.  `power` is the one repeated-squaring
-loop, for QSeries and NilPoly alike.  `coeffs` and `coefficient` are the
-rational view, always stdlib `Fraction`, the package's one rational type;
-arithmetic never goes through them.
+and reduces once when read out.  (The linear-form products of `nilring`
+run their inner sums as int dot products on numerator lists.)  `power`
+is the one repeated-squaring loop, for QSeries and NilPoly alike.
+`coeffs` and `coefficient` are the rational view, always stdlib
+`Fraction`, the package's one rational type; arithmetic never goes
+through them.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ class QSum:
                 out[i] += s * ai
 
     def add_product(self, a, b, w=1):
-        """self += w * a * b, truncated at the order."""
+        """self += w * a * b, truncated at the order; returns self."""
         s = w * self._scale(a.den * b.den)
         out, B = self.num, b.num
         n = len(out)
@@ -93,6 +95,7 @@ class QSum:
                     bj = B[j]
                     if bj:
                         out[i + j] += ai * bj
+        return self
 
     def series(self, divisor=1):
         """The sum divided by the positive integer `divisor`, as a QSeries."""

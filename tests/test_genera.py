@@ -10,7 +10,9 @@ from wittenq.errors import DimensionError, NonIntegralError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             sigma1_series, wc_genus, witten_genus)
+from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries
+from wittenq.theta import ThetaKind, direction_series
 
 
 def _frac(qs, k):
@@ -126,6 +128,48 @@ def test_mod2_gates():
         mod2_witten(GCIData([7], [[2], [2]]), even_row=5)
     with pytest.raises(ValueError):  # row 2 has an odd degree
         mod2_witten(GCIData([8], [[2], [2], [1]]), even_row=2)
+
+
+@pytest.mark.parametrize("caps", [(4,), (3, 5), (2, 2, 3)],
+                         ids=["s1", "s2", "s3"])
+@pytest.mark.parametrize("n_specs", [0, 1, 2])
+def test_residue_contraction_matches_full_product(caps, n_specs):
+    # with at most one linear-form piece, _residue contracts the axis
+    # factors; the oracle multiplies the whole integrand out
+    qo, s, th = 4, len(caps), ThetaKind.THETA
+    g = GCIData(list(caps), [], q_order=qo)
+    # factors of the parities that leave the residue nonzero
+    axes = [direction_series([(th, cap + 1 + b, 1)], cap % 2, cap, qo).coeffs
+            for b, cap in enumerate(caps)]
+    total = sum(caps)
+    specs = [(direction_series([(th, 1, 1), (th, -1, 2)], 0, total,
+                               qo).coeffs, (1, -2, 1)[:s]),
+             (direction_series([(ThetaKind.THETA1, 1, 1)], 0, total,
+                               qo).coeffs, (2, 1, 0)[:s])][:n_specs]
+
+    def full_product(axes, specs):
+        prod = NilPoly.one(caps, qo)
+        for b, f in enumerate(axes):
+            prod = prod * NilPoly.from_univariate(f, b, caps, qo)
+        for f, d in specs:
+            ell = sum((NilPoly.generator(caps, b, qo) * db
+                       for b, db in enumerate(d)), NilPoly.zero(caps, qo))
+            at = NilPoly.zero(caps, qo)
+            for k in range(total, -1, -1):
+                at = at * ell + NilPoly.constant(caps, f[k])
+            prod = prod * at
+        return prod.top_coeff()
+
+    got = genera._residue(g, axes, specs)
+    assert got == full_product(axes, specs)
+    assert not got.is_zero()
+    # one zero factor, on an axis or on a linear form, kills the residue
+    zero_axis = [QSeries.zero(qo)] * (caps[0] + 1)
+    assert genera._residue(g, [zero_axis] + axes[1:], specs).is_zero()
+    if specs:
+        zero_spec = [QSeries.zero(qo)] * (total + 1)
+        assert genera._residue(g, axes, [(zero_spec, specs[0][1])]
+                               + specs[1:]).is_zero()
 
 
 def test_route_equivalence():

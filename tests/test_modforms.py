@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenq.modforms import (eisenstein, fit, lift, sigma,
+from wittenq.modforms import (eisenstein, fit, lift, restrict, sigma,
                               theta_constant_e4_check, weight_basis)
 from wittenq.qseries import QSeries
 
@@ -83,6 +83,19 @@ def test_fit_roundtrip_random_combinations():
         ft = fit(lift(synth, q_order), weight)
         assert ft.ok
         assert [Fraction(str(v)) for v in ft.solution] == coeffs
+
+
+def test_restrict_inverts_lift():
+    rng = random.Random(7)
+    for tilde_order in (0, 1, 5, 10):
+        tilde = QSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(tilde_order + 1)], tilde_order)
+        for q_order in (2 * tilde_order, 2 * tilde_order + 1):
+            lifted = lift(tilde, q_order)
+            assert restrict(lifted, tilde_order) == tilde
+            assert lift(restrict(lifted, tilde_order), q_order) == lifted
+    # odd powers of q are dropped, and a short series reads as zero beyond
+    assert restrict(QSeries([1, 2, 3, 4], 3), 2) == QSeries([1, 3, 0], 2)
 
 
 def test_fit_rejects_e2():

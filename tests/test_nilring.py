@@ -12,6 +12,7 @@ from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
 from wittenq.nilring import (NilPoly, mul_univariate, rank_pair_mul,
                              subst_linear)
 from wittenq.qseries import QSeries
+from wittenq.theta import ThetaKind, direction_series
 
 
 def _random_poly(rng, caps, q_order, density=0.6):
@@ -182,6 +183,64 @@ def test_mul_univariate_matches_naive_product():
         got = mul_univariate(poly, u, idx)
         expect = poly * NilPoly.from_univariate(u, idx, caps, qo)
         assert got == expect
+
+
+def _at_form(f, d, caps, qo):
+    """f(sum_b d_b x_b) by Horner's rule in the ring: the naive oracle."""
+    ell = NilPoly.zero(caps, qo)
+    for b, db in enumerate(d):
+        ell = ell + NilPoly.generator(caps, b, qo) * db
+    out = NilPoly.zero(caps, qo)
+    for k in range(sum(caps), -1, -1):
+        out = out * ell + NilPoly.constant(caps, f[k])
+    return out
+
+
+def _theta_factors(x_order, qo):
+    """Real integrand factors: zero odd (or even) x-degrees, Bernoulli
+    denominators, and the constant 1."""
+    th, th1 = ThetaKind.THETA, ThetaKind.THETA1
+    one = [QSeries.one(qo)] + [QSeries.zero(qo)] * x_order
+    return {
+        "phi": direction_series([(th, -1, 1)], 1, x_order, qo).coeffs,
+        "phi_pair": direction_series([(th, -1, 1), (th, -1, 2)], 2,
+                                     x_order, qo).coeffs,
+        "twist": direction_series([(th, 1, 1), (th, -1, 2)], 0,
+                                  x_order, qo).coeffs,
+        "psi1": direction_series([(th1, 1, 2)], 0, x_order, qo).coeffs,
+        "one": one,
+    }
+
+
+@pytest.mark.parametrize("caps, pairs", [
+    ((5, 7), [("phi", (1, 2), "twist", (1, -1)),
+              ("phi_pair", (0, 3), "psi1", (2, 0)),
+              ("twist", (-2, 1), "one", (1, 1))]),
+    ((2, 3, 3), [("phi", (1, 0, -1), "phi_pair", (2, 1, 1)),
+                 ("psi1", (0, 1, 2), "twist", (-1, 0, 1)),
+                 ("phi_pair", (1, -1, 0), "one", (0, 0, 0))]),
+], ids=["5x7", "2x3x3"])
+def test_rank_pair_mul_on_theta_factors(caps, pairs):
+    qo = 4
+    f = _theta_factors(sum(caps), qo)
+    for a, da, b, db in pairs:
+        expect = _at_form(f[a], da, caps, qo) * _at_form(f[b], db, caps, qo)
+        assert rank_pair_mul(f[a], da, f[b], db, caps, qo) == expect
+    assert subst_linear(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
+        _at_form(f["phi"], (1, 0, -1)[:len(caps)], caps, qo)
+
+
+@pytest.mark.parametrize("caps", [(5, 7), (2, 3, 3)], ids=["5x7", "2x3x3"])
+def test_mul_univariate_on_theta_factors(caps):
+    qo = 4
+    f = _theta_factors(sum(caps), qo)
+    d = (1, -2, 1)[:len(caps)]
+    poly = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
+    for b, cap in enumerate(caps):
+        for name in ("phi", "phi_pair", "twist", "one"):
+            axis = _theta_factors(cap, qo)[name]
+            expect = poly * NilPoly.from_univariate(axis, b, caps, qo)
+            assert mul_univariate(poly, axis, b) == expect
 
 
 def test_top_product_matches_full_product():
