@@ -32,10 +32,18 @@ EXIT_INTEGRALITY = 4
 
 
 def nonneg_int(text):
-    """Parse a q-order given as text: a nonnegative integer or ValueError."""
+    """Parse a q-order or c_max given as text: an int >= 0 or ValueError."""
     value = int(text)
     if value < 0:
         raise ValueError(f"{text!r} is negative")
+    return value
+
+
+def positive_int(text):
+    """Parse a search bound given as text: an int >= 1 or ValueError."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is not positive")
     return value
 
 
@@ -303,10 +311,10 @@ def build_parser():
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("search", help="enumerate instances within bounds")
-    ps.add_argument("--s", type=int, default=2)
-    ps.add_argument("--t", type=int, default=4)
-    ps.add_argument("--dmax", type=int, default=4)
-    ps.add_argument("--cmax", type=int, default=2)
+    ps.add_argument("--s", type=positive_int, default=2)
+    ps.add_argument("--t", type=positive_int, default=4)
+    ps.add_argument("--dmax", type=positive_int, default=4)
+    ps.add_argument("--cmax", type=nonneg_int, default=2)
     ps.add_argument("--parity", choices=["string", "dim4k", "dim4k2"],
                     default="string")
     ps.add_argument("--positive", action=argparse.BooleanOptionalAction,

@@ -1,12 +1,14 @@
 """Exhaustive enumeration of string / string^c GCI instances within bounds.
 
-The diagonal Diophantine equations determine the ambient dimensions from
-the degree columns (n_b + 1 = sum_a d_ab^2 [+ k c_b^2]), so only degree
-rows and spin^c coefficients are enumerated.  The off-diagonal equations
-sum_a d_ab d_ac = -k c_b c_c (k = 0 for string) are checked on the raw
-integers before any instance is built, which rejects almost every
-candidate over two or more factors.  Instances are emitted in a
-canonical form: degree rows sorted, ambient factors (columns) sorted,
+The diagonal equations n_b + 1 = sum_a d_ab^2 [+ k c_b^2] give the ambient
+dimensions, so only degree rows and spin^c coefficients are enumerated.
+The off-diagonal ones, sum_a d_ab d_ae = -k c_b c_e (k = 0 for string),
+are a join: C-vectors are bucketed by the Gram entries they require, and
+a depth-first walk over sorted rows carries the running sums, so a row
+multiset meets only its bucket.  With positive degrees each row raises
+every sum, so a prefix that no bucket key bounds is cut: no string
+instance has s >= 2, none has s >= 3, and degrees are bounded for s = 2.
+Instances are canonical: rows and ambient factors (columns) sorted,
 deduplicated up to column permutation.  Row signs are not quotiented.
 """
 from __future__ import annotations
@@ -40,12 +42,6 @@ class FoundInstance:
         return (self.g.n, self.g.D, self.g.C)
 
 
-def _degree_values(q: SearchQuery):
-    if q.positive:
-        return list(range(1, q.d_max + 1))
-    return [v for v in range(-q.d_max, q.d_max + 1)]
-
-
 def _canonical(n, D, C):
     """Sort rows, then sort ambient factors by (n, column, c), rebuilding D."""
     s = len(n)
@@ -58,18 +54,6 @@ def _canonical(n, D, C):
     C2 = tuple(C[b] for b in order) if C is not None else None
     D2 = tuple(sorted(tuple(row[b] for b in order) for row in D))
     return n2, D2, C2
-
-
-def _row_multisets(q: SearchQuery, s, t):
-    values = _degree_values(q)
-    rows = sorted(itertools.product(values, repeat=s))
-    return itertools.combinations_with_replacement(rows, t)
-
-
-def _gram_offdiag(D):
-    """(b, c, sum_a d_ab * d_ac) for every pair of ambient factors b < c."""
-    return [(b, c, sum(row[b] * row[c] for row in D))
-            for b, c in itertools.combinations(range(len(D[0])), 2)]
 
 
 def _emit(q: SearchQuery, n, D, C, check):
@@ -86,29 +70,43 @@ def _emit(q: SearchQuery, n, D, C, check):
 
 def _find(q: SearchQuery, coef, residue, check):
     """Canonical instances with n_b + 1 = sum_a d_ab^2 + coef * c_b^2 that
-    pass the off-diagonal equations and `check`.  coef 0 is the string
-    case, with C = None; otherwise C runs over [-c_max, c_max]^s and the
-    real dimension must be residue mod 4."""
+    solve the off-diagonal equations and pass `check`.  coef 0 is the
+    string case, with C = None; otherwise C runs over [-c_max, c_max]^s and
+    the real dimension must be residue mod 4."""
     found = {}
+    values = range(1 if q.positive else -q.d_max, q.d_max + 1)
     for s in range(1, q.s_max + 1):
+        pairs = list(itertools.combinations(range(s), 2))
         cvals = range(-q.c_max, q.c_max + 1)
-        cvecs = list(itertools.product(cvals, repeat=s)) if coef else [None]
-        for t in range(1, q.t_max + 1):
-            for D in _row_multisets(q, s, t):
-                base = [sum(row[b] ** 2 for row in D) - 1 for b in range(s)]
-                offdiag = _gram_offdiag(D)
-                for C in cvecs:
-                    c = C or (0,) * s
-                    n = [v + coef * cb ** 2 for v, cb in zip(base, c)]
-                    if any(v < 1 for v in n) or sum(n) < t:
-                        continue
-                    if coef and (sum(n) - t) * 2 % 4 != residue:
-                        continue
-                    if any(dot + coef * c[b] * c[e] for b, e, dot in offdiag):
-                        continue
-                    inst = _emit(q, n, D, C, check)
-                    if inst is not None:
-                        found.setdefault(inst.key(), inst)
+        buckets = {}  # Gram key -> [(C, coef * c_b^2 over b)]
+        for C in itertools.product(cvals, repeat=s) if coef else [None]:
+            c = C or (0,) * s
+            key = tuple(-coef * c[b] * c[e] for b, e in pairs)
+            buckets.setdefault(key, []).append((C, [coef * v * v for v in c]))
+        rows = sorted(itertools.product(values, repeat=s))
+        # (first row allowed, rows so far, sum_a d_ab^2, Gram sums)
+        stack = [(0, (), [0] * s, (0,) * len(pairs))]
+        while stack:
+            start, D, sq, gram = stack.pop()
+            for C, extra in buckets.get(gram, ()) if D else ():
+                n = [v - 1 + w for v, w in zip(sq, extra)]
+                if any(v < 1 for v in n) or sum(n) < len(D):
+                    continue
+                if coef and (sum(n) - len(D)) * 2 % 4 != residue:
+                    continue
+                inst = _emit(q, n, D, C, check)
+                if inst is not None:
+                    found.setdefault(inst.key(), inst)
+            if len(D) == q.t_max:
+                continue
+            for i in range(start, len(rows)):
+                row = rows[i]
+                nxt = tuple(x + row[b] * row[e] for x, (b, e) in zip(gram, pairs))
+                # positive rows only raise the sums: cut what no key bounds
+                if not q.positive or any(
+                        all(k >= x for k, x in zip(key, nxt)) for key in buckets):
+                    stack.append((i, D + (row,),
+                                  [v + d * d for v, d in zip(sq, row)], nxt))
     return [found[k] for k in sorted(found)]
 
 

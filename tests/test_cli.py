@@ -201,6 +201,18 @@ def test_malformed_q_order_exits_2(tmp_path, monkeypatch, capsys):
     assert "WITTENQ_Q_ORDER" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--s", "0"], ["--s", "-1"], ["--t", "0"], ["--dmax", "0"],
+    ["--dmax", "-2"], ["--parity", "dim4k", "--cmax", "-1"],
+], ids=["s0", "s-1", "t0", "dmax0", "dmax-2", "cmax-1"])
+def test_bad_search_bounds_exit_2(capsys, argv):
+    # each of these used to print nothing and exit 0
+    with pytest.raises(SystemExit) as exc:
+        run(["search"] + argv)
+    assert exc.value.code == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+
+
 def test_instance_q_order_precedence(tmp_path, capsys):
     # explicit flag > instance file > env default
     path = _write(tmp_path, "cp2.json", {"n": [2], "D": [], "q_order": 4})

@@ -117,27 +117,69 @@ def test_found_instance_key_shape():
     assert isinstance(n, tuple) and isinstance(D, tuple) and C is None
 
 
+def _brute_force(q, coef, residue, check):
+    """Every row multiset times every C-vector, through the diagonal, the
+    residue and the full check: no Gram shortcut, no pruning."""
+    found = {}
+    values = range(1 if q.positive else -q.d_max, q.d_max + 1)
+    for s in range(1, q.s_max + 1):
+        rows = sorted(itertools.product(values, repeat=s))
+        cvals = range(-q.c_max, q.c_max + 1)
+        cvecs = list(itertools.product(cvals, repeat=s)) if coef else [None]
+        for t in range(1, q.t_max + 1):
+            for D in itertools.combinations_with_replacement(rows, t):
+                for C in cvecs:
+                    c = C or (0,) * s
+                    n = [sum(row[b] ** 2 for row in D) - 1 + coef * c[b] ** 2
+                         for b in range(s)]
+                    if min(n) < 1 or sum(n) < t:
+                        continue
+                    if coef and (sum(n) - t) * 2 % 4 != residue:
+                        continue
+                    inst = search._emit(q, n, D, C, check)
+                    if inst is not None:
+                        found.setdefault(inst.key(), inst)
+    return [(k, found[k].report) for k in sorted(found)]
+
+
 @pytest.mark.parametrize("query", [
     SearchQuery(s_max=2, t_max=3, d_max=2, c_max=2),
     SearchQuery(s_max=2, t_max=2, d_max=2, c_max=1, positive=False),
     SearchQuery(s_max=3, t_max=2, d_max=1, c_max=1, positive=False,
                 require_codim=False),
-], ids=["positive", "signed", "signed_s3_nocodim"])
-def test_offdiag_prefilter_keeps_results(monkeypatch, query):
-    """The raw-integer off-diagonal check only skips candidates that fail."""
-    def run_all():
-        out = [(i.key(), i.report) for i in find_string(query)]
-        for parity in ("dim4k", "dim4k2"):
-            out += [(i.key(), i.report) for i in find_stringc(query, parity)]
-        return out
-
-    filtered = run_all()
-    monkeypatch.setattr(search, "_gram_offdiag", lambda D: [])
-    unfiltered = run_all()
-    assert filtered == unfiltered
-    # the signed queries must exercise the off-diagonal branch at all
+    SearchQuery(s_max=3, t_max=3, d_max=2, c_max=2),
+], ids=["positive", "signed", "signed_s3_nocodim", "positive_s3"])
+def test_join_matches_brute_force(query):
+    """The Gram join and its prune keep every instance the plain filter
+    finds, with the same keys and condition reports."""
+    got = [(i.key(), i.report) for i in find_string(query)]
+    want = _brute_force(query, 0, None, is_string)
+    for parity, coef, residue in (("dim4k", 3, 0), ("dim4k2", 1, 2)):
+        got += [(i.key(), i.report) for i in find_stringc(query, parity)]
+        want += _brute_force(
+            query, coef, residue,
+            lambda g: is_stringc(g) and stringc_coefficient(g) == coef)
+    assert got == want
+    # the signed queries must find instances over more than one factor
     if not query.positive:
-        assert any(len(key[0]) > 1 for key, _ in filtered)
+        assert any(len(key[0]) > 1 for key, _ in got)
+
+
+def _catalogs(q):
+    return [[(i.key(), i.report) for i in run]
+            for run in (find_string(q), find_stringc(q, "dim4k"),
+                        find_stringc(q, "dim4k2"))]
+
+
+def test_positive_degrees_leave_no_three_factor_instance():
+    """With positive degrees every off-diagonal Gram entry is positive, so
+    no string instance has two factors and no instance has three: a third
+    factor adds nothing to the default catalogs.  Without the prune this
+    query runs for minutes."""
+    wide = _catalogs(SearchQuery(s_max=3, t_max=4))
+    assert wide == _catalogs(SearchQuery())
+    assert all(len(key[0]) <= 2 for run in wide for key, _ in run)
+    assert all(len(i.key()[0]) == 1 for i in find_string(SearchQuery(s_max=2)))
 
 
 def test_default_catalog_is_pinned():
