@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, bundles, modforms, theta
 from .errors import DimensionError, NonIntegralError
-from .gci import GCIData, condition_report, dims, thm42_ok
+from .gci import GCIData, condition_report, dims
 from .genera import mod2_witten, wc_genus, witten_genus
 from .qseries import QSeries
 from .search import SearchQuery, find_string, find_stringc
@@ -193,11 +193,9 @@ def vanishing_cases(query):
     cases = []
     for inst in find_string(query):
         g = inst.g
-        rdim = dims(g)[1]
-        if rdim % 4 == 0:
+        if inst.report.dims[1] % 4 == 0:
             cases.append(("W", g, lambda g=g: witten_genus(g).coeffs.is_zero()))
-        ok, _ = thm42_ok(g)
-        if ok:
+        if inst.report.thm42_ok:
             cases.append(("phi2", g,
                           lambda g=g: mod2_witten(g).coeffs.is_zero()))
     for parity in ("dim4k", "dim4k2"):

@@ -271,21 +271,16 @@ def sigma1_series(q_order):
 def quadratic_pairing(g: GCIData, M):
     """<sum M_bc x_b x_c * prod_a ell_a, [ambient]> as an exact integer."""
     caps, qo = g.n, g.q_order
-    quad = NilPoly.zero(caps, qo)
+    unit = [tuple(int(b == c) for c in range(g.s)) for b in range(g.s)]
+    quad = {}
     for b in range(g.s):
         for c in range(g.s):
-            if M[b][c]:
-                e = [0] * g.s
-                e[b] += 1
-                e[c] += 1
-                quad = quad + NilPoly(caps, qo, {tuple(e): M[b][c]})
+            e = tuple(x + y for x, y in zip(unit[b], unit[c]))
+            quad[e] = quad.get(e, 0) + M[b][c]
     dual = NilPoly.one(caps, qo)
-    one_coeffs = [QSeries.zero(qo), QSeries.one(qo)] + \
-        [QSeries.zero(qo)] * (sum(caps) - 1)
     for row in g.D:
-        dual = dual * subst_linear(one_coeffs, row, caps, qo)
-    val = (quad * dual).top_coeff().coefficient(0)
-    return val
+        dual = dual * NilPoly(caps, qo, dict(zip(unit, row)))
+    return NilPoly(caps, qo, quad).top_product(dual).coefficient(0)
 
 
 def dim4_closed_form(g: GCIData, use_c=False):

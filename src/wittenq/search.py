@@ -5,11 +5,12 @@ dimensions, so only degree rows and spin^c coefficients are enumerated.
 The off-diagonal ones, sum_a d_ab d_ae = -k c_b c_e (k = 0 for string),
 are a join: C-vectors are bucketed by the Gram entries they require, and
 a depth-first walk over sorted rows carries the running sums, so a row
-multiset meets only its bucket.  With positive degrees each row raises
-every sum, so a prefix that no bucket key bounds is cut: no string
-instance has s >= 2, none has s >= 3, and degrees are bounded for s = 2.
-Instances are canonical: rows and ambient factors (columns) sorted,
-deduplicated up to column permutation.  Row signs are not quotiented.
+multiset meets only its bucket, and no checker needs to run.  Positive
+rows raise every sum, so a prefix that no bucket key bounds is cut: no
+string instance has s >= 2, none has s >= 3, and degrees are bounded for
+s = 2.  Instances are canonical (rows and ambient factors sorted); a
+repeat up to column permutation is dropped before it is built.  Row
+signs are not quotiented.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .gci import (GCIData, codim_ok, condition_report, dims, is_string,
-                  is_stringc, stringc_coefficient)
+from .gci import GCIData, codim_ok, condition_report, dims
 
 
 @dataclass
@@ -31,6 +31,13 @@ class SearchQuery:
     positive: bool = True
     require_codim: bool = True
     q_order: int = 20
+
+    def __post_init__(self):
+        for name, least in (("s_max", 1), ("t_max", 1), ("d_max", 1),
+                            ("c_max", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -56,11 +63,9 @@ def _canonical(n, D, C):
     return n2, D2, C2
 
 
-def _emit(q: SearchQuery, n, D, C, check):
-    n, D, C = _canonical(n, D, C)
+def _instance(q: SearchQuery, n, D, C):
+    """The instance at canonical (n, D, C), or None if a filter rejects it."""
     g = GCIData(n, D, C, q_order=q.q_order)
-    if not check(g):
-        return None
     if q.require_codim and not codim_ok(g):
         return None
     if q.target_real_dim is not None and dims(g)[1] != q.target_real_dim:
@@ -68,12 +73,14 @@ def _emit(q: SearchQuery, n, D, C, check):
     return FoundInstance(g, condition_report(g))
 
 
-def _find(q: SearchQuery, coef, residue, check):
-    """Canonical instances with n_b + 1 = sum_a d_ab^2 + coef * c_b^2 that
-    solve the off-diagonal equations and pass `check`.  coef 0 is the
-    string case, with C = None; otherwise C runs over [-c_max, c_max]^s and
-    the real dimension must be residue mod 4."""
-    found = {}
+def _find(q: SearchQuery, coef):
+    """Canonical instances with Diag(n+1) - D^T D = coef * C^T C, by
+    construction: n solves the diagonal, n_b + 1 = sum_a d_ab^2 + coef c_b^2,
+    and the bucket key fixes each off-diagonal entry to -coef c_b c_e.
+    coef 0 is the string case, C = None, where spin follows since d^2 = d
+    mod 2.  Otherwise C runs over [-c_max, c_max]^s and the complex
+    dimension must be even for coef 3, odd for coef 1."""
+    found = {}  # canonical key -> instance, or None if filtered out
     values = range(1 if q.positive else -q.d_max, q.d_max + 1)
     for s in range(1, q.s_max + 1):
         pairs = list(itertools.combinations(range(s), 2))
@@ -92,11 +99,11 @@ def _find(q: SearchQuery, coef, residue, check):
                 n = [v - 1 + w for v, w in zip(sq, extra)]
                 if any(v < 1 for v in n) or sum(n) < len(D):
                     continue
-                if coef and (sum(n) - len(D)) * 2 % 4 != residue:
+                if coef and (1 if (sum(n) - len(D)) % 2 else 3) != coef:
                     continue
-                inst = _emit(q, n, D, C, check)
-                if inst is not None:
-                    found.setdefault(inst.key(), inst)
+                key = _canonical(n, D, C)
+                if key not in found:
+                    found[key] = _instance(q, *key)
             if len(D) == q.t_max:
                 continue
             for i in range(start, len(rows)):
@@ -107,18 +114,16 @@ def _find(q: SearchQuery, coef, residue, check):
                         all(k >= x for k, x in zip(key, nxt)) for key in buckets):
                     stack.append((i, D + (row,),
                                   [v + d * d for v, d in zip(sq, row)], nxt))
-    return [found[k] for k in sorted(found)]
+    return [found[k] for k in sorted(found) if found[k] is not None]
 
 
 def find_string(q: SearchQuery):
     """All canonical string instances within bounds (n derived from columns)."""
-    return _find(q, 0, None, is_string)
+    return _find(q, 0)
 
 
 def find_stringc(q: SearchQuery, parity):
     """Canonical string^c instances; parity selects the dim 4k or 4k+2 branch."""
     if parity not in ("dim4k", "dim4k2"):
         raise ValueError("parity must be 'dim4k' or 'dim4k2'")
-    coef, residue = (3, 0) if parity == "dim4k" else (1, 2)
-    return _find(q, coef, residue,
-                 lambda g: is_stringc(g) and stringc_coefficient(g) == coef)
+    return _find(q, 3 if parity == "dim4k" else 1)

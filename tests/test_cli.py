@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, JSON round-trips, suites."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -12,7 +13,8 @@ import pytest
 import wittenq
 from wittenq import cli
 from wittenq.cli import (EXIT_INPUT, EXIT_INTEGRALITY, EXIT_OK,
-                         EXIT_PRECONDITION, EXIT_SUITE, run)
+                         EXIT_PRECONDITION, EXIT_SUITE, run, vanishing_cases)
+from wittenq.search import SearchQuery
 
 
 def _write(tmp_path, name, doc):
@@ -240,6 +242,22 @@ def test_search_stringc_parity_flag(capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert any(d["n"] == [4] and d["D"] == [[2]] and d["C"] == [1]
                for d in lines)
+
+
+def test_mass_run_case_list_is_pinned():
+    """The mass vanishing run's cases, without running them: labels,
+    instances and order against a recorded digest."""
+    cases = vanishing_cases(SearchQuery(q_order=12))
+    labels = [label for label, _, _ in cases]
+    assert len(cases) == 304
+    assert [labels.count(k) for k in ("Wc", "W", "phi2")] == [254, 32, 18]
+    assert sum(label == "Wc" and g.s == 2 for label, g, _ in cases) == 51
+    h = hashlib.sha256()
+    for label, g, _ in cases:
+        h.update(json.dumps([label, g.n, g.D, g.C, g.q_order]).encode()
+                 + b"\n")
+    assert h.hexdigest() == ("e3c19e9c7c5174c0011e86b871307f4a"
+                             "3c4a4fd498ba53557873ed681c8a967d")
 
 
 def test_verify_theta_suite(capsys):

@@ -8,8 +8,8 @@ import json
 import pytest
 
 from wittenq import search
-from wittenq.gci import (GCIData, codim_ok, dims, is_string, is_stringc,
-                         stringc_coefficient)
+from wittenq.gci import (GCIData, codim_ok, condition_report, dims,
+                         is_string, is_stringc, stringc_coefficient)
 from wittenq.search import (FoundInstance, SearchQuery, find_string,
                             find_stringc)
 
@@ -117,9 +117,10 @@ def test_found_instance_key_shape():
     assert isinstance(n, tuple) and isinstance(D, tuple) and C is None
 
 
-def _brute_force(q, coef, residue, check):
+def _brute_force(q, coef):
     """Every row multiset times every C-vector, through the diagonal, the
-    residue and the full check: no Gram shortcut, no pruning."""
+    canonical form, the full checker, the query's filters and the report:
+    no Gram shortcut, no pruning, no search code but `_canonical`."""
     found = {}
     values = range(1 if q.positive else -q.d_max, q.d_max + 1)
     for s in range(1, q.s_max + 1):
@@ -134,12 +135,16 @@ def _brute_force(q, coef, residue, check):
                          for b in range(s)]
                     if min(n) < 1 or sum(n) < t:
                         continue
-                    if coef and (sum(n) - t) * 2 % 4 != residue:
+                    g = GCIData(*search._canonical(n, D, C), q_order=q.q_order)
+                    if coef:
+                        ok = is_stringc(g) and stringc_coefficient(g) == coef
+                    else:
+                        ok = is_string(g)
+                    if (not ok or q.require_codim and not codim_ok(g)
+                            or q.target_real_dim not in (None, dims(g)[1])):
                         continue
-                    inst = search._emit(q, n, D, C, check)
-                    if inst is not None:
-                        found.setdefault(inst.key(), inst)
-    return [(k, found[k].report) for k in sorted(found)]
+                    found.setdefault((g.n, g.D, g.C), condition_report(g))
+    return sorted(found.items())
 
 
 @pytest.mark.parametrize("query", [
@@ -153,22 +158,50 @@ def test_join_matches_brute_force(query):
     """The Gram join and its prune keep every instance the plain filter
     finds, with the same keys and condition reports."""
     got = [(i.key(), i.report) for i in find_string(query)]
-    want = _brute_force(query, 0, None, is_string)
-    for parity, coef, residue in (("dim4k", 3, 0), ("dim4k2", 1, 2)):
+    want = _brute_force(query, 0)
+    for parity, coef in (("dim4k", 3), ("dim4k2", 1)):
         got += [(i.key(), i.report) for i in find_stringc(query, parity)]
-        want += _brute_force(
-            query, coef, residue,
-            lambda g: is_stringc(g) and stringc_coefficient(g) == coef)
+        want += _brute_force(query, coef)
     assert got == want
     # the signed queries must find instances over more than one factor
     if not query.positive:
         assert any(len(key[0]) > 1 for key, _ in got)
 
 
+def test_signed_results_pass_the_checkers():
+    """The join builds string and string^c instances by construction; the
+    checkers of gci agree on every one of a large signed query."""
+    q = SearchQuery(s_max=2, t_max=3, d_max=3, positive=False)
+    assert all(is_string(i.g) and i.report.string for i in find_string(q))
+    for parity, coef in (("dim4k", 3), ("dim4k2", 1)):
+        for inst in find_stringc(q, parity):
+            assert is_stringc(inst.g) and inst.report.stringc
+            assert stringc_coefficient(inst.g) == coef
+
+
+@pytest.mark.parametrize("bounds", [
+    {"s_max": 0}, {"t_max": 0}, {"d_max": 0}, {"d_max": -2}, {"c_max": -1},
+], ids=["s0", "t0", "d0", "d-2", "c-1"])
+def test_bad_query_bounds_raise(bounds):
+    # each of these used to return [] with no error
+    with pytest.raises(ValueError):
+        SearchQuery(**bounds)
+
+
 def _catalogs(q):
     return [[(i.key(), i.report) for i in run]
             for run in (find_string(q), find_stringc(q, "dim4k"),
                         find_stringc(q, "dim4k2"))]
+
+
+def test_one_report_per_instance(monkeypatch):
+    """A repeat is dropped by its canonical key before it is built, so
+    each returned instance costs one condition report."""
+    reports = []
+    monkeypatch.setattr(search, "condition_report",
+                        lambda g: reports.append(g) or condition_report(g))
+    q = SearchQuery(s_max=2, t_max=2, d_max=2, c_max=1, positive=False)
+    assert sum(len(run) for run in _catalogs(q)) == len(reports) == 142
 
 
 def test_positive_degrees_leave_no_three_factor_instance():

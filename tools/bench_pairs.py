@@ -10,8 +10,10 @@ the parent checkout and in this one, each with its own perfbench and src,
 one after the other: the parent first in even pairs, the change first in
 odd ones.  For every end-to-end metric the output gives, per workload,
 both sides' values in pair order with their median and quartiles (the
-`summarise` of perfbench/repeat.py), the pairs the change won (ties count
-for neither) and two verdicts:
+`summarise` of perfbench/repeat.py), the number of pairs in which both
+sides ran (a pair with a broken run is left out, so the others stay
+matched), the pairs the change won (ties count for neither) and two
+verdicts:
 
 - gain: all ten pairs ran, the change won at least nine of them, and the
   medians differ by more than the parent's interquartile range;
@@ -62,6 +64,14 @@ def git_head(checkout):
     if not head:
         return None
     return head + ("+dirty" if git("status", "--porcelain") else "")
+
+
+def both_ran(parent, change):
+    """The parent and change values of the pairs in which both sides ran;
+    None marks a run that broke or did not report the metric."""
+    kept = [(p, c) for p, c in zip(parent, change)
+            if p is not None and c is not None]
+    return [p for p, _ in kept], [c for _, c in kept]
 
 
 def compare(parent, change, better, bound):
@@ -116,12 +126,14 @@ def main(argv=None):
                 failed[side].append(result["failed"])
                 broken += bool(result["failed"])
                 for metric, v in result["metrics"].items():
-                    values[side].setdefault(metric, []).append(v["value"])
+                    slots = values[side].setdefault(metric, [None] * PAIRS)
+                    slots[i] = v["value"]
             print(f"{name} pair {i + 1}/{PAIRS} done", file=sys.stderr)
         metrics = {}
         for m in spec["end_to_end"]:
-            par, chg = values["parent"].get(m["name"]), values["change"].get(m["name"])
-            if par and chg and len(par) == len(chg) >= 2:
+            par, chg = both_ran(values["parent"].get(m["name"], []),
+                                values["change"].get(m["name"], []))
+            if len(par) >= 2:
                 metrics[m["name"]] = compare(par, chg, m["better"], m["bound"])
         out["workloads"][name] = {"failed": failed, "metrics": metrics}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
