@@ -99,13 +99,14 @@ def _theta_residue(g: GCIData, logs, linear):
     for u, ts in terms.items():
         on_axis = u in axes
         degree = caps[u.index(1)] if on_axis else sum(caps)
-        f = theta.direction_series(ts, power.get(u, 0), degree, qo)
-        if f.is_zero():
+        r = power.get(u, 0)
+        if r > degree:  # the factor y^r * exp(...) truncates to zero
             return QSeries.zero(qo)
+        f = theta.direction_series(ts, r, degree, qo)
         if on_axis:
-            axis_factors.append(f.coeffs)
+            axis_factors.append(f)
         else:
-            specs.append((f.coeffs, u))
+            specs.append((f, u))
     return _residue(g, axis_factors, specs) * scale
 
 

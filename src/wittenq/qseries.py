@@ -112,17 +112,20 @@ class QSeries:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [rat(c) for c in coeffs]
+        coeffs = list(coeffs)
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
-        coeffs = coeffs[: order + 1]
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        if all(type(c) is int for c in coeffs):
+            num, den = coeffs[: order + 1], 1
+        else:
+            coeffs = [rat(c) for c in coeffs][: order + 1]
+            # the lcm of reduced denominators leaves the numerators coprime
+            den = math.lcm(*(c.denominator for c in coeffs))
+            num = [c.numerator * (den // c.denominator) for c in coeffs]
         self.order = order
         self.num = num + [0] * (order + 1 - len(num))
         self.den = den

@@ -14,18 +14,24 @@ with every q^(1/4) prefactor cancelling.  The factors are not built from
 these products.  Taking logarithms turns each product into divisor sums:
 log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
 G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
-Psi_i have sign-twisted analogues (see `log_coeffs`).  Each factor is then
-one exponential of its logarithm, computed exactly in the truncated ring
-by `direction_series`, the one exponential builder: it exponentiates an
+Psi_i have sign-twisted analogues (see `log_coeffs`).  The Bernoulli
+numbers come from integer tangent numbers (Brent and Harvey 2011).  Each
+factor is then one exponential of its logarithm, computed exactly by
+`direction_series`, the one exponential builder: it exponentiates an
 integer combination of these logarithms at multiples m*x, so `phi`, `psi`,
 `psi_product`, `x_over_phi` and the merged direction factors of the
 theta-route genera are each one call of it.
 The bundle route (`bundles`) keeps the product formulas and is the
 independent oracle these builders are checked against.
 
-Each factor is a power series in x truncated at a given x-order, held as a
-one-generator NilPoly with cap x_order; its `coeffs` lists the QSeries
-coefficients by x-degree.  A separate complex-numeric evaluator checks the
+`direction_series` runs the recurrence of exp on int columns: with
+g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times every
+kind's x^2k log coefficient, delta_h = lcm_k d_k delta_(h-k) clears g_2h,
+so each step is an integer combination of int columns with cached integer
+weights, and each coefficient is reduced once.  It returns the list of
+QSeries coefficients by x-degree, which the genera use as it is; `phi`,
+`psi`, `psi_product` and `x_over_phi` wrap that list as a one-generator
+NilPoly with cap x_order.  A separate complex-numeric evaluator checks the
 analytic transformation laws, which the formal truncated series cannot see.
 """
 from __future__ import annotations
@@ -34,10 +40,11 @@ import cmath
 import enum
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .nilring import NilPoly
-from .qseries import QSeries, QSum
+from .qseries import QSeries
 
 
 class ThetaKind(enum.Enum):
@@ -76,14 +83,46 @@ def _one_pm_q(sign, q_exp, q_order):
 
 # -- logarithms: Bernoulli numbers and divisor sums -------------------
 
+def _granular(x_order):
+    """x_order rounded up to a multiple of 16, so nearby sizes share a cache.
+
+    Consumers of a factor only read coefficients up to the degree they
+    need, and truncating a series in x leaves lower coefficients untouched.
+    """
+    return -(-max(x_order, 1) // 16) * 16
+
+
 @functools.lru_cache(maxsize=None)
+def _tangent_numbers(count):
+    """(0, T_1, ..., T_count), the tangent numbers T_k = 1, 2, 16, 272, ...
+
+    Brent and Harvey's in-place integer recurrence ("Fast computation of
+    Bernoulli, tangent and secant numbers", 2011): O(count^2) int steps.
+    """
+    T = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(T)
+
+
 def bernoulli(n):
-    """The Bernoulli number B_n (B_1 = -1/2), from sum_(j<=n) C(n+1, j) B_j = 0."""
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2:
+    """The Bernoulli number B_n (B_1 = -1/2), n >= 0.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers,
+    whose table is cached at a granular size.
+    """
+    if n < 0:
+        raise ValueError(f"Bernoulli numbers need n >= 0, got {n}")
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
         return Fraction(0)
-    return -sum(math.comb(n + 1, j) * bernoulli(j) for j in range(n)) / (n + 1)
+    k = n // 2
+    t = _tangent_numbers(_granular(k))[k]
+    return Fraction((-1) ** (k - 1) * n * t, 4 ** k * (4 ** k - 1))
 
 
 def _divisor_sums(k, q_order, odd, alternating):
@@ -107,7 +146,36 @@ def eisenstein_g(k, q_order):
     return QSeries(coeffs, q_order)
 
 
+def _den_bound(k):
+    """d_k = den(B_2k / 2k), which every kind's d_k (2k)! L_2k clears."""
+    return (bernoulli(2 * k) / (2 * k)).denominator
+
+
 @functools.lru_cache(maxsize=None)
+def _log_columns(kind, x_order, q_order):
+    """The int columns N_k = d_k (2k)! L_2k over q^0..q^q_order of the
+    logarithm L of `kind` (see `log_coeffs`), by k = 0..x_order // 2.
+
+    (2k)! L_2k is -B_2k/2k (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0
+    (Psi_2, Psi_3) plus twice an integral divisor sum, so d_k clears it.
+    A table extends the cached one 16 x-degrees shorter.
+    """
+    if not isinstance(kind, ThetaKind):
+        raise ValueError(f"no logarithm for {kind}")
+    K = ThetaKind
+    odd = kind in (K.THETA2, K.THETA3)
+    alternating = kind in (K.THETA1, K.THETA3)
+    cols = (list(_log_columns(kind, x_order - 16, q_order)) if x_order > 16
+            else [(0,) * (q_order + 1)])
+    for k in range(len(cols), x_order // 2 + 1):
+        b = bernoulli(2 * k) / (2 * k)
+        s = -2 * b.denominator if kind == K.THETA2 else 2 * b.denominator
+        col = [s * c for c in _divisor_sums(k, q_order, odd, alternating)]
+        col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * b.numerator
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
 def log_coeffs(kind, x_order, q_order):
     """The logarithm of a factor as QSeries coefficients by x-degree 0..x_order.
 
@@ -120,76 +188,124 @@ def log_coeffs(kind, x_order, q_order):
         Psi_3:  sum_N sum_(m|N, N/m odd) (-1)^(m+1) m^(2k-1) q^N
     from log(1 + t e^x) + log(1 + t e^-x) - 2 log(1 + t)
     = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
-    log(sinh(x/2)/(x/2)) and log cosh(x/2).  Callers slice the cached
-    result rather than asking for a lower x-order.
+    log(sinh(x/2)/(x/2)) and log cosh(x/2).  This is the rational view of
+    the cached int columns `direction_series` works on.
     """
-    if kind == ThetaKind.THETA:
-        def body(k):
-            return eisenstein_g(k, q_order)
-    elif kind == ThetaKind.THETA1:
-        def body(k):
-            c = _divisor_sums(k, q_order, odd=False, alternating=True)
-            c[0] = (4 ** k - 1) * bernoulli(2 * k) / (4 * k)
-            return QSeries(c, q_order)
-    elif kind == ThetaKind.THETA2:
-        def body(k):
-            return -QSeries(_divisor_sums(k, q_order, odd=True,
-                                          alternating=False), q_order)
-    elif kind == ThetaKind.THETA3:
-        def body(k):
-            return QSeries(_divisor_sums(k, q_order, odd=True,
-                                         alternating=True), q_order)
-    else:
-        raise ValueError(f"no logarithm for {kind}")
+    cols = _log_columns(kind, x_order, q_order)
     out = [QSeries.zero(q_order)] * (x_order + 1)
     for k in range(1, x_order // 2 + 1):
-        scale = Fraction(2, math.factorial(2 * k))
-        out[2 * k] = body(k) * scale
+        out[2 * k] = QSeries._make(list(cols[k]),
+                                   _den_bound(k) * math.factorial(2 * k),
+                                   q_order)
     return tuple(out)
 
 
 # -- exponentials -----------------------------------------------------
 
-def _granular(x_order):
-    """x_order rounded up to a multiple of 16, so nearby sizes share a cache.
+@functools.lru_cache(maxsize=None)
+def _exp_weights(x_order):
+    """(W, delta, den) of the integer exponential recurrence to x^x_order.
 
-    Consumers of a factor only read coefficients up to the degree they
-    need, and truncating a series in x leaves lower coefficients untouched.
+    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
+    k = 1..h and den[h] = delta_h (2h)!, with d_k = `_den_bound`(k),
+    delta_0 = 1 and delta_h = lcm_(k<=h) d_k delta_(h-k); see
+    `direction_series`.  A table extends the cached one 16 x-degrees
+    shorter.
     """
-    return -(-max(x_order, 1) // 16) * 16
+    W, delta, den = (map(list, _exp_weights(x_order - 16)) if x_order > 16
+                     else ([()], [1], [1]))
+    d = [1] + [_den_bound(k) for k in range(1, x_order // 2 + 1)]
+    for h in range(len(W), x_order // 2 + 1):
+        delta.append(math.lcm(*(d[k] * delta[h - k] for k in range(1, h + 1))))
+        W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
+                       // (d[k] * delta[h - k]) for k in range(1, h + 1)))
+        den.append(delta[h] * math.factorial(2 * h))
+    return tuple(W), tuple(delta), tuple(den)
 
 
 def direction_series(terms, r, x_order, q_order):
-    """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order.
+    """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order,
+    as the list of its QSeries coefficients by y-degree 0..x_order.
 
     terms holds integer triples (kind, coef, m), kind naming a logarithm
-    of `log_coeffs`.  The exponent's y^k coefficient is
-    sum_kind p_k * log_kind_k with the integer power sum
-    p_k = sum coef * m^k.  It is even in y with no constant term, so
-    f = exp(...) has f_0 = 1, f_odd = 0 and, from f' = L'f,
-    n f_n = sum_(j even) j L_j f_(n-j).  The result is a one-generator
-    NilPoly with cap x_order, zero when r > x_order.
+    of `log_coeffs`.  The exponent L has the y^2k coefficient
+    L_2k = sum_kind p_2k * log_kind_2k with the integer power sum
+    p_2k = sum coef * m^2k; it is even in y with no constant term, so
+    f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
+    n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order.
+
+    The recurrence runs on int columns.  With g_n = n! f_n and
+    Lambda_2k = (2k)! L_2k it reads
+        g_2h = sum_(k=1..h) C(2h-1, 2k-1) Lambda_2k g_(2h-2k).
+    d_k = den(B_2k/2k) clears Lambda_2k for every kind (`_log_columns`),
+    so N_k = d_k Lambda_2k is a sum of p_2k times cached int columns.  By
+    induction delta_h = lcm_(k<=h) d_k delta_(h-k) clears g_2h: the
+    k-th term of g_2h has a denominator dividing d_k delta_(h-k).  Then
+    G_h = delta_h g_2h is an int column with
+        G_h = sum_k W[h][k] N_k G_(h-k),
+        W[h][k] = C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)),
+    integer weights that depend on h and k only and are cached per
+    granular x-order (`_exp_weights`).  A step makes no lcm and no gcd;
+    f_2h = G_h / (delta_h (2h)!) is reduced once, by `QSeries._make`.
+    A step with at least as many terms k as q-degrees sums over k as int
+    dot products, one per pair of q-degrees; a shorter step convolves
+    each term in q, skipping zero coefficients.
     """
-    sums = {}
-    for kind, coef, m in terms:
-        sums.setdefault(kind, []).append((coef, m))
-    tables = {kind: log_coeffs(kind, _granular(x_order), q_order)
-              for kind in sums}
     zero = QSeries.zero(q_order)
-    logs, f = {}, [QSeries.one(q_order)]
-    for n in range(1, x_order - r + 1):
-        if n % 2:
-            f.append(zero)
-            continue
-        acc = QSum(q_order)
-        for kind, pairs in sums.items():
-            acc.add(tables[kind][n], sum(coef * m ** n for coef, m in pairs))
-        logs[n] = acc.series()
-        acc = QSum(q_order)
-        for j in range(2, n + 1, 2):
-            acc.add_product(logs[j], f[n - j], j)
-        f.append(acc.series(n))
-    return _x_series(([zero] * r + f)[:x_order + 1], q_order)
+    if r > x_order:
+        return [zero] * (x_order + 1)
+    H, qn = (x_order - r) // 2, q_order + 1
+    xg = _granular(x_order)
+    W, _, den = _exp_weights(xg)
+    powers = {}
+    for kind, coef, m in terms:
+        powers.setdefault(kind, []).append((coef, m))
+    tables = [(_log_columns(kind, xg, q_order), pairs)
+              for kind, pairs in powers.items()]
+    N = [[0] * qn]
+    for k in range(1, H + 1):
+        col = [0] * qn
+        for table, pairs in tables:
+            p = sum(coef * m ** (2 * k) for coef, m in pairs)
+            col = [a + p * c for a, c in zip(col, table[k])]
+        N.append(col)
+    # the q-degrees where some N_k is nonzero; with only even ones every
+    # G_h has even q-support too
+    nz = [i for i in range(qn) if any(col[i] for col in N)]
+    g_deg = range(0, qn, 2 if all(i % 2 == 0 for i in nz) else 1)
+    n_deg = [[i for i in nz if N[k][i]] for k in range(H + 1)]
+    N_t = {i: [N[k][i] for k in range(1, H + 1)] for i in nz}
+    # G_h as (q-degree, value) pairs of its nonzero entries, and G_t[j]
+    # listing G_0[j], G_1[j], ... for the dot products
+    G_nz, G_t = [[(0, 1)]], [[int(j == 0)] for j in range(qn)]
+    mul = operator.mul
+    f = [QSeries.one(q_order)]
+    for h in range(1, H + 1):
+        w, out = W[h], [0] * qn
+        if h >= qn:
+            rev = {j: G_t[j][::-1] for j in g_deg}
+            for i in nz:
+                a = list(map(mul, w, N_t[i]))
+                for j in g_deg:
+                    if i + j >= qn:
+                        break
+                    out[i + j] += sum(map(mul, a, rev[j]))
+        else:
+            for k in range(1, h + 1):
+                Nk, g = N[k], G_nz[h - k]
+                for i in n_deg[k]:
+                    t = w[k - 1] * Nk[i]
+                    for j, v in g:
+                        if i + j >= qn:
+                            break
+                        out[i + j] += t * v
+        G_nz.append([(j, v) for j, v in enumerate(out) if v])
+        for j in range(qn):
+            G_t[j].append(out[j])
+        f += [zero, QSeries._make(out, den[h], q_order)]
+    if (x_order - r) % 2:
+        f.append(zero)
+    return [zero] * r + f
 
 
 def phi(x_order, q_order):
@@ -197,25 +313,29 @@ def phi(x_order, q_order):
 
     Odd in x, leading term x: Phi = x * exp(-log(x/Phi)).
     """
-    return direction_series([(ThetaKind.THETA, -1, 1)], 1, x_order, q_order)
+    return _x_series(direction_series([(ThetaKind.THETA, -1, 1)], 1,
+                                      x_order, q_order), q_order)
 
 
 def psi(kind, x_order, q_order):
     """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
     if kind not in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
-    return direction_series([(kind, 1, 1)], 0, x_order, q_order)
+    return _x_series(direction_series([(kind, 1, 1)], 0, x_order, q_order),
+                     q_order)
 
 
 def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
-    return direction_series([(k, 1, 1) for k in kinds], 0, x_order, q_order)
+    return _x_series(direction_series([(k, 1, 1) for k in kinds], 0,
+                                      x_order, q_order), q_order)
 
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    return direction_series([(ThetaKind.THETA, 1, 1)], 0, x_order, q_order)
+    return _x_series(direction_series([(ThetaKind.THETA, 1, 1)], 0,
+                                      x_order, q_order), q_order)
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------

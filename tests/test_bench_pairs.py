@@ -1,22 +1,33 @@
-"""tools/bench_pairs.py keeps the two sides' values matched by pair."""
+"""tools/bench_pairs.py keeps the two sides' values matched by pair, and
+both sides import the same way."""
 
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load():
+def _load(tmp_path):
+    """The tool, with a bytecode-free stand-in for this checkout as the
+    change side (running the tests leaves caches under this one's src)."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    change = tmp_path / "change"
+    (change / "src").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", change)
+    module.ROOT = change
     return module
 
 
 def test_broken_run_drops_only_its_pair(tmp_path):
-    bp = _load()
+    bp = _load(tmp_path)
     names = [m["name"] for m in
              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     seed0, broken = 100, 3
@@ -44,3 +55,36 @@ def test_broken_run_drops_only_its_pair(tmp_path):
             assert not metric["gain"]  # a gain needs every pair
             assert metric["parent"]["values"] == [
                 10.0 + i for i in range(bp.PAIRS) if i != broken]
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_refuses_a_checkout_with_bytecode_caches(tmp_path, capsys, side):
+    bp = _load(tmp_path)
+    parent = tmp_path / "parent"
+    (parent / "src").mkdir(parents=True)
+    cache = (parent if side == "parent" else bp.ROOT) / "src" / "pkg" / \
+        "__pycache__"
+    cache.mkdir(parents=True)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started despite a bytecode cache")
+
+    bp.run = no_run
+    out = tmp_path / "pairs.json"
+    code = bp.main(["--parent", str(parent), "--parent-commit", "p",
+                    "--seed0", "1", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert str(cache) in capsys.readouterr().err
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    bp = _load(tmp_path)
+    seen = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        seen.append(kwargs["env"].get("PYTHONDONTWRITEBYTECODE"))
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_subprocess_run)
+    assert bp.run(tmp_path, "catalog_1f", 1, 1) == (None, None)
+    assert seen == ["1"]

@@ -139,13 +139,13 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
     qo, s, th = 4, len(caps), ThetaKind.THETA
     g = GCIData(list(caps), [], q_order=qo)
     # factors of the parities that leave the residue nonzero
-    axes = [direction_series([(th, cap + 1 + b, 1)], cap % 2, cap, qo).coeffs
+    axes = [direction_series([(th, cap + 1 + b, 1)], cap % 2, cap, qo)
             for b, cap in enumerate(caps)]
     total = sum(caps)
-    specs = [(direction_series([(th, 1, 1), (th, -1, 2)], 0, total,
-                               qo).coeffs, (1, -2, 1)[:s]),
-             (direction_series([(ThetaKind.THETA1, 1, 1)], 0, total,
-                               qo).coeffs, (2, 1, 0)[:s])][:n_specs]
+    specs = [(direction_series([(th, 1, 1), (th, -1, 2)], 0, total, qo),
+              (1, -2, 1)[:s]),
+             (direction_series([(ThetaKind.THETA1, 1, 1)], 0, total, qo),
+              (2, 1, 0)[:s])][:n_specs]
 
     def full_product(axes, specs):
         prod = NilPoly.one(caps, qo)

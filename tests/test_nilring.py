@@ -202,12 +202,11 @@ def _theta_factors(x_order, qo):
     th, th1 = ThetaKind.THETA, ThetaKind.THETA1
     one = [QSeries.one(qo)] + [QSeries.zero(qo)] * x_order
     return {
-        "phi": direction_series([(th, -1, 1)], 1, x_order, qo).coeffs,
+        "phi": direction_series([(th, -1, 1)], 1, x_order, qo),
         "phi_pair": direction_series([(th, -1, 1), (th, -1, 2)], 2,
-                                     x_order, qo).coeffs,
-        "twist": direction_series([(th, 1, 1), (th, -1, 2)], 0,
-                                  x_order, qo).coeffs,
-        "psi1": direction_series([(th1, 1, 2)], 0, x_order, qo).coeffs,
+                                     x_order, qo),
+        "twist": direction_series([(th, 1, 1), (th, -1, 2)], 0, x_order, qo),
+        "psi1": direction_series([(th1, 1, 2)], 0, x_order, qo),
         "one": one,
     }
 

@@ -42,6 +42,45 @@ def test_string_and_fraction_coercion():
     assert s.coefficient(1) == Fraction(2, 5)
 
 
+def _through_fractions(coeffs, order=None):
+    """The series built with every entry coerced to a Fraction first."""
+    return QSeries([Fraction(c) for c in coeffs], order)
+
+
+@pytest.mark.parametrize("coeffs, order", [
+    ([3, -1, 0, 7], None), ([1, 2], 4), ([1, 2, 3, 4, 5], 2), ([0, 0], 1),
+    ([], 3), ([10 ** 40, -5], None)])
+def test_int_entries_skip_fractions(coeffs, order):
+    s = QSeries(coeffs, order)
+    ref = _through_fractions(coeffs, order)
+    assert (s.order, s.num, s.den) == (ref.order, ref.num, ref.den)
+    assert s.den == 1 and all(type(x) is int for x in s.num)
+
+
+def test_int_entries_are_copied():
+    coeffs = [1, 2, 3]
+    s = QSeries(coeffs)
+    coeffs[0] = 9
+    assert s.num == [1, 2, 3]
+
+
+def test_non_int_entries_keep_the_fraction_path():
+    # bool, Fraction and 'p/q' strings are coerced; int results in num
+    for coeffs in ([True, False, 2], [Fraction(4, 2), 1], ["3/6", 1],
+                   [1, Fraction(1, 3)]):
+        s = QSeries(coeffs)
+        ref = QSeries([rat(c) for c in coeffs])
+        assert (s.num, s.den) == (ref.num, ref.den)
+        assert all(type(x) is int for x in s.num)
+    assert QSeries([True, 0]).num == [1, 0]
+    with pytest.raises(TypeError):
+        QSeries([1, 2.0, 3])
+    with pytest.raises(TypeError):
+        QSeries([1, 2, 0.5], 1)  # a float past the order still raises
+    with pytest.raises(ValueError):
+        QSeries([])
+
+
 def test_basic_predicates():
     assert QSeries.zero(5).is_zero()
     assert QSeries.one(5).is_one()

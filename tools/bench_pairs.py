@@ -23,6 +23,11 @@ verdicts:
 It also records the seeds, run length, scalar backend, nproc, Python and
 both commits, and the failed operations of every run.  The exit code is
 1 if any run failed.
+
+Both sides import the same way: every run has PYTHONDONTWRITEBYTECODE=1,
+and the tool refuses to start (exit code 2, naming the paths) while
+either checkout holds a `src/**/__pycache__`, because a bytecode cache
+on one side only lowers that side's setup_s and peak_rss_mb.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ def run(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          check=False)
+                          check=False,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
         sys.stderr.write(proc.stderr)
@@ -100,6 +106,12 @@ def main(argv=None):
     args = p.parse_args(argv)
     seconds = spec["run_seconds"]
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    caches = [str(c) for side in sides.values()
+              for c in sorted((side / "src").rglob("__pycache__"))]
+    if caches:
+        print("bytecode caches would make the sides import differently; "
+              "remove them first:\n  " + "\n  ".join(caches), file=sys.stderr)
+        return 2
     out = {"meta": {
         "parent_commit": args.parent_commit or git_head(sides["parent"]),
         "change_commit": git_head(ROOT),
