@@ -31,7 +31,8 @@ by `rank_pair_mul` (or placed by `subst_linear`).  With at most one such
 piece the axis factors are contracted against it directly; otherwise the
 factor of an axis x_b enters as a one-axis convolution and the last
 piece is contracted against the rest with `top_product` (see
-`_residue`).  Nothing on this route is cached but `theta.log_coeffs`.
+`_residue`).  Nothing on this route is cached but the int log columns and
+exponential weights inside `theta`.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
