@@ -31,8 +31,12 @@ by `rank_pair_mul` (or placed by `subst_linear`).  With at most one such
 piece the axis factors are contracted against it directly; otherwise the
 factor of an axis x_b enters as a one-axis convolution and the last
 piece is contracted against the rest with `top_product` (see
-`_residue`).  Nothing on this route is cached but the int log columns and
-exponential weights inside `theta`.
+`_residue`).  Each exponential is built once: many instances share one
+(a degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is
+W's integrand with C as one more row), so `_exponential` caches it,
+bounded, by its merged terms and length; the y^r shift is not cached.
+Besides that only the int log columns and exponential weights inside
+`theta` are cached.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
@@ -74,6 +78,35 @@ def _primitive(d):
     return tuple(x // m for x in d), m
 
 
+@functools.lru_cache(maxsize=256)
+def _exponential(terms, x_order, q_order):
+    """exp(sum of coef * log_kind(m*y) over terms) to y^x_order, a tuple
+    of QSeries.  Keyed by the merged terms of `_direction_factor`, so
+    every direction, instance and genus with that exponent and length
+    shares one build; 256 entries hold the mass run's 126 distinct ones.
+    """
+    return tuple(theta.direction_series(terms, 0, x_order, q_order))
+
+
+def _direction_factor(terms, r, degree, q_order):
+    """y^r * exp(sum of coef * log_kind(m*y) over terms) to y^degree.
+
+    The terms are merged by (kind, |m|), their coefficients summed and
+    zero sums dropped, which keeps every power sum sum coef * m^2k; the
+    exponential of the merged terms to the even length below degree - r
+    is read from `_exponential`, and the y^r shift and an odd length's
+    trailing zero are applied here.
+    """
+    merged = {}
+    for kind, coef, m in terms:
+        merged[kind, abs(m)] = merged.get((kind, abs(m)), 0) + coef
+    key = tuple(sorted(((kind, coef, m) for (kind, m), coef in merged.items()
+                        if coef), key=lambda t: (t[0].value, t[2])))
+    odd = (degree - r) % 2
+    zero = (QSeries.zero(q_order),)
+    return zero * r + _exponential(key, degree - r - odd, q_order) + zero * odd
+
+
 def _theta_residue(g: GCIData, logs, linear):
     """Residue of prod_b (x_b/Phi)^(n_b+1) * prod_(d in linear) ell_d
     * exp(sum over logs (kind, coef, d) of coef * log_kind(ell_d)).
@@ -103,7 +136,7 @@ def _theta_residue(g: GCIData, logs, linear):
         r = power.get(u, 0)
         if r > degree:  # the factor y^r * exp(...) truncates to zero
             return QSeries.zero(qo)
-        f = theta.direction_series(ts, r, degree, qo)
+        f = _direction_factor(ts, r, degree, qo)
         if on_axis:
             axis_factors.append(f)
         else:

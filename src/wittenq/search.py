@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge
 from typing import Optional
 
 from .gci import GCIData, codim_ok, condition_report, dims
@@ -90,6 +91,11 @@ def _find(q: SearchQuery, coef):
             c = C or (0,) * s
             key = tuple(-coef * c[b] * c[e] for b, e in pairs)
             buckets.setdefault(key, []).append((C, [coef * v * v for v in c]))
+        # a prefix is bounded by a key that no sum of it exceeds; the
+        # componentwise maximum of the keys decides this for one pair and
+        # is a pre-test for more
+        top = tuple(map(max, zip(*buckets)))
+        pretest = len(pairs) > 1
         rows = sorted(itertools.product(values, repeat=s))
         # (first row allowed, rows so far, sum_a d_ab^2, Gram sums)
         stack = [(0, (), [0] * s, (0,) * len(pairs))]
@@ -110,8 +116,9 @@ def _find(q: SearchQuery, coef):
                 row = rows[i]
                 nxt = tuple(x + row[b] * row[e] for x, (b, e) in zip(gram, pairs))
                 # positive rows only raise the sums: cut what no key bounds
-                if not q.positive or any(
-                        all(k >= x for k, x in zip(key, nxt)) for key in buckets):
+                if not q.positive or all(map(ge, top, nxt)) and (
+                        not pretest or any(all(map(ge, key, nxt))
+                                           for key in buckets)):
                     stack.append((i, D + (row,),
                                   [v + d * d for v, d in zip(sq, row)], nxt))
     return [found[k] for k in sorted(found) if found[k] is not None]

@@ -29,7 +29,8 @@ g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times every
 kind's x^2k log coefficient, delta_h = lcm_k d_k delta_(h-k) clears g_2h,
 so each step is an integer combination of int columns with cached integer
 weights, and each coefficient is reduced once.  It returns the list of
-QSeries coefficients by x-degree, which the genera use as it is; `phi`,
+QSeries coefficients by x-degree, which the genera keep in a bounded
+cache by merged exponent (`genera._exponential`); `phi`,
 `psi`, `psi_product` and `x_over_phi` wrap that list as a one-generator
 NilPoly with cap x_order.  A separate complex-numeric evaluator checks the
 analytic transformation laws, which the formal truncated series cannot see.
@@ -232,7 +233,8 @@ def direction_series(terms, r, x_order, q_order):
     L_2k = sum_kind p_2k * log_kind_2k with the integer power sum
     p_2k = sum coef * m^2k; it is even in y with no constant term, so
     f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
-    n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order.
+    n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order;
+    a negative r or x_order raises ValueError.
 
     The recurrence runs on int columns.  With g_n = n! f_n and
     Lambda_2k = (2k)! L_2k it reads
@@ -251,6 +253,9 @@ def direction_series(terms, r, x_order, q_order):
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
     """
+    if r < 0 or x_order < 0:
+        raise ValueError(f"direction_series needs r >= 0 and x_order >= 0, "
+                         f"got r={r}, x_order={x_order}")
     zero = QSeries.zero(q_order)
     if r > x_order:
         return [zero] * (x_order + 1)

@@ -1,5 +1,6 @@
-"""The integer exponential kernel of `theta.direction_series` and the
-Bernoulli numbers it rests on, against test-local naive references.
+"""The integer exponential kernel of `theta.direction_series`, the
+Bernoulli numbers it rests on and the genera's cache of its exponentials,
+against test-local naive references.
 
 The references are deliberately the slow definitions: the logarithms from
 the divisor-sum formulas over Fractions, the exponential from the
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittenq import theta
+from wittenq import genera, theta
+from wittenq.gci import GCIData
 from wittenq.qseries import QSeries, QSum
 from wittenq.theta import ThetaKind
 
@@ -128,3 +130,90 @@ def test_bernoulli_values_and_domain():
     for n in (-1, -2):
         with pytest.raises(ValueError):
             theta.bernoulli(n)
+
+
+@pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2)])
+def test_direction_series_refuses_negative_sizes(r, x_order):
+    with pytest.raises(ValueError, match="r >= 0 and x_order >= 0"):
+        theta.direction_series([(K.THETA, 1, 1)], r, x_order, 4)
+
+
+def test_factors_refuse_negative_x_order():
+    for build in (lambda: theta.phi(-1, 2), lambda: theta.x_over_phi(-1, 2),
+                  lambda: theta.psi(K.THETA1, -2, 2),
+                  lambda: theta.psi_product(-1, 2)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def _cache_counts():
+    info = genera._exponential.cache_info()
+    return info.hits, info.misses
+
+
+def test_equal_exponents_share_one_cache_entry():
+    # the same power sums sum coef * m^2k per kind: permuted, split, of
+    # either sign of m, or padded with terms that cancel
+    base = [(K.THETA, 3, 1), (K.THETA1, -1, 2), (K.THETA2, 2, 3)]
+    variants = [
+        base,
+        base[::-1],
+        [(K.THETA, 1, 1), (K.THETA1, -1, 2), (K.THETA, 2, 1),
+         (K.THETA2, 5, 3), (K.THETA2, -3, 3)],
+        [(K.THETA, 3, -1), (K.THETA1, -1, -2), (K.THETA2, 2, 3)],
+        base + [(K.THETA3, 4, 2), (K.THETA3, -4, -2)],
+    ]
+    genera._exponential.cache_clear()
+    for r, degree in ((0, 14), (1, 16), (2, 16), (3, 18)):
+        # only the length degree - r, rounded down to even, keys the entry
+        ref = _exact(_naive_direction(base, r, degree, 4))
+        for terms in variants:
+            got = genera._direction_factor(terms, r, degree, 4)
+            assert len(got) == degree + 1
+            assert _exact(got) == ref
+    assert _cache_counts() == (4 * len(variants) - 1, 1)
+
+
+def test_terms_that_cancel_share_the_empty_exponent():
+    genera._exponential.cache_clear()
+    for terms in ([], [(K.THETA, 2, 1), (K.THETA, -2, -1)],
+                  [(K.THETA1, 1, 3), (K.THETA1, -1, 3), (K.THETA3, 0, 2)]):
+        got = genera._direction_factor(terms, 1, 9, 6)
+        assert _exact(got) == _exact(_naive_direction([], 1, 9, 6))
+    assert _cache_counts() == (2, 1)
+
+
+def test_cache_hit_equals_fresh_build():
+    terms, args = [(K.THETA, 4, 1), (K.THETA, -1, 3)], (2, 23, 8)
+    genera._exponential.cache_clear()
+    miss = genera._direction_factor(terms, *args)
+    hit = genera._direction_factor(terms, *args)
+    assert _cache_counts() == (1, 1)
+    genera._exponential.cache_clear()
+    again = genera._direction_factor(terms, *args)
+    assert _exact(miss) == _exact(hit) == _exact(again)
+    assert _exact(miss) == _exact(theta.direction_series(terms, *args))
+
+
+def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
+    built, build = [], theta.direction_series
+
+    def recording(*args):
+        out = build(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(genera.theta, "direction_series", recording)
+    genera._exponential.cache_clear()
+    g = GCIData([3, 2], [[1, 2]], C=[1, 0], q_order=8)
+    first = genera.wc_genus(g).coeffs
+    snapshot = [[(c.num[:], c.den) for c in f] for f in built]
+    assert built
+    # the same genus again reads every exponential from the cache, and a
+    # second two-factor genus shares some of them
+    assert genera.wc_genus(g).coeffs == first
+    genera.witten_genus(GCIData([3, 2], [[1, 1]], q_order=8))
+    assert genera._exponential.cache_info().hits >= len(snapshot)
+    assert [[(c.num, c.den) for c in f] for f in built[:len(snapshot)]] \
+        == snapshot
+    assert genera.wc_genus(g, route="bundle").coeffs == first

@@ -186,6 +186,20 @@ def test_route_equivalence():
             == mod2_witten(g, route="bundle").precursor)
 
 
+@pytest.mark.parametrize("route", ["theta", "bundle"])
+def test_degree_one_row_drops_the_ambient_dimension(route):
+    # a degree-1 row on CP^n cuts out CP^(n-1): the exponentials the
+    # genera cache share rests on this, and each route must show it
+    cases = [(witten_genus, ([5], [[1], [2], [2]], None), ([4], [[2], [2]], None)),
+             (wc_genus, ([7], [[1], [3]], [1]), ([6], [[3]], [1])),
+             (wc_genus, ([6], [[1], [2]], [2]), ([5], [[2]], [2]))]
+    for fn, (n, D, C), (n1, D1, C1) in cases:
+        big = fn(GCIData(n, D, C=C, q_order=8), route=route)
+        small = fn(GCIData(n1, D1, C=C1, q_order=8), route=route)
+        assert not small.coeffs.is_zero()
+        assert big.coeffs == small.coeffs and big.kind == small.kind
+
+
 def test_unknown_route_is_refused():
     calls = [(witten_genus, GCIData([3], [[2]], q_order=4)),
              (wc_genus, GCIData([5], [[2]], C=[1], q_order=4)),
