@@ -6,7 +6,9 @@ q-order is 20, overridable per-invocation by --q-order and globally by
 the WITTENQ_Q_ORDER environment variable (which sets the default only),
 except `verify --suite vanishing`, which runs at q-order 12 unless given
 --q-order.  A negative or non-integer q-order, from either source, is
-malformed input.  Run as a program, wittenq dies quietly of SIGPIPE.
+malformed input; `verify` of the modular suite (alone or in `all`) below
+q-order 4, too short to fit at weight 24, is a precondition failure
+before any suite runs.  Run as a program, wittenq dies quietly of SIGPIPE.
 """
 from __future__ import annotations
 
@@ -221,10 +223,16 @@ def suite_vanishing(q_order, query=None):
     return results
 
 
+_MODULAR_WEIGHTS = range(0, 26, 2)
+# a fit at weight w reads dim M_w coefficients in q-tilde = q^2
+_MODULAR_MIN_Q_ORDER = 2 * (max(len(modforms.weight_basis(w))
+                               for w in _MODULAR_WEIGHTS) - 1)
+
+
 def suite_modular(q_order):
     results = {}
     tilde = q_order // 2
-    for weight in range(0, 26, 2):
+    for weight in _MODULAR_WEIGHTS:
         ok = True
         for a, b in modforms.weight_basis(weight):
             mono = (modforms.eisenstein(4, tilde) ** a
@@ -249,6 +257,10 @@ def cmd_verify(args):
         "modular": lambda: suite_modular(q_order),
     }
     names = list(suites) if args.suite == "all" else [args.suite]
+    if "modular" in names and q_order < _MODULAR_MIN_Q_ORDER:
+        print(f"precondition failure: the modular suite needs q-order >= "
+              f"{_MODULAR_MIN_Q_ORDER}, got {q_order}", file=sys.stderr)
+        return EXIT_PRECONDITION
     failures = 0
     for name in names:
         results = suites[name]()

@@ -91,7 +91,7 @@ def w2_vector(g: GCIData):
 
 
 def is_spin(g: GCIData):
-    return all(v == 0 for v in w2_vector(g))
+    return condition_report(g).spin
 
 
 def p1_matrix(g: GCIData):
@@ -107,7 +107,7 @@ def p1_matrix(g: GCIData):
 
 def is_string(g: GCIData):
     """Spin with vanishing half-first-Pontryagin class."""
-    return is_spin(g) and all(v == 0 for row in p1_matrix(g) for v in row)
+    return condition_report(g).string
 
 
 def stringc_coefficient(g: GCIData):
@@ -120,10 +120,7 @@ def is_stringc(g: GCIData):
     """The dimension-appropriate identity Diag(n+1) - D^T D = k * C^T C."""
     if g.C is None:
         raise ValueError("is_stringc requires the spin^c coefficient vector C")
-    k = stringc_coefficient(g)
-    P = p1_matrix(g)
-    return all(P[b][c] == k * g.C[b] * g.C[c]
-               for b in range(g.s) for c in range(g.s))
+    return condition_report(g).stringc
 
 
 def codim_ok(g: GCIData):
@@ -142,10 +139,8 @@ def even_rows(g: GCIData):
 
 def thm42_ok(g: GCIData):
     """(flag, first all-even row index) for the mod-2 vanishing hypotheses."""
-    _, rdim = dims(g)
-    rows = even_rows(g)
-    ok = (rdim % 8 == 2 and is_string(g) and codim_ok(g) and bool(rows))
-    return ok, (rows[0] if rows else None)
+    rep = condition_report(g)
+    return rep.thm42_ok, rep.even_row
 
 
 @dataclass
@@ -162,7 +157,8 @@ class ConditionReport:
 
 
 def condition_report(g: GCIData):
-    """Evaluate every checker and collect human-readable violations.
+    """Evaluate every condition once and collect human-readable violations;
+    `is_spin`, `is_string`, `is_stringc` and `thm42_ok` read this report.
 
     The matrix identities are meaningful characterizations only under the
     codimension hypothesis; when that fails the report is marked
@@ -170,19 +166,20 @@ def condition_report(g: GCIData):
     """
     diags = []
     w2 = w2_vector(g)
-    spin = all(v == 0 for v in w2)
+    spin = not any(w2)
     if not spin:
         diags.append(f"w2 nonzero in columns {[b for b, v in enumerate(w2) if v]}")
     P = p1_matrix(g)
-    p1_zero = all(v == 0 for row in P for v in row)
+    p1_zero = not any(map(any, P))
     if not p1_zero:
         diags.append(f"Diag(n+1) - D^T D = {P} != 0")
     string = spin and p1_zero
     stringc = None
     if g.C is not None:
-        stringc = is_stringc(g)
+        k = stringc_coefficient(g)
+        stringc = all(P[b][c] == k * g.C[b] * g.C[c]
+                      for b in range(g.s) for c in range(g.s))
         if not stringc:
-            k = stringc_coefficient(g)
             diags.append(
                 f"Diag(n+1) - D^T D != {k} * C^T C (coefficient {k} branch)")
     cod = codim_ok(g)
@@ -192,8 +189,11 @@ def condition_report(g: GCIData):
     for a, degrees in enumerate(g.D):
         if not any(degrees):  # a nowhere-zero section: V is empty
             diags.append(f"degree row {a} is all zero: V is empty")
-    t42, row = thm42_ok(g)
+    dim = dims(g)
+    rows = even_rows(g)
+    t42 = dim[1] % 8 == 2 and string and cod and bool(rows)
     return ConditionReport(spin=spin, string=string, stringc=stringc,
-                           codim_ok=cod, thm42_ok=t42, even_row=row,
-                           dims=dims(g), sufficient_only=not cod,
+                           codim_ok=cod, thm42_ok=t42,
+                           even_row=rows[0] if rows else None,
+                           dims=dim, sufficient_only=not cod,
                            diagnostics=diags)

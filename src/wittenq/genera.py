@@ -10,7 +10,7 @@ Two assembly routes are provided for every genus; their agreement is one
 of the package's standing oracles.
 
 The "theta" route merges the integrand by direction.  With L = log(x/Phi)
-and L1 = log Psi_1 (even in x, see `theta.log_coeffs`) every factor is an
+and L1 = log Psi_1 (even in x, see `theta._log_columns`) every factor is an
 exponential, up to a linear prefactor:
 
     (x_b/Phi(x_b))^(n_b+1) = exp((n_b+1) L(x_b)),

@@ -11,23 +11,32 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import theta
 from .qseries import QSeries
 
 
 def sigma(k, n):
-    """Divisor power sum sigma_k(n); sigma_k(0) = 0 by convention here."""
+    """Divisor power sum sigma_k(n); sigma_k(0) = 0 by convention here.
+
+    The package's Eisenstein series come from `theta`'s log columns; this
+    direct sum is kept as the independent oracle they are tested against.
+    """
     if n <= 0:
         return 0
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
 def eisenstein(k, order):
-    """E_2, E_4 or E_6 as a QSeries in q-tilde to the given order."""
-    scale = {2: -24, 4: 240, 6: -504}
-    if k not in scale:
+    """E_2, E_4 or E_6 as a QSeries in q-tilde to the given order.
+
+    E_k is G_k / G_k(0), read on ints from `theta.eisenstein_g`(k/2) at
+    twice the order: its even entries over its constant term.
+    """
+    if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    coeffs = [1] + [scale[k] * sigma(k - 1, n) for n in range(1, order + 1)]
-    return QSeries(coeffs, order)
+    num = theta.eisenstein_g(k // 2, 2 * order).num
+    sign = 1 if num[0] > 0 else -1
+    return QSeries._make([sign * c for c in num[::2]], abs(num[0]), order)
 
 
 def lift(tilde, q_order):

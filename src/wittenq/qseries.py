@@ -176,6 +176,9 @@ class QSeries:
         return [Fraction(x, self.den) for x in self.num]
 
     def coefficient(self, k):
+        """The coefficient of q^k, 0 above the order; k < 0 raises ValueError."""
+        if k < 0:
+            raise ValueError(f"no coefficient of q^{k}: k must be >= 0")
         return Fraction(self.num[k] if k <= self.order else 0, self.den)
 
     def is_zero(self):
@@ -197,6 +200,8 @@ class QSeries:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         return QSeries._make(self.num[: order + 1], self.den, order)
 
     # -- arithmetic ---------------------------------------------------

@@ -14,7 +14,7 @@ with every q^(1/4) prefactor cancelling.  The factors are not built from
 these products.  Taking logarithms turns each product into divisor sums:
 log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
 G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
-Psi_i have sign-twisted analogues (see `log_coeffs`).  The Bernoulli
+Psi_i have sign-twisted analogues (see `_log_columns`).  The Bernoulli
 numbers come from integer tangent numbers (Brent and Harvey 2011).  Each
 factor is then one exponential of its logarithm, computed exactly by
 `direction_series`, the one exponential builder: it exponentiates an
@@ -126,25 +126,14 @@ def bernoulli(n):
     return Fraction((-1) ** (k - 1) * n * t, 4 ** k * (4 ** k - 1))
 
 
-def _divisor_sums(k, q_order, odd, alternating):
-    """Integer coefficients of sum_(m*e = N) eps^(m+1) * m^(2k-1) * q^N.
-
-    e runs over the odd (odd=True) or the even positive integers, and eps
-    is -1 when alternating, +1 otherwise.  The q^0 coefficient is 0.
-    """
-    out = [0] * (q_order + 1)
-    for m in range(1, q_order + 1):
-        w = -m ** (2 * k - 1) if alternating and m % 2 == 0 else m ** (2 * k - 1)
-        for N in range(m if odd else 2 * m, q_order + 1, 2 * m):
-            out[N] += w
-    return out
-
-
 def eisenstein_g(k, q_order):
-    """G_2k(q^2) = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^(2N), k >= 1."""
-    coeffs = _divisor_sums(k, q_order, odd=False, alternating=False)
-    coeffs[0] = -bernoulli(2 * k) / (4 * k)
-    return QSeries(coeffs, q_order)
+    """G_2k(q^2) = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^(2N), k >= 1: the
+    x/Phi log column k over 2 d_k (see `_log_columns`)."""
+    if k < 1 or q_order < 0:
+        raise ValueError(f"eisenstein_g needs k >= 1 and q_order >= 0, "
+                         f"got k={k}, q_order={q_order}")
+    col = _log_columns(ThetaKind.THETA, _granular(2 * k), q_order)[k]
+    return QSeries._make(list(col), 2 * _den_bound(k), q_order)
 
 
 def _den_bound(k):
@@ -155,10 +144,22 @@ def _den_bound(k):
 @functools.lru_cache(maxsize=None)
 def _log_columns(kind, x_order, q_order):
     """The int columns N_k = d_k (2k)! L_2k over q^0..q^q_order of the
-    logarithm L of `kind` (see `log_coeffs`), by k = 0..x_order // 2.
+    logarithm L of `kind`, by k = 0..x_order // 2.
 
-    (2k)! L_2k is -B_2k/2k (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0
-    (Psi_2, Psi_3) plus twice an integral divisor sum, so d_k clears it.
+    THETA stands for x/Phi; THETA1..3 for Psi_1..3.  Every logarithm is
+    even in x with no constant term, and its x^2k coefficient L_2k is
+    2/(2k)! times
+        x/Phi:  G_2k(q^2)
+        Psi_1:  (2^2k - 1) B_2k/(4k) + sum_N sum_(m|N) (-1)^(m+1) m^(2k-1) q^(2N)
+        Psi_2:  -sum_N sum_(m|N, N/m odd) m^(2k-1) q^N
+        Psi_3:  sum_N sum_(m|N, N/m odd) (-1)^(m+1) m^(2k-1) q^N
+    from log(1 + t e^x) + log(1 + t e^-x) - 2 log(1 + t)
+    = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
+    log(sinh(x/2)/(x/2)) and log cosh(x/2).  So (2k)! L_2k is -B_2k/2k
+    (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0 (Psi_2, Psi_3) plus twice an
+    integral divisor sum, and d_k = `_den_bound`(k) clears it.  These
+    columns are the package's one source of Eisenstein series:
+    `eisenstein_g` and `modforms.eisenstein` read the x/Phi columns.
     A table extends the cached one 16 x-degrees shorter.
     """
     if not isinstance(kind, ThetaKind):
@@ -171,34 +172,16 @@ def _log_columns(kind, x_order, q_order):
     for k in range(len(cols), x_order // 2 + 1):
         b = bernoulli(2 * k) / (2 * k)
         s = -2 * b.denominator if kind == K.THETA2 else 2 * b.denominator
-        col = [s * c for c in _divisor_sums(k, q_order, odd, alternating)]
+        col = [0] * (q_order + 1)
         col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * b.numerator
+        # sum over m * e = N of eps^(m+1) m^(2k-1), e odd (Psi_2, Psi_3)
+        # or even, eps = -1 when alternating
+        for m in range(1, q_order + 1):
+            w = (-s if alternating and m % 2 == 0 else s) * m ** (2 * k - 1)
+            for N in range(m if odd else 2 * m, q_order + 1, 2 * m):
+                col[N] += w
         cols.append(tuple(col))
     return tuple(cols)
-
-
-def log_coeffs(kind, x_order, q_order):
-    """The logarithm of a factor as QSeries coefficients by x-degree 0..x_order.
-
-    THETA stands for x/Phi; THETA1..3 for Psi_1..3.  Every logarithm is
-    even in x with no constant term, and its x^2k coefficient is 2/(2k)!
-    times
-        x/Phi:  G_2k(q^2)
-        Psi_1:  (2^2k - 1) B_2k/(4k) + sum_N sum_(m|N) (-1)^(m+1) m^(2k-1) q^(2N)
-        Psi_2:  -sum_N sum_(m|N, N/m odd) m^(2k-1) q^N
-        Psi_3:  sum_N sum_(m|N, N/m odd) (-1)^(m+1) m^(2k-1) q^N
-    from log(1 + t e^x) + log(1 + t e^-x) - 2 log(1 + t)
-    = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
-    log(sinh(x/2)/(x/2)) and log cosh(x/2).  This is the rational view of
-    the cached int columns `direction_series` works on.
-    """
-    cols = _log_columns(kind, x_order, q_order)
-    out = [QSeries.zero(q_order)] * (x_order + 1)
-    for k in range(1, x_order // 2 + 1):
-        out[2 * k] = QSeries._make(list(cols[k]),
-                                   _den_bound(k) * math.factorial(2 * k),
-                                   q_order)
-    return tuple(out)
 
 
 # -- exponentials -----------------------------------------------------
@@ -229,12 +212,12 @@ def direction_series(terms, r, x_order, q_order):
     as the list of its QSeries coefficients by y-degree 0..x_order.
 
     terms holds integer triples (kind, coef, m), kind naming a logarithm
-    of `log_coeffs`.  The exponent L has the y^2k coefficient
+    of `_log_columns`.  The exponent L has the y^2k coefficient
     L_2k = sum_kind p_2k * log_kind_2k with the integer power sum
     p_2k = sum coef * m^2k; it is even in y with no constant term, so
     f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
     n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order;
-    a negative r or x_order raises ValueError.
+    a negative r, x_order or q_order raises ValueError.
 
     The recurrence runs on int columns.  With g_n = n! f_n and
     Lambda_2k = (2k)! L_2k it reads
@@ -253,9 +236,10 @@ def direction_series(terms, r, x_order, q_order):
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
     """
-    if r < 0 or x_order < 0:
-        raise ValueError(f"direction_series needs r >= 0 and x_order >= 0, "
-                         f"got r={r}, x_order={x_order}")
+    if min(r, x_order, q_order) < 0:
+        raise ValueError(f"direction_series needs r, x_order and q_order "
+                         f">= 0, got r={r}, x_order={x_order}, "
+                         f"q_order={q_order}")
     zero = QSeries.zero(q_order)
     if r > x_order:
         return [zero] * (x_order + 1)

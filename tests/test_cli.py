@@ -278,6 +278,23 @@ def test_verify_modular_suite(capsys):
     assert "0 failed" in out
 
 
+@pytest.mark.parametrize("suite", ["modular", "all"])
+def test_verify_modular_below_min_q_order_exits_3(monkeypatch, capsys,
+                                                  suite):
+    # weight 24 has three basis monomials, so its fit reads q~^0..q~^2;
+    # the check comes before any suite runs
+    monkeypatch.setattr(cli, "suite_theta", lambda qo: pytest.fail("ran"))
+    for q in ("0", "1", "2", "3"):
+        assert run(["verify", "--suite", suite, "--q-order", q]) \
+            == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("precondition failure: the modular suite "
+                                f"needs q-order >= 4, got {q}\n")
+    assert run(["verify", "--suite", "modular", "--q-order", "4"]) == EXIT_OK
+    assert "[modular] 15 passed, 0 failed" in capsys.readouterr().out
+
+
 def test_suite_failure_exit_code(monkeypatch, capsys):
     # force a failing suite result to confirm the exit code contract
     monkeypatch.setattr(cli, "suite_theta", lambda qo: {"broken": False})

@@ -38,7 +38,8 @@ def _bernoulli_reference(n):
 
 @functools.lru_cache(maxsize=None)
 def _log_reference(kind, k, q_order):
-    """L_2k of `kind` over Fractions, from the formulas of log_coeffs."""
+    """L_2k of `kind` over Fractions, from the formulas in the docstring
+    of `theta._log_columns`."""
     c = [Fraction(0)] * (q_order + 1)
     b = _bernoulli_reference(2 * k) / (4 * k)
     if kind in (K.THETA, K.THETA1):
@@ -107,14 +108,17 @@ def test_direction_series_matches_naive_recurrence():
 
 @pytest.mark.parametrize("kind", list(K))
 def test_den_bound_clears_every_logarithm(kind):
-    # d_k (2k)! L_2k is integral, the bound the kernel's weights rest on
+    # d_k (2k)! L_2k is integral, the bound the kernel's weights rest on,
+    # and the int column N_k of `_log_columns` is that integer
     qo = 12
-    logs = theta.log_coeffs(kind, 112, qo)
+    cols = theta._log_columns(kind, 112, qo)
+    assert len(cols) == 57 and cols[0] == (0,) * (qo + 1)
     for k in range(1, 57):
         ref = _log_reference(kind, k, qo)
-        assert logs[2 * k] == ref
         d = (_bernoulli_reference(2 * k) / (2 * k)).denominator
-        assert (ref * (d * math.factorial(2 * k))).is_integral()
+        cleared = ref * (d * math.factorial(2 * k))
+        assert cleared.is_integral()
+        assert cleared.num == list(cols[k])
 
 
 def test_bernoulli_matches_defining_recurrence():
@@ -132,10 +136,13 @@ def test_bernoulli_values_and_domain():
             theta.bernoulli(n)
 
 
-@pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2)])
+@pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2), (0, 4)])
 def test_direction_series_refuses_negative_sizes(r, x_order):
-    with pytest.raises(ValueError, match="r >= 0 and x_order >= 0"):
-        theta.direction_series([(K.THETA, 1, 1)], r, x_order, 4)
+    # a negative q-order is refused too, and alone at (0, 4)
+    for q_order in (4, -1) if min(r, x_order) < 0 else (-1,):
+        with pytest.raises(ValueError,
+                           match="needs r, x_order and q_order >= 0"):
+            theta.direction_series([(K.THETA, 1, 1)], r, x_order, q_order)
 
 
 def test_factors_refuse_negative_x_order():
@@ -144,6 +151,19 @@ def test_factors_refuse_negative_x_order():
                   lambda: theta.psi_product(-1, 2)):
         with pytest.raises(ValueError):
             build()
+
+
+def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
+    # these raised IndexError or ZeroDivisionError, or built a series of
+    # order -1
+    for build in (lambda: theta.phi(4, -1), lambda: theta.psi_product(2, -3),
+                  lambda: genera.sigma1_series(-1),
+                  lambda: theta.eisenstein_g(1, -1)):
+        with pytest.raises(ValueError, match="q_order >= 0"):
+            build()
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k >= 1"):
+            theta.eisenstein_g(k, 4)
 
 
 def _cache_counts():

@@ -12,7 +12,7 @@ the same references.
 import pytest
 
 from wittenq import bundles, genera, theta
-from wittenq.qseries import rat
+from wittenq.qseries import QSeries, rat
 from wittenq.theta import ThetaKind, _x_series
 
 X_ORDERS = [0, 1, 2, 3, 7, 16, 33, 64]
@@ -68,8 +68,12 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
 
 
 def test_sigma1_series_is_the_x2_log_coefficient():
-    # log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)!, and G_2 is sigma1_series
+    # log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)!, so x/Phi = exp(log(x/Phi))
+    # has x^2 coefficient G_2(q^2) = -1/24 + sum sigma_1(n) q^(2n), here
+    # from the divisor sums and from the product formula
     qo = 10
-    logs = theta.log_coeffs(ThetaKind.THETA, 2, qo)
-    assert logs[2] == genera.sigma1_series(qo)
-    assert genera.sigma1_series(qo).coefficient(0) == rat("-1/24")
+    g2 = QSeries([rat("-1/24")] + [
+        sum(d for d in range(1, n // 2 + 1) if n // 2 % d == 0)
+        if n % 2 == 0 else 0 for n in range(1, qo + 1)], qo)
+    assert genera.sigma1_series(qo) == g2
+    assert bundles.root_factor(2, qo).coeffs[2] == g2

@@ -92,6 +92,10 @@ def test_even_rows_and_thm42():
     h = GCIData([7], [[1], [3]])
     ok2, row2 = thm42_ok(h)
     assert not ok2 and row2 is None
+    # string in real dimension 2 with an even row, but m + 2 > n on CP^1
+    f = GCIData([1, 3], [[-1, 0], [-1, 0], [0, -2]])
+    assert is_string(f) and not codim_ok(f)
+    assert thm42_ok(f) == (False, 2)
 
 
 def test_all_zero_row_is_flagged_and_never_even():

@@ -231,7 +231,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("theta builder called on the bundle route")
 
-    for name in ("phi", "psi", "psi_product", "x_over_phi", "log_coeffs",
+    for name in ("phi", "psi", "psi_product", "x_over_phi", "eisenstein_g",
                  "direction_series"):
         monkeypatch.setattr(theta, name, refuse)
     for cached in (genera._bundle_factor_at, genera._root_power):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittenq import theta
 from wittenq.modforms import (eisenstein, fit, lift, restrict, sigma,
                               theta_constant_e4_check, weight_basis)
 from wittenq.qseries import QSeries
@@ -39,6 +40,30 @@ def test_eisenstein_leading_coefficients():
                                            '-532728']
     with pytest.raises(ValueError):
         eisenstein(8, 4)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_eisenstein_equals_sigma_formula(k):
+    # E_k = 1 - (2k / B_k) sum sigma_(k-1)(n) q~^n, numerators and
+    # denominator, against the direct divisor sums of `sigma`
+    scale = {2: -24, 4: 240, 6: -504}[k]
+    for order in range(41):
+        ref = QSeries([1] + [scale * sigma(k - 1, n)
+                             for n in range(1, order + 1)], order)
+        got = eisenstein(k, order)
+        assert (got.order, got.num, got.den) == (order, ref.num, ref.den)
+
+
+def test_eisenstein_g_equals_sigma_formula():
+    # G_2k(q^2) = -B_2k/(4k) + sum sigma_(2k-1)(N) q^(2N), read from theta's
+    # x/Phi log columns
+    for k in (1, 2, 3, 5, 8, 13):
+        for q_order in (0, 1, 2, 9, 24):
+            ref = QSeries([-theta.bernoulli(2 * k) / (4 * k)] + [
+                sigma(2 * k - 1, j // 2) if j % 2 == 0 else 0
+                for j in range(1, q_order + 1)], q_order)
+            got = theta.eisenstein_g(k, q_order)
+            assert (got.num, got.den) == (ref.num, ref.den)
 
 
 def test_ramanujan_identity_e4_squared():

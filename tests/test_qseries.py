@@ -173,6 +173,18 @@ def test_truncate():
     assert a.truncate(1).coeffs == [rat(1), rat(2)]
     with pytest.raises(ValueError):
         a.truncate(9)
+    # a negative order was a series the constructor refuses
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        a.truncate(-1)
+
+
+def test_negative_coefficient_index_raises():
+    # num[-1] would read the top coefficient from the end of the list
+    a = QSeries([1, 2, 3], 2)
+    assert a.coefficient(2) == 3 and a.coefficient(7) == 0
+    for k in (-1, -3, -4):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            a.coefficient(k)
 
 
 def test_reduce_mod2():
