@@ -5,31 +5,68 @@ symmetric and exterior powers of line-bundle roots.  Their characters are
 products of normalized Lambda pairs, one per monomial t = +-q^e:
 
     Lambda_t(L + L*) / (1 + t)^2 = (1 + t y)(1 + t/y) / (1 + t)^2
-                                 = 1 + t/(1 + t)^2 * w,   w = y + 1/y - 2,
+                                 = 1 + c w,   w = y + 1/y - 2,
 
-and the Sym_t(L + L*) pairs are their inverses at -t.  Each pair is linear
-in w, so a product of pairs is a polynomial in w (`_pairs`).  The
-cancellation lemma works in w directly; at a Chern root x (normalized so
+with the integral coefficient c = t/(1 + t)^2 = sum_k (-1)^(k-1) k t^k;
+the Sym_t(L + L*) pairs are their inverses at -t.  So a product of pairs
+is a polynomial in w with int q-columns (`_pair_columns`), which the
+cancellation lemma checks directly.  At a Chern root x (normalized so
 Chern classes carry no 2*pi*i) y = e^x and w = (2 sinh(x/2))^2, so the
-per-root factors of the genera are those polynomials evaluated at w(x)
-(`_at_w`) times an elementary sinh or cosh, truncated power series in x
-held as one-generator NilPolys like the theta factors.  The same factors
-arise as theta-function ratios, which `theta` builds as exponentials of
+per-root factors of the genera are those polynomials at w(x) times an
+elementary sinh or cosh, truncated power series in x held as
+one-generator NilPolys like the theta factors; an integer table of
+n! [x^n] w^d and its sinh and cosh multiples (`_weights`) makes each
+x-coefficient one int dot product per q-degree.  The same factors arise
+as theta-function ratios, which `theta` builds as exponentials of
 Eisenstein logarithms; this module keeps the product formulas, so each
 construction serves as an oracle for the other.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from fractions import Fraction
 
 from .nilring import NilPoly
 from .qseries import QSeries
-from .theta import _one_pm_q, _x_series, cosh_half, two_sinh_half
+from .theta import _granular
+
+
+def _check_sizes(name, **sizes):
+    for arg, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} needs {arg} >= 0, got {arg}={value}")
 
 
 def _terms(sign, first, q_order):
     """The pair monomials sign*q^e for e = first, first + 2, ... <= q_order."""
     return [(sign, e) for e in range(first, q_order + 1, 2)]
+
+
+def _pair_columns(terms, cap, q_order, inverse=False):
+    """The int q-columns by w-degree 0..cap of prod (1 + c w), c = t/(1 + t)^2
+    over t = sign*q^e for (sign, e) in terms, or of its inverse.
+
+    The product is res[d] += c res[d-1], top degree down, and the inverse
+    res[d] -= c res[d-1], bottom up.  A column times c is the column
+    shifted by t and divided by (1 + t)^2 = 1 + 2t + q^2e.
+    """
+    n = q_order + 1
+    res = [[1] + [0] * q_order] + [[0] * n for _ in range(cap)]
+    op = operator.sub if inverse else operator.add
+    for k, (sign, e) in enumerate(terms, 1):
+        s2 = 2 * sign
+        for d in range(1, cap + 1) if inverse else range(min(k, cap), 0, -1):
+            # the first q-degree of the shifted column, past leading zeros
+            f = e + next((i for i, a in enumerate(res[d - 1]) if a), n)
+            if f >= n:
+                continue
+            v = [0] * f + [sign * a for a in res[d - 1][f - e:n - e]]
+            for i in range(f + e, n):
+                v[i] -= s2 * v[i - e] + v[i - 2 * e]
+            res[d] = list(map(op, res[d], v))
+    return res
 
 
 def _pairs(terms, cap, q_order):
@@ -38,13 +75,63 @@ def _pairs(terms, cap, q_order):
     A one-generator NilPoly in w = y + 1/y - 2 with cap `cap`; a cap of
     len(terms) keeps every w-degree.
     """
-    caps = (cap,)
-    res = NilPoly.one(caps, q_order)
-    for sign, e in terms:
-        t = QSeries.monomial(sign, e, q_order)
-        c = t * (_one_pm_q(sign, e, q_order) ** 2).inv_unit()
-        res = res * NilPoly(caps, q_order, {(0,): 1, (1,): c})
-    return res
+    return NilPoly((cap,), q_order, {
+        (d,): QSeries._make(col, 1, q_order)
+        for d, col in enumerate(_pair_columns(terms, cap, q_order))})
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(x_order):
+    """{kind: ((row, den) by x-degree n = 0..x_order)}, [x^n] of
+    prefactor * w^d being row[d] / den for d <= n / 2.
+
+    With M(m, n) = 2^n n! [x^n] (2 sinh(x/2))^m, an integer, and
+    den = 2^(n+1) n!, the rows are
+        "w"     w^d                       2 M(2d, n) = 2^(n+1) T(n, d)
+        "sinh"  sinh(x/2) w^d             M(2d+1, n)
+        "cosh"  cosh(x/2) w^d             M(2d+1, n+1) / (2d+1)
+        "root"  x / (2 sinh(x/2)) w^d     4n M(2d-1, n-1), d >= 1
+    with T(n, d) = sum_j (-1)^j C(2d, j) (d - j)^n, as cosh(x/2) is the
+    derivative of s = 2 sinh(x/2) and x/s w^d = x s^(2d-1).  From
+    (s^m)'' = m(m-1) s^(m-2) + m^2/4 s^m, M(m, n+2) = m^2 M(m, n) +
+    4m(m-1) M(m-2, n), starting at M(0, 0) = 1 and M(1, 1) = 2.  The
+    root's d = 0 entry is [x^n] x/s, by inverting s/x, over its own den.
+    """
+    X = x_order + 1
+    M = [[0] * (X + 1) for _ in range(X + 1)]
+    M[0][0], M[1][1] = 1, 2
+    for n in range(2, X + 1):
+        for m in range(n % 2, n + 1, 2):
+            M[m][n] = m * m * M[m][n - 2] + (
+                4 * m * (m - 1) * M[m - 2][n - 2] if m > 1 else 0)
+    inv = [Fraction(1)]  # x / s by x-degree
+    for n in range(1, X):
+        inv.append(-sum((inv[n - k] / (2 ** k * math.factorial(k + 1))
+                         for k in range(2, n + 1, 2)), Fraction(0)))
+    tables = {"w": [], "sinh": [], "cosh": [], "root": []}
+    for n in range(X):
+        den, ds = 2 ** (n + 1) * math.factorial(n), range(n // 2 + 1)
+        tables["w"].append(([2 * M[2 * d][n] for d in ds], den))
+        tables["sinh"].append(([M[2 * d + 1][n] for d in ds], den))
+        tables["cosh"].append(
+            ([M[2 * d + 1][n + 1] // (2 * d + 1) for d in ds], den))
+        r = math.lcm(den, inv[n].denominator)
+        tables["root"].append(
+            ([inv[n].numerator * (r // inv[n].denominator)]
+             + [4 * n * M[2 * d - 1][n - 1] * (r // den) for d in ds[1:]], r))
+    return tables
+
+
+def _evaluate(kind, cols, x_order, q_order, den=1):
+    """prefactor(kind) * sum_d cols[d] / den * w^d at w = (2 sinh(x/2))^2,
+    truncated after x^x_order: each coefficient reduced once."""
+    by_q = list(zip(*cols))
+    zero, mul = QSeries.zero(q_order), operator.mul
+    return NilPoly.from_univariate([
+        QSeries._make([sum(map(mul, row, v)) for v in by_q], d * den, q_order)
+        if any(row) else zero
+        for row, d in _weights(_granular(x_order))[kind][:x_order + 1]],
+        0, (x_order,), q_order)
 
 
 def _at_w(p, x_order, q_order):
@@ -53,11 +140,9 @@ def _at_w(p, x_order, q_order):
     w has x-valuation 2, so only w-degrees <= x_order // 2 matter and p
     needs no larger cap.
     """
-    w = two_sinh_half(x_order, q_order) ** 2
-    res = NilPoly.zero((x_order,), q_order)
-    for c in reversed(p.coeffs):
-        res = res * w + c
-    return res
+    den = math.lcm(*(c.den for c in p.coeffs))
+    cols = [[a * (den // c.den) for a in c.num] for c in p.coeffs]
+    return _evaluate("w", cols, x_order, q_order, den)
 
 
 def root_factor(x_order, q_order):
@@ -66,10 +151,10 @@ def root_factor(x_order, q_order):
     The inverse pairs are Sym_{q^2m}(L + L*) normalized by its rank series;
     the whole thing equals x/Phi(x) but is assembled from the bundle side.
     """
-    sinh_unit = _x_series(two_sinh_half(x_order + 1, q_order).coeffs[1:],
-                          q_order)
-    pairs = _pairs(_terms(-1, 2, q_order), x_order // 2, q_order)
-    return sinh_unit.inv_unit() * _at_w(pairs.inv_unit(), x_order, q_order)
+    _check_sizes("root_factor", x_order=x_order, q_order=q_order)
+    cols = _pair_columns(_terms(-1, 2, q_order), x_order // 2, q_order,
+                         inverse=True)
+    return _evaluate("root", cols, x_order, q_order)
 
 
 def lfactor_4k(x_order, q_order):
@@ -77,10 +162,11 @@ def lfactor_4k(x_order, q_order):
 
     cosh(x/2) * prod Lambda-pairs at +q^2m, -q^(2m-1), +q^(2m-1).
     """
+    _check_sizes("lfactor_4k", x_order=x_order, q_order=q_order)
     terms = (_terms(1, 2, q_order) + _terms(-1, 1, q_order)
              + _terms(1, 1, q_order))
-    pairs = _pairs(terms, x_order // 2, q_order)
-    return cosh_half(x_order, q_order) * _at_w(pairs, x_order, q_order)
+    cols = _pair_columns(terms, x_order // 2, q_order)
+    return _evaluate("cosh", cols, x_order, q_order)
 
 
 def lfactor_4k2(x_order, q_order):
@@ -88,15 +174,16 @@ def lfactor_4k2(x_order, q_order):
 
     Equals Phi(x)/2; the halving is the Jacobi triple-null cancellation.
     """
-    pairs = _pairs(_terms(-1, 2, q_order), x_order // 2, q_order)
-    return (two_sinh_half(x_order, q_order) * Fraction(1, 2)
-            * _at_w(pairs, x_order, q_order))
+    _check_sizes("lfactor_4k2", x_order=x_order, q_order=q_order)
+    cols = _pair_columns(_terms(-1, 2, q_order), x_order // 2, q_order)
+    return _evaluate("sinh", cols, x_order, q_order)
 
 
 def psi1_factor(x_order, q_order):
     """Psi_1 = cosh(x/2) * prod Lambda-pairs at +q^2m, from the bundle side."""
-    pairs = _pairs(_terms(1, 2, q_order), x_order // 2, q_order)
-    return cosh_half(x_order, q_order) * _at_w(pairs, x_order, q_order)
+    _check_sizes("psi1_factor", x_order=x_order, q_order=q_order)
+    cols = _pair_columns(_terms(1, 2, q_order), x_order // 2, q_order)
+    return _evaluate("cosh", cols, x_order, q_order)
 
 
 # -- the cancellation lemma -------------------------------------------
@@ -116,24 +203,22 @@ def lemma42_report(q_order, flip_sign=False):
     Returns a report dict; 'quotient_q2' is the q^2-coefficient of the
     w^1-part divided by 2, a small sanity value (-1 for the true lemma).
     """
+    _check_sizes("lemma42_report", q_order=q_order)
     cap = q_order // 2  # one w-degree per pair: nothing is truncated
-    first = _pairs(_terms(-1, 2, q_order), cap, q_order)
-    second = _pairs(_terms(1, 2, q_order), cap, q_order)
-    if flip_sign:
-        second = -second
-    diff = first - second
-    const_zero = (0,) not in diff.terms
-    half = Fraction(1, 2)
-    halves_integral = all((c * half).is_integral()
-                          for e, c in diff.terms.items() if e[0])
-    w1 = diff.terms.get((1,), QSeries.zero(q_order))
-    quotient_q2 = w1.coefficient(2) / 2
+    first = _pair_columns(_terms(-1, 2, q_order), cap, q_order)
+    second = _pair_columns(_terms(1, 2, q_order), cap, q_order)
+    op = operator.add if flip_sign else operator.sub
+    diff = [list(map(op, a, b)) for a, b in zip(first, second)]
+    const_zero = not any(diff[0])
+    halves_integral = all(a % 2 == 0 for col in diff[1:] for a in col)
     return {
         "q_order": q_order,
-        "w_degree": max((e[0] for e in diff.terms), default=0),
+        "w_degree": max((d for d, col in enumerate(diff) if any(col)),
+                        default=0),
         "const_zero": const_zero,
         "halves_integral": halves_integral,
-        "quotient_q2": quotient_q2,
+        # cap >= 1 exactly when q_order >= 2
+        "quotient_q2": Fraction(diff[1][2] if cap else 0, 2),
         "passed": const_zero and halves_integral,
     }
 

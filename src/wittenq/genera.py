@@ -36,7 +36,7 @@ piece is contracted against the rest with `top_product` (see
 W's integrand with C as one more row), so `_exponential` caches it,
 bounded, by its merged terms and length; the y^r shift is not cached.
 Besides that only the int log columns and exponential weights inside
-`theta` are cached.
+`theta` and the w-power table inside `bundles` are cached.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them

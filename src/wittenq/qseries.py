@@ -161,7 +161,11 @@ class QSeries:
 
     @classmethod
     def monomial(cls, value, exponent, order):
-        """value * q^exponent, truncated (zero if exponent > order)."""
+        """value * q^exponent, truncated (zero if exponent > order);
+        a negative exponent raises ValueError."""
+        if exponent < 0:
+            raise ValueError(f"no monomial q^{exponent}: exponent must be "
+                             ">= 0")
         if exponent > order:
             return cls.zero(order)
         coeffs = [0] * (order + 1)

@@ -96,6 +96,14 @@ def test_monomial_beyond_order_is_zero():
     assert QSeries.monomial(3, 9, 5).is_zero()
 
 
+def test_negative_monomial_exponent_raises():
+    # coeffs[-1] would put the value on the top coefficient
+    assert QSeries.monomial(7, 0, 3) == QSeries([7], 3)
+    for e in (-1, -3, -4):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            QSeries.monomial(7, e, 3)
+
+
 def test_add_sub_neg():
     a = QSeries([1, 2, 3], 2)
     b = QSeries([4, 5, 6], 2)
