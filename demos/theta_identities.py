@@ -15,15 +15,15 @@ def main():
     p = theta.phi(5, Q_ORDER)
     print("Phi(x) is odd with leading term x:")
     for k in range(4):
-        print(f"  [x^{k}] Phi = {p.coeffs[k]!r}")
+        print(f"  [x^{k}] Phi = {p[k]!r}")
 
     print("\nThe x^2-coefficient of x/Phi is the weight-2 quasi-modular shape")
     print("-1/24 + sigma_1(1) q^2 + sigma_1(2) q^4 + ...:")
-    c2 = theta.x_over_phi(4, Q_ORDER).coeffs[2]
+    c2 = theta.x_over_phi(4, Q_ORDER)[2]
     print(f"  {c2!r}")
 
     print("\nThe x^2-coefficient of Psi1*Psi2*Psi3 is 1/8 - 3 * (same sums):")
-    t2 = theta.psi_product(4, Q_ORDER).coeffs[2]
+    t2 = theta.psi_product(4, Q_ORDER)[2]
     print(f"  {t2!r}")
 
     print("\n== Jacobi's identity as a pure q-series statement ==")

@@ -13,13 +13,13 @@ is a polynomial in w with int q-columns (`_pair_columns`), which the
 cancellation lemma checks directly.  At a Chern root x (normalized so
 Chern classes carry no 2*pi*i) y = e^x and w = (2 sinh(x/2))^2, so the
 per-root factors of the genera are those polynomials at w(x) times an
-elementary sinh or cosh, truncated power series in x held as
-one-generator NilPolys like the theta factors; an integer table of
-n! [x^n] w^d and its sinh and cosh multiples (`_weights`) makes each
-x-coefficient one int dot product per q-degree.  The same factors arise
-as theta-function ratios, which `theta` builds as exponentials of
-Eisenstein logarithms; this module keeps the product formulas, so each
-construction serves as an oracle for the other.
+elementary sinh or cosh, truncated power series in x returned like the
+theta factors as the tuple of their QSeries coefficients by x-degree (an
+`XSeries`); an integer table of n! [x^n] w^d and its sinh and cosh
+multiples (`_weights`) makes each x-coefficient one int dot product per
+q-degree.  The same factors arise as theta-function ratios, which `theta`
+builds as exponentials of Eisenstein logarithms; this module keeps the
+product formulas, so each construction serves as an oracle for the other.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .nilring import NilPoly
-from .qseries import QSeries
+from .qseries import QSeries, XSeries
 from .theta import _granular
 
 
@@ -67,17 +66,6 @@ def _pair_columns(terms, cap, q_order, inverse=False):
                 v[i] -= s2 * v[i - e] + v[i - 2 * e]
             res[d] = list(map(op, res[d], v))
     return res
-
-
-def _pairs(terms, cap, q_order):
-    """prod over (sign, e) in terms of 1 + c*w, c = t/(1 + t)^2, t = sign*q^e.
-
-    A one-generator NilPoly in w = y + 1/y - 2 with cap `cap`; a cap of
-    len(terms) keeps every w-degree.
-    """
-    return NilPoly((cap,), q_order, {
-        (d,): QSeries._make(col, 1, q_order)
-        for d, col in enumerate(_pair_columns(terms, cap, q_order))})
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,27 +110,15 @@ def _weights(x_order):
     return tables
 
 
-def _evaluate(kind, cols, x_order, q_order, den=1):
-    """prefactor(kind) * sum_d cols[d] / den * w^d at w = (2 sinh(x/2))^2,
-    truncated after x^x_order: each coefficient reduced once."""
+def _evaluate(kind, cols, x_order, q_order):
+    """prefactor(kind) * sum_d cols[d] * w^d at w = (2 sinh(x/2))^2, to
+    x^x_order, for int q-columns cols: each coefficient reduced once."""
     by_q = list(zip(*cols))
     zero, mul = QSeries.zero(q_order), operator.mul
-    return NilPoly.from_univariate([
-        QSeries._make([sum(map(mul, row, v)) for v in by_q], d * den, q_order)
+    return XSeries(
+        QSeries._make([sum(map(mul, row, v)) for v in by_q], d, q_order)
         if any(row) else zero
-        for row, d in _weights(_granular(x_order))[kind][:x_order + 1]],
-        0, (x_order,), q_order)
-
-
-def _at_w(p, x_order, q_order):
-    """The w-polynomial p at w = (2 sinh(x/2))^2, truncated after x^x_order.
-
-    w has x-valuation 2, so only w-degrees <= x_order // 2 matter and p
-    needs no larger cap.
-    """
-    den = math.lcm(*(c.den for c in p.coeffs))
-    cols = [[a * (den // c.den) for a in c.num] for c in p.coeffs]
-    return _evaluate("w", cols, x_order, q_order, den)
+        for row, d in _weights(_granular(x_order))[kind][:x_order + 1])
 
 
 def root_factor(x_order, q_order):

@@ -85,7 +85,7 @@ def _exponential(terms, x_order, q_order):
     every direction, instance and genus with that exponent and length
     shares one build; 256 entries hold the mass run's 126 distinct ones.
     """
-    return tuple(theta.direction_series(terms, 0, x_order, q_order))
+    return theta.direction_series(terms, 0, x_order, q_order)
 
 
 def _direction_factor(terms, r, degree, q_order):
@@ -144,28 +144,22 @@ def _theta_residue(g: GCIData, logs, linear):
     return _residue(g, axis_factors, specs) * scale
 
 
-# -- bundle route: one cached factor per kind --------------------------
+# -- bundle route: one cached factor per builder -----------------------
 
 @functools.lru_cache(maxsize=None)
-def _bundle_factor_at(name, x_order, q_order):
-    if name == "phi":
-        return bundles.lfactor_4k2(x_order, q_order) * 2
-    if name == "twist4k":
-        return bundles.lfactor_4k(x_order, q_order)
-    if name == "psi1":
-        return bundles.psi1_factor(x_order, q_order)
-    return bundles.root_factor(x_order, q_order)
-
-
-def _bundle_factor(name, x_order, q_order):
-    return _bundle_factor_at(name, theta._granular(x_order), q_order)
+def _bundle_factor_at(build, x_order, q_order):
+    """build(x_order, q_order), x_order granular (`theta._granular`)."""
+    return build(x_order, q_order)
 
 
 @functools.lru_cache(maxsize=None)
 def _root_power(cap, q_order):
-    """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the cap)."""
-    full = _bundle_factor("root", cap, q_order)
-    return NilPoly.from_univariate(full.coeffs, 0, (cap,), q_order) ** (cap + 1)
+    """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the
+    cap), a power in H*(CP^cap) taken as a one-generator NilPoly."""
+    root = _bundle_factor_at(bundles.root_factor, theta._granular(cap),
+                             q_order)
+    power = NilPoly.from_univariate(root, 0, (cap,), q_order) ** (cap + 1)
+    return tuple(power.coeffs)
 
 
 def _residue(g: GCIData, axes, specs):
@@ -219,13 +213,16 @@ def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
         if psi1_row is not None:
             logs.append((ThetaKind.THETA1, 1, psi1_row))
         return _theta_residue(g, logs, phi_rows)
-    total, qo = sum(g.n), g.q_order
-    specs = [(_bundle_factor("phi", total, qo).coeffs, d) for d in phi_rows]
+    # Phi = 2 lfactor_4k2, and the residue is linear in each factor
+    specs = [(bundles.lfactor_4k2, d) for d in phi_rows]
     if twist4k is not None:
-        specs.append((_bundle_factor("twist4k", total, qo).coeffs, twist4k))
+        specs.append((bundles.lfactor_4k, twist4k))
     if psi1_row is not None:
-        specs.append((_bundle_factor("psi1", total, qo).coeffs, psi1_row))
-    return _residue(g, [_root_power(cap, qo).coeffs for cap in g.n], specs)
+        specs.append((bundles.psi1_factor, psi1_row))
+    xg, qo = theta._granular(sum(g.n)), g.q_order
+    specs = [(_bundle_factor_at(build, xg, qo), d) for build, d in specs]
+    residue = _residue(g, [_root_power(cap, qo) for cap in g.n], specs)
+    return residue * 2 ** len(phi_rows)
 
 
 def _check_route(route):

@@ -40,16 +40,33 @@ def eisenstein(k, order):
 
 
 def lift(tilde, q_order):
-    """Reindex a q-tilde series into q: q-tilde^j becomes q^(2j)."""
-    return QSeries([tilde.coefficient(j // 2) if j % 2 == 0 else 0
-                    for j in range(q_order + 1)], q_order)
+    """Reindex a q-tilde series into q: q-tilde^j becomes q^(2j).
+
+    The result is known to q^(2 * tilde.order + 1); a longer q_order, or
+    a negative one, raises ValueError.
+    """
+    if not 0 <= q_order <= 2 * tilde.order + 1:
+        raise ValueError(f"lift of a q-tilde series to order {tilde.order} "
+                         f"needs 0 <= q_order <= {2 * tilde.order + 1}, "
+                         f"got q_order={q_order}")
+    num = [0] * (q_order + 1)
+    num[::2] = tilde.num[:q_order // 2 + 1]
+    return QSeries._make(num, tilde.den, q_order)
 
 
 def restrict(series, tilde_order):
     """The inverse of `lift`: q^(2j) becomes q-tilde^j, up to
-    q-tilde^tilde_order; odd powers of q are dropped."""
-    return QSeries([series.coefficient(2 * j) for j in range(tilde_order + 1)],
-                   tilde_order)
+    q-tilde^tilde_order; odd powers of q are dropped.
+
+    The result is known to q-tilde^(series.order // 2); a longer
+    tilde_order, or a negative one, raises ValueError.
+    """
+    if not 0 <= tilde_order <= series.order // 2:
+        raise ValueError(f"restrict of a q-series to order {series.order} "
+                         f"needs 0 <= tilde_order <= {series.order // 2}, "
+                         f"got tilde_order={tilde_order}")
+    return QSeries._make(series.num[:2 * tilde_order + 1:2], series.den,
+                         tilde_order)
 
 
 def weight_basis(weight):

@@ -3,10 +3,11 @@
 Models the truncated cohomology ring of a product of projective spaces:
 generators x_1..x_s with x_b^(cap_b + 1) = 0, scalars in Q[[q]] truncated
 at a common q-order.  Monomials that overflow a cap are silently dropped.
-This is the package's only ring of series in x: a one-generator NilPoly
-with cap N is a power series in x truncated after x^N (the theta and
-bundle factors), or an exact polynomial of degree <= N (the products of
-Lambda pairs in w = y + 1/y - 2 of the cancellation lemma).
+The theta and bundle factors are not NilPolys: each is a tuple of its
+QSeries coefficients by x-degree (`qseries.XSeries`), which the kernels
+below read directly; `from_univariate` makes one a one-generator NilPoly
+with cap N, a power series in x truncated after x^N, where a ring
+operation is needed (the root powers (x/Phi)^(n+1) in H*(CP^n)).
 
 The general product, top_product and inv_unit accumulate each monomial
 in a `qseries.QSum`: int numerators over one denominator, reduced once.
@@ -22,8 +23,6 @@ ell_b = 0.  mul_univariate multiplies by a series in one generator.
 Both put their terms over one denominator once (mul_univariate per
 operand, rank_pair_mul per total degree) and run their inner sums as int
 dot products, so every output monomial costs one reduction.
-A univariate series is handed to them as a sequence of QSeries by
-x-degree.
 """
 from __future__ import annotations
 

@@ -16,7 +16,8 @@ run their inner sums as int dot products on numerator lists.)  `power`
 is the one repeated-squaring loop, for QSeries and NilPoly alike.
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
-through them.
+through them.  A series in x (a theta or bundle factor) is an `XSeries`,
+the tuple of its QSeries coefficients by x-degree.
 """
 from __future__ import annotations
 
@@ -302,6 +303,15 @@ class QSeries:
         terms = [f"{c}*q^{k}" for k, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"QSeries({body}; O(q^{self.order + 1}))"
+
+
+class XSeries(tuple):
+    """A truncated series in x: the tuple of its QSeries coefficients by
+    x-degree, immutable so that caches can share it.  `coeffs`, the tuple
+    itself, is what perfbench/tracing.py reads of a built factor."""
+
+    __slots__ = ()
+    coeffs = property(lambda self: self)
 
 
 class Q2Series:

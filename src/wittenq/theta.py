@@ -28,12 +28,12 @@ independent oracle these builders are checked against.
 g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times every
 kind's x^2k log coefficient, delta_h = lcm_k d_k delta_(h-k) clears g_2h,
 so each step is an integer combination of int columns with cached integer
-weights, and each coefficient is reduced once.  It returns the list of
-QSeries coefficients by x-degree, which the genera keep in a bounded
-cache by merged exponent (`genera._exponential`); `phi`,
-`psi`, `psi_product` and `x_over_phi` wrap that list as a one-generator
-NilPoly with cap x_order.  A separate complex-numeric evaluator checks the
-analytic transformation laws, which the formal truncated series cannot see.
+weights, and each coefficient is reduced once.  It returns the tuple of
+QSeries coefficients by x-degree (an `XSeries`), which the genera keep in
+a bounded cache by merged exponent (`genera._exponential`) and which
+`phi`, `psi`, `psi_product` and `x_over_phi` return as it is.  A separate
+complex-numeric evaluator checks the analytic transformation laws, which
+the formal truncated series cannot see.
 """
 from __future__ import annotations
 
@@ -44,8 +44,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .nilring import NilPoly
-from .qseries import QSeries
+from .qseries import QSeries, XSeries
 
 
 class ThetaKind(enum.Enum):
@@ -53,33 +52,6 @@ class ThetaKind(enum.Enum):
     THETA1 = 1
     THETA2 = 2
     THETA3 = 3
-
-
-# -- elementary series in x ------------------------------------------
-
-def _x_series(coeffs, q_order):
-    """The series sum_k coeffs[k] x^k, truncated after x^(len(coeffs) - 1)."""
-    return NilPoly.from_univariate(coeffs, 0, (len(coeffs) - 1,), q_order)
-
-
-def two_sinh_half(x_order, q_order):
-    """2*sinh(x/2) = e^(x/2) - e^(-x/2): 2/(2^k k!) at odd k, 0 at even k."""
-    return _x_series([QSeries.constant(Fraction(2 * (k % 2),
-                                                2 ** k * math.factorial(k)),
-                                       q_order)
-                      for k in range(x_order + 1)], q_order)
-
-
-def cosh_half(x_order, q_order):
-    """cosh(x/2): 1/(2^k k!) at even k, 0 at odd k."""
-    return _x_series([QSeries.constant(Fraction(1 - k % 2,
-                                                2 ** k * math.factorial(k)),
-                                       q_order)
-                      for k in range(x_order + 1)], q_order)
-
-
-def _one_pm_q(sign, q_exp, q_order):
-    return QSeries.one(q_order) + QSeries.monomial(sign, q_exp, q_order)
 
 
 # -- logarithms: Bernoulli numbers and divisor sums -------------------
@@ -209,7 +181,8 @@ def _exp_weights(x_order):
 
 def direction_series(terms, r, x_order, q_order):
     """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order,
-    as the list of its QSeries coefficients by y-degree 0..x_order.
+    as the tuple (an `XSeries`) of its QSeries coefficients by y-degree
+    0..x_order.
 
     terms holds integer triples (kind, coef, m), kind naming a logarithm
     of `_log_columns`.  The exponent L has the y^2k coefficient
@@ -242,7 +215,7 @@ def direction_series(terms, r, x_order, q_order):
                          f"q_order={q_order}")
     zero = QSeries.zero(q_order)
     if r > x_order:
-        return [zero] * (x_order + 1)
+        return XSeries([zero] * (x_order + 1))
     H, qn = (x_order - r) // 2, q_order + 1
     xg = _granular(x_order)
     W, _, den = _exp_weights(xg)
@@ -294,7 +267,7 @@ def direction_series(terms, r, x_order, q_order):
         f += [zero, QSeries._make(out, den[h], q_order)]
     if (x_order - r) % 2:
         f.append(zero)
-    return [zero] * r + f
+    return XSeries([zero] * r + f)
 
 
 def phi(x_order, q_order):
@@ -302,32 +275,32 @@ def phi(x_order, q_order):
 
     Odd in x, leading term x: Phi = x * exp(-log(x/Phi)).
     """
-    return _x_series(direction_series([(ThetaKind.THETA, -1, 1)], 1,
-                                      x_order, q_order), q_order)
+    return direction_series([(ThetaKind.THETA, -1, 1)], 1, x_order, q_order)
 
 
 def psi(kind, x_order, q_order):
     """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
     if kind not in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
-    return _x_series(direction_series([(kind, 1, 1)], 0, x_order, q_order),
-                     q_order)
+    return direction_series([(kind, 1, 1)], 0, x_order, q_order)
 
 
 def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
-    return _x_series(direction_series([(k, 1, 1) for k in kinds], 0,
-                                      x_order, q_order), q_order)
+    return direction_series([(k, 1, 1) for k in kinds], 0, x_order, q_order)
 
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    return _x_series(direction_series([(ThetaKind.THETA, 1, 1)], 0,
-                                      x_order, q_order), q_order)
+    return direction_series([(ThetaKind.THETA, 1, 1)], 0, x_order, q_order)
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------
+
+def _one_pm_q(sign, q_exp, q_order):
+    return QSeries.one(q_order) + QSeries.monomial(sign, q_exp, q_order)
+
 
 def jacobi_product(q_order, skip=None):
     """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor index."""

@@ -77,6 +77,17 @@ def test_genus_roundtrip_report(tmp_path, capsys):
     assert doc["conditions"]["spin"] is False
 
 
+def test_genus_out_into_missing_directory_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "cp2.json", {"n": [2], "D": []})
+    out = tmp_path / "missing" / "report.json"
+    assert run(["genus", path, "--q-order", "4", "--out", str(out)]) \
+        == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.parent.exists()
+
+
 def test_genus_vanishing_and_modfit(tmp_path, capsys):
     path = _write(tmp_path, "ls.json", {"n": [4], "D": [[1], [2]]})
     assert run(["genus", path, "--q-order", "12", "--modfit"]) == EXIT_OK

@@ -12,8 +12,9 @@ the same references.
 import pytest
 
 from wittenq import bundles, genera, theta
+from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, rat
-from wittenq.theta import ThetaKind, _x_series
+from wittenq.theta import ThetaKind
 
 X_ORDERS = [0, 1, 2, 3, 7, 16, 33, 64]
 Q_ORDERS = [0, 1, 2, 3, 5, 8, 13]
@@ -25,8 +26,13 @@ def _psi_by_products(kind, x_order, q_order):
         return bundles.psi1_factor(x_order, q_order)
     sign = -1 if kind == ThetaKind.THETA2 else 1
     terms = [(sign, 2 * m - 1) for m in range(1, (q_order + 1) // 2 + 1)]
-    pairs = bundles._pairs(terms, x_order // 2, q_order)
-    return bundles._at_w(pairs, x_order, q_order)
+    cols = bundles._pair_columns(terms, x_order // 2, q_order)
+    return bundles._evaluate("w", cols, x_order, q_order)
+
+
+def _phi_by_products(x_order, q_order):
+    """Phi = 2 sinh(x/2) times its Sym-type pairs, twice lfactor_4k2."""
+    return tuple(c * 2 for c in bundles.lfactor_4k2(x_order, q_order))
 
 
 @pytest.mark.parametrize("q_order", Q_ORDERS)
@@ -34,12 +40,12 @@ def _psi_by_products(kind, x_order, q_order):
 def test_theta_factors_equal_product_formulas(x_order, q_order):
     xo, qo = x_order, q_order
     assert theta.x_over_phi(xo, qo) == bundles.root_factor(xo, qo)
-    assert theta.phi(xo, qo) == bundles.lfactor_4k2(xo, qo) * 2
+    assert theta.phi(xo, qo) == _phi_by_products(xo, qo)
     assert theta.psi_product(xo, qo) == bundles.lfactor_4k(xo, qo)
     for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
         assert theta.psi(kind, xo, qo) == _psi_by_products(kind, xo, qo)
     assert (theta.direction_series([(ThetaKind.THETA, xo + 1, 1)], 0, xo, qo)
-            == genera._root_power(xo, qo).coeffs)
+            == genera._root_power(xo, qo))
 
 
 @pytest.mark.parametrize("q_order", Q_ORDERS)
@@ -51,19 +57,20 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
     K = ThetaKind
 
     def direction(terms, r=0):
-        return _x_series(theta.direction_series(terms, r, xo, qo), qo)
+        return theta.direction_series(terms, r, xo, qo)
 
-    assert direction([(K.THETA, -1, 1)], r=1) == \
-        bundles.lfactor_4k2(xo, qo) * 2
+    assert direction([(K.THETA, -1, 1)], r=1) == _phi_by_products(xo, qo)
     assert direction([(K.THETA, 1, 1), (K.THETA, -1, 2)]) == \
         bundles.lfactor_4k(xo, qo)
     assert direction([(K.THETA1, 1, 1)]) == bundles.psi1_factor(xo, qo)
+    def ring(f):
+        return NilPoly.from_univariate(f, 0, (xo,), qo)
+
     # Phi(-y) * Phi(2y) = (-1)(2) y^2 exp(-L(-y) - L(2y)): one merged
     # factor, zero at xo = 1 where y^2 truncates
-    phi = (bundles.lfactor_4k2(xo, qo) * 2).coeffs
-    at_m = [_x_series([c * m ** k for k, c in enumerate(phi)], qo)
-            for m in (-1, 2)]
-    merged = direction([(K.THETA, -1, -1), (K.THETA, -1, 2)], r=2)
+    phi = _phi_by_products(xo, qo)
+    at_m = [ring([c * m ** k for k, c in enumerate(phi)]) for m in (-1, 2)]
+    merged = ring(direction([(K.THETA, -1, -1), (K.THETA, -1, 2)], r=2))
     assert merged * -2 == at_m[0] * at_m[1]
 
 
@@ -76,4 +83,4 @@ def test_sigma1_series_is_the_x2_log_coefficient():
         sum(d for d in range(1, n // 2 + 1) if n // 2 % d == 0)
         if n % 2 == 0 else 0 for n in range(1, qo + 1)], qo)
     assert genera.sigma1_series(qo) == g2
-    assert bundles.root_factor(2, qo).coeffs[2] == g2
+    assert bundles.root_factor(2, qo)[2] == g2

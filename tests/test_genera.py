@@ -32,7 +32,7 @@ def test_witten_cp2_values_and_flags():
 def test_witten_cp2_matches_direct_residue_oracle():
     # brute force: coefficient of x^2 in (x/Phi)^3
     qo = 10
-    cube = theta.x_over_phi(2, qo) ** 3
+    cube = NilPoly.from_univariate(theta.x_over_phi(2, qo), 0, (2,), qo) ** 3
     rep = witten_genus(GCIData([2], [], q_order=qo))
     assert rep.coeffs == cube.coeffs[2]
 

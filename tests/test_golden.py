@@ -58,7 +58,7 @@ def _strs(series):
 
 def factor_values(name, x_order, q_order):
     """The factor's coefficients: one list of q-coefficients per x-degree."""
-    return [_strs(c) for c in FACTORS[name](x_order, q_order).coeffs]
+    return [_strs(c) for c in FACTORS[name](x_order, q_order)]
 
 
 def lemma_values(q_order, flip_sign):

@@ -119,8 +119,23 @@ def test_restrict_inverts_lift():
             lifted = lift(tilde, q_order)
             assert restrict(lifted, tilde_order) == tilde
             assert lift(restrict(lifted, tilde_order), q_order) == lifted
-    # odd powers of q are dropped, and a short series reads as zero beyond
-    assert restrict(QSeries([1, 2, 3, 4], 3), 2) == QSeries([1, 3, 0], 2)
+    # odd powers of q are dropped
+    assert restrict(QSeries([1, 2, 3, 4], 3), 1) == QSeries([1, 3], 1)
+
+
+def test_lift_and_restrict_refuse_unknown_orders():
+    # E4 to q-tilde^3 fixes q^0..q^7 and nothing beyond: q^8 holds 17520
+    e4 = eisenstein(4, 3)
+    assert lift(e4, 7) == lift(eisenstein(4, 10), 20).truncate(7)
+    for q_order in (8, 20, -1):
+        with pytest.raises(ValueError, match="q_order <= 7"):
+            lift(e4, q_order)
+    # q^0..q^6 fix q-tilde^0..q-tilde^3 only
+    for tilde_order in (4, 9, -1):
+        with pytest.raises(ValueError, match="tilde_order <= 3"):
+            restrict(lift(e4, 6), tilde_order)
+    with pytest.raises(ValueError, match="tilde_order <= 1"):
+        restrict(QSeries([1, 2, 3, 4], 3), 2)
 
 
 def test_fit_rejects_e2():
