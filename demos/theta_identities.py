@@ -4,7 +4,6 @@ Run:  python3 demos/theta_identities.py
 """
 
 from wittenq import theta
-from wittenq.theta import ThetaKind
 
 Q_ORDER = 16
 

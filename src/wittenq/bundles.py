@@ -15,11 +15,11 @@ Chern classes carry no 2*pi*i) y = e^x and w = (2 sinh(x/2))^2, so the
 per-root factors of the genera are those polynomials at w(x) times an
 elementary sinh or cosh, truncated power series in x returned like the
 theta factors as the tuple of their QSeries coefficients by x-degree (an
-`XSeries`); an integer table of n! [x^n] w^d and its sinh and cosh
-multiples (`_weights`) makes each x-coefficient one int dot product per
-q-degree.  The same factors arise as theta-function ratios, which `theta`
-builds as exponentials of Eisenstein logarithms; this module keeps the
-product formulas, so each construction serves as an oracle for the other.
+`XSeries`); an integer table of n! [x^n] w^d times sinh, cosh or x/sinh
+(`_weights`) makes each x-coefficient one int dot product per q-degree.
+The same factors arise as theta-function ratios, which `theta` builds as
+exponentials of Eisenstein logarithms; this module keeps the product
+formulas, so each construction serves as an oracle for the other.
 """
 from __future__ import annotations
 
@@ -75,31 +75,29 @@ def _weights(x_order):
 
     With M(m, n) = 2^n n! [x^n] (2 sinh(x/2))^m, an integer, and
     den = 2^(n+1) n!, the rows are
-        "w"     w^d                       2 M(2d, n) = 2^(n+1) T(n, d)
         "sinh"  sinh(x/2) w^d             M(2d+1, n)
         "cosh"  cosh(x/2) w^d             M(2d+1, n+1) / (2d+1)
         "root"  x / (2 sinh(x/2)) w^d     4n M(2d-1, n-1), d >= 1
-    with T(n, d) = sum_j (-1)^j C(2d, j) (d - j)^n, as cosh(x/2) is the
-    derivative of s = 2 sinh(x/2) and x/s w^d = x s^(2d-1).  From
-    (s^m)'' = m(m-1) s^(m-2) + m^2/4 s^m, M(m, n+2) = m^2 M(m, n) +
-    4m(m-1) M(m-2, n), starting at M(0, 0) = 1 and M(1, 1) = 2.  The
+    as cosh(x/2) is the derivative of s = 2 sinh(x/2) and x/s w^d =
+    x s^(2d-1), so every row reads M at an odd m, where only odd n
+    are nonzero.  From (s^m)'' = m(m-1) s^(m-2) + m^2/4 s^m, M(m, n+2) =
+    m^2 M(m, n) + 4m(m-1) M(m-2, n), starting at M(1, 1) = 2.  The
     root's d = 0 entry is [x^n] x/s, by inverting s/x, over its own den.
     """
     X = x_order + 1
     M = [[0] * (X + 1) for _ in range(X + 1)]
-    M[0][0], M[1][1] = 1, 2
-    for n in range(2, X + 1):
-        for m in range(n % 2, n + 1, 2):
-            M[m][n] = m * m * M[m][n - 2] + (
-                4 * m * (m - 1) * M[m - 2][n - 2] if m > 1 else 0)
+    M[1][1] = 2
+    for n in range(3, X + 1, 2):
+        for m in range(1, n + 1, 2):
+            # at m = 1 the factor m - 1 = 0 drops the row M[-1]
+            M[m][n] = m * m * M[m][n - 2] + 4 * m * (m - 1) * M[m - 2][n - 2]
     inv = [Fraction(1)]  # x / s by x-degree
     for n in range(1, X):
         inv.append(-sum((inv[n - k] / (2 ** k * math.factorial(k + 1))
                          for k in range(2, n + 1, 2)), Fraction(0)))
-    tables = {"w": [], "sinh": [], "cosh": [], "root": []}
+    tables = {"sinh": [], "cosh": [], "root": []}
     for n in range(X):
         den, ds = 2 ** (n + 1) * math.factorial(n), range(n // 2 + 1)
-        tables["w"].append(([2 * M[2 * d][n] for d in ds], den))
         tables["sinh"].append(([M[2 * d + 1][n] for d in ds], den))
         tables["cosh"].append(
             ([M[2 * d + 1][n + 1] // (2 * d + 1) for d in ds], den))

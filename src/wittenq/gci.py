@@ -8,7 +8,7 @@ integer matrix identities in (n, D, C), which is what this module checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DimensionError
 

@@ -31,12 +31,13 @@ by `rank_pair_mul` (or placed by `subst_linear`).  With at most one such
 piece the axis factors are contracted against it directly; otherwise the
 factor of an axis x_b enters as a one-axis convolution and the last
 piece is contracted against the rest with `top_product` (see
-`_residue`).  Each exponential is built once: many instances share one
-(a degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is
-W's integrand with C as one more row), so `_exponential` caches it,
-bounded, by its merged terms and length; the y^r shift is not cached.
-Besides that only the int log columns and exponential weights inside
-`theta` and the w-power table inside `bundles` are cached.
+`_residue`).  Each factor is built once: many instances share one (a
+degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is W's
+integrand with C as one more row), so `_factor`, one bounded cache keyed
+by builder and arguments, holds the exponentials (by merged terms and
+length; the y^r shift is not cached), the bundle factors and the root
+powers.  Besides that only the int log columns and exponential weights
+inside `theta` and the w-power table inside `bundles` are cached.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
@@ -79,13 +80,12 @@ def _primitive(d):
 
 
 @functools.lru_cache(maxsize=256)
-def _exponential(terms, x_order, q_order):
-    """exp(sum of coef * log_kind(m*y) over terms) to y^x_order, a tuple
-    of QSeries.  Keyed by the merged terms of `_direction_factor`, so
-    every direction, instance and genus with that exponent and length
-    shares one build; 256 entries hold the mass run's 126 distinct ones.
+def _factor(build, *args):
+    """build(*args), a factor tuple of QSeries, shared by every direction,
+    instance and genus that asks for it; 256 entries hold the mass run's
+    126 distinct exponentials.
     """
-    return theta.direction_series(terms, 0, x_order, q_order)
+    return build(*args)
 
 
 def _direction_factor(terms, r, degree, q_order):
@@ -94,7 +94,7 @@ def _direction_factor(terms, r, degree, q_order):
     The terms are merged by (kind, |m|), their coefficients summed and
     zero sums dropped, which keeps every power sum sum coef * m^2k; the
     exponential of the merged terms to the even length below degree - r
-    is read from `_exponential`, and the y^r shift and an odd length's
+    is read from `_factor`, and the y^r shift and an odd length's
     trailing zero are applied here.
     """
     merged = {}
@@ -104,7 +104,8 @@ def _direction_factor(terms, r, degree, q_order):
                         if coef), key=lambda t: (t[0].value, t[2])))
     odd = (degree - r) % 2
     zero = (QSeries.zero(q_order),)
-    return zero * r + _exponential(key, degree - r - odd, q_order) + zero * odd
+    return zero * r + _factor(theta.direction_series, key, 0,
+                              degree - r - odd, q_order) + zero * odd
 
 
 def _theta_residue(g: GCIData, logs, linear):
@@ -144,20 +145,12 @@ def _theta_residue(g: GCIData, logs, linear):
     return _residue(g, axis_factors, specs) * scale
 
 
-# -- bundle route: one cached factor per builder -----------------------
+# -- bundle route: one factor per builder ------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _bundle_factor_at(build, x_order, q_order):
-    """build(x_order, q_order), x_order granular (`theta._granular`)."""
-    return build(x_order, q_order)
-
-
-@functools.lru_cache(maxsize=None)
 def _root_power(cap, q_order):
     """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the
     cap), a power in H*(CP^cap) taken as a one-generator NilPoly."""
-    root = _bundle_factor_at(bundles.root_factor, theta._granular(cap),
-                             q_order)
+    root = _factor(bundles.root_factor, theta._granular(cap), q_order)
     power = NilPoly.from_univariate(root, 0, (cap,), q_order) ** (cap + 1)
     return tuple(power.coeffs)
 
@@ -220,9 +213,9 @@ def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
     if psi1_row is not None:
         specs.append((bundles.psi1_factor, psi1_row))
     xg, qo = theta._granular(sum(g.n)), g.q_order
-    specs = [(_bundle_factor_at(build, xg, qo), d) for build, d in specs]
-    residue = _residue(g, [_root_power(cap, qo) for cap in g.n], specs)
-    return residue * 2 ** len(phi_rows)
+    specs = [(_factor(build, xg, qo), d) for build, d in specs]
+    axes = [_factor(_root_power, cap, qo) for cap in g.n]
+    return _residue(g, axes, specs) * 2 ** len(phi_rows)
 
 
 def _check_route(route):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import theta
-from .qseries import QSeries
+from .qseries import QSeries, q_product
 
 
 def sigma(k, n):
@@ -111,7 +111,8 @@ def fit(series: QSeries, weight):
 
     Solves on the first dim M_weight coefficients, then verifies every
     remaining coefficient to truncation; any mismatch is a failure with
-    the offending q-tilde exponent reported.
+    the offending q-tilde exponent reported.  At weight 2 the basis is
+    empty, so only the zero series fits.
     """
     for k, c in enumerate(series.coeffs):
         if k % 2 and c:
@@ -119,12 +120,6 @@ def fit(series: QSeries, weight):
     n_tilde = series.order // 2
     target = restrict(series, n_tilde)
     basis = weight_basis(weight)
-    if not basis:
-        # the space is zero-dimensional; only the zero series fits
-        bad = next((j for j in range(n_tilde + 1) if target.coefficient(j)),
-                   None)
-        return ModFormFit(weight, basis, [] if bad is None else None,
-                          bad is None, bad)
     mats = [(eisenstein(4, n_tilde) ** a) * (eisenstein(6, n_tilde) ** b)
             for a, b in basis]
     m = len(basis)
@@ -146,20 +141,12 @@ def fit(series: QSeries, weight):
 def _null_products(order):
     """The three even theta null values as q-series (theta_1 without its
     2q^(1/4) prefactor, which is reinstated as an exponent shift)."""
-    eta_like = QSeries.one(order)   # prod (1 - q^2j)
-    plus_even = QSeries.one(order)  # prod (1 + q^2j)^2
-    minus_odd = QSeries.one(order)  # prod (1 - q^(2j-1))^2
-    plus_odd = QSeries.one(order)   # prod (1 + q^(2j-1))^2
-    for j in range(1, order // 2 + 2):
-        eta_like = eta_like * (QSeries.one(order)
-                               - QSeries.monomial(1, 2 * j, order))
-        plus_even = plus_even * (QSeries.one(order)
-                                 + QSeries.monomial(1, 2 * j, order)) ** 2
-        minus_odd = minus_odd * (QSeries.one(order)
-                                 - QSeries.monomial(1, 2 * j - 1, order)) ** 2
-        plus_odd = plus_odd * (QSeries.one(order)
-                               + QSeries.monomial(1, 2 * j - 1, order)) ** 2
-    return eta_like * plus_even, eta_like * minus_odd, eta_like * plus_odd
+    js = range(1, order // 2 + 2)
+    eta_like = [(-1, 2 * j) for j in js]  # prod (1 - q^2j)
+    # times prod (1 + q^2j)^2, (1 - q^(2j-1))^2 and (1 + q^(2j-1))^2
+    return tuple(q_product(eta_like + 2 * [(sign, 2 * j - odd) for j in js],
+                           order)
+                 for sign, odd in ((1, 0), (-1, 1), (1, 1)))
 
 
 def theta_constant_e4_check(order, exponent=8):

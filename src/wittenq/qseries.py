@@ -14,6 +14,7 @@ multiples of series and of products of series into one numerator list
 and reduces once when read out.  (The linear-form products of `nilring`
 run their inner sums as int dot products on numerator lists.)  `power`
 is the one repeated-squaring loop, for QSeries and NilPoly alike.
+`q_product` is the one product of binomials (1 + sign*q^e), on ints.
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
 through them.  A series in x (a theta or bundle factor) is an `XSeries`,
@@ -47,6 +48,22 @@ def power(base, k, one):
         if k:
             base = base * base
     return result
+
+
+def _check_order(order):
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+
+
+def q_product(factors, order):
+    """prod (1 + sign*q^e) over the (sign, e) pairs, e >= 1, to q^order,
+    one in-place int update per factor (a factor with e > order is 1)."""
+    _check_order(order)
+    num = [1] + [0] * order
+    for sign, e in factors:
+        for i in range(order, e - 1, -1):
+            num[i] += sign * num[i - e]
+    return QSeries._make(num, 1, order)
 
 
 class QSum:
@@ -118,8 +135,7 @@ class QSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        _check_order(order)
         if all(type(c) is int for c in coeffs):
             num, den = coeffs[: order + 1], 1
         else:
@@ -150,10 +166,12 @@ class QSeries:
 
     @classmethod
     def zero(cls, order):
+        _check_order(order)
         return cls._make([0] * (order + 1), 1, order)
 
     @classmethod
     def one(cls, order):
+        _check_order(order)
         return cls._make([1] + [0] * order, 1, order)
 
     @classmethod
@@ -205,8 +223,7 @@ class QSeries:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_order(order)
         return QSeries._make(self.num[: order + 1], self.den, order)
 
     # -- arithmetic ---------------------------------------------------

@@ -30,7 +30,7 @@ kind's x^2k log coefficient, delta_h = lcm_k d_k delta_(h-k) clears g_2h,
 so each step is an integer combination of int columns with cached integer
 weights, and each coefficient is reduced once.  It returns the tuple of
 QSeries coefficients by x-degree (an `XSeries`), which the genera keep in
-a bounded cache by merged exponent (`genera._exponential`) and which
+a bounded cache by merged exponent (`genera._factor`) and which
 `phi`, `psi`, `psi_product` and `x_over_phi` return as it is.  A separate
 complex-numeric evaluator checks the analytic transformation laws, which
 the formal truncated series cannot see.
@@ -44,7 +44,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .qseries import QSeries, XSeries
+from .qseries import QSeries, XSeries, q_product
 
 
 class ThetaKind(enum.Enum):
@@ -298,19 +298,10 @@ def x_over_phi(x_order, q_order):
 
 # -- Jacobi identity as a pure q-series statement ---------------------
 
-def _one_pm_q(sign, q_exp, q_order):
-    return QSeries.one(q_order) + QSeries.monomial(sign, q_exp, q_order)
-
-
 def jacobi_product(q_order, skip=None):
     """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor index."""
-    res = QSeries.one(q_order)
-    for j in range(1, q_order // 2 + 2):
-        if j == skip:
-            continue
-        res = res * _one_pm_q(1, 2 * j, q_order)
-        res = res * _one_pm_q(-1, 4 * j - 2, q_order)
-    return res
+    return q_product([f for j in range(1, q_order // 2 + 2) if j != skip
+                      for f in ((1, 2 * j), (-1, 4 * j - 2))], q_order)
 
 
 def jacobi_check(q_order, skip=None):

@@ -167,7 +167,7 @@ def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
 
 
 def _cache_counts():
-    info = genera._exponential.cache_info()
+    info = genera._factor.cache_info()
     return info.hits, info.misses
 
 
@@ -183,7 +183,7 @@ def test_equal_exponents_share_one_cache_entry():
         [(K.THETA, 3, -1), (K.THETA1, -1, -2), (K.THETA2, 2, 3)],
         base + [(K.THETA3, 4, 2), (K.THETA3, -4, -2)],
     ]
-    genera._exponential.cache_clear()
+    genera._factor.cache_clear()
     for r, degree in ((0, 14), (1, 16), (2, 16), (3, 18)):
         # only the length degree - r, rounded down to even, keys the entry
         ref = _exact(_naive_direction(base, r, degree, 4))
@@ -195,7 +195,7 @@ def test_equal_exponents_share_one_cache_entry():
 
 
 def test_terms_that_cancel_share_the_empty_exponent():
-    genera._exponential.cache_clear()
+    genera._factor.cache_clear()
     for terms in ([], [(K.THETA, 2, 1), (K.THETA, -2, -1)],
                   [(K.THETA1, 1, 3), (K.THETA1, -1, 3), (K.THETA3, 0, 2)]):
         got = genera._direction_factor(terms, 1, 9, 6)
@@ -205,11 +205,11 @@ def test_terms_that_cancel_share_the_empty_exponent():
 
 def test_cache_hit_equals_fresh_build():
     terms, args = [(K.THETA, 4, 1), (K.THETA, -1, 3)], (2, 23, 8)
-    genera._exponential.cache_clear()
+    genera._factor.cache_clear()
     miss = genera._direction_factor(terms, *args)
     hit = genera._direction_factor(terms, *args)
     assert _cache_counts() == (1, 1)
-    genera._exponential.cache_clear()
+    genera._factor.cache_clear()
     again = genera._direction_factor(terms, *args)
     assert _exact(miss) == _exact(hit) == _exact(again)
     assert _exact(miss) == _exact(theta.direction_series(terms, *args))
@@ -224,7 +224,7 @@ def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
         return out
 
     monkeypatch.setattr(genera.theta, "direction_series", recording)
-    genera._exponential.cache_clear()
+    genera._factor.cache_clear()
     g = GCIData([3, 2], [[1, 2]], C=[1, 0], q_order=8)
     first = genera.wc_genus(g).coeffs
     snapshot = [[(c.num[:], c.den) for c in f] for f in built]
@@ -233,7 +233,7 @@ def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
     # second two-factor genus shares some of them
     assert genera.wc_genus(g).coeffs == first
     genera.witten_genus(GCIData([3, 2], [[1, 1]], q_order=8))
-    assert genera._exponential.cache_info().hits >= len(snapshot)
+    assert genera._factor.cache_info().hits >= len(snapshot)
     assert [[(c.num, c.den) for c in f] for f in built[:len(snapshot)]] \
         == snapshot
     assert genera.wc_genus(g, route="bundle").coeffs == first

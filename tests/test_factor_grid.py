@@ -9,6 +9,9 @@ of the theta-route genera (`theta.direction_series`) are checked against
 the same references.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from wittenq import bundles, genera, theta
@@ -21,13 +24,22 @@ Q_ORDERS = [0, 1, 2, 3, 5, 8, 13]
 
 
 def _psi_by_products(kind, x_order, q_order):
-    """Psi_i as cosh(x/2) (i = 1 only) times its Lambda pairs."""
+    """Psi_i as cosh(x/2) (i = 1 only) times its Lambda pairs, the pair
+    polynomial sum_d cols[d] w^d taken by Horner at w = (2 sinh(x/2))^2."""
     if kind == ThetaKind.THETA1:
         return bundles.psi1_factor(x_order, q_order)
     sign = -1 if kind == ThetaKind.THETA2 else 1
     terms = [(sign, 2 * m - 1) for m in range(1, (q_order + 1) // 2 + 1)]
     cols = bundles._pair_columns(terms, x_order // 2, q_order)
-    return bundles._evaluate("w", cols, x_order, q_order)
+    # w = 2 cosh(x) - 2 = sum_(k >= 1) 2 x^2k / (2k)!
+    w = NilPoly.from_univariate(
+        [QSeries.constant(Fraction(2 if k and k % 2 == 0 else 0,
+                                   math.factorial(k)), q_order)
+         for k in range(x_order + 1)], 0, (x_order,), q_order)
+    acc = NilPoly.zero((x_order,), q_order)
+    for col in reversed(cols):
+        acc = acc * w + QSeries(col, q_order)
+    return tuple(acc.coeffs)
 
 
 def _phi_by_products(x_order, q_order):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wittenq import genera, theta
-from wittenq.errors import DimensionError, NonIntegralError
+from wittenq.errors import DimensionError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             sigma1_series, wc_genus, witten_genus)
@@ -234,8 +234,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
     for name in ("phi", "psi", "psi_product", "x_over_phi", "eisenstein_g",
                  "direction_series"):
         monkeypatch.setattr(theta, name, refuse)
-    for cached in (genera._bundle_factor_at, genera._root_power):
-        cached.cache_clear()
+    genera._factor.cache_clear()
     witten_genus(GCIData([3], [[2]], q_order=4), route="bundle")
     wc_genus(GCIData([5], [[2]], C=[1], q_order=4), route="bundle")
     wc_genus(GCIData([6], [[3]], C=[2], q_order=4), route="bundle")

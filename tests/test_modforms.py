@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from wittenq import theta
-from wittenq.modforms import (eisenstein, fit, lift, restrict, sigma,
-                              theta_constant_e4_check, weight_basis)
+from wittenq.modforms import (ModFormFit, eisenstein, fit, lift, restrict,
+                              sigma, theta_constant_e4_check, weight_basis)
 from wittenq.qseries import QSeries
 
 
@@ -142,8 +142,8 @@ def test_fit_rejects_e2():
     q_order = 20
     e2 = lift(eisenstein(2, q_order // 2), q_order)
     ft = fit(e2, 2)
-    assert not ft.ok
-    assert ft.failure_exponent is not None
+    # weight 2 has an empty basis: E2's constant 1 is the first mismatch
+    assert ft == ModFormFit(2, [], None, False, 0)
 
 
 def test_fit_rejects_odd_support():
@@ -161,7 +161,10 @@ def test_fit_detects_wrong_weight():
 
 def test_fit_zero_series_at_weight_two():
     ft = fit(QSeries.zero(10), 2)
-    assert ft.ok and ft.solution == []
+    assert ft == ModFormFit(2, [], [], True, None)
+    # a first nonzero coefficient at q-tilde^3 is the reported mismatch
+    ft = fit(QSeries.monomial(5, 6, 10), 2)
+    assert ft == ModFormFit(2, [], None, False, 3)
 
 
 def test_theta_constant_e4_identity():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenq.errors import NonIntegralError, NonUnitError, OrderMismatchError
-from wittenq.qseries import Q2Series, QSeries, QSum, rat
+from wittenq.qseries import Q2Series, QSeries, QSum, q_product, rat
 
 
 def _random_series(rng, order, int_only=False):
@@ -102,6 +102,35 @@ def test_negative_monomial_exponent_raises():
     for e in (-1, -3, -4):
         with pytest.raises(ValueError, match="must be >= 0"):
             QSeries.monomial(7, e, 3)
+
+
+def test_negative_orders_raise():
+    # zero(-1) had an empty numerator list and one(-2) passed is_one()
+    for order in (-1, -2):
+        for build in (QSeries.zero, QSeries.one,
+                      lambda o: QSeries.monomial(3, 0, o),
+                      lambda o: q_product([], o),
+                      lambda o: q_product([(1, 1)], o)):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                build(order)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        QSeries([1], -1)
+
+
+def test_q_product_matches_binomial_products():
+    rng = random.Random(19)
+    assert q_product([], 0) == QSeries.one(0)
+    assert q_product([], 7) == QSeries.one(7)
+    for order in range(41):
+        for _ in range(3):
+            factors = [(rng.choice((1, -1)), rng.randint(1, order + 3))
+                       for _ in range(rng.randint(0, 8))]
+            factors += factors[:rng.randint(0, len(factors))]  # repeats
+            expect = QSeries.one(order)
+            for sign, e in factors:
+                expect = expect * (QSeries.one(order)
+                                   + QSeries.monomial(sign, e, order))
+            assert q_product(factors, order) == expect
 
 
 def test_add_sub_neg():

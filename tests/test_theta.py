@@ -105,6 +105,14 @@ def test_jacobi_identity_and_mutated_control():
     assert not theta.jacobi_check(50, skip=1)
 
 
+def test_jacobi_check_refuses_negative_orders():
+    # at q-order -1 the product was an empty series that passed is_one()
+    assert theta.jacobi_check(0) and theta.jacobi_check(1)
+    for q_order in (-1, -4):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            theta.jacobi_check(q_order)
+
+
 def test_numeric_theta_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         theta.numeric_theta(ThetaKind.THETA, 0.1, 0.2 - 1j)
