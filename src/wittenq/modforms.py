@@ -7,12 +7,14 @@ basis E4^a E6^b of weight 4a + 6b.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import theta
-from .qseries import QSeries, q_product
+from .qseries import QSeries, _check_order, q_product
 
 
 def sigma(k, n):
@@ -79,6 +81,22 @@ def weight_basis(weight):
     return pairs
 
 
+@functools.lru_cache(maxsize=256)
+def monomial(a, b, order):
+    """E4^a E6^b in q-tilde to the given order: one product of the cached
+    monomial one E6 (or, at b = 0, one E4) shorter and that factor, so the
+    fits share one table of the basis forms.  A negative a, b or order
+    raises ValueError."""
+    if a < 0 or b < 0:
+        raise ValueError(f"exponents must be >= 0, got a={a}, b={b}")
+    _check_order(order)
+    if b:
+        return monomial(a, b - 1, order) * eisenstein(6, order)
+    if a:
+        return monomial(a - 1, 0, order) * eisenstein(4, order)
+    return QSeries.one(order)
+
+
 @dataclass
 class ModFormFit:
     weight: int
@@ -109,19 +127,22 @@ def _solve_exact(rows, rhs):
 def fit(series: QSeries, weight):
     """Express an even-q-support series as an exact E4^a E6^b combination.
 
-    Solves on the first dim M_weight coefficients, then verifies every
-    remaining coefficient to truncation; any mismatch is a failure with
-    the offending q-tilde exponent reported.  At weight 2 the basis is
-    empty, so only the zero series fits.
+    Solves on the first dim M_weight coefficients over the `monomial`
+    basis, then verifies every coefficient to truncation on ints: with the
+    solution p_i / r over one denominator r and L the lcm of the series'
+    and the basis forms' denominators, the q-tilde^j coefficient checks
+    sum_i p_i (L / den_i) N_i[j] == r (L / den_T) T[j].  Any mismatch is a
+    failure with the first offending q-tilde exponent reported.  At
+    weight 2 the basis is empty, so only the zero series fits.
     """
-    for k, c in enumerate(series.coeffs):
-        if k % 2 and c:
-            raise ValueError(f"odd q-exponent {k} present; not a level-1 form")
+    odd = next((k for k in range(1, series.order + 1, 2) if series.num[k]),
+               None)
+    if odd is not None:
+        raise ValueError(f"odd q-exponent {odd} present; not a level-1 form")
     n_tilde = series.order // 2
     target = restrict(series, n_tilde)
     basis = weight_basis(weight)
-    mats = [(eisenstein(4, n_tilde) ** a) * (eisenstein(6, n_tilde) ** b)
-            for a, b in basis]
+    mats = [monomial(a, b, n_tilde) for a, b in basis]
     m = len(basis)
     if n_tilde + 1 < m:
         raise ValueError("series too short to determine a fit at this weight")
@@ -129,9 +150,13 @@ def fit(series: QSeries, weight):
     sol = _solve_exact(rows, [target.coefficient(j) for j in range(m)])
     if sol is None:
         return ModFormFit(weight, basis, None, False, None)
-    for j in range(n_tilde + 1):
-        fitted = sum(s * mat.coefficient(j) for s, mat in zip(sol, mats))
-        if fitted != target.coefficient(j):
+    r = math.lcm(*(s.denominator for s in sol))
+    L = math.lcm(target.den, *(mat.den for mat in mats))
+    terms = [(s.numerator * (r // s.denominator) * (L // mat.den), mat.num)
+             for s, mat in zip(sol, mats)]
+    scale = r * (L // target.den)
+    for j, t in enumerate(target.num):
+        if sum(p * col[j] for p, col in terms) != scale * t:
             return ModFormFit(weight, basis, None, False, j)
     return ModFormFit(weight, basis, sol, True)
 
@@ -155,8 +180,10 @@ def theta_constant_e4_check(order, exponent=8):
     Works in q to order 2*order and compares against E4 in q-tilde.
     exponent != 8 serves as a negative control (and for exponents not
     divisible by 4 the q^(1/4) prefactor is coarsened, which breaks the
-    identity by construction, as a control should).
+    identity by construction, as a control should).  A negative order
+    raises ValueError.
     """
+    _check_order(order)
     q_order = 2 * order
     t1, t2, t3 = _null_products(q_order)
     # (2 q^(1/4))^exponent: for exponent 8 this is the classical 256 q^2

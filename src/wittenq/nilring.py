@@ -32,7 +32,7 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      NonUnitError, OrderMismatchError)
-from .qseries import QSeries, QSum, power, rat
+from .qseries import QSeries, QSum, _check_order, power, rat
 
 
 class NilPoly:
@@ -41,6 +41,7 @@ class NilPoly:
     __slots__ = ("caps", "q_order", "terms")
 
     def __init__(self, caps, q_order, terms=None):
+        _check_order(q_order)
         self.caps = tuple(caps)
         self.q_order = q_order
         self.terms = {}

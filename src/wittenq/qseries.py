@@ -79,6 +79,7 @@ class QSum:
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order):
+        _check_order(order)
         self.order = order
         self.num = [0] * (order + 1)
         self.den = 1

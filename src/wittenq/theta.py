@@ -312,9 +312,23 @@ def jacobi_check(q_order, skip=None):
 # -- numeric evaluator ------------------------------------------------
 
 def numeric_theta(kind, z, tau, terms=60):
-    """Evaluate a theta function at complex (z, tau), Im(tau) > 0, via its product."""
+    """Evaluate a theta function at complex (z, tau), Im(tau) > 0, from its
+    product over j = 1..terms, with q = e^(pi i tau) and e = e^(2 pi i z):
+
+        prefactor * prod_j (1 - q^2j)(1 + s e t_j)(1 + s t_j / e),
+
+    where t_j = q^2j for THETA and THETA1 (prefactor 2 q^(1/4) sin(pi z)
+    and 2 q^(1/4) cos(pi z)) and t_j = q^(2j-1) for THETA2 and THETA3
+    (prefactor 1), and s = -1 for THETA and THETA2, +1 for the others.
+    q^2j and t_j are running products, one complex multiply a step.  A
+    kind that is not a ThetaKind, or a negative `terms`, raises ValueError.
+    """
+    if not isinstance(kind, ThetaKind):
+        raise ValueError(f"no theta function {kind!r}")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
     q = cmath.exp(1j * math.pi * tau)
     q2 = q * q
     e = cmath.exp(2j * math.pi * z)
@@ -324,18 +338,14 @@ def numeric_theta(kind, z, tau, terms=60):
         val = 2 * cmath.exp(1j * math.pi * tau / 4) * cmath.cos(math.pi * z)
     else:
         val = 1.0 + 0j
-    for j in range(1, terms + 1):
-        qe = q2 ** j
-        qo = q ** (2 * j - 1)
-        val *= 1 - qe
-        if kind == ThetaKind.THETA:
-            val *= (1 - e * qe) * (1 - qe / e)
-        elif kind == ThetaKind.THETA1:
-            val *= (1 + e * qe) * (1 + qe / e)
-        elif kind == ThetaKind.THETA2:
-            val *= (1 - e * qo) * (1 - qo / e)
-        else:
-            val *= (1 + e * qo) * (1 + qo / e)
+    s = -1 if kind in (ThetaKind.THETA, ThetaKind.THETA2) else 1
+    t = q2 if kind in (ThetaKind.THETA, ThetaKind.THETA1) else q
+    se, si = s * e, s / e
+    qe = q2
+    for _ in range(terms):
+        val *= (1 - qe) * (1 + se * t) * (1 + si * t)
+        qe *= q2
+        t *= q2
     return val
 
 
@@ -357,14 +367,17 @@ def numeric_transform_suite(samples=None, tol=1e-9, terms=60):
     """Check the modular and lattice transformation laws at sampled points.
 
     Returns a dict with per-identity max relative errors and a 'passed' flag.
+    Each distinct (kind, z, tau) is evaluated once per call.  An empty
+    sample list raises ValueError: it would pass with nothing checked.
     """
-    if samples is None:
-        samples = _DEFAULT_SAMPLES
+    samples = list(_DEFAULT_SAMPLES if samples is None else samples)
+    if not samples:
+        raise ValueError("samples must not be empty")
     for _, tau in samples:
         if tau.imag < 1:
             raise ValueError("samples must have Im(tau) >= 1")
     K = ThetaKind
-    th = lambda k, z, t: numeric_theta(k, z, t, terms)
+    th = functools.cache(lambda k, z, t: numeric_theta(k, z, t, terms))
 
     def s_prefactor(z, tau):
         return cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * tau * z * z)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from wittenq import theta
-from wittenq.modforms import (ModFormFit, eisenstein, fit, lift, restrict,
-                              sigma, theta_constant_e4_check, weight_basis)
+from wittenq.modforms import (ModFormFit, eisenstein, fit, lift, monomial,
+                              restrict, sigma, theta_constant_e4_check,
+                              weight_basis)
 from wittenq.qseries import QSeries
 
 
@@ -93,6 +94,20 @@ def test_weight_basis_dimensions():
         weight_basis(5)
 
 
+def test_monomial_equals_eisenstein_powers():
+    for order in (6, 17):
+        e4, e6 = eisenstein(4, order), eisenstein(6, order)
+        for a in range(7):
+            for b in range((24 - 4 * a) // 6 + 1):
+                assert monomial(a, b, order) == e4 ** a * e6 ** b
+
+
+def test_monomial_refuses_negative_arguments():
+    for args in ((-1, 0, 5), (0, -1, 5), (0, 0, -1), (2, 1, -3)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            monomial(*args)
+
+
 def test_fit_roundtrip_random_combinations():
     rng = random.Random(99)
     q_order = 20
@@ -138,6 +153,25 @@ def test_lift_and_restrict_refuse_unknown_orders():
         restrict(QSeries([1, 2, 3, 4], 3), 2)
 
 
+def test_fit_reports_each_perturbed_exponent():
+    # a true form plus c * q-tilde^j for every j the solve does not read
+    # fails first at j, which reaches each step of the check
+    rng = random.Random(20)
+    q_order = 26
+    tilde = q_order // 2
+    for weight in (0, 4, 12, 24):
+        basis = weight_basis(weight)
+        true = QSeries.zero(tilde)
+        for a, b in basis:
+            true = true + monomial(a, b, tilde) * Fraction(
+                rng.randint(-9, 9), rng.randint(1, 4))
+        assert fit(lift(true, q_order), weight).ok
+        for j in range(len(basis), tilde + 1):
+            bump = QSeries.monomial(Fraction(1, 7), j, tilde)
+            ft = fit(lift(true + bump, q_order), weight)
+            assert ft == ModFormFit(weight, basis, None, False, j)
+
+
 def test_fit_rejects_e2():
     q_order = 20
     e2 = lift(eisenstein(2, q_order // 2), q_order)
@@ -175,3 +209,9 @@ def test_theta_constant_e4_identity():
 def test_theta_constant_negative_control():
     assert not theta_constant_e4_check(10, exponent=6)
     assert not theta_constant_e4_check(10, exponent=4)
+
+
+def test_theta_constant_check_names_the_callers_order():
+    # it named -2, the doubled q-order it computes in
+    with pytest.raises(ValueError, match="got -1$"):
+        theta_constant_e4_check(-1)

@@ -57,6 +57,14 @@ def test_caps_mismatch_raises():
         NilPoly.one((2,), 3) * NilPoly.one((3,), 3)
 
 
+def test_negative_q_order_raises():
+    # these built a poly of q-order -1
+    for build in (lambda: NilPoly((2,), -1), lambda: NilPoly.zero((2,), -1),
+                  lambda: NilPoly.one((1, 1), -2)):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            build()
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(11)
     for _ in range(8):

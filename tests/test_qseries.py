@@ -117,6 +117,14 @@ def test_negative_orders_raise():
         QSeries([1], -1)
 
 
+def test_qsum_refuses_negative_orders():
+    # QSum(-1).series() was an order -1 series with no numerators
+    assert QSum(0).series() == QSeries.zero(0)
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            QSum(order)
+
+
 def test_q_product_matches_binomial_products():
     rng = random.Random(19)
     assert q_product([], 0) == QSeries.one(0)

@@ -1,5 +1,6 @@
 """Tests for the theta-ratio series and the numeric transformation suite."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -118,6 +119,70 @@ def test_numeric_theta_rejects_lower_half_plane():
         theta.numeric_theta(ThetaKind.THETA, 0.1, 0.2 - 1j)
 
 
+def test_numeric_theta_refuses_negative_terms():
+    # terms=-3 returned the bare prefactor, 1 for THETA3
+    for kind in ThetaKind:
+        with pytest.raises(ValueError, match="terms must be >= 0"):
+            theta.numeric_theta(kind, 0.1, 1j, terms=-3)
+    # any other kind was evaluated as THETA3
+    for kind in (0, 3, "THETA3", None):
+        with pytest.raises(ValueError, match="no theta function"):
+            theta.numeric_theta(kind, 0.1, 1j)
+
+
+def test_numeric_theta_multiplies_exactly_terms_factors():
+    z, tau = 0.3 + 0.1j, 0.2 + 0.6j
+    q = cmath.exp(1j * math.pi * tau)
+    e = cmath.exp(2j * math.pi * z)
+    for terms in range(4):
+        want = 1
+        for j in range(1, terms + 1):
+            t = q ** (2 * j - 1)
+            want *= (1 - q ** (2 * j)) * (1 + e * t) * (1 + t / e)
+        got = theta.numeric_theta(ThetaKind.THETA3, z, tau, terms=terms)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _theta_series(kind, z, tau, n_max=30):
+    """The theta functions as Fourier series in q = e^(pi i tau):
+        THETA:  2 sum_(n>=0) (-1)^n q^((n+1/2)^2) sin((2n+1) pi z)
+        THETA1: 2 sum_(n>=0) q^((n+1/2)^2) cos((2n+1) pi z)
+        THETA2: 1 + 2 sum_(n>=1) (-1)^n q^(n^2) cos(2n pi z)
+        THETA3: 1 + 2 sum_(n>=1) q^(n^2) cos(2n pi z)
+    with q^a sin(m pi z) and q^a cos(m pi z) taken as half-sums of
+    e^(pi i (a tau +- m z)), so no factor overflows at large Im z."""
+    def wave(a, m, sign):
+        return (cmath.exp(1j * math.pi * (a * tau + m * z))
+                + sign * cmath.exp(1j * math.pi * (a * tau - m * z))) / 2
+    if kind in (ThetaKind.THETA, ThetaKind.THETA1):
+        if kind is ThetaKind.THETA:
+            terms = ((-1) ** n * wave((n + 0.5) ** 2, 2 * n + 1, -1) / 1j
+                     for n in range(n_max))
+        else:
+            terms = (wave((n + 0.5) ** 2, 2 * n + 1, 1) for n in range(n_max))
+        return 2 * sum(terms)
+    sign = -1 if kind is ThetaKind.THETA2 else 1
+    return 1 + 2 * sum(sign ** n * wave(n * n, 2 * n, 1)
+                       for n in range(1, n_max))
+
+
+def test_numeric_theta_matches_theta_series():
+    # the product evaluator against the independent Fourier series, at the
+    # suite's points and at the shifted ones its transformation laws visit
+    points = []
+    for z, tau in theta._DEFAULT_SAMPLES:
+        points += [(z, tau), (z + 1, tau), (z + 3, tau), (z + tau, tau),
+                   (z + 2 * tau, tau), (z, tau + 1), (z, -1 / tau),
+                   (tau * z, tau)]
+    worst = 0.0
+    for kind in ThetaKind:
+        for z, tau in points:
+            got = theta.numeric_theta(kind, z, tau)
+            want = _theta_series(kind, z, tau)
+            worst = max(worst, abs(got - want) / abs(want))
+    assert worst < 1e-12
+
+
 def test_numeric_transform_suite_passes():
     rep = theta.numeric_transform_suite()
     assert rep["passed"]
@@ -129,11 +194,27 @@ def test_numeric_transform_suite_rejects_low_im_tau():
         theta.numeric_transform_suite(samples=[(0.1 + 0.1j, 0.5 + 0.5j)])
 
 
+def test_numeric_transform_suite_refuses_empty_samples():
+    # an empty list passed with 22 errors of 0.0 and nothing evaluated
+    with pytest.raises(ValueError, match="samples must not be empty"):
+        theta.numeric_transform_suite(samples=[])
+    with pytest.raises(ValueError, match="samples must not be empty"):
+        theta.numeric_transform_suite(samples=iter([]))
+
+
+def test_numeric_transform_suite_reads_an_iterator_once():
+    # the Im(tau) check used to exhaust an iterator, so every law then
+    # saw no sample and passed with an error of 0.0
+    points = theta._DEFAULT_SAMPLES[:2]
+    rep = theta.numeric_transform_suite(samples=iter(points))
+    assert rep == theta.numeric_transform_suite(samples=points)
+    assert max(rep["errors"].values()) > 0
+
+
 def test_numeric_matches_series_at_sample_point():
     # Phi as a truncated series in x approximates theta(z)/ (theta'(0)/(2 pi i))
     tau = 1.7j
     z = 0.05 + 0.02j
-    import cmath
     x = 2j * math.pi * z
     qo, xo = 40, 15
     p = theta.phi(xo, qo)
