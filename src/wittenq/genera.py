@@ -27,17 +27,19 @@ y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
 number of linear prefactors on u; the integers m of those prefactors
 multiply the residue.  `theta.direction_series` builds each such factor
 from the (kind, coef, m) of its forms.  The off-axis factors are paired
-by `rank_pair_mul` (or placed by `subst_linear`).  With at most one such
-piece the axis factors are contracted against it directly; otherwise the
-factor of an axis x_b enters as a one-axis convolution and the last
-piece is contracted against the rest with `top_product` (see
-`_residue`).  Each factor is built once: many instances share one (a
-degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is W's
-integrand with C as one more row), so `_factor`, one bounded cache keyed
-by builder and arguments, holds the exponentials (by merged terms and
-length; the y^r shift is not cached), the bundle factors and the root
-powers.  Besides that only the int log columns and exponential weights
-inside `theta` and the w-power table inside `bundles` are cached.
+by `rank_pair_mul` (an odd one out with the constant 1), each pair into
+an int form of `nilring`, which the later stages read and return.  With
+at most one such piece the axis factors are contracted against it
+directly (`contract_axes`); otherwise the factor of an axis x_b enters
+as a one-axis convolution and the last piece is contracted against the
+rest with `top_product` (see `_residue`).  Each factor is built once:
+many instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in
+real dimension 4k+2 is W's integrand with C as one more row), so
+`_factor`, one bounded cache keyed by builder and arguments, holds the
+exponentials (by merged terms and length; the y^r shift is not cached),
+the bundle factors and the root powers.  Besides that only the int log
+columns and exponential weights inside `theta` and the w-power table
+inside `bundles` are cached.
 
 The "bundle" route builds one factor per root, degree row and twist from
 the symmetric/exterior-power characters of `bundles` and assembles them
@@ -54,8 +56,9 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .nilring import NilPoly, mul_univariate, rank_pair_mul, subst_linear
-from .qseries import QSeries, QSum, Q2Series
+from .nilring import (NilPoly, contract_axes, mul_univariate, rank_pair_mul,
+                      top_product)
+from .qseries import QSeries, Q2Series
 from .theta import ThetaKind
 
 
@@ -160,36 +163,35 @@ def _residue(g: GCIData, axes, specs):
     factor a sequence of QSeries by x-degree.
 
     The linear-form factors are combined pairwise with rank_pair_mul, an
-    odd one out by subst_linear.  With at most one such piece P the axis
-    factors A_b are contracted, not multiplied in:
+    odd one out with the constant 1 at the zero form, each pair into an
+    int form: int numerator lists over one denominator, which every
+    later stage reads and returns, reduced once per stage by one common
+    gcd.  With at most one such piece P the axis factors A_b are
+    contracted, not multiplied in:
     top(P * prod_b A_b(x_b)) = sum_e P[e] * prod_b A_b[cap_b - e_b],
     summed out one axis at a time, the last first; with no piece it is
     prod_b A_b[cap_b].  With more pieces the axis factors enter the first
-    as one-axis convolutions, the middle ones are general ring products,
-    and the last is contracted against the rest with top_product.
+    as one-axis convolutions, the middle ones are general NilPoly
+    products, and the last is contracted against the rest with
+    top_product.
     """
     caps, qo = g.n, g.q_order
-    pieces = [rank_pair_mul(specs[i][0], specs[i][1],
-                            specs[i + 1][0], specs[i + 1][1], caps, qo)
-              for i in range(0, len(specs) - 1, 2)]
     if len(specs) % 2:
-        f, d = specs[-1]
-        pieces.append(subst_linear(f, d, caps, qo))
+        one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
+        specs = [*specs, (one, (0,) * g.s)]
+    pieces = [rank_pair_mul(*specs[i], *specs[i + 1], caps, qo)
+              for i in range(0, len(specs), 2)]
     if len(pieces) <= 1:
-        level = pieces[0].terms if pieces else {(0,) * g.s: QSeries.one(qo)}
-        for b in reversed(range(g.s)):
-            sums = {}
-            for e, c in level.items():
-                sums.setdefault(e[:b], QSum(qo)).add_product(
-                    c, axes[b][caps[b] - e[b]])
-            level = {e: s.series() for e, s in sums.items()}
-        return level.get((), QSeries.zero(qo))
+        return contract_axes(pieces[0] if pieces else None, axes, caps, qo)
     acc = pieces[0]
     for b, f in enumerate(axes):
-        acc = mul_univariate(acc, f, b)
-    for p in pieces[1:-1]:
-        acc = acc * p
-    return acc.top_product(pieces[-1])
+        acc = mul_univariate(acc, f, b, caps, qo)
+    if len(pieces) > 2:
+        poly = NilPoly.from_cells(caps, qo, acc)
+        for p in pieces[1:-1]:
+            poly = poly * NilPoly.from_cells(caps, qo, p)
+        acc = poly.cells()
+    return top_product(acc, pieces[-1], caps, qo)
 
 
 def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,

@@ -36,6 +36,9 @@ def eisenstein(k, order):
     """
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
+    if order < 0:
+        raise ValueError(f"eisenstein needs order >= 0, got k={k}, "
+                         f"order={order}")
     num = theta.eisenstein_g(k // 2, 2 * order).num
     sign = 1 if num[0] > 0 else -1
     return QSeries._make([sign * c for c in num[::2]], abs(num[0]), order)

@@ -9,23 +9,34 @@ below read directly; `from_univariate` makes one a one-generator NilPoly
 with cap N, a power series in x truncated after x^N, where a ring
 operation is needed (the root powers (x/Phi)^(n+1) in H*(CP^n)).
 
-The general product, top_product and inv_unit accumulate each monomial
-in a `qseries.QSum`: int numerators over one denominator, reduced once.
+The general product and inv_unit accumulate each monomial in a
+`qseries.QSum`: int numerators over one denominator, reduced once.
+
+The residue kernels below work on an int form instead: a pair
+(cells, den), cells a dict from exponent tuples to int numerator lists
+of length q_order + 1, all over the one positive int den.  Each kernel
+reads and returns that form and reduces its output once, by one common
+gcd of den and every numerator, not per cell; `NilPoly.from_cells` and
+`NilPoly.cells` convert, where a NilPoly is needed (`subst_linear`, the
+general product, the tests' oracles).
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
 weights.  rank_pair_mul builds a product f_a(ell_a) * f_b(ell_b) of two
 such polynomials from the integer coefficients of ell_a^i * ell_b^j on
-the cap grid, one recurrence that peels off one linear factor per step,
-and one table of series products per total degree, which is far cheaper
-than termwise ring multiplication; subst_linear is its case f_b = 1,
-ell_b = 0.  mul_univariate multiplies by a series in one generator.
-Both put their terms over one denominator once (mul_univariate per
-operand, rank_pair_mul per total degree) and run their inner sums as int
-dot products, so every output monomial costs one reduction.
+the cap grid, built level by level: when the factors' nonzero x-degrees
+step by g (g = 2 for the even and odd theta factors) each level peels
+ell^g, so the degrees that no term reaches are skipped.  Per level one
+table of int q-products, its all-zero q-rows left out, turns the
+weights into numerators by int dot products, which is far cheaper than
+termwise ring multiplication; subst_linear is its case f_b = 1,
+ell_b = 0.  mul_univariate multiplies by a series in one generator,
+top_product contracts two int forms to the top coefficient, and
+contract_axes contracts one against a series on each axis.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -67,8 +78,13 @@ class NilPoly:
 
     @classmethod
     def constant(cls, caps, value, q_order=None):
+        """value at x^0; the q-order may be left out only for a QSeries
+        value, which carries its own."""
         if isinstance(value, QSeries):
             q_order = value.order
+        elif q_order is None:
+            raise ValueError("NilPoly.constant needs a q-order: it may be "
+                             "left out only for a QSeries value")
         else:
             value = QSeries.constant(value, q_order)
         zero_exp = (0,) * len(tuple(caps))
@@ -97,7 +113,22 @@ class NilPoly:
             terms[tuple(e)] = c
         return cls(caps, q_order, terms)
 
+    @classmethod
+    def from_cells(cls, caps, q_order, form):
+        """The NilPoly of an int form (cells, den), each cell reduced."""
+        cells, den = form
+        out = cls(caps, q_order)
+        out.terms = {e: QSeries._make(num, den, q_order)
+                     for e, num in cells.items() if any(num)}
+        return out
+
     # -- queries ------------------------------------------------------
+
+    def cells(self):
+        """The int form (cells, den) of the terms: their numerator lists
+        over the lcm of their denominators."""
+        nums, den = _over_one_den(self.terms.values())
+        return dict(zip(self.terms, nums)), den
 
     def is_zero(self):
         return not self.terms
@@ -125,13 +156,8 @@ class NilPoly:
         Pairs complementary monomials: sum over e of a[e] * b[caps - e].
         """
         self._check(other)
-        caps = self.caps
-        acc = QSum(self.q_order)
-        for e, c in self.terms.items():
-            d = other.terms.get(tuple(map(operator.sub, caps, e)))
-            if d is not None:
-                acc.add_product(c, d)
-        return acc.series()
+        return top_product(self.cells(), other.cells(), self.caps,
+                           self.q_order)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -263,39 +289,94 @@ def subst_linear(f_coeffs, d, caps, q_order):
     f_coeffs is a sequence of QSeries indexed by x-degree and must reach
     total degree sum(caps); d is an integer vector of length s.  Each ring
     monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|: the
-    rank_pair_mul product with the constant 1 at the zero form.
+    rank_pair_mul product with the constant 1 at the zero form, as a
+    NilPoly.
     """
     one = [QSeries.one(q_order)] + [QSeries.zero(q_order)] * sum(caps)
-    return rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
+    form = rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
+    return NilPoly.from_cells(caps, q_order, form)
 
 
 def _over_one_den(series):
-    """The int numerator lists of QSeries (or QSums) over their lcm
-    denominator, and that denominator."""
+    """The int numerator lists of QSeries over their lcm denominator, and
+    that denominator."""
     den = math.lcm(*(c.den for c in series))
     return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
             for c in series], den
 
 
+def _reduced(cells, den):
+    """The int form (cells, den) divided by the gcd of den and every
+    numerator: one reduction for a whole stage."""
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(cells.values()))
+        if g != 1:
+            cells = {e: [x // g for x in num] for e, num in cells.items()}
+            den //= g
+    return cells, den
+
+
+def _conv_add(out, a, b):
+    """out += a * b for int numerator lists, truncated at len(out)."""
+    n = len(out)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _progression(nums):
+    """(r, g, top) for int numerator lists by x-degree: the nonzero
+    degrees lie in r + gZ (g = 0 for a single one) and end at top; None
+    when every degree is zero."""
+    ks = [k for k, u in enumerate(nums) if any(u)]
+    if not ks:
+        return None
+    return ks[0], math.gcd(*(k - ks[0] for k in ks)), ks[-1]
+
+
+def _times_linear(poly, d, caps, times):
+    """poly * (sum_b d_b x_b)^times for an int polynomial {e: int} on the
+    cap grid, zero coefficients dropped."""
+    for _ in range(times):
+        out = {}
+        for e, c in poly.items():
+            for b, db in enumerate(d):
+                if db and e[b] < caps[b]:
+                    f = e[:b] + (e[b] + 1,) + e[b + 1:]
+                    out[f] = out.get(f, 0) + c * db
+        poly = {e: c for e, c in out.items() if c}
+    return poly
+
+
 def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
-    """NilPoly product f_a(ell_a) * f_b(ell_b) using the separable structure.
+    """The product f_a(ell_a) * f_b(ell_b) as an int form, using the
+    separable structure.
 
     fa_coeffs and fb_coeffs are sequences of QSeries by x-degree.  The
     coefficient at x^E, |E| = K, is sum_i W_E[i] * f_a[i] * f_b[K-i] with
-    the integers W_E[i] = [x^E] ell_a^i ell_b^(K-i), from one recurrence
-    over the cap grid that peels off one linear factor:
+    the integers W_E[i] = [x^E] ell_a^i ell_b^(K-i).  When the nonzero
+    degrees of f_a and f_b lie in r_a + gZ and r_b + gZ (g = 2 for the
+    even and odd theta factors), only i = r_a + g*s and K - i = r_b + g*t
+    occur, and the weights are built level by level in L = s + t:
 
-        W_E[i] = sum_b a_b * W_(E-e_b)[i-1]  (i > 0),
-        W_E[0] = sum_b b_b * W_(E-e_b)[0],   W_0 = [1],
+        W^0 = ell_a^(r_a) ell_b^(r_b),
+        W^L_E[s] = sum_e A_e W^(L-1)_(E-e)[s-1]  (s > 0),
+        W^L_E[0] = sum_e B_e W^(L-1)_(E-e)[0],
 
-    with a = ell_a and b = ell_b.  A cell keeps only the window of i that
-    it and its successors read, K - max deg f_b <= i <= min(K, max deg f_a).
-    The cells are built in lexicographic order, and a cell's vector is
-    dropped once its last successor is built.  Per K the nonzero products
-    f_a[i] * f_b[K-i] (f_a[i] itself where f_b[K-i] is 1) are put over one
-    denominator and stored as one int row per q-degree, so a cell's
-    numerators are the dot products of its weights at those i with the
-    rows, reduced once.
+    with A_e and B_e the integer coefficients of ell_a^g and ell_b^g, |e| = g.
+    Only the previous level is kept, and a cell keeps only the window of s
+    that it and its successors read.  With g = 1 and r = 0 this peels one
+    linear factor per step.  f_a and f_b are each put over one
+    denominator once; per level the nonzero products f_a[i] * f_b[K-i]
+    are int q-convolutions, stored as one row per q-degree with the
+    all-zero rows (the odd q-degrees) left out, so a cell's numerators are
+    the dot products of its weights with the rows.  The result is reduced
+    once, by one common gcd.
     """
     caps = tuple(caps)
     total = sum(caps)
@@ -304,84 +385,108 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
                                       f"{total}")
     if len(da) != len(caps) or len(db) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    fa, fb = fa_coeffs[:total + 1], fb_coeffs[:total + 1]
-    nz_a = [not c.is_zero() for c in fa]
-    nz_b = [not c.is_zero() for c in fb]
-    top_a = max(itertools.compress(range(total + 1), nz_a), default=-1)
-    top_b = max(itertools.compress(range(total + 1), nz_b), default=-1)
-    tables = []  # per K: (mask of the nonzero products, rows, denominator)
-    for K in range(total + 1):
-        window = range(max(0, K - top_b), min(K, top_a) + 1)
-        mask = [nz_a[i] and nz_b[K - i] for i in window]
-        nums, den = _over_one_den([
-            fa[i] if fb[K - i].is_one()
-            else QSum(q_order).add_product(fa[i], fb[K - i])
-            for i in itertools.compress(window, mask)])
-        rows = list(zip(*nums))
-        tables.append((mask, rows, den) if any(map(any, rows)) else None)
+    fa, den_a = _over_one_den(fa_coeffs[:total + 1])
+    fb, den_b = _over_one_den(fb_coeffs[:total + 1])
+    prog_a, prog_b = _progression(fa), _progression(fb)
+    if prog_a is None or prog_b is None:
+        return {}, 1
+    (ra, ga, top_a), (rb, gb, top_b) = prog_a, prog_b
+    g = math.gcd(ga, gb) or 1
+    ta, tb = (top_a - ra) // g, (top_b - rb) // g
+    # flat cell indices, the positions in lexicographic order; E - e off
+    # the grid (some E_b < e_b) is never the index of a cell on the
+    # previous level, since each borrow adds cap_b to the degree
     strides = [math.prod(c + 1 for c in caps[b + 1:])
                for b in range(len(caps))]
-    steps_a = [(b, st, c) for b, (st, c) in enumerate(zip(strides, da)) if c]
-    steps_b = [(b, st, c) for b, (st, c) in enumerate(zip(strides, db)) if c]
-    out = NilPoly(caps, q_order)
-    W = [None] * (strides[0] * (caps[0] + 1))
-    for idx, E in enumerate(itertools.product(*[range(c + 1) for c in caps])):
-        K = sum(E)
-        lo, hi = max(0, K - top_b), min(K, top_a)
-        if lo > hi:
-            continue
-        if idx:
-            vec = [0] * (hi - max(lo, 1) + 1)
-            for b, st, c in steps_a:
-                if E[b]:
-                    vec = [x + c * y for x, y in zip(vec, W[idx - st])]
-            if not lo:
-                vec.insert(0, sum(c * W[idx - st][0]
-                                  for b, st, c in steps_b if E[b]))
-            if E[0]:  # E is the last successor of E - e_0 to be built
-                W[idx - strides[0]] = None
+
+    def flat(e):
+        return sum(map(operator.mul, e, strides))
+
+    zero = (0,) * len(caps)
+    pow_a = _times_linear({zero: 1}, da, caps, g)
+    pow_b = _times_linear({zero: 1}, db, caps, g)
+    steps = [(flat(e), pow_a.get(e, 0), pow_b.get(e, 0))
+             for e in pow_a.keys() | pow_b.keys()]
+    by_degree = [[] for _ in range(total + 1)]
+    for idx, E in enumerate(itertools.product(*[range(c + 1)
+                                                for c in caps])):
+        by_degree[sum(E)].append((E, idx))
+    start = _times_linear(_times_linear({zero: 1}, da, caps, ra), db, caps,
+                          rb)
+    cells, prev = {}, {}
+    for L in itertools.count():
+        K = ra + rb + g * L
+        lo, hi = max(0, L - tb), min(L, ta)
+        if K > total or lo > hi:
+            break
+        if L:
+            n_tail = hi - max(lo, 1) + 1
+            level = []
+            for E, idx in by_degree[K]:
+                head, tail = 0, None
+                for off, a, b in steps:
+                    p = prev.get(idx - off)
+                    if p is None:
+                        continue
+                    if a:
+                        tail = ([a * y for y in p[:n_tail]] if tail is None
+                                else [x + a * y for x, y in zip(tail, p)])
+                    if b and not lo:
+                        head += b * p[0]
+                if tail is None:
+                    if not head:
+                        continue
+                    tail = [0] * n_tail
+                level.append((E, idx, [head] + tail if not lo else tail))
         else:
-            vec = [1]
-        W[idx] = vec
-        if tables[K]:
-            mask, rows, den = tables[K]
-            v = list(itertools.compress(vec, mask))
-            num = [sum(map(operator.mul, v, row)) for row in rows]
-            if any(num):
-                out.terms[E] = QSeries._make(num, den, q_order)
-    return out
+            level = [(E, flat(E), [w]) for E, w in start.items()]
+        prev = {idx: vec for _, idx, vec in level}
+        prods = [_conv_add([0] * (q_order + 1), fa[i], fb[K - i])
+                 for i in range(ra + g * lo, ra + g * hi + 1, g)]
+        mask = [any(p) for p in prods]
+        rows = [(m, row) for m, row in
+                enumerate(zip(*itertools.compress(prods, mask))) if any(row)]
+        mask = None if all(mask) else mask
+        if rows:
+            for E, _, vec in level:
+                v = list(itertools.compress(vec, mask)) if mask else vec
+                num = [0] * (q_order + 1)
+                for m, row in rows:
+                    num[m] = sum(map(operator.mul, v, row))
+                if any(num):
+                    cells[E] = num
+    return _reduced(cells, den_a * den_b)
 
 
-def mul_univariate(poly, coeffs, index):
-    """Multiply a NilPoly by sum_k coeffs[k] * x_index^k, coeffs a
-    sequence of QSeries by x-degree.
+def mul_univariate(form, coeffs, index, caps, q_order):
+    """The int form times sum_k coeffs[k] * x_index^k, coeffs a sequence
+    of QSeries by x-degree; an int form in, an int form out.
 
     A one-axis convolution: much cheaper than a general product when the
-    other factor only involves a single generator.  The poly and the
-    factor are each brought to one denominator once.  Along a line of
-    cells a_m (m the x_index-degree) the q^t numerator at degree n is
+    other factor only involves a single generator.  The factor is brought
+    to one denominator once.  Along a line of cells a_m (m the
+    x_index-degree) the q^t numerator at degree n is
     sum_(i+j=t) sum_k a_(n-k)[i] * coeffs[k][j]: one int dot product per
     pair of nonzero q-degrees (i, j).  When the factor's nonzero degrees
     lie in k0 + gZ (g = 2 for an even or odd theta factor), k runs over
     that progression only, and n only over m + k0 + gZ from the lowest
-    occupied m of each class mod g: every other output is zero.  Each
-    output monomial is reduced once.
+    occupied m of each class mod g: every other output is zero.  The
+    result is reduced once, by one common gcd.
     """
-    caps, qo = poly.caps, poly.q_order
+    cells, den_p = form
     cap = caps[index]
-    out = NilPoly(caps, qo)
     factor, den_f = _over_one_den(coeffs[:cap + 1])
-    ks = [k for k, u in enumerate(factor) if any(u)]
-    if not ks:
-        return out
-    k0 = ks[0]
-    g = math.gcd(*(k - k0 for k in ks)) or 1
+    prog = _progression(factor)
+    if prog is None:
+        return {}, 1
+    k0, g, _ = prog
+    g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
-    nums, den_p = _over_one_den(poly.terms.values())
     lines = {}
-    for e, a in zip(poly.terms, nums):
+    for e, a in cells.items():
         lines.setdefault(e[:index] + e[index + 1:], {})[e[index]] = a
-    zeros = [0] * (qo + 1)
+    zeros = [0] * (q_order + 1)
+    out = {}
     for rest, line in lines.items():
         # acol[cap - m] is the q^i numerator of a_m
         grid = [line.get(m, zeros) for m in range(cap, -1, -1)]
@@ -391,14 +496,53 @@ def mul_univariate(poly, coeffs, index):
         starts = {m % g: m for m in sorted(line, reverse=True)}.values()
         for n in itertools.chain(*[range(m + k0, cap + 1, g)
                                    for m in starts]):
-            num = [0] * (qo + 1)
+            num = [0] * (q_order + 1)
             for i, acol in acols:
                 acol = acol[cap - n + k0::g]
                 for j, fcol in fcols:
-                    if i + j > qo:
+                    if i + j > q_order:
                         break
                     num[i + j] += sum(map(operator.mul, fcol, acol))
             if any(num):
-                out.terms[rest[:index] + (n,) + rest[index:]] = \
-                    QSeries._make(num, den_p * den_f, qo)
-    return out
+                out[rest[:index] + (n,) + rest[index:]] = num
+    return _reduced(out, den_p * den_f)
+
+
+def top_product(a, b, caps, q_order):
+    """top_coeff of the product of two int forms without forming it:
+    sum over e of a[e] * b[caps - e], reduced once."""
+    (cells_a, den_a), (cells_b, den_b) = a, b
+    out = [0] * (q_order + 1)
+    for e, num in cells_a.items():
+        other = cells_b.get(tuple(map(operator.sub, caps, e)))
+        if other is not None:
+            _conv_add(out, num, other)
+    return QSeries._make(out, den_a * den_b, q_order)
+
+
+def contract_axes(form, axes, caps, q_order):
+    """top_coeff(P * prod_b axes[b](x_b)) for an int form P, the axes[b]
+    sequences of QSeries by x-degree, without forming the product.
+
+    sum_e P[e] * prod_b axes[b][cap_b - e_b], summed out one axis at a
+    time, the last first.  Only the axis coefficients that some cell
+    reads are brought to one denominator, and the sum is reduced once.
+    For P = None, the constant 1, it is prod_b axes[b][cap_b].
+    """
+    if form is None:
+        return functools.reduce(operator.mul, map(operator.getitem, axes,
+                                                  caps))
+    cells, den = form
+    for b in reversed(range(len(caps))):
+        cap = caps[b]
+        ks = sorted({cap - e[b] for e in cells})
+        nums, den_b = _over_one_den([axes[b][k] for k in ks])
+        col = dict(zip(ks, nums))
+        sums = {}
+        for e, num in cells.items():
+            acc = sums.get(e[:b])
+            if acc is None:
+                acc = sums[e[:b]] = [0] * (q_order + 1)
+            _conv_add(acc, num, col[cap - e[b]])
+        cells, den = sums, den * den_b
+    return QSeries._make(cells.get((), [0] * (q_order + 1)), den, q_order)

@@ -1,6 +1,8 @@
 """Tests for the genus computations: values, vanishing, structure."""
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,49 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
         zero_spec = [QSeries.zero(qo)] * (total + 1)
         assert genera._residue(g, axes, [(zero_spec, specs[0][1])]
                                + specs[1:]).is_zero()
+
+
+def _count_top_products(monkeypatch):
+    """Count _residue's top_product calls: one per multi-piece residue."""
+    calls, top_product = [], genera.top_product
+
+    def spy(*args):
+        calls.append(args)
+        return top_product(*args)
+
+    monkeypatch.setattr(genera, "top_product", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q_order", [4, 12])
+@pytest.mark.parametrize("n, D, C", [
+    ((4, 4), ((1, 2), (2, 1)), (1, -1)),
+    ((4, 5), ((1, 2), (2, 1)), (1, -1)),
+    ((5, 6), ((1, 2), (2, 1), (1, 1)), (1, -1)),
+    ((4, 6), ((1, 1), (1, 2), (2, 1)), (1, -1)),
+], ids=["3dir-4k", "3dir-4k2", "4dir-4k", "4dir-4k2"])
+def test_multi_piece_residue_routes_agree(monkeypatch, n, D, C, q_order):
+    # W_c with 3 or 4 off-axis directions: the pair products, the axis
+    # convolutions and the top product on int forms, on both routes
+    calls = _count_top_products(monkeypatch)
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    theta_route, bundle_route = (wc_genus(g, route=route).coeffs
+                                 for route in ("theta", "bundle"))
+    assert len(calls) == 2
+    assert theta_route == bundle_route
+    assert not theta_route.is_zero()
+
+
+def test_multi_piece_residue_golden_four_directions(monkeypatch):
+    label = "Wc4k n=5,6 D=(1,2),(2,1),(1,1) C=(1,-1)"
+    golden = json.loads(pathlib.Path(__file__).with_name(
+        "golden_nonvanishing.json").read_text())[label]
+    calls = _count_top_products(monkeypatch)
+    g = GCIData([5, 6], [[1, 2], [2, 1], [1, 1]], [1, -1], q_order=8)
+    for route in ("theta", "bundle"):
+        rep = wc_genus(g, route=route)
+        assert [str(c) for c in rep.coeffs.coeffs] == golden[route]["coeffs"]
+    assert len(calls) == 2
 
 
 def test_route_equivalence():

@@ -44,6 +44,14 @@ def test_eisenstein_leading_coefficients():
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
+def test_eisenstein_negative_order_names_callers_values(k):
+    # the message once named theta.eisenstein_g's halved weight and
+    # doubled order
+    with pytest.raises(ValueError, match=rf"k={k}, order=-1$"):
+        eisenstein(k, -1)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
 def test_eisenstein_equals_sigma_formula(k):
     # E_k = 1 - (2k / B_k) sum sigma_(k-1)(n) q~^n, numerators and
     # denominator, against the direct divisor sums of `sigma`

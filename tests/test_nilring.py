@@ -6,11 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
                             NonUnitError)
-from wittenq.nilring import (NilPoly, mul_univariate, rank_pair_mul,
-                             subst_linear)
+from wittenq.nilring import (NilPoly, contract_axes, mul_univariate,
+                             rank_pair_mul, subst_linear, top_product)
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
 
@@ -63,6 +65,15 @@ def test_negative_q_order_raises():
                   lambda: NilPoly.one((1, 1), -2)):
         with pytest.raises(ValueError, match="order must be >= 0"):
             build()
+
+
+def test_constant_without_q_order_needs_a_qseries():
+    # an int value without a q-order once raised a bare TypeError
+    with pytest.raises(ValueError, match="only for a QSeries value"):
+        NilPoly.constant((2,), 1)
+    c = QSeries([1, 2], 1)
+    assert NilPoly.constant((2,), c).constant_term() == c
+    assert NilPoly.constant((2,), 3, 1).q_order == 1
 
 
 def test_ring_axioms_randomized():
@@ -175,7 +186,8 @@ def test_rank_pair_mul_matches_naive_product():
                   for k, c in enumerate(fb)]
         da = [rng.randint(-3, 3) for _ in caps]
         db = [rng.randint(-3, 3) for _ in caps]
-        got = rank_pair_mul(fa, da, fb, db, caps, qo)
+        got = NilPoly.from_cells(caps, qo,
+                                 rank_pair_mul(fa, da, fb, db, caps, qo))
         expect = subst_linear(fa, da, caps, qo) * subst_linear(fb, db, caps, qo)
         assert got == expect
 
@@ -188,7 +200,8 @@ def test_mul_univariate_matches_naive_product():
         idx = rng.randrange(len(caps))
         poly = _random_poly(rng, caps, qo)
         u = _random_uni(rng, caps[idx], qo)
-        got = mul_univariate(poly, u, idx)
+        got = NilPoly.from_cells(
+            caps, qo, mul_univariate(poly.cells(), u, idx, caps, qo))
         expect = poly * NilPoly.from_univariate(u, idx, caps, qo)
         assert got == expect
 
@@ -232,7 +245,8 @@ def test_rank_pair_mul_on_theta_factors(caps, pairs):
     f = _theta_factors(sum(caps), qo)
     for a, da, b, db in pairs:
         expect = _at_form(f[a], da, caps, qo) * _at_form(f[b], db, caps, qo)
-        assert rank_pair_mul(f[a], da, f[b], db, caps, qo) == expect
+        got = rank_pair_mul(f[a], da, f[b], db, caps, qo)
+        assert NilPoly.from_cells(caps, qo, got) == expect
     assert subst_linear(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
         _at_form(f["phi"], (1, 0, -1)[:len(caps)], caps, qo)
 
@@ -242,12 +256,14 @@ def test_mul_univariate_on_theta_factors(caps):
     qo = 4
     f = _theta_factors(sum(caps), qo)
     d = (1, -2, 1)[:len(caps)]
-    poly = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
+    form = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
+    poly = NilPoly.from_cells(caps, qo, form)
     for b, cap in enumerate(caps):
         for name in ("phi", "phi_pair", "twist", "one"):
             axis = _theta_factors(cap, qo)[name]
             expect = poly * NilPoly.from_univariate(axis, b, caps, qo)
-            assert mul_univariate(poly, axis, b) == expect
+            got = mul_univariate(form, axis, b, caps, qo)
+            assert NilPoly.from_cells(caps, qo, got) == expect
 
 
 def test_top_product_matches_full_product():
@@ -283,3 +299,91 @@ def test_coeffs_of_one_generator_poly():
                         QSeries.zero(1), QSeries([0, 1], 1)]
     with pytest.raises(ValueError):
         NilPoly.one((1, 1), 1).coeffs
+
+
+# -- kernel properties (hypothesis) -----------------------------------
+#
+# The int-form kernels against the ring oracles, compared exactly after
+# conversion to NilPoly: 1 to 3 generators, directions with zero and
+# negative entries (the zero vector included), factors whose nonzero
+# degrees lie in r + gZ for g = 1, 2, 3, a single nonzero degree, the
+# constant 1, and q-orders 0 to 6.
+
+KERNELS = settings(deadline=None, max_examples=100, derandomize=True,
+                   database=None)
+
+
+# 1 to 3 generators, on grids of at most 27 cells
+KERNEL_CAPS = [(6,), (3, 4), (1, 5), (4, 4), (1, 2, 3), (2, 2, 2), (1, 1, 1),
+               (1,)]
+
+
+@st.composite
+def _shapes(draw):
+    """(caps, q_order)."""
+    return draw(st.sampled_from(KERNEL_CAPS)), draw(st.integers(0, 6))
+
+
+def _directions(s):
+    entry = st.integers(-3, 3)
+    return st.one_of(st.just((0,) * s),
+                     st.lists(entry, min_size=s, max_size=s).map(tuple))
+
+
+@st.composite
+def _series(draw, q_order):
+    nums = draw(st.lists(st.integers(-6, 6), min_size=q_order + 1,
+                         max_size=q_order + 1))
+    return QSeries([Fraction(x, draw(st.integers(1, 12))) for x in nums],
+                   q_order)
+
+
+@st.composite
+def _factors(draw, x_order, q_order):
+    """A series in x to x_order: nonzero degrees in r + gZ (g = 1, 2, 3),
+    one nonzero degree, or the constant 1."""
+    zero = QSeries.zero(q_order)
+    shape = draw(st.sampled_from(["g2", "g3", "g1", "single", "one"]))
+    if shape == "one":
+        return [QSeries.one(q_order)] + [zero] * x_order
+    r = draw(st.integers(0, min(2, x_order)))
+    g = int(shape[1]) if shape != "single" else x_order + 1
+    return [draw(_series(q_order)) if k >= r and (k - r) % g == 0 else zero
+            for k in range(x_order + 1)]
+
+
+@KERNELS
+@given(st.data())
+def test_rank_pair_mul_property(data):
+    caps, qo = data.draw(_shapes())
+    fa, fb = (data.draw(_factors(sum(caps), qo)) for _ in "ab")
+    da, db = (data.draw(_directions(len(caps))) for _ in "ab")
+    got = NilPoly.from_cells(caps, qo, rank_pair_mul(fa, da, fb, db, caps,
+                                                     qo))
+    assert got == _at_form(fa, da, caps, qo) * _at_form(fb, db, caps, qo)
+
+
+@KERNELS
+@given(st.data())
+def test_mul_univariate_chain_property(data):
+    # a pair product times one factor on every axis in turn, then the
+    # top coefficient against a second pair, and the axis contraction
+    caps, qo = data.draw(_shapes())
+    total = sum(caps)
+    fa, fb, fc = (data.draw(_factors(total, qo)) for _ in "abc")
+    da, db, dc = (data.draw(_directions(len(caps))) for _ in "abc")
+    axes = [data.draw(_factors(cap, qo)) for cap in caps]
+    form = rank_pair_mul(fa, da, fb, db, caps, qo)
+    expect = _at_form(fa, da, caps, qo) * _at_form(fb, db, caps, qo)
+    assert contract_axes(form, axes, caps, qo) == (
+        expect * math.prod((NilPoly.from_univariate(f, b, caps, qo)
+                            for b, f in enumerate(axes)),
+                           start=NilPoly.one(caps, qo))).top_coeff()
+    for b, f in enumerate(axes):
+        form = mul_univariate(form, f, b, caps, qo)
+        expect = expect * NilPoly.from_univariate(f, b, caps, qo)
+        assert NilPoly.from_cells(caps, qo, form) == expect
+    one = [QSeries.one(qo)] + [QSeries.zero(qo)] * total
+    last = rank_pair_mul(fc, dc, one, (0,) * len(caps), caps, qo)
+    assert top_product(form, last, caps, qo) == \
+        (expect * _at_form(fc, dc, caps, qo)).top_coeff()
