@@ -8,7 +8,7 @@ instance search.  All arithmetic is exact rational.
 """
 
 from .errors import (CapsMismatchError, DimensionError,
-                     InsufficientDegreeError, NonIntegralError, NonUnitError,
+                     InsufficientDegreeError, NonIntegralError,
                      OrderMismatchError)
 from .qseries import QSeries, Q2Series, rat
 from .nilring import NilPoly, subst_linear
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapsMismatchError", "DimensionError", "InsufficientDegreeError",
-    "NonIntegralError", "NonUnitError", "OrderMismatchError",
+    "NonIntegralError", "OrderMismatchError",
     "QSeries", "Q2Series", "rat", "NilPoly", "subst_linear",
     "ThetaKind", "jacobi_check", "numeric_theta",
     "numeric_transform_suite", "phi", "psi", "psi_product", "x_over_phi",

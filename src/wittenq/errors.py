@@ -9,10 +9,6 @@ class CapsMismatchError(ValueError):
     """Binary operation on quotient-ring elements with different nilpotency caps."""
 
 
-class NonUnitError(ValueError):
-    """Inversion of an element whose constant term vanishes."""
-
-
 class NonIntegralError(ValueError):
     """A coefficient expected to be an integer is not."""
 

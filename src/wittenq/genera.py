@@ -56,8 +56,8 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .nilring import (NilPoly, contract_axes, mul_univariate, rank_pair_mul,
-                      top_product)
+from .nilring import (NilPoly, _times_linear, contract_axes, mul_univariate,
+                      rank_pair_mul, top_product)
 from .qseries import QSeries, Q2Series
 from .theta import ThetaKind
 
@@ -296,18 +296,15 @@ def sigma1_series(q_order):
 
 
 def quadratic_pairing(g: GCIData, M):
-    """<sum M_bc x_b x_c * prod_a ell_a, [ambient]> as an exact integer."""
-    caps, qo = g.n, g.q_order
-    unit = [tuple(int(b == c) for c in range(g.s)) for b in range(g.s)]
-    quad = {}
-    for b in range(g.s):
-        for c in range(g.s):
-            e = tuple(x + y for x, y in zip(unit[b], unit[c]))
-            quad[e] = quad.get(e, 0) + M[b][c]
-    dual = NilPoly.one(caps, qo)
+    """<sum M_bc x_b x_c * prod_a ell_a, [ambient]> as an exact int: the
+    int polynomial prod_a ell_a on the cap grid, read at caps - e_b - e_c."""
+    caps = g.n
+    dual = {(0,) * g.s: 1}
     for row in g.D:
-        dual = dual * NilPoly(caps, qo, dict(zip(unit, row)))
-    return NilPoly(caps, qo, quad).top_product(dual).coefficient(0)
+        dual = _times_linear(dual, row, caps, 1)
+    return sum(M[b][c] * dual.get(tuple(n - (a == b) - (a == c)
+                                        for a, n in enumerate(caps)), 0)
+               for b in range(g.s) for c in range(g.s))
 
 
 def dim4_closed_form(g: GCIData, use_c=False):

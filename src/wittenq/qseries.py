@@ -9,11 +9,13 @@ genera have integral Fourier expansions whose only denominators come from
 Bernoulli numbers and x-factorials, so the numerators stay small and every
 coefficient product is an int product.
 
-`QSum` is the package's q-convolution of series: it accumulates integer
-multiples of series and of products of series into one numerator list
-and reduces once when read out.  (The linear-form products of `nilring`
-run their inner sums as int dot products on numerator lists.)  `power`
-is the one repeated-squaring loop, for QSeries and NilPoly alike.
+`conv_add` is the package's one q-convolution of two int numerator
+lists: `QSeries.__mul__` and the products of `nilring` call it and reduce
+once.  (`theta.direction_series` and the linear-form kernels of
+`nilring` run fused int sums of their own.)  Nothing in the package
+inverts a series: the genera are top coefficients of products.  `power`
+is the one repeated-squaring loop, for QSeries and NilPoly alike, on
+exponents k >= 0.
 `q_product` is the one product of binomials (1 + sign*q^e), on ints.
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NonIntegralError, NonUnitError, OrderMismatchError
+from .errors import NonIntegralError, OrderMismatchError
 
 
 def rat(v):
@@ -37,9 +39,9 @@ def rat(v):
 
 def power(base, k, one):
     """base ** k by repeated squaring, `one` being the unit of base's ring;
-    a negative k raises the inverse, base.inv_unit(), to -k."""
+    a negative k raises ValueError (there is no inverse)."""
     if k < 0:
-        base, k = base.inv_unit(), -k
+        raise ValueError(f"no power {k}: the exponent must be >= 0")
     result = one
     while k:
         if k & 1:
@@ -55,6 +57,20 @@ def _check_order(order):
         raise ValueError(f"order must be >= 0, got {order}")
 
 
+def conv_add(out, a, b):
+    """out += a * b for int numerator lists, truncated at len(out);
+    returns out."""
+    n = len(out)
+    nz = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nz:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+    return out
+
+
 def q_product(factors, order):
     """prod (1 + sign*q^e) over the (sign, e) pairs, e >= 1, to q^order,
     one in-place int update per factor (a factor with e > order is 1)."""
@@ -64,61 +80,6 @@ def q_product(factors, order):
         for i in range(order, e - 1, -1):
             num[i] += sign * num[i - e]
     return QSeries._make(num, 1, order)
-
-
-class QSum:
-    """A running sum of integer multiples of series and series products.
-
-    The sum is held as int numerators over one denominator, the lcm of the
-    denominators added so far: a term whose denominator divides it is
-    scaled up, otherwise the sum is rescaled to the new lcm first.  Terms
-    of degree above `order` are dropped.  `series()` reduces once and
-    hands the numerator list to the result, so a QSum is read out once.
-    """
-
-    __slots__ = ("order", "num", "den")
-
-    def __init__(self, order):
-        _check_order(order)
-        self.order = order
-        self.num = [0] * (order + 1)
-        self.den = 1
-
-    def _scale(self, d):
-        """The factor that brings a term over denominator d to self.den."""
-        D = self.den
-        if D % d:
-            lcm = D // math.gcd(D, d) * d
-            r = lcm // D
-            self.num = [x * r for x in self.num]
-            self.den = D = lcm
-        return D // d
-
-    def add(self, a, w=1):
-        """self += w * a."""
-        s = w * self._scale(a.den)
-        out = self.num
-        for i, ai in enumerate(a.num):
-            if ai:
-                out[i] += s * ai
-
-    def add_product(self, a, b, w=1):
-        """self += w * a * b, truncated at the order; returns self."""
-        s = w * self._scale(a.den * b.den)
-        out, B = self.num, b.num
-        n = len(out)
-        for i, ai in enumerate(a.num):
-            if ai:
-                ai *= s
-                for j in range(n - i):
-                    bj = B[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return self
-
-    def series(self, divisor=1):
-        """The sum divided by the positive integer `divisor`, as a QSeries."""
-        return QSeries._make(self.num, self.den * divisor, self.order)
 
 
 class QSeries:
@@ -212,9 +173,6 @@ class QSeries:
         return (self.den == 1 and self.num[0] == 1
                 and not any(self.num[1:]))
 
-    def is_unit(self):
-        return bool(self.num[0])
-
     def is_integral(self):
         return self.den == 1
 
@@ -238,10 +196,11 @@ class QSeries:
         if not isinstance(other, QSeries):
             other = QSeries.constant(other, self.order)
         self._check(other)
-        acc = QSum(self.order)
-        acc.add(self)
-        acc.add(other)
-        return acc.series()
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return QSeries._make([sa * x + sb * y
+                              for x, y in zip(self.num, other.num)],
+                             den, self.order)
 
     __radd__ = __add__
 
@@ -263,37 +222,14 @@ class QSeries:
                                  self.den * c.denominator,
                                  self.order)
         self._check(other)
-        acc = QSum(self.order)
-        acc.add_product(self, other)
-        return acc.series()
+        return QSeries._make(conv_add([0] * (self.order + 1), self.num,
+                                      other.num),
+                             self.den * other.den, self.order)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         return power(self, k, QSeries.one(self.order))
-
-    def inv_unit(self):
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        With self = A/d, the integers B_k = A_0^(k+1) * [q^k] 1/A satisfy
-        B_0 = 1 and B_k = -sum_(j=1..k) A_j A_0^(j-1) B_(k-j), so
-        1/self = d * B_k * A_0^(n-k) / A_0^(n+1) over n = order.
-        """
-        A = self.num
-        a0 = A[0]
-        if not a0:
-            raise NonUnitError("constant term is zero")
-        n = self.order
-        scaled = [0] + [A[j] * a0 ** (j - 1) for j in range(1, n + 1)]
-        B = [1]
-        for k in range(1, n + 1):
-            B.append(-sum(scaled[j] * B[k - j] for j in range(1, k + 1)
-                          if scaled[j]))
-        d, den = self.den, a0 ** (n + 1)
-        if den < 0:
-            d, den = -d, -den
-        return QSeries._make([d * B[k] * a0 ** (n - k) for k in range(n + 1)],
-                             den, n)
 
     def reduce_mod2(self):
         """Reduce an integral series to its coefficients modulo 2."""

@@ -4,7 +4,7 @@ against test-local naive references.
 
 The references are deliberately the slow definitions: the logarithms from
 the divisor-sum formulas over Fractions, the exponential from the
-rational recurrence n f_n = sum_j j L_j f_(n-j) accumulated in a QSum, and
+rational recurrence n f_n = sum_j j L_j f_(n-j) in QSeries arithmetic, and
 the Bernoulli numbers from sum_(j<=n) C(n+1, j) B_j = 0.  The kernel must
 equal them exactly, numerators and denominators.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wittenq import genera, theta
 from wittenq.gci import GCIData
-from wittenq.qseries import QSeries, QSum
+from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind
 
 K = ThetaKind
@@ -58,21 +58,17 @@ def _log_reference(kind, k, q_order):
 
 
 def _naive_direction(terms, r, x_order, q_order):
-    """The rational QSum recurrence the integer kernel replaced."""
+    """The rational recurrence the integer kernel replaced."""
     zero = QSeries.zero(q_order)
     logs, f = {}, [QSeries.one(q_order)]
     for n in range(1, x_order - r + 1):
         if n % 2:
             f.append(zero)
             continue
-        acc = QSum(q_order)
-        for kind, coef, m in terms:
-            acc.add(_log_reference(kind, n // 2, q_order), coef * m ** n)
-        logs[n] = acc.series()
-        acc = QSum(q_order)
-        for j in range(2, n + 1, 2):
-            acc.add_product(logs[j], f[n - j], j)
-        f.append(acc.series(n))
+        logs[n] = sum((_log_reference(kind, n // 2, q_order) * (coef * m ** n)
+                       for kind, coef, m in terms), zero)
+        f.append(sum((logs[j] * f[n - j] * j for j in range(2, n + 1, 2)),
+                     zero) * Fraction(1, n))
     return ([zero] * r + f)[:x_order + 1]
 
 

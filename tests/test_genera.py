@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -303,6 +304,36 @@ def test_quadratic_pairing_oracle():
     # two-factor: <x1 x2 * (x1 + x2), [CP^2 x CP^1]> = coeff of x1^2 x2 = 1
     g = GCIData([2, 1], [[1, 1]], q_order=4)
     assert quadratic_pairing(g, [[0, 1], [0, 0]]) == 1
+
+
+def _pairing_by_nilpolys(g, M):
+    """quadratic_pairing as NilPoly arithmetic over constant series:
+    top_coeff of (sum M_bc x_b x_c) * prod_a ell_a."""
+    caps, qo = g.n, g.q_order
+    unit = [tuple(int(b == c) for c in range(g.s)) for b in range(g.s)]
+    quad = {}
+    for b in range(g.s):
+        for c in range(g.s):
+            e = tuple(x + y for x, y in zip(unit[b], unit[c]))
+            quad[e] = quad.get(e, 0) + M[b][c]
+    dual = NilPoly.one(caps, qo)
+    for row in g.D:
+        dual = dual * NilPoly(caps, qo, dict(zip(unit, row)))
+    return NilPoly(caps, qo, quad).top_product(dual).coefficient(0)
+
+
+def test_quadratic_pairing_matches_nilpoly_products():
+    rng = random.Random(24)
+    for _ in range(60):
+        s = rng.randint(1, 3)
+        n = [rng.randint(1, 4) for _ in range(s)]
+        rows = [[rng.randint(-2, 3) for _ in range(s)]
+                for _ in range(rng.randint(0, sum(n)))]
+        g = GCIData(n, rows, q_order=rng.randint(0, 3))
+        M = [[rng.randint(-4, 4) for _ in range(s)] for _ in range(s)]
+        got = quadratic_pairing(g, M)
+        assert type(got) is int
+        assert got == _pairing_by_nilpolys(g, M)
 
 
 def test_dim4_closed_form_matches_residue():

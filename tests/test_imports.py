@@ -3,11 +3,14 @@
 Each file is parsed with `ast`.  A name bound by an import counts as used
 when the file reads it anywhere (a bare name, or the base of an attribute
 chain) or lists it in the module's `__all__`; `from __future__` imports
-bind nothing and are skipped.
+bind nothing and are skipped.  Every name in `wittenq.__all__` must also
+exist, so that `from wittenq import *` works.
 """
 
 import ast
 from pathlib import Path
+
+import wittenq
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src", "tests", "demos", "tools")
@@ -54,3 +57,10 @@ def test_an_unused_import_is_found(tmp_path):
                     "__all__ = ['Fraction']\n"
                     "print(os.sep, gcd(4, 6))\n")
     assert _unused_imports(path) == [(3, "sys"), (4, "choose")]
+
+
+def test_every_public_name_exists():
+    # a name left in __all__ after its definition is gone breaks
+    # `from wittenq import *`
+    assert [name for name in wittenq.__all__
+            if not hasattr(wittenq, name)] == []

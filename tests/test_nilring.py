@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
-                            NonUnitError)
+from series_inverse import inv_poly
+from wittenq.errors import CapsMismatchError, InsufficientDegreeError
 from wittenq.nilring import (NilPoly, contract_axes, mul_univariate,
                              rank_pair_mul, subst_linear, top_product)
 from wittenq.qseries import QSeries
@@ -46,7 +46,7 @@ def test_generator_nilpotence():
 
 def test_constant_and_top_coeff():
     p = NilPoly.one((1, 1), 3)
-    assert p.constant_term().is_one()
+    assert p.terms[(0, 0)].is_one()
     assert p.top_coeff().is_zero()
     xy = NilPoly.generator((1, 1), 0, 3) * NilPoly.generator((1, 1), 1, 3)
     assert xy.top_coeff().is_one()
@@ -72,7 +72,7 @@ def test_constant_without_q_order_needs_a_qseries():
     with pytest.raises(ValueError, match="only for a QSeries value"):
         NilPoly.constant((2,), 1)
     c = QSeries([1, 2], 1)
-    assert NilPoly.constant((2,), c).constant_term() == c
+    assert NilPoly.constant((2,), c).terms == {(0,): c}
     assert NilPoly.constant((2,), 3, 1).q_order == 1
 
 
@@ -97,16 +97,16 @@ def test_inv_unit_roundtrip():
         caps = (rng.randint(1, 3), rng.randint(1, 2))
         qo = 3
         a = _random_poly(rng, caps, qo) + 1
-        if not a.constant_term().is_unit():
+        if (0, 0) not in a.terms or not a.terms[(0, 0)].num[0]:
             continue
-        prod = a * a.inv_unit()
+        prod = a * inv_poly(a)
         assert prod == NilPoly.one(caps, qo)
 
 
 def test_inv_unit_requires_unit_constant():
     x = NilPoly.generator((2,), 0, 3)
-    with pytest.raises(NonUnitError):
-        x.inv_unit()
+    with pytest.raises(ValueError, match="constant term is zero"):
+        inv_poly(x)
 
 
 def test_subst_linear_against_horner_oracle():
@@ -350,6 +350,43 @@ def _factors(draw, x_order, q_order):
     g = int(shape[1]) if shape != "single" else x_order + 1
     return [draw(_series(q_order)) if k >= r and (k - r) % g == 0 else zero
             for k in range(x_order + 1)]
+
+
+@st.composite
+def _fraction_polys(draw, caps, q_order):
+    """{e: Fraction list} on the cap grid, each cell over its own
+    denominator (1 to 12), about half the cells present."""
+    out = {}
+    for e in itertools.product(*[range(c + 1) for c in caps]):
+        if draw(st.booleans()):
+            den = draw(st.integers(1, 12))
+            out[e] = [Fraction(draw(st.integers(-6, 6)), den)
+                      for _ in range(q_order + 1)]
+    return out
+
+
+@KERNELS
+@given(st.data())
+def test_general_product_matches_fraction_reference(data):
+    # cells over different denominators, so each output cell's terms are
+    # scaled to the lcm of their denominator products
+    caps, qo = data.draw(_shapes())
+    a, b = (data.draw(_fraction_polys(caps, qo)) for _ in "ab")
+    expect = {}
+    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+        e = tuple(x + y for x, y in zip(ea, eb))
+        if all(x <= c for x, c in zip(e, caps)):
+            acc = expect.setdefault(e, [Fraction(0)] * (qo + 1))
+            for i, j in itertools.product(range(qo + 1), repeat=2):
+                if i + j <= qo:
+                    acc[i + j] += ca[i] * cb[j]
+    pa, pb = (NilPoly(caps, qo, {e: QSeries(c, qo) for e, c in p.items()})
+              for p in (a, b))
+    got = pa * pb
+    assert ({e: c.coeffs for e, c in got.terms.items()}
+            == {e: c for e, c in expect.items() if any(c)})
+    for c in got.terms.values():
+        assert math.gcd(c.den, *c.num) == 1
 
 
 @KERNELS
