@@ -218,6 +218,38 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
     assert len(calls) == 2
 
 
+def _count_poly_products(monkeypatch):
+    """Count the general products NilPoly * NilPoly."""
+    calls, mul = [], NilPoly.__mul__
+
+    def spy(self, other):
+        if isinstance(other, NilPoly):
+            calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(NilPoly, "__mul__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, D, C, q_order, expect", [
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, -1), 8,
+     ["21/1024", "0", "-10543/128", "0", "103889/64", "0", "571943/32", "0",
+      "286993/16"]),
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)), (1, -2), 4,
+     ["8", "0", "-7544", "0", "279011"]),
+], ids=["5dir", "6dir"])
+def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect):
+    # five off-axis directions (the odd one paired with the constant 1)
+    # and six (a middle pair): three pieces, so the theta route makes one
+    # general product, and the residue is nonzero
+    products = _count_poly_products(monkeypatch)
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    theta_route = wc_genus(g, route="theta").coeffs
+    assert len(products) == 1
+    assert [str(c) for c in theta_route.coeffs] == expect
+    assert wc_genus(g, route="bundle").coeffs == theta_route
+
+
 def test_route_equivalence():
     cases = [
         (GCIData([2], [], q_order=8), witten_genus),
