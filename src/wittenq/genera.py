@@ -28,11 +28,12 @@ number of linear prefactors on u; the integers m of those prefactors
 multiply the residue.  `theta.direction_series` builds each such factor
 from the (kind, coef, m) of its forms.  The off-axis factors are paired
 by `rank_pair_mul` (an odd one out with the constant 1), each pair into
-an int form of `nilring`, which the later stages read and return.  With
-at most one such piece the axis factors are contracted against it
-directly (`contract_axes`); otherwise the factor of an axis x_b enters
-as a one-axis convolution and the last piece is contracted against the
-rest with `top_product` (see `_residue`).  Each factor is built once:
+a `NilPoly`, which the later stages read and return.  With at most one
+such piece the axis factors are contracted against it directly
+(`contract_axes`); otherwise the factor of an axis x_b enters as a
+one-axis convolution, the middle pieces are multiplied in, and the last
+piece is contracted against the rest with `top_product` (see
+`_residue`).  Each factor is built once:
 many instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in
 real dimension 4k+2 is W's integrand with C as one more row), so
 `_factor`, one bounded cache keyed by builder and arguments, holds the
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -163,17 +165,16 @@ def _residue(g: GCIData, axes, specs):
     factor a sequence of QSeries by x-degree.
 
     The linear-form factors are combined pairwise with rank_pair_mul, an
-    odd one out with the constant 1 at the zero form, each pair into an
-    int form: int numerator lists over one denominator, which every
-    later stage reads and returns, reduced once per stage by one common
-    gcd.  With at most one such piece P the axis factors A_b are
-    contracted, not multiplied in:
+    odd one out with the constant 1 at the zero form, each pair into a
+    NilPoly, whose int numerators over one denominator every later stage
+    reads, reducing its own output once by one common gcd.  With no
+    piece the residue is prod_b A_b[cap_b] for the axis factors A_b;
+    with one piece P they are contracted, not multiplied in:
     top(P * prod_b A_b(x_b)) = sum_e P[e] * prod_b A_b[cap_b - e_b],
-    summed out one axis at a time, the last first; with no piece it is
-    prod_b A_b[cap_b].  With more pieces the axis factors enter the first
-    as one-axis convolutions, the middle ones are general NilPoly
-    products, and the last is contracted against the rest with
-    top_product.
+    summed out one axis at a time, the last first.  With more pieces the
+    axis factors enter the first as one-axis convolutions, each middle
+    piece is a general product acc * p, and the last is contracted
+    against the rest with top_product.
     """
     caps, qo = g.n, g.q_order
     if len(specs) % 2:
@@ -181,17 +182,17 @@ def _residue(g: GCIData, axes, specs):
         specs = [*specs, (one, (0,) * g.s)]
     pieces = [rank_pair_mul(*specs[i], *specs[i + 1], caps, qo)
               for i in range(0, len(specs), 2)]
-    if len(pieces) <= 1:
-        return contract_axes(pieces[0] if pieces else None, axes, caps, qo)
+    if not pieces:
+        return functools.reduce(operator.mul, map(operator.getitem, axes,
+                                                  caps))
+    if len(pieces) == 1:
+        return contract_axes(pieces[0], axes)
     acc = pieces[0]
     for b, f in enumerate(axes):
-        acc = mul_univariate(acc, f, b, caps, qo)
-    if len(pieces) > 2:
-        poly = NilPoly.from_cells(caps, qo, acc)
-        for p in pieces[1:-1]:
-            poly = poly * NilPoly.from_cells(caps, qo, p)
-        acc = poly.cells()
-    return top_product(acc, pieces[-1], caps, qo)
+        acc = mul_univariate(acc, f, b)
+    for p in pieces[1:-1]:
+        acc = acc * p
+    return top_product(acc, pieces[-1])
 
 
 def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,

@@ -3,25 +3,27 @@
 Models the truncated cohomology ring of a product of projective spaces:
 generators x_1..x_s with x_b^(cap_b + 1) = 0, scalars in Q[[q]] truncated
 at a common q-order.  Monomials that overflow a cap are silently dropped.
-The theta and bundle factors are not NilPolys: each is a tuple of its
-QSeries coefficients by x-degree (`qseries.XSeries`), which the kernels
-below read directly; `from_univariate` makes one a one-generator NilPoly
-with cap N, a power series in x truncated after x^N, where a ring
-operation is needed (the root powers (x/Phi)^(n+1) in H*(CP^n)).
+A NilPoly is held as int numerator lists (length q_order + 1), one per
+monomial and none all zero, over one positive int denominator, reduced
+so that gcd(den, every numerator) = 1; equal values have equal
+representations, so equality and hashing are value-based.  `terms` is
+the QSeries view, each coefficient reduced on its own; of the arithmetic
+only the general product reads it.  The theta and bundle factors are not NilPolys: each is
+a tuple of its QSeries coefficients by x-degree (`qseries.XSeries`),
+which the kernels below read directly; `from_univariate` makes one a
+one-generator NilPoly with cap N, a power series in x truncated after
+x^N, where a ring operation is needed (the root powers (x/Phi)^(n+1) in
+H*(CP^n)).
 
 The general product sums the kept pairs of each output monomial with
-`qseries.conv_add` over the lcm of their denominators, reduced per
-monomial.  In the package it serves the middle pieces of a residue and
-`genera._root_power`'s one-generator powers (there it measured faster
-than `mul_univariate`).  There is no inverse.
+`qseries.conv_add` over the lcm of their denominators, each monomial of
+both factors and of the product reduced on its own, and puts the result
+over one denominator at the end.  In the package it serves the middle
+pieces of a residue and `genera._root_power`'s one-generator powers
+(there it measured faster than `mul_univariate`).  There is no inverse.
 
-The residue kernels below work on an int form instead: a pair
-(cells, den), cells a dict from exponent tuples to int numerator lists
-of length q_order + 1, all over the one positive int den.  Each kernel
-reads and returns that form and reduces its output once, by one common
-gcd of den and every numerator, not per cell; `NilPoly.from_cells` and
-`NilPoly.cells` convert, where a NilPoly is needed (`subst_linear`, the
-general product, the tests' oracles).
+The residue kernels below read a NilPoly's numerators directly and
+reduce their output once, by one common gcd, not per monomial.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -34,44 +36,67 @@ table of int q-products, its all-zero q-rows left out, turns the
 weights into numerators by int dot products, which is far cheaper than
 termwise ring multiplication; subst_linear is its case f_b = 1,
 ell_b = 0.  mul_univariate multiplies by a series in one generator,
-top_product contracts two int forms to the top coefficient, and
+top_product contracts two NilPolys to the top coefficient, and
 contract_axes contracts one against a series on each axis.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      OrderMismatchError)
-from .qseries import QSeries, _check_order, conv_add, power, rat
+from .qseries import QSeries, _check_order, conv_add, power
 
 
 class NilPoly:
-    """terms: dict mapping exponent tuples (e_1..e_s), e_b <= cap_b, to QSeries."""
+    """cells: dict mapping exponent tuples (e_1..e_s), e_b <= cap_b, to
+    int numerator lists over the one denominator den."""
 
-    __slots__ = ("caps", "q_order", "terms")
+    __slots__ = ("caps", "q_order", "cells", "den")
 
     def __init__(self, caps, q_order, terms=None):
+        """terms maps exponent tuples to QSeries or rational scalars."""
         _check_order(q_order)
-        self.caps = tuple(caps)
+        caps = tuple(caps)
+        if not all(type(c) is int for c in caps):
+            raise TypeError(f"caps must be integers, got {caps!r}")
+        if any(c < 0 for c in caps):
+            raise ValueError(f"caps must be >= 0, got {caps}")
+        series = {}
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != len(caps):
+                raise ValueError("exponent tuple arity mismatch")
+            if any(map(operator.gt, e, caps)):
+                continue
+            if not isinstance(c, QSeries):
+                c = QSeries.constant(c, q_order)
+            if c.order != q_order:
+                raise OrderMismatchError("coefficient q-order mismatch")
+            if not c.is_zero():
+                series[e] = c
+        # reduced series over the lcm of their denominators stay reduced
+        nums, self.den = _over_one_den(series.values())
+        self.cells = dict(zip(series, nums))
+        self.caps = caps
         self.q_order = q_order
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(e)
-                if len(e) != len(self.caps):
-                    raise ValueError("exponent tuple arity mismatch")
-                if any(x > cap for x, cap in zip(e, self.caps)):
-                    continue
-                if not isinstance(c, QSeries):
-                    c = QSeries.constant(c, q_order)
-                if c.order != q_order:
-                    raise OrderMismatchError("coefficient q-order mismatch")
-                if not c.is_zero():
-                    self.terms[e] = c
+
+    @classmethod
+    def _make(cls, caps, q_order, cells, den):
+        """Internal: the poly of int numerator lists over den > 0, the
+        all-zero lists dropped and the rest divided by the gcd of den and
+        every numerator.  Takes ownership of the lists."""
+        cells = {e: num for e, num in cells.items() if any(num)}
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(cells.values()))
+            if g != 1:
+                cells = {e: [x // g for x in num] for e, num in cells.items()}
+                den //= g
+        obj = object.__new__(cls)
+        obj.caps, obj.q_order, obj.cells, obj.den = caps, q_order, cells, den
+        return obj
 
     # -- constructors -------------------------------------------------
 
@@ -99,42 +124,26 @@ class NilPoly:
 
     @classmethod
     def generator(cls, caps, index, q_order):
-        e = [0] * len(tuple(caps))
-        e[index] = 1
-        return cls(caps, q_order, {tuple(e): QSeries.one(q_order)})
+        return cls.from_univariate([0, 1], index, caps, q_order)
 
     @classmethod
     def from_univariate(cls, coeffs, index, caps, q_order):
         """Inject a univariate series (QSeries list by x-degree) at one generator."""
-        caps = tuple(caps)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if k > caps[index]:
-                break
-            e = [0] * len(caps)
-            e[index] = k
-            terms[tuple(e)] = c
-        return cls(caps, q_order, terms)
-
-    @classmethod
-    def from_cells(cls, caps, q_order, form):
-        """The NilPoly of an int form (cells, den), each cell reduced."""
-        cells, den = form
-        out = cls(caps, q_order)
-        out.terms = {e: QSeries._make(num, den, q_order)
-                     for e, num in cells.items() if any(num)}
-        return out
+        unit = [0] * len(tuple(caps))
+        unit[index] = 1
+        return cls(caps, q_order, {tuple(k * u for u in unit): c
+                                   for k, c in enumerate(coeffs)})
 
     # -- queries ------------------------------------------------------
 
-    def cells(self):
-        """The int form (cells, den) of the terms: their numerator lists
-        over the lcm of their denominators."""
-        nums, den = _over_one_den(self.terms.values())
-        return dict(zip(self.terms, nums)), den
+    @property
+    def terms(self):
+        """The QSeries coefficient of each monomial, in a new dict."""
+        return {e: QSeries._make(num, self.den, self.q_order)
+                for e, num in self.cells.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.cells
 
     @property
     def coeffs(self):
@@ -142,24 +151,12 @@ class NilPoly:
         if len(self.caps) != 1:
             raise ValueError("coeffs needs a one-generator NilPoly, "
                              f"caps are {self.caps}")
-        zero = QSeries.zero(self.q_order)
-        return [self.terms.get((k,), zero) for k in range(self.caps[0] + 1)]
+        terms, zero = self.terms, QSeries.zero(self.q_order)
+        return [terms.get((k,), zero) for k in range(self.caps[0] + 1)]
 
     def top_coeff(self):
         """Coefficient of x_1^cap_1 * ... * x_s^cap_s (the formal residue)."""
         return self.terms.get(self.caps, QSeries.zero(self.q_order))
-
-    def top_product(self, other):
-        """top_coeff(self * other) without forming the product.
-
-        Pairs complementary monomials: sum over e of a[e] * b[caps - e].
-        """
-        self._check(other)
-        return top_product(self.cells(), other.cells(), self.caps,
-                           self.q_order)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
 
     def _check(self, other):
         if self.caps != other.caps:
@@ -173,23 +170,21 @@ class NilPoly:
         if not isinstance(other, NilPoly):
             other = NilPoly.constant(self.caps, other, self.q_order)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms[e] + c if e in terms else c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out = NilPoly(self.caps, self.q_order)
-        out.terms = terms
-        return out
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        cells = {e: [sa * x for x in num] for e, num in self.cells.items()}
+        for e, num in other.cells.items():
+            acc = cells.get(e)
+            cells[e] = ([sb * y for y in num] if acc is None
+                        else [x + sb * y for x, y in zip(acc, num)])
+        return NilPoly._make(self.caps, self.q_order, cells, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NilPoly(self.caps, self.q_order)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return NilPoly._make(self.caps, self.q_order,
+                             {e: [-x for x in num]
+                              for e, num in self.cells.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, NilPoly):
@@ -197,28 +192,20 @@ class NilPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, QSeries):
-            out = NilPoly(self.caps, self.q_order)
-            for e, c in self.terms.items():
-                c = c * other
-                if not c.is_zero():
-                    out.terms[e] = c
-            return out
+        caps, qo = self.caps, self.q_order
         if not isinstance(other, NilPoly):
-            c = rat(other)
-            out = NilPoly(self.caps, self.q_order)
-            if c:
-                out.terms = {e: s * c for e, s in self.terms.items()}
-            return out
+            other = NilPoly.constant(caps, other, qo)
         self._check(other)
-        caps = self.caps
-        qo = self.q_order
         add, le = operator.add, operator.le
-        # one flat list per monomial: a live tuple per kept pair (10^5 on
-        # the five-direction tail) made the cyclic gc run 8x as often
+        # each monomial over its own reduced denominator, as the QSeries
+        # of `terms`: over the one common denominator the numerators are
+        # larger, and the products slower.  One flat list per monomial: a
+        # live tuple per kept pair (10^5 on the five-direction tail) made
+        # the cyclic gc run 8x as often
         groups = {}
+        b_terms = other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+            for eb, cb in b_terms:
                 e = tuple(map(add, ea, eb))
                 if all(map(le, e, caps)):
                     group = groups.get(e)
@@ -226,7 +213,7 @@ class NilPoly:
                         groups[e] = [ca, cb]
                     else:
                         group += ca, cb
-        out = NilPoly(caps, qo)
+        out = {}
         for e, group in groups.items():
             fa, fb = group[::2], group[1::2]
             dens = [a.den * b.den for a, b in zip(fa, fb)]
@@ -236,10 +223,9 @@ class NilPoly:
                 s = den // d
                 conv_add(num, a.num if s == 1 else [s * x for x in a.num],
                          b.num)
-            c = QSeries._make(num, den, qo)
-            if not c.is_zero():
-                out.terms[e] = c
-        return out
+            out[e] = QSeries._make(num, den, qo)
+        nums, den = _over_one_den(out.values())
+        return NilPoly._make(caps, qo, dict(zip(out, nums)), den)
 
     __rmul__ = __mul__
 
@@ -250,14 +236,16 @@ class NilPoly:
         if not isinstance(other, NilPoly):
             return NotImplemented
         return (self.caps == other.caps and self.q_order == other.q_order
-                and self.terms == other.terms)
+                and self.den == other.den and self.cells == other.cells)
 
     def __hash__(self):
-        return hash((self.caps, self.q_order, tuple(self.sorted_terms())))
+        return hash((self.caps, self.q_order, self.den,
+                     frozenset((e, tuple(num))
+                               for e, num in self.cells.items())))
 
     def __repr__(self):
         parts = []
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items()):
             mono = "*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k) or "1"
             parts.append(f"({c!r})*{mono}")
         return f"NilPoly[caps={self.caps}]({' + '.join(parts) or '0'})"
@@ -269,12 +257,10 @@ def subst_linear(f_coeffs, d, caps, q_order):
     f_coeffs is a sequence of QSeries indexed by x-degree and must reach
     total degree sum(caps); d is an integer vector of length s.  Each ring
     monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|: the
-    rank_pair_mul product with the constant 1 at the zero form, as a
-    NilPoly.
+    rank_pair_mul product with the constant 1 at the zero form.
     """
     one = [QSeries.one(q_order)] + [QSeries.zero(q_order)] * sum(caps)
-    form = rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
-    return NilPoly.from_cells(caps, q_order, form)
+    return rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
 
 
 def _over_one_den(series):
@@ -283,17 +269,6 @@ def _over_one_den(series):
     den = math.lcm(*(c.den for c in series))
     return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
             for c in series], den
-
-
-def _reduced(cells, den):
-    """The int form (cells, den) divided by the gcd of den and every
-    numerator: one reduction for a whole stage."""
-    if den != 1:
-        g = math.gcd(den, *itertools.chain.from_iterable(cells.values()))
-        if g != 1:
-            cells = {e: [x // g for x in num] for e, num in cells.items()}
-            den //= g
-    return cells, den
 
 
 def _progression(nums):
@@ -321,7 +296,7 @@ def _times_linear(poly, d, caps, times):
 
 
 def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
-    """The product f_a(ell_a) * f_b(ell_b) as an int form, using the
+    """The product f_a(ell_a) * f_b(ell_b) as a NilPoly, using the
     separable structure.
 
     fa_coeffs and fb_coeffs are sequences of QSeries by x-degree.  The
@@ -356,7 +331,7 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     fb, den_b = _over_one_den(fb_coeffs[:total + 1])
     prog_a, prog_b = _progression(fa), _progression(fb)
     if prog_a is None or prog_b is None:
-        return {}, 1
+        return NilPoly(caps, q_order)
     (ra, ga, top_a), (rb, gb, top_b) = prog_a, prog_b
     g = math.gcd(ga, gb) or 1
     ta, tb = (top_a - ra) // g, (top_b - rb) // g
@@ -420,14 +395,13 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
                 num = [0] * (q_order + 1)
                 for m, row in rows:
                     num[m] = sum(map(operator.mul, v, row))
-                if any(num):
-                    cells[E] = num
-    return _reduced(cells, den_a * den_b)
+                cells[E] = num
+    return NilPoly._make(caps, q_order, cells, den_a * den_b)
 
 
-def mul_univariate(form, coeffs, index, caps, q_order):
-    """The int form times sum_k coeffs[k] * x_index^k, coeffs a sequence
-    of QSeries by x-degree; an int form in, an int form out.
+def mul_univariate(poly, coeffs, index):
+    """The NilPoly poly times sum_k coeffs[k] * x_index^k, coeffs a
+    sequence of QSeries by x-degree.
 
     A one-axis convolution: much cheaper than a general product when the
     other factor only involves a single generator.  The factor is brought
@@ -440,17 +414,17 @@ def mul_univariate(form, coeffs, index, caps, q_order):
     occupied m of each class mod g: every other output is zero.  The
     result is reduced once, by one common gcd.
     """
-    cells, den_p = form
+    caps, q_order = poly.caps, poly.q_order
     cap = caps[index]
     factor, den_f = _over_one_den(coeffs[:cap + 1])
     prog = _progression(factor)
     if prog is None:
-        return {}, 1
+        return NilPoly(caps, q_order)
     k0, g, _ = prog
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
     lines = {}
-    for e, a in cells.items():
+    for e, a in poly.cells.items():
         lines.setdefault(e[:index] + e[index + 1:], {})[e[index]] = a
     zeros = [0] * (q_order + 1)
     out = {}
@@ -470,36 +444,32 @@ def mul_univariate(form, coeffs, index, caps, q_order):
                     if i + j > q_order:
                         break
                     num[i + j] += sum(map(operator.mul, fcol, acol))
-            if any(num):
-                out[rest[:index] + (n,) + rest[index:]] = num
-    return _reduced(out, den_p * den_f)
+            out[rest[:index] + (n,) + rest[index:]] = num
+    return NilPoly._make(caps, q_order, out, poly.den * den_f)
 
 
-def top_product(a, b, caps, q_order):
-    """top_coeff of the product of two int forms without forming it:
+def top_product(a, b):
+    """(a * b).top_coeff() for two NilPolys without forming the product:
     sum over e of a[e] * b[caps - e], reduced once."""
-    (cells_a, den_a), (cells_b, den_b) = a, b
-    out = [0] * (q_order + 1)
-    for e, num in cells_a.items():
-        other = cells_b.get(tuple(map(operator.sub, caps, e)))
+    a._check(b)
+    out = [0] * (a.q_order + 1)
+    for e, num in a.cells.items():
+        other = b.cells.get(tuple(map(operator.sub, a.caps, e)))
         if other is not None:
             conv_add(out, num, other)
-    return QSeries._make(out, den_a * den_b, q_order)
+    return QSeries._make(out, a.den * b.den, a.q_order)
 
 
-def contract_axes(form, axes, caps, q_order):
-    """top_coeff(P * prod_b axes[b](x_b)) for an int form P, the axes[b]
+def contract_axes(poly, axes):
+    """top_coeff(P * prod_b axes[b](x_b)) for a NilPoly P, the axes[b]
     sequences of QSeries by x-degree, without forming the product.
 
     sum_e P[e] * prod_b axes[b][cap_b - e_b], summed out one axis at a
     time, the last first.  Only the axis coefficients that some cell
     reads are brought to one denominator, and the sum is reduced once.
-    For P = None, the constant 1, it is prod_b axes[b][cap_b].
     """
-    if form is None:
-        return functools.reduce(operator.mul, map(operator.getitem, axes,
-                                                  caps))
-    cells, den = form
+    caps, q_order = poly.caps, poly.q_order
+    cells, den = poly.cells, poly.den
     for b in reversed(range(len(caps))):
         cap = caps[b]
         ks = sorted({cap - e[b] for e in cells})

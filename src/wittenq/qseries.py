@@ -31,9 +31,10 @@ from .errors import NonIntegralError, OrderMismatchError
 
 
 def rat(v):
-    """Coerce an int, Fraction or 'p/q' string to a Fraction."""
-    if isinstance(v, float):
-        raise TypeError("floating point coefficients are not allowed")
+    """Coerce an int, Fraction or 'p/q' string to a Fraction; a float or
+    a bool raises TypeError."""
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"a {type(v).__name__} is not a coefficient, got {v!r}")
     return Fraction(v)
 
 
@@ -246,7 +247,7 @@ class QSeries:
         if isinstance(other, QSeries):
             return (self.order == other.order and self.den == other.den
                     and self.num == other.num)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == QSeries.constant(other, self.order)
         return NotImplemented
 

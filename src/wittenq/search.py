@@ -34,11 +34,24 @@ class SearchQuery:
     q_order: int = 20
 
     def __post_init__(self):
+        """Each field checked as GCIData checks its own: plain ints (a
+        bool refused) within their bounds, target_real_dim an int or
+        None, positive and require_codim bools."""
         for name, least in (("s_max", 1), ("t_max", 1), ("d_max", 1),
-                            ("c_max", 0)):
+                            ("c_max", 0), ("q_order", 0)):
             value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        dim = self.target_real_dim
+        if dim is not None and type(dim) is not int:
+            raise TypeError("target_real_dim must be an integer or None, "
+                            f"got {dim!r}")
+        for name in ("positive", "require_codim"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise TypeError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass

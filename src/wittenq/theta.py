@@ -363,7 +363,7 @@ def _rel_err(lhs, rhs):
     return abs(lhs - rhs) / scale
 
 
-def numeric_transform_suite(samples=None, tol=1e-9, terms=60):
+def numeric_transform_suite(samples=None, tol=1e-9):
     """Check the modular and lattice transformation laws at sampled points.
 
     Returns a dict with per-identity max relative errors and a 'passed' flag.
@@ -377,7 +377,7 @@ def numeric_transform_suite(samples=None, tol=1e-9, terms=60):
         if tau.imag < 1:
             raise ValueError("samples must have Im(tau) >= 1")
     K = ThetaKind
-    th = functools.cache(lambda k, z, t: numeric_theta(k, z, t, terms))
+    th = functools.cache(numeric_theta)
 
     def s_prefactor(z, tau):
         return cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * tau * z * z)

@@ -13,7 +13,7 @@ from wittenq.errors import DimensionError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             sigma1_series, wc_genus, witten_genus)
-from wittenq.nilring import NilPoly
+from wittenq.nilring import NilPoly, top_product
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
 
@@ -196,7 +196,7 @@ def _count_top_products(monkeypatch):
 ], ids=["3dir-4k", "3dir-4k2", "4dir-4k", "4dir-4k2"])
 def test_multi_piece_residue_routes_agree(monkeypatch, n, D, C, q_order):
     # W_c with 3 or 4 off-axis directions: the pair products, the axis
-    # convolutions and the top product on int forms, on both routes
+    # convolutions and the top product, on both routes
     calls = _count_top_products(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route, bundle_route = (wc_genus(g, route=route).coeffs
@@ -351,7 +351,7 @@ def _pairing_by_nilpolys(g, M):
     dual = NilPoly.one(caps, qo)
     for row in g.D:
         dual = dual * NilPoly(caps, qo, dict(zip(unit, row)))
-    return NilPoly(caps, qo, quad).top_product(dual).coefficient(0)
+    return top_product(NilPoly(caps, qo, quad), dual).coefficient(0)
 
 
 def test_quadratic_pairing_matches_nilpoly_products():

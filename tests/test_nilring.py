@@ -38,6 +38,32 @@ def test_overflow_monomials_dropped():
     assert list(q.terms) == [(2, 1)]
 
 
+def test_caps_must_be_ints_at_least_zero():
+    # these were accepted silently
+    with pytest.raises(ValueError, match="caps"):
+        NilPoly((-1,), 2)
+    with pytest.raises(TypeError, match="caps"):
+        NilPoly((2.5,), 2)
+    with pytest.raises(TypeError, match="caps"):
+        NilPoly((True, 1), 2)
+    with pytest.raises(TypeError):
+        NilPoly.one((1,), 2) * True
+
+
+def test_cells_are_reduced_and_value_based():
+    half = QSeries([Fraction(1, 2), 0], 1)
+    p = NilPoly((2,), 1, {(0,): half, (1,): QSeries([Fraction(1, 3), 1], 1),
+                          (2,): 0})
+    assert (p.den, p.cells) == (6, {(0,): [3, 0], (1,): [2, 6]})
+    q = p * 2 * Fraction(1, 2)
+    assert q == p and hash(q) == hash(p)
+    assert ((p - p).den, (p - p).cells) == (1, {})
+    # terms is a new dict of reduced QSeries on each read
+    assert p.terms[(0,)] == half and p.terms[(0,)].den == 2
+    p.terms.clear()
+    assert len(p.terms) == 2
+
+
 def test_generator_nilpotence():
     x = NilPoly.generator((3, 2), 0, 4)
     assert not (x ** 3).is_zero()
@@ -186,8 +212,7 @@ def test_rank_pair_mul_matches_naive_product():
                   for k, c in enumerate(fb)]
         da = [rng.randint(-3, 3) for _ in caps]
         db = [rng.randint(-3, 3) for _ in caps]
-        got = NilPoly.from_cells(caps, qo,
-                                 rank_pair_mul(fa, da, fb, db, caps, qo))
+        got = rank_pair_mul(fa, da, fb, db, caps, qo)
         expect = subst_linear(fa, da, caps, qo) * subst_linear(fb, db, caps, qo)
         assert got == expect
 
@@ -200,8 +225,7 @@ def test_mul_univariate_matches_naive_product():
         idx = rng.randrange(len(caps))
         poly = _random_poly(rng, caps, qo)
         u = _random_uni(rng, caps[idx], qo)
-        got = NilPoly.from_cells(
-            caps, qo, mul_univariate(poly.cells(), u, idx, caps, qo))
+        got = mul_univariate(poly, u, idx)
         expect = poly * NilPoly.from_univariate(u, idx, caps, qo)
         assert got == expect
 
@@ -245,8 +269,7 @@ def test_rank_pair_mul_on_theta_factors(caps, pairs):
     f = _theta_factors(sum(caps), qo)
     for a, da, b, db in pairs:
         expect = _at_form(f[a], da, caps, qo) * _at_form(f[b], db, caps, qo)
-        got = rank_pair_mul(f[a], da, f[b], db, caps, qo)
-        assert NilPoly.from_cells(caps, qo, got) == expect
+        assert rank_pair_mul(f[a], da, f[b], db, caps, qo) == expect
     assert subst_linear(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
         _at_form(f["phi"], (1, 0, -1)[:len(caps)], caps, qo)
 
@@ -256,14 +279,12 @@ def test_mul_univariate_on_theta_factors(caps):
     qo = 4
     f = _theta_factors(sum(caps), qo)
     d = (1, -2, 1)[:len(caps)]
-    form = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
-    poly = NilPoly.from_cells(caps, qo, form)
+    poly = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
     for b, cap in enumerate(caps):
         for name in ("phi", "phi_pair", "twist", "one"):
             axis = _theta_factors(cap, qo)[name]
             expect = poly * NilPoly.from_univariate(axis, b, caps, qo)
-            got = mul_univariate(form, axis, b, caps, qo)
-            assert NilPoly.from_cells(caps, qo, got) == expect
+            assert mul_univariate(poly, axis, b) == expect
 
 
 def test_top_product_matches_full_product():
@@ -273,7 +294,7 @@ def test_top_product_matches_full_product():
         qo = rng.randint(0, 3)
         a = _random_poly(rng, caps, qo)
         b = _random_poly(rng, caps, qo)
-        assert a.top_product(b) == (a * b).top_coeff()
+        assert top_product(a, b) == (a * b).top_coeff()
 
 
 def test_from_univariate_and_scalar_mul():
@@ -303,8 +324,7 @@ def test_coeffs_of_one_generator_poly():
 
 # -- kernel properties (hypothesis) -----------------------------------
 #
-# The int-form kernels against the ring oracles, compared exactly after
-# conversion to NilPoly: 1 to 3 generators, directions with zero and
+# The kernels against the ring oracles, compared exactly: 1 to 3 generators, directions with zero and
 # negative entries (the zero vector included), factors whose nonzero
 # degrees lie in r + gZ for g = 1, 2, 3, a single nonzero degree, the
 # constant 1, and q-orders 0 to 6.
@@ -387,6 +407,7 @@ def test_general_product_matches_fraction_reference(data):
             == {e: c for e, c in expect.items() if any(c)})
     for c in got.terms.values():
         assert math.gcd(c.den, *c.num) == 1
+    assert math.gcd(got.den, *itertools.chain(*got.cells.values())) == 1
 
 
 @KERNELS
@@ -395,8 +416,7 @@ def test_rank_pair_mul_property(data):
     caps, qo = data.draw(_shapes())
     fa, fb = (data.draw(_factors(sum(caps), qo)) for _ in "ab")
     da, db = (data.draw(_directions(len(caps))) for _ in "ab")
-    got = NilPoly.from_cells(caps, qo, rank_pair_mul(fa, da, fb, db, caps,
-                                                     qo))
+    got = rank_pair_mul(fa, da, fb, db, caps, qo)
     assert got == _at_form(fa, da, caps, qo) * _at_form(fb, db, caps, qo)
 
 
@@ -410,17 +430,17 @@ def test_mul_univariate_chain_property(data):
     fa, fb, fc = (data.draw(_factors(total, qo)) for _ in "abc")
     da, db, dc = (data.draw(_directions(len(caps))) for _ in "abc")
     axes = [data.draw(_factors(cap, qo)) for cap in caps]
-    form = rank_pair_mul(fa, da, fb, db, caps, qo)
+    poly = rank_pair_mul(fa, da, fb, db, caps, qo)
     expect = _at_form(fa, da, caps, qo) * _at_form(fb, db, caps, qo)
-    assert contract_axes(form, axes, caps, qo) == (
+    assert contract_axes(poly, axes) == (
         expect * math.prod((NilPoly.from_univariate(f, b, caps, qo)
                             for b, f in enumerate(axes)),
                            start=NilPoly.one(caps, qo))).top_coeff()
     for b, f in enumerate(axes):
-        form = mul_univariate(form, f, b, caps, qo)
+        poly = mul_univariate(poly, f, b)
         expect = expect * NilPoly.from_univariate(f, b, caps, qo)
-        assert NilPoly.from_cells(caps, qo, form) == expect
+        assert poly == expect
     one = [QSeries.one(qo)] + [QSeries.zero(qo)] * total
     last = rank_pair_mul(fc, dc, one, (0,) * len(caps), caps, qo)
-    assert top_product(form, last, caps, qo) == \
+    assert top_product(poly, last) == \
         (expect * _at_form(fc, dc, caps, qo)).top_coeff()

@@ -37,6 +37,19 @@ def test_float_coefficients_rejected():
         QSeries([1], 3) * 0.5
 
 
+def test_bool_coefficients_rejected():
+    # a bool was coerced to 0 or 1, where GCIData refuses it
+    with pytest.raises(TypeError, match="bool"):
+        rat(True)
+    with pytest.raises(TypeError):
+        QSeries([True, 2])
+    with pytest.raises(TypeError):
+        QSeries([1], 3) * False
+    one = QSeries.one(2)
+    assert one.__eq__(True) is NotImplemented
+    assert (one == True) is False  # noqa: E712
+
+
 def test_string_and_fraction_coercion():
     s = QSeries(["1/3", Fraction(2, 5)], 1)
     assert s.coefficient(0) == Fraction(1, 3)
@@ -66,14 +79,15 @@ def test_int_entries_are_copied():
 
 
 def test_non_int_entries_keep_the_fraction_path():
-    # bool, Fraction and 'p/q' strings are coerced; int results in num
-    for coeffs in ([True, False, 2], [Fraction(4, 2), 1], ["3/6", 1],
+    # Fraction and 'p/q' strings are coerced; int results in num
+    for coeffs in ([Fraction(4, 2), 1], ["3/6", 1],
                    [1, Fraction(1, 3)]):
         s = QSeries(coeffs)
         ref = QSeries([rat(c) for c in coeffs])
         assert (s.num, s.den) == (ref.num, ref.den)
         assert all(type(x) is int for x in s.num)
-    assert QSeries([True, 0]).num == [1, 0]
+    with pytest.raises(TypeError):
+        QSeries([True, 0])  # a bool is refused, as by GCIData
     with pytest.raises(TypeError):
         QSeries([1, 2.0, 3])
     with pytest.raises(TypeError):

@@ -188,6 +188,20 @@ def test_bad_query_bounds_raise(bounds):
         SearchQuery(**bounds)
 
 
+@pytest.mark.parametrize("field, bad, error", [
+    ("s_max", True, TypeError), ("t_max", 2.0, TypeError),
+    ("d_max", 2.5, TypeError), ("c_max", "1", TypeError),
+    ("q_order", -1, ValueError), ("target_real_dim", "8", TypeError),
+    ("positive", 1, TypeError), ("require_codim", None, TypeError),
+], ids=["s_max", "t_max", "d_max", "c_max", "q_order", "target_real_dim",
+        "positive", "require_codim"])
+def test_query_fields_are_checked(field, bad, error):
+    # target_real_dim="8" found nothing, s_max=True ran as 1, d_max=2.5
+    # failed inside range and q_order=-1 at the first instance built
+    with pytest.raises(error, match=field):
+        SearchQuery(**{field: bad})
+
+
 def _catalogs(q):
     return [[(i.key(), i.report) for i in run]
             for run in (find_string(q), find_stringc(q, "dim4k"),
