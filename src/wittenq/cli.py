@@ -49,6 +49,11 @@ def positive_int(text):
     return value
 
 
+def real_dim(text):
+    """Parse a target real dimension: SearchQuery's check, or ValueError."""
+    return SearchQuery(target_real_dim=int(text)).target_real_dim
+
+
 def default_q_order():
     """WITTENQ_Q_ORDER if set (ValueError if malformed), else 20."""
     text = os.environ.get("WITTENQ_Q_ORDER", "20")
@@ -336,7 +341,7 @@ def build_parser():
                     default=True)
     ps.add_argument("--codim", action=argparse.BooleanOptionalAction,
                     default=True)
-    ps.add_argument("--target-dim", type=int, default=None)
+    ps.add_argument("--target-dim", type=real_dim, default=None)
     ps.add_argument("--q-order", type=nonneg_int, default=None)
     ps.set_defaults(fn=cmd_search)
     return p

@@ -15,7 +15,7 @@ from .errors import DimensionError
 
 def _ints(v, what):
     """v as a tuple of plain ints (type() is int, so bool is refused)."""
-    if not isinstance(v, (list, tuple)) or not all(type(x) is int for x in v):
+    if not isinstance(v, (list, tuple)) or not {int}.issuperset(map(type, v)):
         raise TypeError(f"{what} must be a list of integers, got {v!r}")
     return tuple(v)
 
@@ -39,27 +39,23 @@ class GCIData:
         n = _ints(n, "n")
         if not isinstance(D, (list, tuple)):
             raise TypeError(f"D must be a list of degree rows, got {D!r}")
-        D = tuple(_ints(row, "a degree row") for row in D)
+        D = tuple([_ints(row, "a degree row") for row in D])
         if type(q_order) is not int:
             raise TypeError(f"q_order must be an integer, got {q_order!r}")
         if q_order < 0:
             raise ValueError(f"q_order must be >= 0, got {q_order}")
         s = len(n)
-        if any(v < 1 for v in n):
+        if min(n, default=1) < 1:
             raise ValueError("ambient dimensions must be >= 1")
-        for row in D:
-            if len(row) != s:
-                raise ValueError("degree row length must match number of factors")
+        if not {s}.issuperset(map(len, D)):
+            raise ValueError("degree row length must match number of factors")
         if C is not None:
             C = _ints(C, "C")
             if len(C) != s:
                 raise ValueError("C length must match number of factors")
         if sum(n) - len(D) < 0:
             raise DimensionError("negative complex dimension")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "q_order", q_order)
+        vars(self).update(n=n, D=D, C=C, q_order=q_order)  # frozen dataclass
 
     @property
     def s(self):

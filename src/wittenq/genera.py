@@ -52,7 +52,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from . import bundles, theta
@@ -79,9 +78,9 @@ class GenusReport:
 def _primitive(d):
     """(u, m) with d = m*u, u primitive, its first nonzero entry positive."""
     m = math.gcd(*d)
-    if next(x for x in d if x) < 0:
+    if next(filter(None, d)) < 0:
         m = -m
-    return tuple(x // m for x in d), m
+    return tuple([x // m for x in d]), m
 
 
 @functools.lru_cache(maxsize=256)
@@ -104,33 +103,45 @@ def _direction_factor(terms, r, degree, q_order):
     """
     merged = {}
     for kind, coef, m in terms:
-        merged[kind, abs(m)] = merged.get((kind, abs(m)), 0) + coef
-    key = tuple(sorted(((kind, coef, m) for (kind, m), coef in merged.items()
-                        if coef), key=lambda t: (t[0].value, t[2])))
+        km = kind, abs(m)
+        merged[km] = merged.get(km, 0) + coef
+    key = tuple(sorted([(kind, coef, m) for (kind, m), coef in merged.items()
+                        if coef], key=operator.itemgetter(0, 2)))
     odd = (degree - r) % 2
+    f = _factor(theta.direction_series, key, 0, degree - r - odd, q_order)
     zero = (QSeries.zero(q_order),)
-    return zero * r + _factor(theta.direction_series, key, 0,
-                              degree - r - odd, q_order) + zero * odd
+    return zero * r + f + zero * odd if r or odd else f
 
 
-def _theta_residue(g: GCIData, logs, linear):
-    """Residue of prod_b (x_b/Phi)^(n_b+1) * prod_(d in linear) ell_d
+def _theta_residue(g: GCIData, phi_rows, logs):
+    """Residue of prod_b (x_b/Phi)^(n_b+1) * prod_(d in phi_rows) Phi(ell_d)
     * exp(sum over logs (kind, coef, d) of coef * log_kind(ell_d)).
 
-    Every d in `linear` also appears in `logs`, so each direction carrying
-    a prefactor has a factor.
+    Phi(ell) = ell * exp(-L(ell)) gives each Phi row's direction a linear
+    prefactor and a log term.  Over one factor every form is m*x_1, so the
+    residue is the x_1^n_1 coefficient of one direction factor.
     """
     caps, qo = g.n, g.q_order
-    axes = [tuple(int(b == c) for c in range(g.s)) for b in range(g.s)]
+    if len(caps) == 1:
+        (cap,), r, scale = caps, len(phi_rows), 1
+        terms = [(ThetaKind.THETA, cap + 1, 1)]
+        for (m,) in phi_rows:
+            terms.append((ThetaKind.THETA, -1, m))
+            scale *= m
+        terms += [(kind, coef, m) for kind, coef, (m,) in logs if m]
+        if r > cap or not scale:
+            return QSeries.zero(qo)
+        return _direction_factor(terms, r, cap, qo)[cap] * scale
+    axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
     terms = {u: [(ThetaKind.THETA, cap + 1, 1)] for u, cap in zip(axes, caps)}
-    power = {}
-    scale = 1
-    for d in linear:
+    power, scale = {}, 1
+    for d in phi_rows:
         if not any(d):
             return QSeries.zero(qo)
         u, m = _primitive(d)
         scale *= m
         power[u] = power.get(u, 0) + 1
+        terms.setdefault(u, []).append((ThetaKind.THETA, -1, m))
     for kind, coef, d in logs:
         if any(d):  # every logarithm vanishes at 0
             u, m = _primitive(d)
@@ -177,14 +188,14 @@ def _residue(g: GCIData, axes, specs):
     against the rest with top_product.
     """
     caps, qo = g.n, g.q_order
+    if not specs:
+        return functools.reduce(operator.mul, map(operator.getitem, axes,
+                                                  caps))
     if len(specs) % 2:
         one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
         specs = [*specs, (one, (0,) * g.s)]
     pieces = [rank_pair_mul(*specs[i], *specs[i + 1], caps, qo)
               for i in range(0, len(specs), 2)]
-    if not pieces:
-        return functools.reduce(operator.mul, map(operator.getitem, axes,
-                                                  caps))
     if len(pieces) == 1:
         return contract_axes(pieces[0], axes)
     acc = pieces[0]
@@ -202,13 +213,13 @@ def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
     when given, along `route`.
     """
     if route == "theta":
-        logs = [(ThetaKind.THETA, -1, d) for d in phi_rows]
+        logs = []
         if twist4k is not None:
-            logs += [(ThetaKind.THETA, 1, twist4k),
-                     (ThetaKind.THETA, -1, tuple(2 * c for c in twist4k))]
+            logs = [(ThetaKind.THETA, 1, twist4k),
+                    (ThetaKind.THETA, -1, tuple(2 * c for c in twist4k))]
         if psi1_row is not None:
             logs.append((ThetaKind.THETA1, 1, psi1_row))
-        return _theta_residue(g, logs, phi_rows)
+        return _theta_residue(g, phi_rows, logs)
     # Phi = 2 lfactor_4k2, and the residue is linear in each factor
     specs = [(bundles.lfactor_4k2, d) for d in phi_rows]
     if twist4k is not None:
@@ -227,10 +238,8 @@ def _check_route(route):
 
 
 def _report(kind, series, g):
-    return GenusReport(kind=kind, coeffs=series,
-                       integral=series.is_integral(),
-                       even_q_support=series.even_q_support(),
-                       instance=g)
+    return GenusReport(kind, series, series.den == 1,
+                       not any(series.num[1::2]), g)
 
 
 def witten_genus(g: GCIData, route="theta"):
@@ -251,8 +260,8 @@ def wc_genus(g: GCIData, route="theta"):
     if rdim % 4 == 0:
         series = _integrand_residue(g, route, g.D, twist4k=g.C)
         return _report("Wc4k", series, g)
-    series = _integrand_residue(g, route, g.D + (g.C,))
-    return _report("Wc4k2", series * Fraction(1, 2), g)
+    res = _integrand_residue(g, route, g.D + (g.C,))
+    return _report("Wc4k2", QSeries._make(res.num, 2 * res.den, res.order), g)
 
 
 def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):

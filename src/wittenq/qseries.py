@@ -218,7 +218,7 @@ class QSeries:
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            c = rat(other)
+            c = other if type(other) is int else rat(other)
             return QSeries._make([a * c.numerator for a in self.num],
                                  self.den * c.denominator,
                                  self.order)

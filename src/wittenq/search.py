@@ -35,8 +35,8 @@ class SearchQuery:
 
     def __post_init__(self):
         """Each field checked as GCIData checks its own: plain ints (a
-        bool refused) within their bounds, target_real_dim an int or
-        None, positive and require_codim bools."""
+        bool refused) within their bounds, target_real_dim None or an
+        even int >= 0, positive and require_codim bools."""
         for name, least in (("s_max", 1), ("t_max", 1), ("d_max", 1),
                             ("c_max", 0), ("q_order", 0)):
             value = getattr(self, name)
@@ -48,6 +48,8 @@ class SearchQuery:
         if dim is not None and type(dim) is not int:
             raise TypeError("target_real_dim must be an integer or None, "
                             f"got {dim!r}")
+        if dim is not None and (dim < 0 or dim % 2):
+            raise ValueError(f"target_real_dim must be even, >= 0: {dim}")
         for name in ("positive", "require_codim"):
             value = getattr(self, name)
             if type(value) is not bool:

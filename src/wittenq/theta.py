@@ -47,7 +47,7 @@ from fractions import Fraction
 from .qseries import QSeries, XSeries, q_product
 
 
-class ThetaKind(enum.Enum):
+class ThetaKind(enum.IntEnum):
     THETA = 0
     THETA1 = 1
     THETA2 = 2
@@ -108,6 +108,7 @@ def eisenstein_g(k, q_order):
     return QSeries._make(list(col), 2 * _den_bound(k), q_order)
 
 
+@functools.lru_cache(maxsize=None)
 def _den_bound(k):
     """d_k = den(B_2k / 2k), which every kind's d_k (2k)! L_2k clears."""
     return (bernoulli(2 * k) / (2 * k)).denominator
@@ -134,8 +135,6 @@ def _log_columns(kind, x_order, q_order):
     `eisenstein_g` and `modforms.eisenstein` read the x/Phi columns.
     A table extends the cached one 16 x-degrees shorter.
     """
-    if not isinstance(kind, ThetaKind):
-        raise ValueError(f"no logarithm for {kind}")
     K = ThetaKind
     odd = kind in (K.THETA2, K.THETA3)
     alternating = kind in (K.THETA1, K.THETA3)
@@ -184,13 +183,13 @@ def direction_series(terms, r, x_order, q_order):
     as the tuple (an `XSeries`) of its QSeries coefficients by y-degree
     0..x_order.
 
-    terms holds integer triples (kind, coef, m), kind naming a logarithm
-    of `_log_columns`.  The exponent L has the y^2k coefficient
+    terms holds triples (kind, coef, m) of ints, kind a ThetaKind naming a
+    logarithm of `_log_columns`.  The exponent L has the y^2k coefficient
     L_2k = sum_kind p_2k * log_kind_2k with the integer power sum
     p_2k = sum coef * m^2k; it is even in y with no constant term, so
     f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
     n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order;
-    a negative r, x_order or q_order raises ValueError.
+    a negative r, x_order or q_order, or another kind, raises ValueError.
 
     The recurrence runs on int columns.  With g_n = n! f_n and
     Lambda_2k = (2k)! L_2k it reads
@@ -213,15 +212,17 @@ def direction_series(terms, r, x_order, q_order):
         raise ValueError(f"direction_series needs r, x_order and q_order "
                          f">= 0, got r={r}, x_order={x_order}, "
                          f"q_order={q_order}")
+    powers = {}
+    for kind, coef, m in terms:
+        if not isinstance(kind, ThetaKind):  # 0 == THETA keys its columns
+            raise ValueError(f"no logarithm for {kind!r}")
+        powers.setdefault(kind, []).append((coef, m))
     zero = QSeries.zero(q_order)
     if r > x_order:
         return XSeries([zero] * (x_order + 1))
     H, qn = (x_order - r) // 2, q_order + 1
     xg = _granular(x_order)
     W, _, den = _exp_weights(xg)
-    powers = {}
-    for kind, coef, m in terms:
-        powers.setdefault(kind, []).append((coef, m))
     tables = [(_log_columns(kind, xg, q_order), pairs)
               for kind, pairs in powers.items()]
     N = [[0] * qn]
@@ -280,7 +281,7 @@ def phi(x_order, q_order):
 
 def psi(kind, x_order, q_order):
     """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
-    if kind not in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
+    if not isinstance(kind, ThetaKind) or kind is ThetaKind.THETA:
         raise ValueError("psi is defined for THETA1, THETA2, THETA3")
     return direction_series([(kind, 1, 1)], 0, x_order, q_order)
 

@@ -217,7 +217,8 @@ def test_malformed_q_order_exits_2(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["--s", "0"], ["--s", "-1"], ["--t", "0"], ["--dmax", "0"],
     ["--dmax", "-2"], ["--parity", "dim4k", "--cmax", "-1"],
-], ids=["s0", "s-1", "t0", "dmax0", "dmax-2", "cmax-1"])
+    ["--target-dim", "7"], ["--target-dim", "-4"],
+], ids=["s0", "s-1", "t0", "dmax0", "dmax-2", "cmax-1", "dim7", "dim-4"])
 def test_bad_search_bounds_exit_2(capsys, argv):
     # each of these used to print nothing and exit 0
     with pytest.raises(SystemExit) as exc:

@@ -102,7 +102,9 @@ def test_direction_series_matches_naive_recurrence():
     assert reached == {"dot products", "convolutions"}
 
 
-@pytest.mark.parametrize("kind", list(K))
+# explicit ids: an IntEnum member would be named by its value
+@pytest.mark.parametrize("kind", list(K),
+                         ids=lambda k: f"ThetaKind.{k.name}")
 def test_den_bound_clears_every_logarithm(kind):
     # d_k (2k)! L_2k is integral, the bound the kernel's weights rest on,
     # and the int column N_k of `_log_columns` is that integer
@@ -160,6 +162,39 @@ def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
     for k in (0, -2):
         with pytest.raises(ValueError, match="k >= 1"):
             theta.eisenstein_g(k, 4)
+
+
+def test_int_kinds_are_refused_with_warm_caches():
+    # ThetaKind is an IntEnum, so 0 == THETA and both are one key of the
+    # cached log columns: the kinds are checked before any cache is read
+    theta.x_over_phi(8, 4)
+    theta.psi(K.THETA1, 8, 4)
+    for build in (lambda: theta.direction_series([(0, 1, 1)], 0, 8, 4),
+                  lambda: theta.direction_series([(K.THETA, 1, 1), (1, 1, 2)],
+                                                 0, 8, 4),
+                  lambda: theta.direction_series([(0, 1, 1)], 9, 8, 4),
+                  lambda: theta.psi(1, 8, 4),
+                  lambda: theta.psi(K.THETA, 8, 4),
+                  lambda: theta.numeric_theta(0, 0.1, 1j)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_exp_weights_compute_each_den_bound_once(monkeypatch):
+    # the 16-step table chain asks for d_k at every level; _den_bound is
+    # cached, so each Bernoulli number B_2k is computed once
+    calls = []
+    real = theta.bernoulli
+    monkeypatch.setattr(theta, "bernoulli",
+                        lambda n: calls.append(n) or real(n))
+    theta._exp_weights.cache_clear()
+    theta._den_bound.cache_clear()
+    try:
+        theta._exp_weights(64)
+    finally:
+        theta._exp_weights.cache_clear()
+        theta._den_bound.cache_clear()
+    assert sorted(calls) == [2 * k for k in range(1, 33)]
 
 
 def _cache_counts():

@@ -278,6 +278,41 @@ def test_degree_one_row_drops_the_ambient_dimension(route):
         assert big.coeffs == small.coeffs and big.kind == small.kind
 
 
+@pytest.mark.parametrize("n, D, C", [
+    ([3], [], [1]), ([5], [[2]], [1]), ([6], [[1], [2]], [2]),
+    ([7], [[2], [3]], [-1]), ([6], [[-1], [2]], [1]), ([9], [[2], [4]], [1]),
+], ids=["cp3", "d2", "d1,2", "d2,3", "d-1,2", "d2,4"])
+def test_one_factor_matches_the_general_path(n, D, C):
+    # over one factor the theta route reads one coefficient of one
+    # direction factor; a degree-1 row on an added CP^1 keeps the
+    # instance and sends it through the general residue
+    def lift(g):
+        return GCIData(g.n + (1,), [row + (0,) for row in g.D] + [[0, 1]],
+                       C=g.C + (0,), q_order=g.q_order)
+    g = GCIData(n, D, C=C, q_order=8)
+    reports = [(wc_genus(g), wc_genus(lift(g)))]
+    if (sum(n) - len(D)) % 2 == 0:
+        reports.append((witten_genus(g), witten_genus(lift(g))))
+    if all(d % 2 == 0 for row in D for d in row) and D:
+        reports.append((mod2_witten(g, strict=False),
+                        mod2_witten(lift(g), strict=False)))
+    for one, general in reports:
+        assert one.coeffs == general.coeffs and one.kind == general.kind
+        assert one.precursor == general.precursor
+    assert any(not one.coeffs.is_zero() for one, _ in reports)
+
+
+@pytest.mark.parametrize("route", ["theta", "bundle"])
+def test_wc_4k2_halving_matches_the_fraction_product(route):
+    # real dimension 4k+2 halves the residue by doubling its denominator
+    for n, D, C in (([3], [], [1]), ([2, 2], [[1, 1]], [1, 2])):
+        g = GCIData(n, D, C=C, q_order=6)
+        series = genera._integrand_residue(g, route, g.D + (g.C,))
+        rep = wc_genus(g, route=route)
+        assert rep.kind == "Wc4k2" and not series.is_zero()
+        assert rep.coeffs == series * Fraction(1, 2)
+
+
 def test_unknown_route_is_refused():
     calls = [(witten_genus, GCIData([3], [[2]], q_order=4)),
              (wc_genus, GCIData([5], [[2]], C=[1], q_order=4)),

@@ -85,6 +85,13 @@ def test_caps_mismatch_raises():
         NilPoly.one((2,), 3) * NilPoly.one((3,), 3)
 
 
+def test_negative_exponents_raise():
+    # x1^-1 was stored, and its product with x1 was the constant 1
+    for e in ((-1,), (0, -2), (-1, 3)):
+        with pytest.raises(ValueError, match="exponents must be >= 0"):
+            NilPoly((2,) * len(e), 0, {e: 1})
+
+
 def test_negative_q_order_raises():
     # these built a poly of q-order -1
     for build in (lambda: NilPoly((2,), -1), lambda: NilPoly.zero((2,), -1),

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from series_inverse import inv_series
@@ -356,6 +356,22 @@ def test_kernel_ring_ops_match_fraction_reference(lists, c):
         inv = inv_series(A)
         assert _fractions(inv.coeffs) == ref_inv(a)
         assert _canonical(inv)
+
+
+@KERNEL
+@given(rational_lists(1), st.integers(-10**30, 10**30))
+@example([[Fraction(3, 4), Fraction(0), Fraction(-5, 6)]], 0)
+@example([[Fraction(3, 4), Fraction(0), Fraction(-5, 6)]], -6)
+def test_int_scalar_matches_fraction_scalar(lists, n):
+    # an int scalar multiplies the numerators with no Fraction (equality
+    # is of numerators and denominator); a bool is not a scalar
+    A = QSeries(lists[0])
+    for got in (A * n, n * A):
+        assert got == A * Fraction(n)
+        assert _canonical(got)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            A * flag
 
 
 @KERNEL

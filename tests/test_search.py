@@ -181,7 +181,8 @@ def test_signed_results_pass_the_checkers():
 
 @pytest.mark.parametrize("bounds", [
     {"s_max": 0}, {"t_max": 0}, {"d_max": 0}, {"d_max": -2}, {"c_max": -1},
-], ids=["s0", "t0", "d0", "d-2", "c-1"])
+    {"target_real_dim": 7}, {"target_real_dim": -4},
+], ids=["s0", "t0", "d0", "d-2", "c-1", "dim7", "dim-4"])
 def test_bad_query_bounds_raise(bounds):
     # each of these used to return [] with no error
     with pytest.raises(ValueError):
