@@ -26,12 +26,12 @@ independent oracle these builders are checked against.
 
 `direction_series` runs the recurrence of exp on int columns: with
 g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times every
-kind's x^2k log coefficient, delta_h = lcm_k d_k delta_(h-k) clears g_2h,
-so each step is an integer combination of int columns with cached integer
-weights, and each coefficient is reduced once.  It returns the tuple of
-QSeries coefficients by x-degree (an `XSeries`), which the genera keep in
-a bounded cache by merged exponent (`genera._factor`) and which
-`phi`, `psi`, `psi_product` and `x_over_phi` return as it is.  A separate
+kind's x^2k log coefficient, delta_h = 2 den(B_2h) delta_(h-1) clears
+g_2h, so each step is an integer combination of int columns with cached
+integer weights, and each coefficient is reduced once.  It returns the
+tuple of QSeries coefficients by x-degree (an `XSeries`), which the
+genera keep in a bounded cache by merged exponent (`genera._factor`) and
+which `phi`, `psi`, `psi_product` and `x_over_phi` return.  A separate
 complex-numeric evaluator checks the analytic transformation laws, which
 the formal truncated series cannot see.
 """
@@ -93,9 +93,8 @@ def bernoulli(n):
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    k = n // 2
-    t = _tangent_numbers(_granular(k))[k]
-    return Fraction((-1) ** (k - 1) * n * t, 4 ** k * (4 ** k - 1))
+    num, den = _bernoulli_ratio(n // 2)
+    return Fraction(n * num, den)
 
 
 def eisenstein_g(k, q_order):
@@ -109,9 +108,17 @@ def eisenstein_g(k, q_order):
 
 
 @functools.lru_cache(maxsize=None)
+def _bernoulli_ratio(k):
+    """Reduced (num, den) of B_2k/2k = (-1)^(k-1) T_k / (4^k (4^k - 1))."""
+    t, d = _tangent_numbers(_granular(k))[k], 4 ** k * (4 ** k - 1)
+    g = math.gcd(t, d)
+    return (-1) ** (k - 1) * (t // g), d // g
+
+
+@functools.lru_cache(maxsize=None)
 def _den_bound(k):
     """d_k = den(B_2k / 2k), which every kind's d_k (2k)! L_2k clears."""
-    return (bernoulli(2 * k) / (2 * k)).denominator
+    return _bernoulli_ratio(k)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,10 +148,10 @@ def _log_columns(kind, x_order, q_order):
     cols = (list(_log_columns(kind, x_order - 16, q_order)) if x_order > 16
             else [(0,) * (q_order + 1)])
     for k in range(len(cols), x_order // 2 + 1):
-        b = bernoulli(2 * k) / (2 * k)
-        s = -2 * b.denominator if kind == K.THETA2 else 2 * b.denominator
+        num, den = _bernoulli_ratio(k)
+        s = -2 * den if kind == K.THETA2 else 2 * den
         col = [0] * (q_order + 1)
-        col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * b.numerator
+        col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * num
         # sum over m * e = N of eps^(m+1) m^(2k-1), e odd (Psi_2, Psi_3)
         # or even, eps = -1 when alternating
         for m in range(1, q_order + 1):
@@ -164,14 +171,19 @@ def _exp_weights(x_order):
     W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
     k = 1..h and den[h] = delta_h (2h)!, with d_k = `_den_bound`(k),
     delta_0 = 1 and delta_h = lcm_(k<=h) d_k delta_(h-k); see
-    `direction_series`.  A table extends the cached one 16 x-degrees
+    `direction_series`.  It is computed as 2 den(B_2h) delta_(h-1), with
+    den(B_2h) = d_h / gcd(d_h, 2h): by von Staudt-Clausen and Adams,
+    v_p(d_k) = 1 + v_p(2k) if (p - 1) | 2k, else 0, so the lcm has
+    v_p = floor(2h/(p - 1)) (from 2k = p - 1) for odd p and 2h (from
+    k = 1) for p = 2, which grow from h - 1 to h by 1 iff p | den(B_2h),
+    and by 2 at p = 2.  A table extends the cached one 16 x-degrees
     shorter.
     """
     W, delta, den = (map(list, _exp_weights(x_order - 16)) if x_order > 16
                      else ([()], [1], [1]))
     d = [1] + [_den_bound(k) for k in range(1, x_order // 2 + 1)]
     for h in range(len(W), x_order // 2 + 1):
-        delta.append(math.lcm(*(d[k] * delta[h - k] for k in range(1, h + 1))))
+        delta.append(2 * d[h] // math.gcd(d[h], 2 * h) * delta[h - 1])
         W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
                        // (d[k] * delta[h - k]) for k in range(1, h + 1)))
         den.append(delta[h] * math.factorial(2 * h))
@@ -300,7 +312,12 @@ def x_over_phi(x_order, q_order):
 # -- Jacobi identity as a pure q-series statement ---------------------
 
 def jacobi_product(q_order, skip=None):
-    """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor index."""
+    """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor
+    index, an int in 1..q_order // 2 (any other skip raises ValueError)."""
+    if skip is not None and (type(skip) is not int
+                             or not 1 <= skip <= q_order // 2):
+        raise ValueError(f"skip must be an int in 1..{q_order // 2}, "
+                         f"got {skip!r}")
     return q_product([f for j in range(1, q_order // 2 + 2) if j != skip
                       for f in ((1, 2 * j), (-1, 4 * j - 2))], q_order)
 
@@ -312,7 +329,10 @@ def jacobi_check(q_order, skip=None):
 
 # -- numeric evaluator ------------------------------------------------
 
-def numeric_theta(kind, z, tau, terms=60):
+_MAX_TERMS = 2000
+
+
+def numeric_theta(kind, z, tau, terms=None):
     """Evaluate a theta function at complex (z, tau), Im(tau) > 0, from its
     product over j = 1..terms, with q = e^(pi i tau) and e = e^(2 pi i z):
 
@@ -321,18 +341,31 @@ def numeric_theta(kind, z, tau, terms=60):
     where t_j = q^2j for THETA and THETA1 (prefactor 2 q^(1/4) sin(pi z)
     and 2 q^(1/4) cos(pi z)) and t_j = q^(2j-1) for THETA2 and THETA3
     (prefactor 1), and s = -1 for THETA and THETA2, +1 for the others.
-    q^2j and t_j are running products, one complex multiply a step.  A
-    kind that is not a ThetaKind, or a negative `terms`, raises ValueError.
+    q^2j and t_j are running products, one complex multiply a step.
+
+    By default `terms` is the fewest J whose tail bound
+    (|q|^(2J+1) (|e| + 1/|e|) + |q|^(2J+2)) / (1 - |q|^2) >= sum |u_j| over
+    the dropped factors 1 + u_j is below 2^-60: 4 to 14 at the suite's 150
+    points.  A point that needs more than _MAX_TERMS, a kind that is not a
+    ThetaKind, or a negative `terms` raises ValueError.
     """
     if not isinstance(kind, ThetaKind):
         raise ValueError(f"no theta function {kind!r}")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    if terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
     q = cmath.exp(1j * math.pi * tau)
     q2 = q * q
     e = cmath.exp(2j * math.pi * z)
+    if terms is None:
+        r = abs(q)
+        tail, eps = r * (abs(e) + 1 / abs(e) + r), 2.0 ** -60 * (1 - r * r)
+        terms = next((J for J in range(_MAX_TERMS + 1)
+                      if tail * r ** (2 * J) < eps), -1)
+        if terms < 0:
+            raise ValueError(f"theta at tau={tau} needs over {_MAX_TERMS} "
+                             f"factors")
+    elif terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
     if kind == ThetaKind.THETA:
         val = 2 * cmath.exp(1j * math.pi * tau / 4) * cmath.sin(math.pi * z)
     elif kind == ThetaKind.THETA1:
@@ -369,7 +402,9 @@ def numeric_transform_suite(samples=None, tol=1e-9):
 
     Returns a dict with per-identity max relative errors and a 'passed' flag.
     Each distinct (kind, z, tau) is evaluated once per call.  An empty
-    sample list raises ValueError: it would pass with nothing checked.
+    sample list raises ValueError: it would pass with nothing checked; so
+    does a sample whose -1/tau is too near the real line for
+    `numeric_theta`'s factor limit (tau = 20 + i).
     """
     samples = list(_DEFAULT_SAMPLES if samples is None else samples)
     if not samples:
@@ -379,56 +414,38 @@ def numeric_transform_suite(samples=None, tol=1e-9):
             raise ValueError("samples must have Im(tau) >= 1")
     K = ThetaKind
     th = functools.cache(numeric_theta)
+    eighth = cmath.exp(1j * math.pi / 4)
 
-    def s_prefactor(z, tau):
-        return cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * tau * z * z)
+    def t_law(k, k_to, c):  # th(k, z, tau + 1) = c th(k_to, z, tau)
+        return lambda z, t: (th(k, z, t + 1), c * th(k_to, z, t))
 
-    def lattice_factor(b, z, tau):
-        return cmath.exp(-2j * math.pi * b * z - 1j * math.pi * b * b * tau)
+    def s_law(k, k_to, c):
+        # th(k, z, -1/tau) = c sqrt(tau/i) e^(pi i tau z^2) th(k_to, tau z)
+        return lambda z, t: (th(k, z, -1 / t), c * cmath.sqrt(t / 1j)
+                             * cmath.exp(1j * math.pi * t * z * z)
+                             * th(k_to, t * z, t))
 
-    q_of = lambda tau: cmath.exp(1j * math.pi * tau)
-    checks = {
-        "T:theta": lambda z, t: (th(K.THETA, z, t + 1),
-                                 cmath.exp(1j * math.pi / 4) * th(K.THETA, z, t)),
-        "T:theta1": lambda z, t: (th(K.THETA1, z, t + 1),
-                                  cmath.exp(1j * math.pi / 4) * th(K.THETA1, z, t)),
-        "T:theta2": lambda z, t: (th(K.THETA2, z, t + 1), th(K.THETA3, z, t)),
-        "T:theta3": lambda z, t: (th(K.THETA3, z, t + 1), th(K.THETA2, z, t)),
-        "S:theta": lambda z, t: (th(K.THETA, z, -1 / t),
-                                 s_prefactor(z, t) / 1j * th(K.THETA, t * z, t)),
-        "S:theta1": lambda z, t: (th(K.THETA1, z, -1 / t),
-                                  s_prefactor(z, t) * th(K.THETA2, t * z, t)),
-        "S:theta2": lambda z, t: (th(K.THETA2, z, -1 / t),
-                                  s_prefactor(z, t) * th(K.THETA1, t * z, t)),
-        "S:theta3": lambda z, t: (th(K.THETA3, z, -1 / t),
-                                  s_prefactor(z, t) * th(K.THETA3, t * z, t)),
-        "z+1:theta": lambda z, t: (th(K.THETA, z + 1, t), -th(K.THETA, z, t)),
-        "z+1:theta1": lambda z, t: (th(K.THETA1, z + 1, t), -th(K.THETA1, z, t)),
-        "z+1:theta2": lambda z, t: (th(K.THETA2, z + 1, t), th(K.THETA2, z, t)),
-        "z+1:theta3": lambda z, t: (th(K.THETA3, z + 1, t), th(K.THETA3, z, t)),
-        "z+tau:theta": lambda z, t: (
-            th(K.THETA, z + t, t),
-            -cmath.exp(-2j * math.pi * z) / q_of(t) * th(K.THETA, z, t)),
-        "z+tau:theta1": lambda z, t: (
-            th(K.THETA1, z + t, t),
-            cmath.exp(-2j * math.pi * z) / q_of(t) * th(K.THETA1, z, t)),
-        "z+tau:theta2": lambda z, t: (
-            th(K.THETA2, z + t, t),
-            -cmath.exp(-2j * math.pi * z) / q_of(t) * th(K.THETA2, z, t)),
-        "z+tau:theta3": lambda z, t: (
-            th(K.THETA3, z + t, t),
-            cmath.exp(-2j * math.pi * z) / q_of(t) * th(K.THETA3, z, t)),
-        "a=3:theta": lambda z, t: (th(K.THETA, z + 3, t), -th(K.THETA, z, t)),
-        "a=2:theta1": lambda z, t: (th(K.THETA1, z + 2, t), th(K.THETA1, z, t)),
-        "b=2:theta": lambda z, t: (th(K.THETA, z + 2 * t, t),
-                                   lattice_factor(2, z, t) * th(K.THETA, z, t)),
-        "b=2:theta1": lambda z, t: (th(K.THETA1, z + 2 * t, t),
-                                    lattice_factor(2, z, t) * th(K.THETA1, z, t)),
-        "b=2:theta2": lambda z, t: (th(K.THETA2, z + 2 * t, t),
-                                    lattice_factor(2, z, t) * th(K.THETA2, z, t)),
-        "b=2:theta3": lambda z, t: (th(K.THETA3, z + 2 * t, t),
-                                    lattice_factor(2, z, t) * th(K.THETA3, z, t)),
-    }
+    def lattice(k, a, b):
+        # th(k, z + a + b tau) = +-e^(-2 pi i b z - pi i b^2 tau) th(k, z),
+        # the sign (-1)^a for THETA and THETA1 times (-1)^b for THETA, THETA2
+        sign = (-1) ** (a * (k in (K.THETA, K.THETA1))
+                        + b * (k in (K.THETA, K.THETA2)))
+        return lambda z, t: (th(k, z + a + b * t, t), sign * cmath.exp(
+            -2j * math.pi * b * z - 1j * math.pi * b * b * t) * th(k, z, t))
+
+    checks = {}
+    for law, build, images in (
+            ("T", t_law, ((K.THETA, eighth), (K.THETA1, eighth), (K.THETA3, 1),
+                          (K.THETA2, 1))),
+            ("S", s_law, ((K.THETA, -1j), (K.THETA2, 1), (K.THETA1, 1),
+                          (K.THETA3, 1)))):
+        for k, (k_to, c) in zip(K, images):
+            checks[f"{law}:{k.name.lower()}"] = build(k, k_to, c)
+    for law, a, b, kinds in (("z+1", 1, 0, K), ("z+tau", 0, 1, K),
+                             ("a=3", 3, 0, [K.THETA]),
+                             ("a=2", 2, 0, [K.THETA1]), ("b=2", 0, 2, K)):
+        for k in kinds:
+            checks[f"{law}:{k.name.lower()}"] = lattice(k, a, b)
     report = {}
     for name, fn in checks.items():
         worst = 0.0

@@ -182,11 +182,11 @@ def test_int_kinds_are_refused_with_warm_caches():
 
 def test_exp_weights_compute_each_den_bound_once(monkeypatch):
     # the 16-step table chain asks for d_k at every level; _den_bound is
-    # cached, so each Bernoulli number B_2k is computed once
+    # cached, so each B_2k/2k is computed once
     calls = []
-    real = theta.bernoulli
-    monkeypatch.setattr(theta, "bernoulli",
-                        lambda n: calls.append(n) or real(n))
+    real = theta._bernoulli_ratio
+    monkeypatch.setattr(theta, "_bernoulli_ratio",
+                        lambda k: calls.append(k) or real(k))
     theta._exp_weights.cache_clear()
     theta._den_bound.cache_clear()
     try:
@@ -194,7 +194,35 @@ def test_exp_weights_compute_each_den_bound_once(monkeypatch):
     finally:
         theta._exp_weights.cache_clear()
         theta._den_bound.cache_clear()
-    assert sorted(calls) == [2 * k for k in range(1, 33)]
+    assert sorted(calls) == list(range(1, 33))
+
+
+def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
+    # B_2k/2k on ints against its Fraction form, and the weights against
+    # delta_h = lcm_(k<=h) d_k delta_(h-k), to x-order 160
+    H = 80
+    d = [1]
+    for k in range(1, H + 1):
+        b = _bernoulli_reference(2 * k) / (2 * k)
+        assert theta._bernoulli_ratio(k) == (b.numerator, b.denominator)
+        assert theta._den_bound(k) == b.denominator
+        d.append(b.denominator)
+    delta = [1]
+    for h in range(1, H + 1):
+        delta.append(math.lcm(*(d[k] * delta[h - k] for k in range(1, h + 1))))
+    W = [()] + [tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
+                      // (d[k] * delta[h - k]) for k in range(1, h + 1))
+                for h in range(1, H + 1)]
+    den = tuple(delta[h] * math.factorial(2 * h) for h in range(H + 1))
+    assert theta._exp_weights(160) == (tuple(W), tuple(delta), den)
+    # the log columns, B_2k/2k in their constant terms, against the
+    # Fraction logarithms cleared by d_k (2k)!
+    for kind in K:
+        cols = theta._log_columns(kind, 160, 4)
+        for k in range(1, H + 1):
+            cleared = _log_reference(kind, k, 4) * (
+                d[k] * math.factorial(2 * k))
+            assert cleared.is_integral() and cleared.num == list(cols[k])
 
 
 def _cache_counts():

@@ -107,6 +107,15 @@ def test_jacobi_identity_and_mutated_control():
     assert not theta.jacobi_check(50, skip=1)
 
 
+def test_jacobi_check_refuses_skips_that_drop_nothing():
+    # skip=0, -1, 26 or 100 named no factor the truncation sees, so the
+    # negative control returned True; True and 1.0 were taken as 1
+    assert not theta.jacobi_check(50, skip=25)
+    for skip in (0, -1, 26, 100, True, 1.0):
+        with pytest.raises(ValueError, match="skip must be an int"):
+            theta.jacobi_check(50, skip=skip)
+
+
 def test_jacobi_check_refuses_negative_orders():
     # at q-order -1 the product was an empty series that passed is_one()
     assert theta.jacobi_check(0) and theta.jacobi_check(1)
@@ -167,14 +176,33 @@ def _theta_series(kind, z, tau, n_max=30):
                        for n in range(1, n_max))
 
 
-def test_numeric_theta_matches_theta_series():
-    # the product evaluator against the independent Fourier series, at the
-    # suite's points and at the shifted ones its transformation laws visit
+def _suite_points():
+    """The suite's points and the shifted ones its transformation laws
+    visit."""
     points = []
     for z, tau in theta._DEFAULT_SAMPLES:
         points += [(z, tau), (z + 1, tau), (z + 3, tau), (z + tau, tau),
                    (z + 2 * tau, tau), (z, tau + 1), (z, -1 / tau),
                    (tau * z, tau)]
+    return points
+
+
+def _tail_terms(z, tau):
+    """The fewest J with (|q|^(2J+1) (|e| + 1/|e|) + |q|^(2J+2)) / (1 - |q|^2)
+    below 2^-60."""
+    r = abs(cmath.exp(1j * math.pi * tau))
+    a = abs(cmath.exp(2j * math.pi * z))
+    J = 0
+    while (r ** (2 * J + 1) * (a + 1 / a) + r ** (2 * J + 2)) / (1 - r * r) \
+            >= 2.0 ** -60:
+        J += 1
+    return J
+
+
+def test_numeric_theta_matches_theta_series():
+    # the product evaluator against the independent Fourier series, at the
+    # suite's points and at the shifted ones its transformation laws visit
+    points = _suite_points()
     worst = 0.0
     for kind in ThetaKind:
         for z, tau in points:
@@ -184,10 +212,54 @@ def test_numeric_theta_matches_theta_series():
     assert worst < 1e-12
 
 
+def test_default_terms_reach_double_precision():
+    # the default stops at the tail bound's J; 20 more factors move no
+    # value by more than 2^-52, and J stays small at every such point
+    most = 0
+    for kind in ThetaKind:
+        for z, tau in _suite_points():
+            J = _tail_terms(z, tau)
+            most = max(most, J)
+            got = theta.numeric_theta(kind, z, tau)
+            want = theta.numeric_theta(kind, z, tau, terms=J + 20)
+            assert abs(got - want) <= 2.0 ** -52 * abs(want), (kind, z, tau)
+            assert got == theta.numeric_theta(kind, z, tau, terms=J)
+    assert most <= 15
+
+
+def test_numeric_theta_refuses_points_past_its_factor_limit():
+    # near the real line |q| -> 1; the default used to return a product
+    # of 60 factors whatever the error, now it raises
+    with pytest.raises(ValueError, match="needs over 2000 factors"):
+        theta.numeric_theta(ThetaKind.THETA, 0.1, -1 / (100 + 1j))
+    with pytest.raises(ValueError, match="needs over 2000 factors"):
+        theta.numeric_theta(ThetaKind.THETA3, 0.1, 1e-20j)
+    # the limit falls between -1/(16 + i), 1900 factors, and -1/(17 + i)
+    z, near, far = 0.1 + 0.05j, -1 / (16 + 1j), -1 / (17 + 1j)
+    assert _tail_terms(z, near) == 1900 and _tail_terms(z, far) > 2000
+    theta.numeric_theta(ThetaKind.THETA, z, near)
+    with pytest.raises(ValueError, match="needs over 2000 factors"):
+        theta.numeric_theta(ThetaKind.THETA, z, far)
+    # an explicit count is still multiplied as given
+    theta.numeric_theta(ThetaKind.THETA, 0.1, -1 / (100 + 1j), terms=5)
+
+
 def test_numeric_transform_suite_passes():
     rep = theta.numeric_transform_suite()
-    assert rep["passed"]
-    assert all(e < 1e-9 for e in rep["errors"].values())
+    assert rep["passed"] and rep["tol"] == 1e-9
+    assert len(rep["errors"]) == 22
+    assert all(e <= 1e-13 for e in rep["errors"].values())
+
+
+def test_numeric_transform_suite_far_from_the_cusp():
+    # Im(-1/tau) is 1/26 at tau = 5 + i and 1/101 at 10 + i: 60 factors
+    # left S:theta errors of 1.0e-6 and 0.10 there
+    for tau in (5 + 1j, 10 + 1j):
+        rep = theta.numeric_transform_suite(samples=[(0.1 + 0.05j, tau)])
+        assert rep["passed"], tau
+        assert max(rep["errors"].values()) <= 1e-12, tau
+    with pytest.raises(ValueError, match="factors"):
+        theta.numeric_transform_suite(samples=[(0.1 + 0.05j, 100 + 1j)])
 
 
 def test_numeric_transform_suite_rejects_low_im_tau():
