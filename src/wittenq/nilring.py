@@ -69,6 +69,8 @@ class NilPoly:
             e = tuple(e)
             if len(e) != len(caps):
                 raise ValueError("exponent tuple arity mismatch")
+            if not {int}.issuperset(map(type, e)):
+                raise TypeError(f"exponents must be integers, got {e!r}")
             if min(e, default=0) < 0:  # x^-1 would invert a nilpotent
                 raise ValueError(f"exponents must be >= 0, got {e}")
             if any(map(operator.gt, e, caps)):

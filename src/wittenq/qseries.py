@@ -54,6 +54,8 @@ def power(base, k, one):
 
 
 def _check_order(order):
+    if type(order) is not int:  # bool refused
+        raise TypeError(f"order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
 
@@ -275,13 +277,13 @@ class Q2Series:
     __slots__ = ("order", "bits")
 
     def __init__(self, bits, order=None):
-        bits = [int(b) % 2 for b in bits]
-        if order is None:
-            order = len(bits) - 1
-        if len(bits) < order + 1:
-            bits = bits + [0] * (order + 1 - len(bits))
-        self.order = order
-        self.bits = bits[: order + 1]
+        bits = list(bits)
+        if not {int}.issuperset(map(type, bits)):
+            raise TypeError(f"bits must be integers, got {bits!r}")
+        order = len(bits) - 1 if order is None else order
+        _check_order(order)
+        self.order, self.bits = order, [b % 2 for b in bits[: order + 1]]
+        self.bits += [0] * (order + 1 - len(bits))
 
     def is_zero(self):
         return not any(self.bits)

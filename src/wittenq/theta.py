@@ -15,7 +15,8 @@ these products.  Taking logarithms turns each product into divisor sums:
 log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
 G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
 Psi_i have sign-twisted analogues (see `_log_columns`).  The Bernoulli
-numbers come from integer tangent numbers (Brent and Harvey 2011).  Each
+numbers come from integer tangent numbers, which end the odd rows of
+Seidel's boustrophedon, so a longer table extends a shorter one.  Each
 factor is then one exponential of its logarithm, computed exactly by
 `direction_series`, the one exponential builder: it exponentiates an
 integer combination of these logarithms at multiples m*x, so `phi`, `psi`,
@@ -40,6 +41,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -66,34 +68,56 @@ def _granular(x_order):
 
 
 @functools.lru_cache(maxsize=None)
-def _tangent_numbers(count):
-    """(0, T_1, ..., T_count), the tangent numbers T_k = 1, 2, 16, 272, ...
+def _tables(x_order):
+    """The integer tables (B, W, delta, den, row) to x^x_order.
 
-    Brent and Harvey's in-place integer recurrence ("Fast computation of
-    Bernoulli, tangent and secant numbers", 2011): O(count^2) int steps.
+    For k = 1..x_order // 2, B[k] is the reduced (num, den) of
+    B_2k/2k = (-1)^(k-1) T_k / (4^k (4^k - 1)), from the tangent number
+    T_k with one gcd; d_k = B[k][1] clears every kind's (2k)! L_2k
+    (`_log_columns`), and B[0] = (0, 1).  T_k ends row 2k - 1 of Seidel's
+    boustrophedon: row n is 0 followed by the running sums of row n - 1
+    reversed (1; 0 1; 0 1 1; 0 1 2 2; ...), so each row needs only the
+    one before it; `row` is the last one built, row 2 (x_order // 2),
+    which a longer table goes on from.
+
+    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
+    k = 1..h and den[h] = delta_h (2h)!, with delta_0 = 1 and
+    delta_h = lcm_(k<=h) d_k delta_(h-k); see `direction_series`.  It is
+    computed as 2 den(B_2h) delta_(h-1), with den(B_2h) = d_h / gcd(d_h, 2h):
+    by von Staudt-Clausen and Adams, v_p(d_k) = 1 + v_p(2k) if
+    (p - 1) | 2k, else 0, so the lcm has v_p = floor(2h/(p - 1)) (from
+    2k = p - 1) for odd p and 2h (from k = 1) for p = 2, which grow from
+    h - 1 to h by 1 iff p | den(B_2h), and by 2 at p = 2.  Like
+    `_log_columns`, a table extends the cached one 16 x-degrees shorter.
     """
-    T = [0, 1] + [0] * (count - 1)
-    for k in range(2, count + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return tuple(T)
+    B, W, delta, den, row = (map(list, _tables(x_order - 16)) if x_order > 16
+                             else ([(0, 1)], [()], [1], [1], [1]))
+    for h in range(len(B), x_order // 2 + 1):
+        row = list(itertools.accumulate(reversed(row), initial=0))  # T_h
+        d = 4 ** h * (4 ** h - 1)
+        g = math.gcd(row[-1], d)
+        d //= g
+        B.append(((-1) ** (h - 1) * (row[-1] // g), d))
+        row = list(itertools.accumulate(reversed(row), initial=0))
+        delta.append(2 * d // math.gcd(d, 2 * h) * delta[h - 1])
+        W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
+                       // (B[k][1] * delta[h - k]) for k in range(1, h + 1)))
+        den.append(delta[h] * math.factorial(2 * h))
+    return tuple(map(tuple, (B, W, delta, den, row)))
 
 
 def bernoulli(n):
-    """The Bernoulli number B_n (B_1 = -1/2), n >= 0.
-
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers,
-    whose table is cached at a granular size.
-    """
+    """The Bernoulli number B_n (B_1 = -1/2) of an int n >= 0, read from
+    B_2k/2k in `_tables`; any other n raises TypeError or ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"Bernoulli numbers need an int n, got {n!r}")
     if n < 0:
         raise ValueError(f"Bernoulli numbers need n >= 0, got {n}")
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    num, den = _bernoulli_ratio(n // 2)
+    num, den = _tables(_granular(n))[0][n // 2]
     return Fraction(n * num, den)
 
 
@@ -103,22 +127,9 @@ def eisenstein_g(k, q_order):
     if k < 1 or q_order < 0:
         raise ValueError(f"eisenstein_g needs k >= 1 and q_order >= 0, "
                          f"got k={k}, q_order={q_order}")
-    col = _log_columns(ThetaKind.THETA, _granular(2 * k), q_order)[k]
-    return QSeries._make(list(col), 2 * _den_bound(k), q_order)
-
-
-@functools.lru_cache(maxsize=None)
-def _bernoulli_ratio(k):
-    """Reduced (num, den) of B_2k/2k = (-1)^(k-1) T_k / (4^k (4^k - 1))."""
-    t, d = _tangent_numbers(_granular(k))[k], 4 ** k * (4 ** k - 1)
-    g = math.gcd(t, d)
-    return (-1) ** (k - 1) * (t // g), d // g
-
-
-@functools.lru_cache(maxsize=None)
-def _den_bound(k):
-    """d_k = den(B_2k / 2k), which every kind's d_k (2k)! L_2k clears."""
-    return _bernoulli_ratio(k)[1]
+    xg = _granular(2 * k)
+    col = _log_columns(ThetaKind.THETA, xg, q_order)[k]
+    return QSeries._make(list(col), 2 * _tables(xg)[0][k][1], q_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,18 +148,19 @@ def _log_columns(kind, x_order, q_order):
     = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
     log(sinh(x/2)/(x/2)) and log cosh(x/2).  So (2k)! L_2k is -B_2k/2k
     (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0 (Psi_2, Psi_3) plus twice an
-    integral divisor sum, and d_k = `_den_bound`(k) clears it.  These
-    columns are the package's one source of Eisenstein series:
-    `eisenstein_g` and `modforms.eisenstein` read the x/Phi columns.
-    A table extends the cached one 16 x-degrees shorter.
+    integral divisor sum, and d_k = den(B_2k/2k), read from `_tables`,
+    clears it.  These columns are the package's one source of Eisenstein
+    series: `eisenstein_g` and `modforms.eisenstein` read the x/Phi
+    columns.  A table extends the cached one 16 x-degrees shorter.
     """
     K = ThetaKind
     odd = kind in (K.THETA2, K.THETA3)
     alternating = kind in (K.THETA1, K.THETA3)
     cols = (list(_log_columns(kind, x_order - 16, q_order)) if x_order > 16
             else [(0,) * (q_order + 1)])
+    B = _tables(x_order)[0]
     for k in range(len(cols), x_order // 2 + 1):
-        num, den = _bernoulli_ratio(k)
+        num, den = B[k]
         s = -2 * den if kind == K.THETA2 else 2 * den
         col = [0] * (q_order + 1)
         col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * num
@@ -163,32 +175,6 @@ def _log_columns(kind, x_order, q_order):
 
 
 # -- exponentials -----------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _exp_weights(x_order):
-    """(W, delta, den) of the integer exponential recurrence to x^x_order.
-
-    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
-    k = 1..h and den[h] = delta_h (2h)!, with d_k = `_den_bound`(k),
-    delta_0 = 1 and delta_h = lcm_(k<=h) d_k delta_(h-k); see
-    `direction_series`.  It is computed as 2 den(B_2h) delta_(h-1), with
-    den(B_2h) = d_h / gcd(d_h, 2h): by von Staudt-Clausen and Adams,
-    v_p(d_k) = 1 + v_p(2k) if (p - 1) | 2k, else 0, so the lcm has
-    v_p = floor(2h/(p - 1)) (from 2k = p - 1) for odd p and 2h (from
-    k = 1) for p = 2, which grow from h - 1 to h by 1 iff p | den(B_2h),
-    and by 2 at p = 2.  A table extends the cached one 16 x-degrees
-    shorter.
-    """
-    W, delta, den = (map(list, _exp_weights(x_order - 16)) if x_order > 16
-                     else ([()], [1], [1]))
-    d = [1] + [_den_bound(k) for k in range(1, x_order // 2 + 1)]
-    for h in range(len(W), x_order // 2 + 1):
-        delta.append(2 * d[h] // math.gcd(d[h], 2 * h) * delta[h - 1])
-        W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
-                       // (d[k] * delta[h - k]) for k in range(1, h + 1)))
-        den.append(delta[h] * math.factorial(2 * h))
-    return tuple(W), tuple(delta), tuple(den)
-
 
 def direction_series(terms, r, x_order, q_order):
     """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order,
@@ -214,8 +200,9 @@ def direction_series(terms, r, x_order, q_order):
         G_h = sum_k W[h][k] N_k G_(h-k),
         W[h][k] = C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)),
     integer weights that depend on h and k only and are cached per
-    granular x-order (`_exp_weights`).  A step makes no lcm and no gcd;
-    f_2h = G_h / (delta_h (2h)!) is reduced once, by `QSeries._make`.
+    granular x-order beside B_2k/2k (`_tables`).  A step makes no lcm and
+    no gcd; f_2h = G_h / (delta_h (2h)!) is reduced once, by
+    `QSeries._make`.
     A step with at least as many terms k as q-degrees sums over k as int
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
@@ -234,7 +221,7 @@ def direction_series(terms, r, x_order, q_order):
         return XSeries([zero] * (x_order + 1))
     H, qn = (x_order - r) // 2, q_order + 1
     xg = _granular(x_order)
-    W, _, den = _exp_weights(xg)
+    _, W, _, den, _ = _tables(xg)
     tables = [(_log_columns(kind, xg, q_order), pairs)
               for kind, pairs in powers.items()]
     N = [[0] * qn]

@@ -10,7 +10,10 @@ equal them exactly, numerators and denominators.
 """
 
 import functools
+import itertools
 import math
+import operator
+import types
 from fractions import Fraction
 
 import pytest
@@ -132,6 +135,11 @@ def test_bernoulli_values_and_domain():
     for n in (-1, -2):
         with pytest.raises(ValueError):
             theta.bernoulli(n)
+    # True was read as 1 (B_1 = -1/2), and 2.0 failed with an unrelated
+    # TypeError
+    for n in (True, False, 2.0, Fraction(4)):
+        with pytest.raises(TypeError, match="int n"):
+            theta.bernoulli(n)
 
 
 @pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2), (0, 4)])
@@ -164,6 +172,14 @@ def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
             theta.eisenstein_g(k, 4)
 
 
+def test_factors_refuse_orders_that_are_not_ints():
+    # phi(4, True) built a factor of q-order 1
+    for build in (lambda: theta.phi(4, True), lambda: theta.psi_product(4, 2.0),
+                  lambda: theta.x_over_phi(4, 1.5)):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            build()
+
+
 def test_int_kinds_are_refused_with_warm_caches():
     # ThetaKind is an IntEnum, so 0 == THETA and both are one key of the
     # cached log columns: the kinds are checked before any cache is read
@@ -180,32 +196,65 @@ def test_int_kinds_are_refused_with_warm_caches():
             build()
 
 
+def _spy_rows(monkeypatch):
+    """The indices of the boustrophedon rows `_tables` builds, in order
+    (row n has n + 1 entries)."""
+    built = []
+
+    def accumulate(row, initial):
+        out = list(itertools.accumulate(row, initial=initial))
+        built.append(len(out) - 1)
+        return out
+
+    monkeypatch.setattr(theta, "itertools",
+                        types.SimpleNamespace(accumulate=accumulate))
+    return built
+
+
 def test_exp_weights_compute_each_den_bound_once(monkeypatch):
-    # the 16-step table chain asks for d_k at every level; _den_bound is
-    # cached, so each B_2k/2k is computed once
-    calls = []
-    real = theta._bernoulli_ratio
-    monkeypatch.setattr(theta, "_bernoulli_ratio",
-                        lambda k: calls.append(k) or real(k))
-    theta._exp_weights.cache_clear()
-    theta._den_bound.cache_clear()
+    # the 16-step table chain builds each boustrophedon row, so each
+    # tangent number and each B_2k/2k, once: a shorter table's entries are
+    # the very objects of the longer one
+    built = _spy_rows(monkeypatch)
+    theta._tables.cache_clear()
     try:
-        theta._exp_weights(64)
+        (B, W, *_), *shorter = [theta._tables(x) for x in (64, 48, 32, 16)]
     finally:
-        theta._exp_weights.cache_clear()
-        theta._den_bound.cache_clear()
-    assert sorted(calls) == list(range(1, 33))
+        theta._tables.cache_clear()
+    assert built == list(range(1, 65))
+    for B_short, W_short, *_ in shorter:
+        assert all(map(operator.is_, B_short, B))
+        assert all(map(operator.is_, W_short, W))
+
+
+def test_tables_grow_row_by_row(monkeypatch):
+    # from cold, x-order 80 misses the cache at 16, 32, ..., 80; going on
+    # to 96 is one more miss, which builds rows 81..96 from row 80 alone
+    built = _spy_rows(monkeypatch)
+    theta._tables.cache_clear()
+    try:
+        B, W, _, _, row = theta._tables(80)
+        assert theta._tables.cache_info().misses == 5
+        assert built == list(range(1, 81)) and len(row) == 81
+        del built[:]
+        B96, W96, _, _, row = theta._tables(96)
+        assert theta._tables.cache_info().misses == 6
+    finally:
+        theta._tables.cache_clear()
+    assert built == list(range(81, 97))
+    assert len(B96) == len(W96) == 49 and len(row) == 97
+    assert all(map(operator.is_, B, B96)) and all(map(operator.is_, W, W96))
 
 
 def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
     # B_2k/2k on ints against its Fraction form, and the weights against
     # delta_h = lcm_(k<=h) d_k delta_(h-k), to x-order 160
     H = 80
+    tables = theta._tables(160)
     d = [1]
     for k in range(1, H + 1):
         b = _bernoulli_reference(2 * k) / (2 * k)
-        assert theta._bernoulli_ratio(k) == (b.numerator, b.denominator)
-        assert theta._den_bound(k) == b.denominator
+        assert tables[0][k] == (b.numerator, b.denominator)
         d.append(b.denominator)
     delta = [1]
     for h in range(1, H + 1):
@@ -214,7 +263,7 @@ def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
                       // (d[k] * delta[h - k]) for k in range(1, h + 1))
                 for h in range(1, H + 1)]
     den = tuple(delta[h] * math.factorial(2 * h) for h in range(H + 1))
-    assert theta._exp_weights(160) == (tuple(W), tuple(delta), den)
+    assert tables[1:4] == (tuple(W), tuple(delta), den)
     # the log columns, B_2k/2k in their constant terms, against the
     # Fraction logarithms cleared by d_k (2k)!
     for kind in K:

@@ -92,6 +92,16 @@ def test_negative_exponents_raise():
             NilPoly((2,) * len(e), 0, {e: 1})
 
 
+def test_non_int_exponents_and_q_orders_raise():
+    # (1.0,) was stored and printed as x1^1.0; q-order 1.5 was kept
+    for e in ((1.0,), (True, 0), (0, Fraction(1))):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            NilPoly((2,) * len(e), 2, {e: 1})
+    for q_order in (1.5, True):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            NilPoly((2,), q_order)
+
+
 def test_negative_q_order_raises():
     # these built a poly of q-order -1
     for build in (lambda: NilPoly((2,), -1), lambda: NilPoly.zero((2,), -1),

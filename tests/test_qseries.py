@@ -132,6 +132,16 @@ def test_negative_orders_raise():
         QSeries([1], -1)
 
 
+def test_orders_must_be_plain_ints():
+    # order=True built a series of order 1, and zero(1.5) failed on a
+    # list repeat
+    for build in (lambda: QSeries([1, 2], order=True),
+                  lambda: QSeries([1], 2.0), lambda: QSeries.zero(1.5),
+                  lambda: QSeries.one(False), lambda: q_product([], 1.5)):
+        with pytest.raises(TypeError, match="order must be an integer"):
+            build()
+
+
 def test_q_product_matches_binomial_products():
     rng = random.Random(19)
     assert q_product([], 0) == QSeries.one(0)
@@ -262,6 +272,17 @@ def test_q2series_equality_and_zero():
     b = QSeries([1], 2).reduce_mod2()
     assert a != b
     assert b == QSeries([3], 2).reduce_mod2()
+
+
+def test_q2series_refuses_bad_orders_and_bits():
+    # order=-1 built a series of order -1, and 1.5 became q^0 by int()
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        Q2Series([1, 1], order=-1)
+    for bits in ([1.5], [True, 0], [1, "1"]):
+        with pytest.raises(TypeError, match="bits must be integers"):
+            Q2Series(bits)
+    assert Q2Series([3, -1, 2], 4).bits == [1, 1, 0, 0, 0]
+    assert Q2Series(iter([1, 0, 1]), 1).bits == [1, 0]
 
 
 def test_equality_with_constants():
