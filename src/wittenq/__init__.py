@@ -11,7 +11,7 @@ from .errors import (CapsMismatchError, DimensionError,
                      InsufficientDegreeError, NonIntegralError,
                      OrderMismatchError)
 from .qseries import QSeries, Q2Series, rat
-from .nilring import NilPoly, subst_linear
+from .nilring import NilPoly
 from .theta import (ThetaKind, jacobi_check, numeric_theta,
                     numeric_transform_suite, phi, psi, psi_product,
                     x_over_phi)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapsMismatchError", "DimensionError", "InsufficientDegreeError",
     "NonIntegralError", "OrderMismatchError",
-    "QSeries", "Q2Series", "rat", "NilPoly", "subst_linear",
+    "QSeries", "Q2Series", "rat", "NilPoly",
     "ThetaKind", "jacobi_check", "numeric_theta",
     "numeric_transform_suite", "phi", "psi", "psi_product", "x_over_phi",
     "lemma42_check", "lemma42_report", "lfactor_4k", "lfactor_4k2",

@@ -28,14 +28,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .qseries import QSeries, XSeries
+from .qseries import QSeries, XSeries, _check_int
 from .theta import _granular
-
-
-def _check_sizes(name, **sizes):
-    for arg, value in sizes.items():
-        if value < 0:
-            raise ValueError(f"{name} needs {arg} >= 0, got {arg}={value}")
 
 
 def _terms(sign, first, q_order):
@@ -108,10 +102,15 @@ def _weights(x_order):
     return tables
 
 
-def _evaluate(kind, cols, x_order, q_order):
+def _build(kind, pairs, x_order, q_order, inverse=False):
     """prefactor(kind) * sum_d cols[d] * w^d at w = (2 sinh(x/2))^2, to
-    x^x_order, for int q-columns cols: each coefficient reduced once."""
-    by_q = list(zip(*cols))
+    x^x_order, each coefficient reduced once; cols are the int q-columns
+    of the product of the pairs at `_terms`(sign, first) for each
+    (sign, first) in pairs, or of its inverse (`_pair_columns`)."""
+    _check_int(x_order, "x_order")
+    _check_int(q_order, "q_order")
+    terms = [t for sign, first in pairs for t in _terms(sign, first, q_order)]
+    by_q = list(zip(*_pair_columns(terms, x_order // 2, q_order, inverse)))
     zero, mul = QSeries.zero(q_order), operator.mul
     return XSeries(
         QSeries._make([sum(map(mul, row, v)) for v in by_q], d, q_order)
@@ -125,10 +124,7 @@ def root_factor(x_order, q_order):
     The inverse pairs are Sym_{q^2m}(L + L*) normalized by its rank series;
     the whole thing equals x/Phi(x) but is assembled from the bundle side.
     """
-    _check_sizes("root_factor", x_order=x_order, q_order=q_order)
-    cols = _pair_columns(_terms(-1, 2, q_order), x_order // 2, q_order,
-                         inverse=True)
-    return _evaluate("root", cols, x_order, q_order)
+    return _build("root", [(-1, 2)], x_order, q_order, inverse=True)
 
 
 def lfactor_4k(x_order, q_order):
@@ -136,11 +132,7 @@ def lfactor_4k(x_order, q_order):
 
     cosh(x/2) * prod Lambda-pairs at +q^2m, -q^(2m-1), +q^(2m-1).
     """
-    _check_sizes("lfactor_4k", x_order=x_order, q_order=q_order)
-    terms = (_terms(1, 2, q_order) + _terms(-1, 1, q_order)
-             + _terms(1, 1, q_order))
-    cols = _pair_columns(terms, x_order // 2, q_order)
-    return _evaluate("cosh", cols, x_order, q_order)
+    return _build("cosh", [(1, 2), (-1, 1), (1, 1)], x_order, q_order)
 
 
 def lfactor_4k2(x_order, q_order):
@@ -148,16 +140,12 @@ def lfactor_4k2(x_order, q_order):
 
     Equals Phi(x)/2; the halving is the Jacobi triple-null cancellation.
     """
-    _check_sizes("lfactor_4k2", x_order=x_order, q_order=q_order)
-    cols = _pair_columns(_terms(-1, 2, q_order), x_order // 2, q_order)
-    return _evaluate("sinh", cols, x_order, q_order)
+    return _build("sinh", [(-1, 2)], x_order, q_order)
 
 
 def psi1_factor(x_order, q_order):
     """Psi_1 = cosh(x/2) * prod Lambda-pairs at +q^2m, from the bundle side."""
-    _check_sizes("psi1_factor", x_order=x_order, q_order=q_order)
-    cols = _pair_columns(_terms(1, 2, q_order), x_order // 2, q_order)
-    return _evaluate("cosh", cols, x_order, q_order)
+    return _build("cosh", [(1, 2)], x_order, q_order)
 
 
 # -- the cancellation lemma -------------------------------------------
@@ -177,7 +165,7 @@ def lemma42_report(q_order, flip_sign=False):
     Returns a report dict; 'quotient_q2' is the q^2-coefficient of the
     w^1-part divided by 2, a small sanity value (-1 for the true lemma).
     """
-    _check_sizes("lemma42_report", q_order=q_order)
+    _check_int(q_order, "q_order")
     cap = q_order // 2  # one w-degree per pair: nothing is truncated
     first = _pair_columns(_terms(-1, 2, q_order), cap, q_order)
     second = _pair_columns(_terms(1, 2, q_order), cap, q_order)

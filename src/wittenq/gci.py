@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DimensionError
+from .qseries import _check_int
 
 
 def _ints(v, what):
@@ -40,10 +41,7 @@ class GCIData:
         if not isinstance(D, (list, tuple)):
             raise TypeError(f"D must be a list of degree rows, got {D!r}")
         D = tuple([_ints(row, "a degree row") for row in D])
-        if type(q_order) is not int:
-            raise TypeError(f"q_order must be an integer, got {q_order!r}")
-        if q_order < 0:
-            raise ValueError(f"q_order must be >= 0, got {q_order}")
+        _check_int(q_order, "q_order")
         s = len(n)
         if min(n, default=1) < 1:
             raise ValueError("ambient dimensions must be >= 1")

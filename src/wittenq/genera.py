@@ -43,8 +43,9 @@ columns and exponential weights inside `theta` and the w-power table
 inside `bundles` are cached.
 
 The "bundle" route builds one factor per root, degree row and twist from
-the symmetric/exterior-power characters of `bundles` and assembles them
-with the same nilring primitives.
+the symmetric/exterior-power characters of `bundles`, takes each root
+power (x/Phi)^(n_b+1) by Miller's recurrence on q-series (`_root_power`)
+and assembles them with the same nilring primitives.
 """
 from __future__ import annotations
 
@@ -57,9 +58,9 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .nilring import (NilPoly, _times_linear, contract_axes, mul_univariate,
+from .nilring import (_times_linear, contract_axes, mul_univariate,
                       rank_pair_mul, top_product)
-from .qseries import QSeries, Q2Series
+from .qseries import QSeries, Q2Series, _check_int, conv_add
 from .theta import ThetaKind
 
 
@@ -164,11 +165,22 @@ def _theta_residue(g: GCIData, phi_rows, logs):
 # -- bundle route: one factor per builder ------------------------------
 
 def _root_power(cap, q_order):
-    """(x/Phi)^(cap+1) truncated at x-degree cap (higher powers die at the
-    cap), a power in H*(CP^cap) taken as a one-generator NilPoly."""
-    root = _factor(bundles.root_factor, theta._granular(cap), q_order)
-    power = NilPoly.from_univariate(root, 0, (cap,), q_order) ** (cap + 1)
-    return tuple(power.coeffs)
+    """g = f^(cap+1) for f = x/Phi to x^cap (higher powers die at the cap)
+    by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7): f is even with
+    f_0 = 1, so g_0 = 1, g_odd = 0 and n g_n = sum over even k <= n of
+    ((cap + 2) k - n) f_k g_(n-k), summed on ints over one lcm."""
+    f = _factor(bundles.root_factor, theta._granular(cap), q_order)
+    g = [QSeries.one(q_order)] + [QSeries.zero(q_order)] * cap
+    for n in range(2, cap + 1, 2):
+        ks = range(2, n + 1, 2)
+        dens = [f[k].den * g[n - k].den for k in ks]
+        den = math.lcm(*dens)
+        num = [0] * (q_order + 1)
+        for k, d in zip(ks, dens):
+            c = ((cap + 2) * k - n) * (den // d)
+            conv_add(num, [c * x for x in f[k].num], g[n - k].num)
+        g[n] = QSeries._make(num, n * den, q_order)
+    return tuple(g)
 
 
 def _residue(g: GCIData, axes, specs):
@@ -279,9 +291,11 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
         raise DimensionError(
             f"mod 2 Witten genus needs real dim = 2 mod 8, got {rdim}")
     rows = even_rows(g)
-    if even_row is not None and even_row not in rows:
-        raise ValueError(
-            f"even_row {even_row} is not a nonzero all-even degree row")
+    if even_row is not None:
+        _check_int(even_row, "even_row")
+        if even_row not in rows:
+            raise ValueError(
+                f"even_row {even_row} is not a nonzero all-even degree row")
     if not all(any(row) for row in g.D):
         precursor = QSeries.zero(g.q_order)
     else:

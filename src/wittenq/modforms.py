@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import theta
-from .qseries import QSeries, _check_order, q_product
+from .qseries import QSeries, _check_int, q_product
 
 
 def sigma(k, n):
@@ -34,11 +34,10 @@ def eisenstein(k, order):
     E_k is G_k / G_k(0), read on ints from `theta.eisenstein_g`(k/2) at
     twice the order: its even entries over its constant term.
     """
+    _check_int(k, "k")
     if k not in (2, 4, 6):
         raise ValueError(f"unsupported Eisenstein weight {k}")
-    if order < 0:
-        raise ValueError(f"eisenstein needs order >= 0, got k={k}, "
-                         f"order={order}")
+    _check_int(order)
     num = theta.eisenstein_g(k // 2, 2 * order).num
     sign = 1 if num[0] > 0 else -1
     return QSeries._make([sign * c for c in num[::2]], abs(num[0]), order)
@@ -50,6 +49,7 @@ def lift(tilde, q_order):
     The result is known to q^(2 * tilde.order + 1); a longer q_order, or
     a negative one, raises ValueError.
     """
+    _check_int(q_order, "q_order", None)
     if not 0 <= q_order <= 2 * tilde.order + 1:
         raise ValueError(f"lift of a q-tilde series to order {tilde.order} "
                          f"needs 0 <= q_order <= {2 * tilde.order + 1}, "
@@ -66,6 +66,7 @@ def restrict(series, tilde_order):
     The result is known to q-tilde^(series.order // 2); a longer
     tilde_order, or a negative one, raises ValueError.
     """
+    _check_int(tilde_order, "tilde_order", None)
     if not 0 <= tilde_order <= series.order // 2:
         raise ValueError(f"restrict of a q-series to order {series.order} "
                          f"needs 0 <= tilde_order <= {series.order // 2}, "
@@ -76,23 +77,25 @@ def restrict(series, tilde_order):
 
 def weight_basis(weight):
     """Exponent pairs (a, b) with 4a + 6b = weight, sorted by descending a."""
-    if weight < 0 or weight % 2:
-        raise ValueError("weight must be a nonnegative even integer")
+    _check_int(weight, "weight")
+    if weight % 2:
+        raise ValueError(f"weight must be even, got {weight}")
     pairs = [(a, (weight - 4 * a) // 6)
              for a in range(weight // 4, -1, -1)
              if (weight - 4 * a) % 6 == 0]
     return pairs
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def monomial(a, b, order):
     """E4^a E6^b in q-tilde to the given order: one product of the cached
     monomial one E6 (or, at b = 0, one E4) shorter and that factor, so the
     fits share one table of the basis forms.  A negative a, b or order
-    raises ValueError."""
-    if a < 0 or b < 0:
-        raise ValueError(f"exponents must be >= 0, got a={a}, b={b}")
-    _check_order(order)
+    raises ValueError, one that is not a plain int TypeError (the cache
+    is typed, so True is not a hit for 1)."""
+    _check_int(a, "a")
+    _check_int(b, "b")
+    _check_int(order)
     if b:
         return monomial(a, b - 1, order) * eisenstein(6, order)
     if a:
@@ -183,10 +186,11 @@ def theta_constant_e4_check(order, exponent=8):
     Works in q to order 2*order and compares against E4 in q-tilde.
     exponent != 8 serves as a negative control (and for exponents not
     divisible by 4 the q^(1/4) prefactor is coarsened, which breaks the
-    identity by construction, as a control should).  A negative order
-    raises ValueError.
+    identity by construction, as a control should).  A negative order or
+    exponent raises ValueError.
     """
-    _check_order(order)
+    _check_int(order)
+    _check_int(exponent, "exponent")
     q_order = 2 * order
     t1, t2, t3 = _null_products(q_order)
     # (2 q^(1/4))^exponent: for exponent 8 this is the classical 256 q^2

@@ -8,19 +8,17 @@ monomial and none all zero, over one positive int denominator, reduced
 so that gcd(den, every numerator) = 1; equal values have equal
 representations, so equality and hashing are value-based.  `terms` is
 the QSeries view, each coefficient reduced on its own; of the arithmetic
-only the general product reads it.  The theta and bundle factors are not NilPolys: each is
-a tuple of its QSeries coefficients by x-degree (`qseries.XSeries`),
-which the kernels below read directly; `from_univariate` makes one a
-one-generator NilPoly with cap N, a power series in x truncated after
-x^N, where a ring operation is needed (the root powers (x/Phi)^(n+1) in
-H*(CP^n)).
+only the general product reads it.  The theta and bundle factors are not
+NilPolys: each is a tuple of its QSeries coefficients by x-degree
+(`qseries.XSeries`), which the kernels below read directly;
+`from_univariate` makes one a one-generator NilPoly with cap N, a power
+series in x truncated after x^N.
 
 The general product sums the kept pairs of each output monomial with
 `qseries.conv_add` over the lcm of their denominators, each monomial of
 both factors and of the product reduced on its own, and puts the result
-over one denominator at the end.  In the package it serves the middle
-pieces of a residue and `genera._root_power`'s one-generator powers
-(there it measured faster than `mul_univariate`).  There is no inverse.
+over one denominator at the end.  In the package it serves only the
+middle pieces of a residue of more than two pieces.  There is no inverse.
 
 The residue kernels below read a NilPoly's numerators directly and
 reduce their output once, by one common gcd, not per monomial.
@@ -34,10 +32,11 @@ step by g (g = 2 for the even and odd theta factors) each level peels
 ell^g, so the degrees that no term reaches are skipped.  Per level one
 table of int q-products, its all-zero q-rows left out, turns the
 weights into numerators by int dot products, which is far cheaper than
-termwise ring multiplication; subst_linear is its case f_b = 1,
-ell_b = 0.  mul_univariate multiplies by a series in one generator,
-top_product contracts two NilPolys to the top coefficient, and
-contract_axes contracts one against a series on each axis.
+termwise ring multiplication; with f_b = 1 at ell_b = 0 it evaluates
+one series at a linear form.  mul_univariate multiplies by a series in
+one generator, top_product contracts two NilPolys to the top
+coefficient, and contract_axes contracts one against a series on each
+axis.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      OrderMismatchError)
-from .qseries import QSeries, _check_order, conv_add, power
+from .qseries import QSeries, _check_int, conv_add, power
 
 
 class NilPoly:
@@ -58,12 +57,10 @@ class NilPoly:
 
     def __init__(self, caps, q_order, terms=None):
         """terms maps exponent tuples to QSeries or rational scalars."""
-        _check_order(q_order)
+        _check_int(q_order)
         caps = tuple(caps)
-        if not all(type(c) is int for c in caps):
-            raise TypeError(f"caps must be integers, got {caps!r}")
-        if any(c < 0 for c in caps):
-            raise ValueError(f"caps must be >= 0, got {caps}")
+        for b, c in enumerate(caps):
+            _check_int(c, f"caps[{b}]")
         series = {}
         for e, c in (terms or {}).items():
             e = tuple(e)
@@ -253,18 +250,6 @@ class NilPoly:
             mono = "*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k) or "1"
             parts.append(f"({c!r})*{mono}")
         return f"NilPoly[caps={self.caps}]({' + '.join(parts) or '0'})"
-
-
-def subst_linear(f_coeffs, d, caps, q_order):
-    """Evaluate a univariate series f at the linear form sum_b d_b * x_b.
-
-    f_coeffs is a sequence of QSeries indexed by x-degree and must reach
-    total degree sum(caps); d is an integer vector of length s.  Each ring
-    monomial x^e receives f_{|e|} times the integer [x^e] ell^|e|: the
-    rank_pair_mul product with the constant 1 at the zero form.
-    """
-    one = [QSeries.one(q_order)] + [QSeries.zero(q_order)] * sum(caps)
-    return rank_pair_mul(f_coeffs, d, one, (0,) * len(caps), caps, q_order)
 
 
 def _over_one_den(series):

@@ -41,8 +41,7 @@ def rat(v):
 def power(base, k, one):
     """base ** k by repeated squaring, `one` being the unit of base's ring;
     a negative k raises ValueError (there is no inverse)."""
-    if k < 0:
-        raise ValueError(f"no power {k}: the exponent must be >= 0")
+    _check_int(k, "exponent")
     result = one
     while k:
         if k & 1:
@@ -53,11 +52,14 @@ def power(base, k, one):
     return result
 
 
-def _check_order(order):
-    if type(order) is not int:  # bool refused
-        raise TypeError(f"order must be an integer, got {order!r}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+def _check_int(value, name="order", least=0):
+    """The package's one check of an integer argument: TypeError unless
+    value is a plain int (a bool is refused), ValueError if it is below
+    least (None: no bound)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def conv_add(out, a, b):
@@ -77,7 +79,7 @@ def conv_add(out, a, b):
 def q_product(factors, order):
     """prod (1 + sign*q^e) over the (sign, e) pairs, e >= 1, to q^order,
     one in-place int update per factor (a factor with e > order is 1)."""
-    _check_order(order)
+    _check_int(order)
     num = [1] + [0] * order
     for sign, e in factors:
         for i in range(order, e - 1, -1):
@@ -100,7 +102,7 @@ class QSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
-        _check_order(order)
+        _check_int(order)
         if all(type(c) is int for c in coeffs):
             num, den = coeffs[: order + 1], 1
         else:
@@ -131,12 +133,12 @@ class QSeries:
 
     @classmethod
     def zero(cls, order):
-        _check_order(order)
+        _check_int(order)
         return cls._make([0] * (order + 1), 1, order)
 
     @classmethod
     def one(cls, order):
-        _check_order(order)
+        _check_int(order)
         return cls._make([1] + [0] * order, 1, order)
 
     @classmethod
@@ -147,9 +149,7 @@ class QSeries:
     def monomial(cls, value, exponent, order):
         """value * q^exponent, truncated (zero if exponent > order);
         a negative exponent raises ValueError."""
-        if exponent < 0:
-            raise ValueError(f"no monomial q^{exponent}: exponent must be "
-                             ">= 0")
+        _check_int(exponent, "exponent")
         if exponent > order:
             return cls.zero(order)
         coeffs = [0] * (order + 1)
@@ -165,8 +165,7 @@ class QSeries:
 
     def coefficient(self, k):
         """The coefficient of q^k, 0 above the order; k < 0 raises ValueError."""
-        if k < 0:
-            raise ValueError(f"no coefficient of q^{k}: k must be >= 0")
+        _check_int(k, "k")
         return Fraction(self.num[k] if k <= self.order else 0, self.den)
 
     def is_zero(self):
@@ -185,7 +184,7 @@ class QSeries:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        _check_order(order)
+        _check_int(order)
         return QSeries._make(self.num[: order + 1], self.den, order)
 
     # -- arithmetic ---------------------------------------------------
@@ -281,7 +280,7 @@ class Q2Series:
         if not {int}.issuperset(map(type, bits)):
             raise TypeError(f"bits must be integers, got {bits!r}")
         order = len(bits) - 1 if order is None else order
-        _check_order(order)
+        _check_int(order)
         self.order, self.bits = order, [b % 2 for b in bits[: order + 1]]
         self.bits += [0] * (order + 1 - len(bits))
 

@@ -20,6 +20,7 @@ from operator import ge
 from typing import Optional
 
 from .gci import GCIData, codim_ok, condition_report, dims
+from .qseries import _check_int
 
 
 @dataclass
@@ -39,17 +40,12 @@ class SearchQuery:
         even int >= 0, positive and require_codim bools."""
         for name, least in (("s_max", 1), ("t_max", 1), ("d_max", 1),
                             ("c_max", 0), ("q_order", 0)):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            _check_int(getattr(self, name), name, least)
         dim = self.target_real_dim
-        if dim is not None and type(dim) is not int:
-            raise TypeError("target_real_dim must be an integer or None, "
-                            f"got {dim!r}")
-        if dim is not None and (dim < 0 or dim % 2):
-            raise ValueError(f"target_real_dim must be even, >= 0: {dim}")
+        if dim is not None:
+            _check_int(dim, "target_real_dim")
+            if dim % 2:
+                raise ValueError(f"target_real_dim must be even, got {dim}")
         for name in ("positive", "require_codim"):
             value = getattr(self, name)
             if type(value) is not bool:

@@ -46,7 +46,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .qseries import QSeries, XSeries, q_product
+from .qseries import QSeries, XSeries, _check_int, q_product
 
 
 class ThetaKind(enum.IntEnum):
@@ -109,10 +109,7 @@ def _tables(x_order):
 def bernoulli(n):
     """The Bernoulli number B_n (B_1 = -1/2) of an int n >= 0, read from
     B_2k/2k in `_tables`; any other n raises TypeError or ValueError."""
-    if type(n) is not int:
-        raise TypeError(f"Bernoulli numbers need an int n, got {n!r}")
-    if n < 0:
-        raise ValueError(f"Bernoulli numbers need n >= 0, got {n}")
+    _check_int(n, "n")
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
@@ -124,9 +121,8 @@ def bernoulli(n):
 def eisenstein_g(k, q_order):
     """G_2k(q^2) = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^(2N), k >= 1: the
     x/Phi log column k over 2 d_k (see `_log_columns`)."""
-    if k < 1 or q_order < 0:
-        raise ValueError(f"eisenstein_g needs k >= 1 and q_order >= 0, "
-                         f"got k={k}, q_order={q_order}")
+    _check_int(k, "k", 1)
+    _check_int(q_order, "q_order")
     xg = _granular(2 * k)
     col = _log_columns(ThetaKind.THETA, xg, q_order)[k]
     return QSeries._make(list(col), 2 * _tables(xg)[0][k][1], q_order)
@@ -187,7 +183,8 @@ def direction_series(terms, r, x_order, q_order):
     p_2k = sum coef * m^2k; it is even in y with no constant term, so
     f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
     n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order;
-    a negative r, x_order or q_order, or another kind, raises ValueError.
+    a negative r, x_order or q_order, or another kind, raises ValueError,
+    and a size, coef or m that is not a plain int raises TypeError.
 
     The recurrence runs on int columns.  With g_n = n! f_n and
     Lambda_2k = (2k)! L_2k it reads
@@ -207,14 +204,15 @@ def direction_series(terms, r, x_order, q_order):
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
     """
-    if min(r, x_order, q_order) < 0:
-        raise ValueError(f"direction_series needs r, x_order and q_order "
-                         f">= 0, got r={r}, x_order={x_order}, "
-                         f"q_order={q_order}")
+    _check_int(r, "r")
+    _check_int(x_order, "x_order")
+    _check_int(q_order, "q_order")
     powers = {}
     for kind, coef, m in terms:
         if not isinstance(kind, ThetaKind):  # 0 == THETA keys its columns
             raise ValueError(f"no logarithm for {kind!r}")
+        _check_int(coef, "coef", None)
+        _check_int(m, "m", None)
         powers.setdefault(kind, []).append((coef, m))
     zero = QSeries.zero(q_order)
     if r > x_order:
@@ -334,7 +332,8 @@ def numeric_theta(kind, z, tau, terms=None):
     (|q|^(2J+1) (|e| + 1/|e|) + |q|^(2J+2)) / (1 - |q|^2) >= sum |u_j| over
     the dropped factors 1 + u_j is below 2^-60: 4 to 14 at the suite's 150
     points.  A point that needs more than _MAX_TERMS, a kind that is not a
-    ThetaKind, or a negative `terms` raises ValueError.
+    ThetaKind, or a negative `terms` raises ValueError; `terms` that is
+    not a plain int raises TypeError.
     """
     if not isinstance(kind, ThetaKind):
         raise ValueError(f"no theta function {kind!r}")
@@ -351,8 +350,8 @@ def numeric_theta(kind, z, tau, terms=None):
         if terms < 0:
             raise ValueError(f"theta at tau={tau} needs over {_MAX_TERMS} "
                              f"factors")
-    elif terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
+    else:
+        _check_int(terms, "terms")
     if kind == ThetaKind.THETA:
         val = 2 * cmath.exp(1j * math.pi * tau / 4) * cmath.sin(math.pi * z)
     elif kind == ThetaKind.THETA1:

@@ -248,14 +248,14 @@ def test_builders_at_q_order_zero(x_order):
                                   "psi1_factor"])
 def test_builders_refuse_negative_sizes(name):
     build = getattr(bundles, name)
-    with pytest.raises(ValueError, match=f"{name} needs x_order >= 0"):
+    with pytest.raises(ValueError, match="^x_order must be >= 0, got -2$"):
         build(-2, 3)
-    with pytest.raises(ValueError, match=f"{name} needs q_order >= 0"):
+    with pytest.raises(ValueError, match="^q_order must be >= 0, got -2$"):
         build(3, -2)
-    with pytest.raises(ValueError, match="x_order >= 0, got x_order=-1"):
+    with pytest.raises(ValueError, match="^x_order must be >= 0, got -1$"):
         build(-1, -1)
 
 
 def test_lemma42_refuses_negative_q_order():
-    with pytest.raises(ValueError, match="q_order >= 0"):
+    with pytest.raises(ValueError, match="^q_order must be >= 0, got -1$"):
         lemma42_report(-1)

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import types
 from fractions import Fraction
 
@@ -133,21 +134,26 @@ def test_bernoulli_values_and_domain():
     assert theta.bernoulli(12) == Fraction(-691, 2730)
     assert all(theta.bernoulli(n) == 0 for n in range(3, 60, 2))
     for n in (-1, -2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
             theta.bernoulli(n)
     # True was read as 1 (B_1 = -1/2), and 2.0 failed with an unrelated
     # TypeError
     for n in (True, False, 2.0, Fraction(4)):
-        with pytest.raises(TypeError, match="int n"):
+        with pytest.raises(TypeError, match=re.escape(
+                f"n must be an integer, got {n!r}")):
             theta.bernoulli(n)
 
 
 @pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2), (0, 4)])
 def test_direction_series_refuses_negative_sizes(r, x_order):
-    # a negative q-order is refused too, and alone at (0, 4)
+    # a negative q-order is refused too, and alone at (0, 4); the first
+    # negative size is named
     for q_order in (4, -1) if min(r, x_order) < 0 else (-1,):
+        name, value = next((name, value) for name, value in
+                           (("r", r), ("x_order", x_order),
+                            ("q_order", q_order)) if value < 0)
         with pytest.raises(ValueError,
-                           match="needs r, x_order and q_order >= 0"):
+                           match=f"^{name} must be >= 0, got {value}$"):
             theta.direction_series([(K.THETA, 1, 1)], r, x_order, q_order)
 
 
@@ -162,13 +168,15 @@ def test_factors_refuse_negative_x_order():
 def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
     # these raised IndexError or ZeroDivisionError, or built a series of
     # order -1
-    for build in (lambda: theta.phi(4, -1), lambda: theta.psi_product(2, -3),
-                  lambda: genera.sigma1_series(-1),
-                  lambda: theta.eisenstein_g(1, -1)):
-        with pytest.raises(ValueError, match="q_order >= 0"):
+    for build, q_order in ((lambda: theta.phi(4, -1), -1),
+                           (lambda: theta.psi_product(2, -3), -3),
+                           (lambda: genera.sigma1_series(-1), -1),
+                           (lambda: theta.eisenstein_g(1, -1), -1)):
+        with pytest.raises(ValueError,
+                           match=f"^q_order must be >= 0, got {q_order}$"):
             build()
     for k in (0, -2):
-        with pytest.raises(ValueError, match="k >= 1"):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             theta.eisenstein_g(k, 4)
 
 

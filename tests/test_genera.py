@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenq import genera, theta
+from wittenq import bundles, genera, theta
 from wittenq.errors import DimensionError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
@@ -439,3 +439,16 @@ def test_dim4_closed_form_on_enumeration():
         assert dim4_closed_form(g, use_c=True) == wc_genus(g).coeffs
         count += 1
     assert count > 1000
+
+
+@pytest.mark.parametrize("q_order", [0, 1, 4, 12])
+def test_root_power_equals_the_nilpoly_power(q_order):
+    # Miller's recurrence against the ring power in H*(CP^cap), as
+    # (num, den, order) of every coefficient
+    for cap in (0, 1, 2, 3, 5, 8, 13, 21, 38, 64):
+        root = genera._factor(bundles.root_factor, theta._granular(cap),
+                              q_order)
+        power = NilPoly.from_univariate(root, 0, (cap,), q_order) ** (cap + 1)
+        got = genera._root_power(cap, q_order)
+        assert [(c.num, c.den, c.order) for c in got] == \
+            [(c.num, c.den, c.order) for c in power.coeffs]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from series_inverse import inv_poly
 from wittenq.errors import CapsMismatchError, InsufficientDegreeError
 from wittenq.nilring import (NilPoly, contract_axes, mul_univariate,
-                             rank_pair_mul, subst_linear, top_product)
+                             rank_pair_mul, top_product)
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
 
@@ -152,6 +152,13 @@ def test_inv_unit_requires_unit_constant():
         inv_poly(x)
 
 
+def _paired_with_one(f, d, caps, qo):
+    """f(sum_b d_b x_b) as `genera._residue` takes it for an odd factor:
+    the rank_pair_mul product with the constant 1 at the zero form."""
+    one = [QSeries.one(qo)] + [QSeries.zero(qo)] * sum(caps)
+    return rank_pair_mul(f, d, one, (0,) * len(caps), caps, qo)
+
+
 def test_subst_linear_against_horner_oracle():
     def check(f, d, caps, qo):
         ell = NilPoly.zero(caps, qo)
@@ -160,7 +167,7 @@ def test_subst_linear_against_horner_oracle():
         expect = NilPoly.zero(caps, qo)
         for k in range(sum(caps), -1, -1):  # Horner evaluation of f at ell
             expect = expect * ell + NilPoly.constant(caps, f[k])
-        assert subst_linear(f, d, caps, qo) == expect
+        assert _paired_with_one(f, d, caps, qo) == expect
 
     rng = random.Random(33)
     for _ in range(8):
@@ -179,25 +186,25 @@ def test_subst_linear_against_horner_oracle():
 def test_subst_linear_insufficient_degree():
     f = [QSeries.one(2)]
     with pytest.raises(InsufficientDegreeError):
-        subst_linear(f, [1, 1], (1, 1), 2)
+        _paired_with_one(f, [1, 1], (1, 1), 2)
 
 
 def test_subst_linear_accepts_longer_series():
     rng = random.Random(44)
     caps, qo = (2, 1), 2
     f = _random_uni(rng, 10, qo)
-    a = subst_linear(f, [2, -1], caps, qo)
-    b = subst_linear(f[: sum(caps) + 1], [2, -1], caps, qo)
+    a = _paired_with_one(f, [2, -1], caps, qo)
+    b = _paired_with_one(f[: sum(caps) + 1], [2, -1], caps, qo)
     assert a == b
 
 
 def test_linear_weights_multinomial():
     # the all-ones series at x + y carries C(i+j, i) at x^i y^j
     ones = [QSeries.one(0)] * 5
-    p = subst_linear(ones, [1, 1], (2, 2), 0)
+    p = _paired_with_one(ones, [1, 1], (2, 2), 0)
     assert p.terms == {(i, j): QSeries.constant(math.comb(i + j, i), 0)
                        for i in range(3) for j in range(3)}
-    assert subst_linear(ones[:3], [0], (2,), 0) == NilPoly.one((2,), 0)
+    assert _paired_with_one(ones[:3], [0], (2,), 0) == NilPoly.one((2,), 0)
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 1, 1)], ids=["short", "long"])
@@ -209,7 +216,7 @@ def test_rank_pair_mul_refuses_direction_of_wrong_arity(bad):
     with pytest.raises(ValueError):
         rank_pair_mul(f, (1, 1), f, bad, caps, qo)
     with pytest.raises(ValueError):
-        subst_linear(f, bad, caps, qo)
+        _paired_with_one(f, bad, caps, qo)
 
 
 def test_rank_pair_mul_matches_naive_product():
@@ -230,7 +237,7 @@ def test_rank_pair_mul_matches_naive_product():
         da = [rng.randint(-3, 3) for _ in caps]
         db = [rng.randint(-3, 3) for _ in caps]
         got = rank_pair_mul(fa, da, fb, db, caps, qo)
-        expect = subst_linear(fa, da, caps, qo) * subst_linear(fb, db, caps, qo)
+        expect = _at_form(fa, da, caps, qo) * _at_form(fb, db, caps, qo)
         assert got == expect
 
 
@@ -287,7 +294,7 @@ def test_rank_pair_mul_on_theta_factors(caps, pairs):
     for a, da, b, db in pairs:
         expect = _at_form(f[a], da, caps, qo) * _at_form(f[b], db, caps, qo)
         assert rank_pair_mul(f[a], da, f[b], db, caps, qo) == expect
-    assert subst_linear(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
+    assert _paired_with_one(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
         _at_form(f["phi"], (1, 0, -1)[:len(caps)], caps, qo)
 
 

@@ -9,8 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from series_inverse import inv_series
+from wittenq import bundles, modforms, theta
 from wittenq.errors import NonIntegralError, OrderMismatchError
+from wittenq.gci import GCIData
+from wittenq.genera import mod2_witten
 from wittenq.qseries import Q2Series, QSeries, q_product, rat
+from wittenq.theta import ThetaKind
 
 
 def _random_series(rng, order, int_only=False):
@@ -410,3 +414,44 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
         assert x == y and hash(x) == hash(y)
         assert _canonical(x) and _canonical(y)
     assert (A - A).den == 1
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: theta.eisenstein_g(True, 2), "k", True),
+    (lambda: theta.eisenstein_g(1.5, 2), "k", 1.5),
+    (lambda: theta.eisenstein_g(2, 2.0), "q_order", 2.0),
+    (lambda: theta.phi(True, 2), "x_order", True),
+    (lambda: theta.direction_series([(ThetaKind.THETA, True, 1)], 0, 4, 2),
+     "coef", True),
+    (lambda: bundles.root_factor(True, 2), "x_order", True),
+    (lambda: bundles.lemma42_report(True), "q_order", True),
+    (lambda: modforms.eisenstein(4, True), "order", True),
+    (lambda: modforms.eisenstein(4.0, 2), "k", 4.0),
+    (lambda: modforms.monomial(True, 0, 2), "a", True),
+    (lambda: QSeries.monomial(1, True, 4), "exponent", True),
+    (lambda: QSeries([1, 2, 3]).coefficient(True), "k", True),
+    (lambda: QSeries([1, 1], 3) ** True, "exponent", True),
+    (lambda: modforms.weight_basis(4.0), "weight", 4.0),
+    (lambda: modforms.lift(modforms.eisenstein(4, 3), True), "q_order", True),
+    (lambda: modforms.restrict(QSeries([1, 2, 3]), 1.0), "tilde_order", 1.0),
+    (lambda: theta.numeric_theta(ThetaKind.THETA, 0.1, 1j, terms=True),
+     "terms", True),
+    (lambda: mod2_witten(GCIData([9], [[2], [2]], q_order=4), even_row=True,
+                         strict=False), "even_row", True),
+    (lambda: modforms.theta_constant_e4_check(4, exponent=True), "exponent",
+     True),
+], ids=["eisenstein_g-k-bool", "eisenstein_g-k-float",
+        "eisenstein_g-q_order-float", "phi", "direction_series-coef",
+        "root_factor", "lemma42_report", "eisenstein", "eisenstein-k",
+        "monomial", "QSeries.monomial", "coefficient", "power",
+        "weight_basis", "lift", "restrict", "numeric_theta", "mod2_witten",
+        "theta_constant_e4_check"])
+def test_integer_arguments_refuse_bools_and_floats(call, name, value):
+    # each of these returned a value or failed with an unrelated error:
+    # mod2_witten took True as row 1, lift built a series of q-order True,
+    # and monomial(True, 0, 2) read the cached monomial(1, 0, 2), warmed
+    # here
+    modforms.monomial(1, 0, 2)
+    with pytest.raises(TypeError,
+                       match=f"^{name} must be an integer, got {value!r}$"):
+        call()

@@ -9,7 +9,7 @@ import pytest
 
 from series_inverse import inv_poly
 from wittenq import theta
-from wittenq.nilring import NilPoly, subst_linear
+from wittenq.nilring import NilPoly, rank_pair_mul
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind
 
@@ -43,8 +43,9 @@ def test_uniseries_inv_and_scale():
     x = NilPoly.generator((6,), 0, 4)
     u = NilPoly.one((6,), 4) + x
     assert u * inv_poly(u) == NilPoly.one((6,), 4)
-    # (1 + x) at the linear form 3x is 1 + 3x
-    s = subst_linear(u.coeffs, [3], (6,), 4)
+    # (1 + x) at the linear form 3x, times 1 at the zero form, is 1 + 3x
+    one = NilPoly.one((6,), 4).coeffs
+    s = rank_pair_mul(u.coeffs, [3], one, (0,), (6,), 4)
     assert s.coeffs[1] == QSeries.constant(3, 4)
 
 
