@@ -34,7 +34,8 @@ EXIT_INTEGRALITY = 4
 
 
 def nonneg_int(text):
-    """Parse a q-order or c_max given as text: an int >= 0 or ValueError."""
+    """Parse a q-order, c_max or even row given as text: an int >= 0 or
+    ValueError."""
     value = int(text)
     if value < 0:
         raise ValueError(f"{text!r} is negative")
@@ -319,7 +320,7 @@ def build_parser():
     pg.add_argument("--kind", choices=["W", "Wc", "phi2"], default="W")
     pg.add_argument("--q-order", type=nonneg_int, default=None)
     pg.add_argument("--modfit", action="store_true")
-    pg.add_argument("--even-row", type=int, default=None)
+    pg.add_argument("--even-row", type=nonneg_int, default=None)
     pg.add_argument("--out", default=None)
     pg.set_defaults(fn=cmd_genus)
 

@@ -43,7 +43,9 @@ class GCIData:
         D = tuple([_ints(row, "a degree row") for row in D])
         _check_int(q_order, "q_order")
         s = len(n)
-        if min(n, default=1) < 1:
+        if not n:
+            raise ValueError("n must name at least one ambient factor")
+        if min(n) < 1:
             raise ValueError("ambient dimensions must be >= 1")
         if not {s}.issuperset(map(len, D)):
             raise ValueError("degree row length must match number of factors")

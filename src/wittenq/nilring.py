@@ -6,13 +6,13 @@ at a common q-order.  Monomials that overflow a cap are silently dropped.
 A NilPoly is held as int numerator lists (length q_order + 1), one per
 monomial and none all zero, over one positive int denominator, reduced
 so that gcd(den, every numerator) = 1; equal values have equal
-representations, so equality and hashing are value-based.  `terms` is
-the QSeries view, each coefficient reduced on its own; of the arithmetic
-only the general product reads it.  The theta and bundle factors are not
-NilPolys: each is a tuple of its QSeries coefficients by x-degree
-(`qseries.XSeries`), which the kernels below read directly;
-`from_univariate` makes one a one-generator NilPoly with cap N, a power
-series in x truncated after x^N.
+representations, so equality and hashing are value-based.  A NilPoly is
+the kernels' record, built only by `_make`: it has no public constructor,
+and its one ring operation is the general product, which reads `terms`,
+the QSeries view with each coefficient reduced on its own.  The theta and
+bundle factors are not NilPolys: each is a tuple of its QSeries
+coefficients by x-degree (`qseries.XSeries`), which the kernels below
+read directly.
 
 The general product sums the kept pairs of each output monomial with
 `qseries.conv_add` over the lcm of their denominators, each monomial of
@@ -46,43 +46,15 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      OrderMismatchError)
-from .qseries import QSeries, _check_int, conv_add, power
+from .qseries import QSeries, conv_add
 
 
 class NilPoly:
-    """cells: dict mapping exponent tuples (e_1..e_s), e_b <= cap_b, to
-    int numerator lists over the one denominator den."""
+    """The residue kernels' record: cells maps exponent tuples (e_1..e_s),
+    e_b <= cap_b, to int numerator lists over the one denominator den.
+    It has no public constructor: `_make` builds every NilPoly."""
 
     __slots__ = ("caps", "q_order", "cells", "den")
-
-    def __init__(self, caps, q_order, terms=None):
-        """terms maps exponent tuples to QSeries or rational scalars."""
-        _check_int(q_order)
-        caps = tuple(caps)
-        for b, c in enumerate(caps):
-            _check_int(c, f"caps[{b}]")
-        series = {}
-        for e, c in (terms or {}).items():
-            e = tuple(e)
-            if len(e) != len(caps):
-                raise ValueError("exponent tuple arity mismatch")
-            if not {int}.issuperset(map(type, e)):
-                raise TypeError(f"exponents must be integers, got {e!r}")
-            if min(e, default=0) < 0:  # x^-1 would invert a nilpotent
-                raise ValueError(f"exponents must be >= 0, got {e}")
-            if any(map(operator.gt, e, caps)):
-                continue
-            if not isinstance(c, QSeries):
-                c = QSeries.constant(c, q_order)
-            if c.order != q_order:
-                raise OrderMismatchError("coefficient q-order mismatch")
-            if not c.is_zero():
-                series[e] = c
-        # reduced series over the lcm of their denominators stay reduced
-        nums, self.den = _over_one_den(series.values())
-        self.cells = dict(zip(series, nums))
-        self.caps = caps
-        self.q_order = q_order
 
     @classmethod
     def _make(cls, caps, q_order, cells, den):
@@ -99,65 +71,11 @@ class NilPoly:
         obj.caps, obj.q_order, obj.cells, obj.den = caps, q_order, cells, den
         return obj
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, caps, q_order):
-        return cls(caps, q_order)
-
-    @classmethod
-    def constant(cls, caps, value, q_order=None):
-        """value at x^0; the q-order may be left out only for a QSeries
-        value, which carries its own."""
-        if isinstance(value, QSeries):
-            q_order = value.order
-        elif q_order is None:
-            raise ValueError("NilPoly.constant needs a q-order: it may be "
-                             "left out only for a QSeries value")
-        else:
-            value = QSeries.constant(value, q_order)
-        zero_exp = (0,) * len(tuple(caps))
-        return cls(caps, q_order, {zero_exp: value})
-
-    @classmethod
-    def one(cls, caps, q_order):
-        return cls.constant(caps, 1, q_order)
-
-    @classmethod
-    def generator(cls, caps, index, q_order):
-        return cls.from_univariate([0, 1], index, caps, q_order)
-
-    @classmethod
-    def from_univariate(cls, coeffs, index, caps, q_order):
-        """Inject a univariate series (QSeries list by x-degree) at one generator."""
-        unit = [0] * len(tuple(caps))
-        unit[index] = 1
-        return cls(caps, q_order, {tuple(k * u for u in unit): c
-                                   for k, c in enumerate(coeffs)})
-
-    # -- queries ------------------------------------------------------
-
     @property
     def terms(self):
         """The QSeries coefficient of each monomial, in a new dict."""
         return {e: QSeries._make(num, self.den, self.q_order)
                 for e, num in self.cells.items()}
-
-    def is_zero(self):
-        return not self.cells
-
-    @property
-    def coeffs(self):
-        """The QSeries coefficients by x-degree of a one-generator poly."""
-        if len(self.caps) != 1:
-            raise ValueError("coeffs needs a one-generator NilPoly, "
-                             f"caps are {self.caps}")
-        terms, zero = self.terms, QSeries.zero(self.q_order)
-        return [terms.get((k,), zero) for k in range(self.caps[0] + 1)]
-
-    def top_coeff(self):
-        """Coefficient of x_1^cap_1 * ... * x_s^cap_s (the formal residue)."""
-        return self.terms.get(self.caps, QSeries.zero(self.q_order))
 
     def _check(self, other):
         if self.caps != other.caps:
@@ -165,37 +83,10 @@ class NilPoly:
         if self.q_order != other.q_order:
             raise OrderMismatchError("q-order mismatch")
 
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, NilPoly):
-            other = NilPoly.constant(self.caps, other, self.q_order)
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        cells = {e: [sa * x for x in num] for e, num in self.cells.items()}
-        for e, num in other.cells.items():
-            acc = cells.get(e)
-            cells[e] = ([sb * y for y in num] if acc is None
-                        else [x + sb * y for x, y in zip(acc, num)])
-        return NilPoly._make(self.caps, self.q_order, cells, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NilPoly._make(self.caps, self.q_order,
-                             {e: [-x for x in num]
-                              for e, num in self.cells.items()}, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, NilPoly):
-            other = NilPoly.constant(self.caps, other, self.q_order)
-        return self + (-other)
-
     def __mul__(self, other):
-        caps, qo = self.caps, self.q_order
         if not isinstance(other, NilPoly):
-            other = NilPoly.constant(caps, other, qo)
+            return NotImplemented
+        caps, qo = self.caps, self.q_order
         self._check(other)
         add, le = operator.add, operator.le
         # each monomial over its own reduced denominator, as the QSeries
@@ -227,11 +118,6 @@ class NilPoly:
             out[e] = QSeries._make(num, den, qo)
         nums, den = _over_one_den(out.values())
         return NilPoly._make(caps, qo, dict(zip(out, nums)), den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return power(self, k, NilPoly.one(self.caps, self.q_order))
 
     def __eq__(self, other):
         if not isinstance(other, NilPoly):
@@ -320,7 +206,7 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     fb, den_b = _over_one_den(fb_coeffs[:total + 1])
     prog_a, prog_b = _progression(fa), _progression(fb)
     if prog_a is None or prog_b is None:
-        return NilPoly(caps, q_order)
+        return NilPoly._make(caps, q_order, {}, 1)
     (ra, ga, top_a), (rb, gb, top_b) = prog_a, prog_b
     g = math.gcd(ga, gb) or 1
     ta, tb = (top_a - ra) // g, (top_b - rb) // g
@@ -408,7 +294,7 @@ def mul_univariate(poly, coeffs, index):
     factor, den_f = _over_one_den(coeffs[:cap + 1])
     prog = _progression(factor)
     if prog is None:
-        return NilPoly(caps, q_order)
+        return NilPoly._make(caps, q_order, {}, 1)
     k0, g, _ = prog
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
@@ -438,8 +324,8 @@ def mul_univariate(poly, coeffs, index):
 
 
 def top_product(a, b):
-    """(a * b).top_coeff() for two NilPolys without forming the product:
-    sum over e of a[e] * b[caps - e], reduced once."""
+    """The top coefficient of a * b for two NilPolys, without forming the
+    product: sum over e of a[e] * b[caps - e], reduced once."""
     a._check(b)
     out = [0] * (a.q_order + 1)
     for e, num in a.cells.items():
@@ -450,8 +336,8 @@ def top_product(a, b):
 
 
 def contract_axes(poly, axes):
-    """top_coeff(P * prod_b axes[b](x_b)) for a NilPoly P, the axes[b]
-    sequences of QSeries by x-degree, without forming the product.
+    """The top coefficient of P * prod_b axes[b](x_b) for a NilPoly P, the
+    axes[b] sequences of QSeries by x-degree, without forming the product.
 
     sum_e P[e] * prod_b axes[b][cap_b - e_b], summed out one axis at a
     time, the last first.  Only the axis coefficients that some cell

@@ -14,8 +14,8 @@ lists: `QSeries.__mul__` and the products of `nilring` call it and reduce
 once.  (`theta.direction_series` and the linear-form kernels of
 `nilring` run fused int sums of their own.)  Nothing in the package
 inverts a series: the genera are top coefficients of products.  `power`
-is the one repeated-squaring loop, for QSeries and NilPoly alike, on
-exponents k >= 0.
+is the one repeated-squaring loop, `QSeries.__pow__`'s, on exponents
+k >= 0.
 `q_product` is the one product of binomials (1 + sign*q^e), on ints.
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
@@ -149,6 +149,7 @@ class QSeries:
     def monomial(cls, value, exponent, order):
         """value * q^exponent, truncated (zero if exponent > order);
         a negative exponent raises ValueError."""
+        _check_int(order)
         _check_int(exponent, "exponent")
         if exponent > order:
             return cls.zero(order)
@@ -182,9 +183,9 @@ class QSeries:
         return not any(self.num[1::2])
 
     def truncate(self, order):
+        _check_int(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        _check_int(order)
         return QSeries._make(self.num[: order + 1], self.den, order)
 
     # -- arithmetic ---------------------------------------------------

@@ -299,6 +299,7 @@ def x_over_phi(x_order, q_order):
 def jacobi_product(q_order, skip=None):
     """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor
     index, an int in 1..q_order // 2 (any other skip raises ValueError)."""
+    _check_int(q_order, "q_order")
     if skip is not None and (type(skip) is not int
                              or not 1 <= skip <= q_order // 2):
         raise ValueError(f"skip must be an int in 1..{q_order // 2}, "

@@ -9,7 +9,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from wittenq.nilring import NilPoly
+from nilpoly_ring import poly
 from wittenq.qseries import QSeries
 
 
@@ -56,4 +56,4 @@ def inv_poly(p):
                     acc = acc + a * b
         if not acc.is_zero():
             terms[E] = -(acc * inv0)
-    return NilPoly(caps, qo, terms)
+    return poly(caps, qo, terms)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from nilpoly_ring import coeffs, from_univariate, one, poly, scale
 from series_inverse import inv_poly, inv_series
 from wittenq import bundles, theta
 from wittenq.bundles import _pair_columns, lemma42_check, lemma42_report
-from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, rat
 
 
@@ -41,7 +41,7 @@ def test_root_factor_constant_term_is_one():
 
 def _u_poly(rng, degree, cap, qo):
     """A random polynomial in u = y + 1/y, held with room up to u^cap."""
-    return NilPoly((cap,), qo, {
+    return poly((cap,), qo, {
         (k,): QSeries([rng.randint(-3, 3) for _ in range(qo + 1)], qo)
         for k in range(degree + 1)})
 
@@ -59,7 +59,7 @@ def test_symlaurent_mul_matches_y_expansion():
 
         def value(p, u):
             acc = QSeries.zero(qo)
-            for k, c in enumerate(p.coeffs):
+            for k, c in enumerate(coeffs(p)):
                 acc = acc + c * (u ** k)
             return acc
 
@@ -133,14 +133,14 @@ def _pairs_by_products(terms, cap, qo, inverse=False):
     """The pair product as it reads: c = t/(1 + t)^2 by a series inverse,
     one NilPoly product per pair, and a NilPoly inverse for Sym pairs;
     its q-columns by w-degree."""
-    caps, one = (cap,), QSeries.one(qo)
-    res = NilPoly.one(caps, qo)
+    caps, unit = (cap,), QSeries.one(qo)
+    res = one(caps, qo)
     for sign, e in terms:
         t = QSeries.monomial(sign, e, qo)
-        c = t * inv_series((one + t) * (one + t))
-        res = res * NilPoly(caps, qo, {(0,): 1, (1,): c})
+        c = t * inv_series((unit + t) * (unit + t))
+        res = res * poly(caps, qo, {(0,): 1, (1,): c})
     res = inv_poly(res) if inverse else res
-    return [[c.coefficient(i) for i in range(qo + 1)] for c in res.coeffs]
+    return [[c.coefficient(i) for i in range(qo + 1)] for c in coeffs(res)]
 
 
 def test_pairs_match_nilpoly_products():
@@ -172,7 +172,7 @@ def _sinh_cosh(xo, odd):
     """2 sinh(x/2) (odd) or cosh(x/2) to x^xo at q-order 0, a one-generator
     NilPoly: 2/(2^k k!) at odd k, or 1/(2^k k!) at even k."""
     scale, parity = (2, 1) if odd else (1, 0)
-    return NilPoly.from_univariate(
+    return from_univariate(
         [QSeries.constant(Fraction(scale if k % 2 == parity else 0,
                                    2 ** k * math.factorial(k)), 0)
          for k in range(xo + 1)], 0, (xo,), 0)
@@ -180,12 +180,12 @@ def _sinh_cosh(xo, odd):
 
 def _x_over_two_sinh(xo):
     """x / (2 sinh(x/2)) at q-order 0: the inverse of 2 sinh(x/2) / x."""
-    return inv_poly(NilPoly.from_univariate(
-        _sinh_cosh(xo + 1, True).coeffs[1:], 0, (xo,), 0))
+    return inv_poly(from_univariate(
+        coeffs(_sinh_cosh(xo + 1, True))[1:], 0, (xo,), 0))
 
 
 def test_sinh_cosh_parity_and_leading_terms():
-    s, c = _sinh_cosh(7, True).coeffs, _sinh_cosh(6, False).coeffs
+    s, c = coeffs(_sinh_cosh(7, True)), coeffs(_sinh_cosh(6, False))
     assert [k for k, a in enumerate(s) if not a.is_zero()] == [1, 3, 5, 7]
     assert [k for k, a in enumerate(c) if not a.is_zero()] == [0, 2, 4, 6]
     assert s[1] == 1 and s[3] == Fraction(1, 24)
@@ -207,11 +207,11 @@ def test_weight_table_matches_sinh_powers():
                 for row, den in table[kind]]
 
     def values(p):
-        return [c.coefficient(0) for c in p.coeffs]
+        return [c.coefficient(0) for c in coeffs(p)]
 
-    power = NilPoly.one((xo,), 0)  # s^(2d)
+    power = one((xo,), 0)  # s^(2d)
     for d in range(xo // 2 + 1):
-        assert rows("sinh", d) == values(power * s * half)
+        assert rows("sinh", d) == values(scale(power * s, half))
         assert rows("cosh", d) == values(power * cosh)
         assert rows("root", d) == values(power * inv_sinh)
         power = power * s * s
@@ -236,12 +236,12 @@ def test_builders_below_the_first_w_degree(x_order, q_order):
 def test_builders_at_q_order_zero(x_order):
     # every pair is 1 + O(q): the factors are the elementary series
     xo = x_order
-    cosh = tuple(_sinh_cosh(xo, False).coeffs)
-    assert bundles.root_factor(xo, 0) == tuple(_x_over_two_sinh(xo).coeffs)
+    cosh = tuple(coeffs(_sinh_cosh(xo, False)))
+    assert bundles.root_factor(xo, 0) == tuple(coeffs(_x_over_two_sinh(xo)))
     assert bundles.lfactor_4k(xo, 0) == cosh
     assert bundles.psi1_factor(xo, 0) == cosh
     assert bundles.lfactor_4k2(xo, 0) == tuple(
-        c * Fraction(1, 2) for c in _sinh_cosh(xo, True).coeffs)
+        c * Fraction(1, 2) for c in coeffs(_sinh_cosh(xo, True)))
 
 
 @pytest.mark.parametrize("name", ["root_factor", "lfactor_4k", "lfactor_4k2",

@@ -157,6 +157,15 @@ def test_even_row_refused_outside_phi2(tmp_path, capsys):
         assert "phi2 only" in capsys.readouterr().err
 
 
+def test_negative_even_row_exits_2(tmp_path, capsys):
+    # was a precondition failure, exit 3, like no other negative flag
+    path = _write(tmp_path, "m2.json", {"n": [7], "D": [[2], [2]]})
+    with pytest.raises(SystemExit) as exc:
+        run(["genus", path, "--kind", "phi2", "--even-row", "-1"])
+    assert exc.value.code == EXIT_INPUT
+    assert capsys.readouterr().out == ""
+
+
 def test_genus_phi2_happy_path(tmp_path, capsys):
     path = _write(tmp_path, "m2.json", {"n": [7], "D": [[2], [2]]})
     assert run(["genus", path, "--kind", "phi2",
@@ -193,7 +202,8 @@ def test_q_order_env_default(tmp_path, monkeypatch, capsys):
     {"n": 4, "D": [[1], [2]]},            # not a list, was a TypeError
     {"n": [4], "D": [[1], [2]], "q_order": -1},  # was a precondition exit
     {"n": [True, 3], "D": [[1, 1]]},      # bool, was read as 1
-], ids=["float", "scalar_n", "negative_q_order", "bool"])
+    {"n": [], "D": []},                   # no factor, genus was a traceback
+], ids=["float", "scalar_n", "negative_q_order", "bool", "empty_n"])
 def test_malformed_instance_exits_2(tmp_path, capsys, doc):
     path = _write(tmp_path, "bad.json", doc)
     assert run(["genus", path]) == EXIT_INPUT

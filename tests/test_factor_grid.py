@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
+from nilpoly_ring import coeffs, from_univariate, horner, scale
 from wittenq import bundles, genera, theta
-from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, rat
 from wittenq.theta import ThetaKind
 
@@ -32,14 +32,11 @@ def _psi_by_products(kind, x_order, q_order):
     terms = [(sign, 2 * m - 1) for m in range(1, (q_order + 1) // 2 + 1)]
     cols = bundles._pair_columns(terms, x_order // 2, q_order)
     # w = 2 cosh(x) - 2 = sum_(k >= 1) 2 x^2k / (2k)!
-    w = NilPoly.from_univariate(
+    w = from_univariate(
         [QSeries.constant(Fraction(2 if k and k % 2 == 0 else 0,
                                    math.factorial(k)), q_order)
          for k in range(x_order + 1)], 0, (x_order,), q_order)
-    acc = NilPoly.zero((x_order,), q_order)
-    for col in reversed(cols):
-        acc = acc * w + QSeries(col, q_order)
-    return tuple(acc.coeffs)
+    return tuple(coeffs(horner([QSeries(col, q_order) for col in cols], w)))
 
 
 def _phi_by_products(x_order, q_order):
@@ -76,14 +73,14 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
         bundles.lfactor_4k(xo, qo)
     assert direction([(K.THETA1, 1, 1)]) == bundles.psi1_factor(xo, qo)
     def ring(f):
-        return NilPoly.from_univariate(f, 0, (xo,), qo)
+        return from_univariate(f, 0, (xo,), qo)
 
     # Phi(-y) * Phi(2y) = (-1)(2) y^2 exp(-L(-y) - L(2y)): one merged
     # factor, zero at xo = 1 where y^2 truncates
     phi = _phi_by_products(xo, qo)
     at_m = [ring([c * m ** k for k, c in enumerate(phi)]) for m in (-1, 2)]
     merged = ring(direction([(K.THETA, -1, -1), (K.THETA, -1, 2)], r=2))
-    assert merged * -2 == at_m[0] * at_m[1]
+    assert scale(merged, -2) == at_m[0] * at_m[1]
 
 
 def test_sigma1_series_is_the_x2_log_coefficient():

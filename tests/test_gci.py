@@ -30,6 +30,13 @@ def test_validation():
     assert GCIData((4,), ((1,),), q_order=0).n == (4,)
 
 
+def test_empty_n_refused():
+    # no ambient factor: the genus reduced an empty product, a TypeError
+    for D in ([], [[]]):
+        with pytest.raises(ValueError, match="at least one ambient factor"):
+            GCIData([], D)
+
+
 def test_shape_properties_and_dims():
     g = GCIData([4, 2], [[1, 2], [3, 0]])
     assert g.s == 2 and g.t == 2

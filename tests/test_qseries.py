@@ -429,6 +429,9 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
     (lambda: modforms.eisenstein(4.0, 2), "k", 4.0),
     (lambda: modforms.monomial(True, 0, 2), "a", True),
     (lambda: QSeries.monomial(1, True, 4), "exponent", True),
+    (lambda: QSeries.monomial(1, 0, 1.5), "order", 1.5),
+    (lambda: QSeries([1, 2, 3]).truncate(1.5), "order", 1.5),
+    (lambda: theta.jacobi_check(2.0), "q_order", 2.0),
     (lambda: QSeries([1, 2, 3]).coefficient(True), "k", True),
     (lambda: QSeries([1, 1], 3) ** True, "exponent", True),
     (lambda: modforms.weight_basis(4.0), "weight", 4.0),
@@ -443,7 +446,8 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
 ], ids=["eisenstein_g-k-bool", "eisenstein_g-k-float",
         "eisenstein_g-q_order-float", "phi", "direction_series-coef",
         "root_factor", "lemma42_report", "eisenstein", "eisenstein-k",
-        "monomial", "QSeries.monomial", "coefficient", "power",
+        "monomial", "QSeries.monomial", "QSeries.monomial-order", "truncate",
+        "jacobi_check", "coefficient", "power",
         "weight_basis", "lift", "restrict", "numeric_theta", "mod2_witten",
         "theta_constant_e4_check"])
 def test_integer_arguments_refuse_bools_and_floats(call, name, value):
