@@ -20,8 +20,8 @@ from .bundles import (lemma42_check, lemma42_report, lfactor_4k, lfactor_4k2,
 from .gci import (ConditionReport, GCIData, codim_ok, condition_report, dims,
                   is_spin, is_string, is_stringc, p1_matrix, thm42_ok,
                   w2_vector)
-from .genera import (GenusReport, dim4_closed_form, mod2_witten,
-                     sigma1_series, wc_genus, witten_genus)
+from .genera import (GenusReport, dim4_closed_form, mod2_witten, wc_genus,
+                     witten_genus)
 from .modforms import (ModFormFit, eisenstein, fit, sigma,
                        theta_constant_e4_check, weight_basis)
 from .search import FoundInstance, SearchQuery, find_string, find_stringc
@@ -39,7 +39,8 @@ __all__ = [
     "ConditionReport", "GCIData", "codim_ok", "condition_report", "dims",
     "is_spin", "is_string", "is_stringc", "p1_matrix", "thm42_ok",
     "w2_vector",
-    "GenusReport", "dim4_closed_form", "mod2_witten", "sigma1_series", "wc_genus", "witten_genus",
+    "GenusReport", "dim4_closed_form", "mod2_witten", "wc_genus",
+    "witten_genus",
     "ModFormFit", "eisenstein", "fit", "sigma", "theta_constant_e4_check",
     "weight_basis",
     "FoundInstance", "SearchQuery", "find_string", "find_stringc",

@@ -8,7 +8,9 @@ except `verify --suite vanishing`, which runs at q-order 12 unless given
 --q-order.  A negative or non-integer q-order, from either source, is
 malformed input; `verify` of the modular suite (alone or in `all`) below
 q-order 4, too short to fit at weight 24, is a precondition failure
-before any suite runs.  Run as a program, wittenq dies quietly of SIGPIPE.
+before any suite runs.  `search` bounds parse as ints and SearchQuery is
+their one check: a refused bound is malformed input, named by its field.
+Run as a program, wittenq dies quietly of SIGPIPE.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from . import __version__, bundles, modforms, theta
 from .errors import DimensionError, NonIntegralError
 from .gci import GCIData, condition_report, dims
 from .genera import mod2_witten, wc_genus, witten_genus
-from .qseries import QSeries
+from .qseries import QSeries, _check_int
 from .search import SearchQuery, find_string, find_stringc
 
 EXIT_OK = 0
@@ -34,25 +36,11 @@ EXIT_INTEGRALITY = 4
 
 
 def nonneg_int(text):
-    """Parse a q-order, c_max or even row given as text: an int >= 0 or
+    """Parse a q-order or even row given as text: an int >= 0 or
     ValueError."""
     value = int(text)
-    if value < 0:
-        raise ValueError(f"{text!r} is negative")
+    _check_int(value, "value")
     return value
-
-
-def positive_int(text):
-    """Parse a search bound given as text: an int >= 1 or ValueError."""
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{text!r} is not positive")
-    return value
-
-
-def real_dim(text):
-    """Parse a target real dimension: SearchQuery's check, or ValueError."""
-    return SearchQuery(target_real_dim=int(text)).target_real_dim
 
 
 def default_q_order():
@@ -70,17 +58,23 @@ _INSTANCE_KEYS = {"n", "D", "C", "q_order", "conditions"}
 
 
 def _load_instance(path, q_order=None):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "n" not in doc or "D" not in doc:
-        raise ValueError("instance file must be an object with 'n' and 'D'")
-    unknown = sorted(set(doc) - _INSTANCE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown instance keys {unknown}; allowed are "
-                         f"{sorted(_INSTANCE_KEYS)}")
-    qo = q_order if q_order is not None else doc.get("q_order",
-                                                     default_q_order())
-    return GCIData(doc["n"], doc["D"], doc.get("C"), q_order=qo)
+    """The file's instance, or None after its fault is printed to stderr."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or "n" not in doc or "D" not in doc:
+            raise ValueError("instance file must be an object with 'n' and "
+                             "'D'")
+        unknown = sorted(set(doc) - _INSTANCE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown instance keys {unknown}; allowed are "
+                             f"{sorted(_INSTANCE_KEYS)}")
+        qo = q_order if q_order is not None else doc.get("q_order",
+                                                         default_q_order())
+        return GCIData(doc["n"], doc["D"], doc.get("C"), q_order=qo)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _instance_dict(g):
@@ -98,10 +92,8 @@ def _series_entries(series):
 
 
 def cmd_check(args):
-    try:
-        g = _load_instance(args.instance)
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    g = _load_instance(args.instance)
+    if g is None:
         return EXIT_INPUT
     rep = condition_report(g)
     print(json.dumps(dataclasses.asdict(rep), indent=2))
@@ -117,10 +109,8 @@ def cmd_genus(args):
         print("error: --modfit applies to --kind W and Wc only; phi2 is a "
               "series mod 2", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        g = _load_instance(args.instance, args.q_order)
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    g = _load_instance(args.instance, args.q_order)
+    if g is None:
         return EXIT_INPUT
     try:
         if args.kind == "W":
@@ -149,14 +139,9 @@ def cmd_genus(args):
         weight = dims(g)[0] - (rep.kind == "Wc4k2")
         try:
             ft = modforms.fit(rep.coeffs, weight)
-            doc["modular_fit"] = {
-                "weight": ft.weight,
-                "basis": [list(p) for p in ft.basis],
-                "solution": [str(v) for v in ft.solution]
-                            if ft.solution is not None else None,
-                "ok": ft.ok,
-                "failure_exponent": ft.failure_exponent,
-            }
+            doc["modular_fit"] = dataclasses.asdict(ft)
+            if ft.solution is not None:
+                doc["modular_fit"]["solution"] = [str(v) for v in ft.solution]
         except ValueError as exc:
             doc["modular_fit"] = {"ok": False, "error": str(exc)}
     text = json.dumps(doc, indent=2)
@@ -223,11 +208,9 @@ def vanishing_cases(query):
     return cases
 
 
-def suite_vanishing(q_order, query=None):
-    if query is None:
-        query = SearchQuery(q_order=q_order)
+def suite_vanishing(q_order):
     results = {}
-    for label, g, fn in vanishing_cases(query):
+    for label, g, fn in vanishing_cases(SearchQuery(q_order=q_order)):
         name = f"{label} n={list(g.n)} D={[list(r) for r in g.D]}" + (
             f" C={list(g.C)}" if g.C is not None else "")
         results[name] = fn()
@@ -286,12 +269,15 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
-    query = SearchQuery(s_max=args.s, t_max=args.t, d_max=args.dmax,
-                        c_max=args.cmax, positive=args.positive,
-                        require_codim=args.codim,
-                        target_real_dim=args.target_dim,
-                        q_order=args.q_order if args.q_order is not None
-                        else default_q_order())
+    try:
+        query = SearchQuery(s_max=args.s, t_max=args.t, d_max=args.dmax,
+                            c_max=args.cmax, positive=args.positive,
+                            require_codim=args.codim,
+                            target_real_dim=args.target_dim,
+                            q_order=args.q_order if args.q_order is not None
+                            else default_q_order())
+    except ValueError as exc:
+        args.error(str(exc))  # argparse's refusal: usage, message, exit 2
     if args.parity == "string":
         results = find_string(query)
     else:
@@ -332,19 +318,19 @@ def build_parser():
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("search", help="enumerate instances within bounds")
-    ps.add_argument("--s", type=positive_int, default=2)
-    ps.add_argument("--t", type=positive_int, default=4)
-    ps.add_argument("--dmax", type=positive_int, default=4)
-    ps.add_argument("--cmax", type=nonneg_int, default=2)
+    ps.add_argument("--s", type=int, default=2)
+    ps.add_argument("--t", type=int, default=4)
+    ps.add_argument("--dmax", type=int, default=4)
+    ps.add_argument("--cmax", type=int, default=2)
     ps.add_argument("--parity", choices=["string", "dim4k", "dim4k2"],
                     default="string")
     ps.add_argument("--positive", action=argparse.BooleanOptionalAction,
                     default=True)
     ps.add_argument("--codim", action=argparse.BooleanOptionalAction,
                     default=True)
-    ps.add_argument("--target-dim", type=real_dim, default=None)
+    ps.add_argument("--target-dim", type=int, default=None)
     ps.add_argument("--q-order", type=nonneg_int, default=None)
-    ps.set_defaults(fn=cmd_search)
+    ps.set_defaults(fn=cmd_search, error=ps.error)
     return p
 
 

@@ -314,11 +314,6 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
 
 # -- dimension-4 closed form ------------------------------------------
 
-def sigma1_series(q_order):
-    """-1/24 + sum sigma_1(n) q^(2n): the weight-2 Eisenstein series G_2(q^2)."""
-    return theta.eisenstein_g(1, q_order)
-
-
 def quadratic_pairing(g: GCIData, M):
     """<sum M_bc x_b x_c * prod_a ell_a, [ambient]> as an exact int: the
     int polynomial prod_a ell_a on the cap grid, read at caps - e_b - e_c."""
@@ -334,8 +329,8 @@ def quadratic_pairing(g: GCIData, M):
 def dim4_closed_form(g: GCIData, use_c=False):
     """W (or W_c) of a real-dimension-4 instance via the p1-pairing shortcut.
 
-    Equals p1[V] * (-1/24 + sum sigma_1 q^(2n)), with p1 replaced by
-    p1 - 3c^2 in the spin^c case.
+    Equals p1[V] * G_2(q^2), with G_2(q^2) = -1/24 + sum sigma_1(n) q^(2n)
+    from `theta.eisenstein_g`; p1 - 3c^2 replaces p1 in the spin^c case.
     """
     cdim, rdim = dims(g)
     if rdim != 4:
@@ -347,4 +342,4 @@ def dim4_closed_form(g: GCIData, use_c=False):
         for b in range(g.s):
             for c in range(g.s):
                 M[b][c] -= 3 * g.C[b] * g.C[c]
-    return sigma1_series(g.q_order) * quadratic_pairing(g, M)
+    return theta.eisenstein_g(1, g.q_order) * quadratic_pairing(g, M)

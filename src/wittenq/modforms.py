@@ -18,11 +18,14 @@ from .qseries import QSeries, _check_int, q_product
 
 
 def sigma(k, n):
-    """Divisor power sum sigma_k(n); sigma_k(0) = 0 by convention here.
+    """Divisor power sum sigma_k(n) for ints k >= 0 and n; 0 for n <= 0
+    by convention here.
 
     The package's Eisenstein series come from `theta`'s log columns; this
     direct sum is kept as the independent oracle they are tested against.
     """
+    _check_int(k, "k")
+    _check_int(n, "n", None)
     if n <= 0:
         return 0
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)

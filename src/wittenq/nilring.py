@@ -56,6 +56,10 @@ class NilPoly:
 
     __slots__ = ("caps", "q_order", "cells", "den")
 
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("NilPoly has no public constructor; NilPoly._make "
+                        "builds every NilPoly")
+
     @classmethod
     def _make(cls, caps, q_order, cells, den):
         """Internal: the poly of int numerator lists over den > 0, the

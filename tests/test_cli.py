@@ -7,6 +7,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -108,6 +109,27 @@ def test_genus_modfit_wc_in_dim_4k_plus_2(tmp_path, capsys):
     assert all(e["value"] == "0" for e in doc["coeffs"])
     assert doc["modular_fit"]["ok"] is True
     assert doc["modular_fit"]["weight"] == 2
+
+
+def test_modfit_report_of_a_failing_fit(tmp_path, capsys):
+    # W of CP^4 is no weight-4 form: the report is the whole fit record,
+    # with its null solution and the first failing exponent
+    path = _write(tmp_path, "cp4.json", {"n": [4], "D": []})
+    assert run(["genus", path, "--q-order", "6", "--modfit"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["modular_fit"] == {
+        "weight": 4, "basis": [[1, 0]], "solution": None, "ok": False,
+        "failure_exponent": 1}
+
+
+def test_modfit_solution_is_written_as_strings(tmp_path, capsys,
+                                               monkeypatch):
+    fit = wittenq.ModFormFit(4, [(1, 0)], [Fraction(-1, 2)], True)
+    monkeypatch.setattr(cli.modforms, "fit", lambda series, weight: fit)
+    path = _write(tmp_path, "ls.json", {"n": [4], "D": [[1], [2]]})
+    assert run(["genus", path, "--q-order", "4", "--modfit"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["modular_fit"] == {
+        "weight": 4, "basis": [[1, 0]], "solution": ["-1/2"], "ok": True,
+        "failure_exponent": None}
 
 
 def test_modfit_refused_for_phi2(tmp_path, capsys):
@@ -235,6 +257,21 @@ def test_bad_search_bounds_exit_2(capsys, argv):
         run(["search"] + argv)
     assert exc.value.code == EXIT_INPUT
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--s", "0"], "s_max"), (["--t", "0"], "t_max"),
+    (["--dmax", "-2"], "d_max"),
+    (["--parity", "dim4k", "--cmax", "-1"], "c_max"),
+    (["--target-dim", "7"], "target_real_dim"),
+    (["--target-dim", "-4"], "target_real_dim"),
+], ids=["s0", "t0", "dmax-2", "cmax-1", "dim7", "dim-4"])
+def test_bad_search_bound_names_its_field(capsys, argv, field):
+    # SearchQuery is the one check of a search bound, and its message
+    # names the field
+    with pytest.raises(SystemExit):
+        run(["search"] + argv)
+    assert f"error: {field} must be " in capsys.readouterr().err
 
 
 def test_instance_q_order_precedence(tmp_path, capsys):

@@ -170,7 +170,6 @@ def test_factors_and_eisenstein_refuse_bad_q_order_and_k():
     # order -1
     for build, q_order in ((lambda: theta.phi(4, -1), -1),
                            (lambda: theta.psi_product(2, -3), -3),
-                           (lambda: genera.sigma1_series(-1), -1),
                            (lambda: theta.eisenstein_g(1, -1), -1)):
         with pytest.raises(ValueError,
                            match=f"^q_order must be >= 0, got {q_order}$"):

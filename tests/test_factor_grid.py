@@ -91,5 +91,5 @@ def test_sigma1_series_is_the_x2_log_coefficient():
     g2 = QSeries([rat("-1/24")] + [
         sum(d for d in range(1, n // 2 + 1) if n // 2 % d == 0)
         if n % 2 == 0 else 0 for n in range(1, qo + 1)], qo)
-    assert genera.sigma1_series(qo) == g2
+    assert theta.eisenstein_g(1, qo) == g2
     assert bundles.root_factor(2, qo)[2] == g2

@@ -14,7 +14,7 @@ from wittenq import bundles, genera, theta
 from wittenq.errors import DimensionError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
-                            sigma1_series, wc_genus, witten_genus)
+                            wc_genus, witten_genus)
 from wittenq.nilring import NilPoly, top_product
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
@@ -353,7 +353,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
 
 
 def test_sigma1_series_values():
-    s = sigma1_series(12)
+    s = theta.eisenstein_g(1, 12)
     assert _frac(s, 0) == Fraction(-1, 24)
     for n, v in {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12}.items():
         assert _frac(s, 2 * n) == v

@@ -28,9 +28,12 @@ def test_sigma_against_independent_oracle():
     for k in (1, 3, 5):
         for n in range(1, 40):
             assert sigma(k, n) == _divisor_sum_oracle(k, n)
-    assert sigma(1, 0) == 0
+    assert sigma(1, 0) == sigma(1, -3) == 0
     # spot values
     assert [sigma(1, n) for n in range(1, 7)] == [1, 3, 4, 7, 6, 12]
+    # sigma(-1, 6) returned the float 2.0
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        sigma(-1, 6)
 
 
 def test_eisenstein_leading_coefficients():

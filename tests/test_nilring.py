@@ -44,9 +44,12 @@ def test_nilpoly_public_surface():
                    "__static_attributes__"}
     assert set(vars(NilPoly)) - bookkeeping == {
         "__slots__", "caps", "q_order", "cells", "den", "_make", "terms",
-        "_check", "__mul__", "__eq__", "__hash__", "__repr__"}
-    with pytest.raises(TypeError):
-        NilPoly((2,), 1)
+        "__new__", "_check", "__mul__", "__eq__", "__hash__", "__repr__"}
+    # NilPoly() built a hollow instance whose repr and == raised
+    # AttributeError
+    for args in ((), ((2,), 1)):
+        with pytest.raises(TypeError, match="_make"):
+            NilPoly(*args)
     p = one((1,), 2)
     for scalar in (True, 2, Fraction(1, 2), QSeries.one(2)):
         with pytest.raises(TypeError):
