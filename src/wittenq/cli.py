@@ -8,8 +8,9 @@ except `verify --suite vanishing`, which runs at q-order 12 unless given
 --q-order.  A negative or non-integer q-order, from either source, is
 malformed input; `verify` of the modular suite (alone or in `all`) below
 q-order 4, too short to fit at weight 24, is a precondition failure
-before any suite runs.  `search` bounds parse as ints and SearchQuery is
-their one check: a refused bound is malformed input, named by its field.
+before any suite runs.  `search` bounds, its --q-order too, parse as ints
+and SearchQuery is their one check: a refused bound is malformed input,
+named by its field.
 Run as a program, wittenq dies quietly of SIGPIPE.
 """
 from __future__ import annotations
@@ -329,7 +330,7 @@ def build_parser():
     ps.add_argument("--codim", action=argparse.BooleanOptionalAction,
                     default=True)
     ps.add_argument("--target-dim", type=int, default=None)
-    ps.add_argument("--q-order", type=nonneg_int, default=None)
+    ps.add_argument("--q-order", type=int, default=None)
     ps.set_defaults(fn=cmd_search, error=ps.error)
     return p
 

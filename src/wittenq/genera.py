@@ -250,8 +250,8 @@ def _check_route(route):
 
 
 def _report(kind, series, g):
-    return GenusReport(kind, series, series.den == 1,
-                       not any(series.num[1::2]), g)
+    return GenusReport(kind, series, series.is_integral(),
+                       series.even_q_support(), g)
 
 
 def witten_genus(g: GCIData, route="theta"):

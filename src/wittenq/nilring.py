@@ -193,8 +193,8 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     Only the previous level is kept, and a cell keeps only the window of s
     that it and its successors read.  With g = 1 and r = 0 this peels one
     linear factor per step.  f_a and f_b are each put over one
-    denominator once; per level the nonzero products f_a[i] * f_b[K-i]
-    are int q-convolutions, stored as one row per q-degree with the
+    denominator once; per level the products f_a[i] * f_b[K-i] are
+    int q-convolutions, stored as one row per q-degree with the
     all-zero rows (the odd q-degrees) left out, so a cell's numerators are
     the dot products of its weights with the rows.  The result is reduced
     once, by one common gcd.
@@ -264,16 +264,12 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
         prev = {idx: vec for _, idx, vec in level}
         prods = [conv_add([0] * (q_order + 1), fa[i], fb[K - i])
                  for i in range(ra + g * lo, ra + g * hi + 1, g)]
-        mask = [any(p) for p in prods]
-        rows = [(m, row) for m, row in
-                enumerate(zip(*itertools.compress(prods, mask))) if any(row)]
-        mask = None if all(mask) else mask
+        rows = [(m, row) for m, row in enumerate(zip(*prods)) if any(row)]
         if rows:
             for E, _, vec in level:
-                v = list(itertools.compress(vec, mask)) if mask else vec
                 num = [0] * (q_order + 1)
                 for m, row in rows:
-                    num[m] = sum(map(operator.mul, v, row))
+                    num[m] = sum(map(operator.mul, vec, row))
                 cells[E] = num
     return NilPoly._make(caps, q_order, cells, den_a * den_b)
 

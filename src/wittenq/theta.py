@@ -298,12 +298,13 @@ def x_over_phi(x_order, q_order):
 
 def jacobi_product(q_order, skip=None):
     """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor
-    index, an int in 1..q_order // 2 (any other skip raises ValueError)."""
+    index, an int in 1..q_order // 2 (any other int raises ValueError)."""
     _check_int(q_order, "q_order")
-    if skip is not None and (type(skip) is not int
-                             or not 1 <= skip <= q_order // 2):
-        raise ValueError(f"skip must be an int in 1..{q_order // 2}, "
-                         f"got {skip!r}")
+    if skip is not None:
+        _check_int(skip, "skip", None)
+        if not 1 <= skip <= q_order // 2:
+            raise ValueError(f"skip must be an int in 1..{q_order // 2}, "
+                             f"got {skip!r}")
     return q_product([f for j in range(1, q_order // 2 + 2) if j != skip
                       for f in ((1, 2 * j), (-1, 4 * j - 2))], q_order)
 

@@ -265,7 +265,8 @@ def test_bad_search_bounds_exit_2(capsys, argv):
     (["--parity", "dim4k", "--cmax", "-1"], "c_max"),
     (["--target-dim", "7"], "target_real_dim"),
     (["--target-dim", "-4"], "target_real_dim"),
-], ids=["s0", "t0", "dmax-2", "cmax-1", "dim7", "dim-4"])
+    (["--q-order", "-1"], "q_order"),
+], ids=["s0", "t0", "dmax-2", "cmax-1", "dim7", "dim-4", "q_order-1"])
 def test_bad_search_bound_names_its_field(capsys, argv, field):
     # SearchQuery is the one check of a search bound, and its message
     # names the field

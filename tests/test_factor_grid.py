@@ -83,7 +83,7 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
     assert scale(merged, -2) == at_m[0] * at_m[1]
 
 
-def test_sigma1_series_is_the_x2_log_coefficient():
+def test_eisenstein_g1_is_the_x2_log_coefficient():
     # log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)!, so x/Phi = exp(log(x/Phi))
     # has x^2 coefficient G_2(q^2) = -1/24 + sum sigma_1(n) q^(2n), here
     # from the divisor sums and from the product formula

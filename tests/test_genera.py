@@ -256,6 +256,12 @@ def test_route_equivalence():
     ]
     for g, fn in cases:
         assert fn(g, route="theta").coeffs == fn(g, route="bundle").coeffs
+    # W of CP^38: the bundle route takes (x/Phi)^39 by Miller's
+    # recurrence; nonzero, at the recorded q^0
+    g = GCIData([38], [], q_order=12)
+    a, b = (witten_genus(g, route=r).coeffs for r in ("theta", "bundle"))
+    assert a == b and not a.is_zero()
+    assert a.coefficient(0) == Fraction(-4418157975, 9444732965739290427392)
     g = GCIData([7], [[2], [2]], q_order=8)
     assert (mod2_witten(g, route="theta").precursor
             == mod2_witten(g, route="bundle").precursor)
@@ -352,7 +358,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
                 strict=False)
 
 
-def test_sigma1_series_values():
+def test_eisenstein_g1_values():
     s = theta.eisenstein_g(1, 12)
     assert _frac(s, 0) == Fraction(-1, 24)
     for n, v in {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12}.items():

@@ -4,11 +4,14 @@ Each file is parsed with `ast`.  A name bound by an import counts as used
 when the file reads it anywhere (a bare name, or the base of an attribute
 chain) or lists it in the module's `__all__`; `from __future__` imports
 bind nothing and are skipped.  Every name in `wittenq.__all__` must also
-exist, so that `from wittenq import *` works.
+exist, so that `from wittenq import *` works, and a name removed from the
+public API must not import.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import wittenq
 
@@ -64,3 +67,11 @@ def test_every_public_name_exists():
     # `from wittenq import *`
     assert [name for name in wittenq.__all__
             if not hasattr(wittenq, name)] == []
+
+
+def test_removed_names_are_not_importable():
+    # subst_linear (a rank_pair_mul with the constant 1) and sigma1_series
+    # (theta.eisenstein_g(1, .)) left the public API
+    for name in ("subst_linear", "sigma1_series"):
+        with pytest.raises(ImportError):
+            exec(f"from wittenq import {name}", {})

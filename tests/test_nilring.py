@@ -147,7 +147,7 @@ def _paired_with_one(f, d, caps, qo):
     return rank_pair_mul(f, d, one, (0,) * len(caps), caps, qo)
 
 
-def test_subst_linear_against_horner_oracle():
+def test_paired_with_one_against_horner_oracle():
     def check(f, d, caps, qo):
         assert _paired_with_one(f, d, caps, qo) == at_form(f, d, caps, qo)
 
@@ -165,13 +165,13 @@ def test_subst_linear_against_horner_oracle():
         check(_random_uni(rng, sum(caps), 2), d, caps, 2)
 
 
-def test_subst_linear_insufficient_degree():
+def test_paired_with_one_insufficient_degree():
     f = [QSeries.one(2)]
     with pytest.raises(InsufficientDegreeError):
         _paired_with_one(f, [1, 1], (1, 1), 2)
 
 
-def test_subst_linear_accepts_longer_series():
+def test_paired_with_one_accepts_longer_series():
     rng = random.Random(44)
     caps, qo = (2, 1), 2
     f = _random_uni(rng, 10, qo)
