@@ -36,22 +36,29 @@ EXIT_PRECONDITION = 3
 EXIT_INTEGRALITY = 4
 
 
-def nonneg_int(text):
-    """Parse a q-order or even row given as text: an int >= 0 or
-    ValueError."""
-    value = int(text)
-    _check_int(value, "value")
-    return value
+def nonneg_arg(name):
+    """The argparse type of the int >= 0 `name`: text that is not one is
+    refused with `_check_int`'s message for that field."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = text  # not an int: refused by type below
+        try:
+            _check_int(value, name)
+        except (TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def default_q_order():
     """WITTENQ_Q_ORDER if set (ValueError if malformed), else 20."""
-    text = os.environ.get("WITTENQ_Q_ORDER", "20")
     try:
-        return nonneg_int(text)
-    except ValueError:
-        raise ValueError("WITTENQ_Q_ORDER must be a nonnegative integer, "
-                         f"got {text!r}") from None
+        return nonneg_arg("WITTENQ_Q_ORDER")(
+            os.environ.get("WITTENQ_Q_ORDER", "20"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 # "conditions" is in every `wittenq search` line; it is recomputed, not read
@@ -305,9 +312,9 @@ def build_parser():
     pg = sub.add_parser("genus", help="compute a genus report")
     pg.add_argument("instance")
     pg.add_argument("--kind", choices=["W", "Wc", "phi2"], default="W")
-    pg.add_argument("--q-order", type=nonneg_int, default=None)
+    pg.add_argument("--q-order", type=nonneg_arg("q_order"), default=None)
     pg.add_argument("--modfit", action="store_true")
-    pg.add_argument("--even-row", type=nonneg_int, default=None)
+    pg.add_argument("--even-row", type=nonneg_arg("even_row"), default=None)
     pg.add_argument("--out", default=None)
     pg.set_defaults(fn=cmd_genus)
 
@@ -315,7 +322,7 @@ def build_parser():
     pv.add_argument("--suite",
                     choices=["theta", "bundles", "vanishing", "modular", "all"],
                     default="all")
-    pv.add_argument("--q-order", type=nonneg_int, default=None)
+    pv.add_argument("--q-order", type=nonneg_arg("q_order"), default=None)
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("search", help="enumerate instances within bounds")

@@ -26,14 +26,11 @@ fold into one univariate factor y^r_u * exp(sum_k p_(u,k) L_k y^k) in
 y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
 number of linear prefactors on u; the integers m of those prefactors
 multiply the residue.  `theta.direction_series` builds each such factor
-from the (kind, coef, m) of its forms.  The off-axis factors are paired
-by `rank_pair_mul` (an odd one out with the constant 1), each pair into
-a `NilPoly`, which the later stages read and return.  With at most one
-such piece the axis factors are contracted against it directly
-(`contract_axes`); otherwise the factor of an axis x_b enters as a
-one-axis convolution, the middle pieces are multiplied in, and the last
-piece is contracted against the rest with `top_product` (see
-`_residue`).  Each factor is built once:
+from the (kind, coef, m) of its forms.  `_residue` multiplies the
+factors into one `NilPoly` by pair products (`rank_pair_mul`), one-axis
+convolutions (`mul_univariate`) and products by one factor at a linear
+form (`mul_linear`), and contracts it to the top coefficient
+(`contract_axes`, `top_product`).  Each factor is built once:
 many instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in
 real dimension 4k+2 is W's integrand with C as one more row), so
 `_factor`, one bounded cache keyed by builder and arguments, holds the
@@ -58,8 +55,8 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .nilring import (_times_linear, contract_axes, mul_univariate,
-                      rank_pair_mul, top_product)
+from .nilring import (_times_linear, contract_axes, mul_linear,
+                      mul_univariate, rank_pair_mul, top_product)
 from .qseries import QSeries, Q2Series, _check_int, conv_add
 from .theta import ThetaKind
 
@@ -187,35 +184,31 @@ def _residue(g: GCIData, axes, specs):
     """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i), every
     factor a sequence of QSeries by x-degree.
 
-    The linear-form factors are combined pairwise with rank_pair_mul, an
-    odd one out with the constant 1 at the zero form, each pair into a
-    NilPoly, whose int numerators over one denominator every later stage
-    reads, reducing its own output once by one common gcd.  With no
-    piece the residue is prod_b A_b[cap_b] for the axis factors A_b;
-    with one piece P they are contracted, not multiplied in:
-    top(P * prod_b A_b(x_b)) = sum_e P[e] * prod_b A_b[cap_b - e_b],
-    summed out one axis at a time, the last first.  With more pieces the
-    axis factors enter the first as one-axis convolutions, each middle
-    piece is a general product acc * p, and the last is contracted
-    against the rest with top_product.
+    With 1 or 3 linear-form factors the constant 1 at the zero form is
+    added, and the first two are one rank_pair_mul product P.  With no
+    factor the residue is prod_b A_b[cap_b] for the axis factors A_b;
+    with two it is contract_axes(P, axes) = sum_e P[e] * prod_b
+    A_b[cap_b - e_b].  With more, the axis factors enter P by
+    mul_univariate, each factor between the first two and the last two
+    by mul_linear, and top_product contracts the result against the last
+    two's pair product.  Every stage reads and returns int numerators
+    over one denominator, reduced once.
     """
     caps, qo = g.n, g.q_order
     if not specs:
         return functools.reduce(operator.mul, map(operator.getitem, axes,
                                                   caps))
-    if len(specs) % 2:
+    if len(specs) in (1, 3):
         one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
         specs = [*specs, (one, (0,) * g.s)]
-    pieces = [rank_pair_mul(*specs[i], *specs[i + 1], caps, qo)
-              for i in range(0, len(specs), 2)]
-    if len(pieces) == 1:
-        return contract_axes(pieces[0], axes)
-    acc = pieces[0]
+    acc = rank_pair_mul(*specs[0], *specs[1], caps, qo)
+    if len(specs) == 2:
+        return contract_axes(acc, axes)
     for b, f in enumerate(axes):
         acc = mul_univariate(acc, f, b)
-    for p in pieces[1:-1]:
-        acc = acc * p
-    return top_product(acc, pieces[-1])
+    for f, d in specs[2:-2]:
+        acc = mul_linear(acc, f, d)
+    return top_product(acc, rank_pair_mul(*specs[-2], *specs[-1], caps, qo))
 
 
 def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,

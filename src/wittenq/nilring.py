@@ -7,21 +7,11 @@ A NilPoly is held as int numerator lists (length q_order + 1), one per
 monomial and none all zero, over one positive int denominator, reduced
 so that gcd(den, every numerator) = 1; equal values have equal
 representations, so equality and hashing are value-based.  A NilPoly is
-the kernels' record, built only by `_make`: it has no public constructor,
-and its one ring operation is the general product, which reads `terms`,
-the QSeries view with each coefficient reduced on its own.  The theta and
-bundle factors are not NilPolys: each is a tuple of its QSeries
-coefficients by x-degree (`qseries.XSeries`), which the kernels below
-read directly.
-
-The general product sums the kept pairs of each output monomial with
-`qseries.conv_add` over the lcm of their denominators, each monomial of
-both factors and of the product reduced on its own, and puts the result
-over one denominator at the end.  In the package it serves only the
-middle pieces of a residue of more than two pieces.  There is no inverse.
-
-The residue kernels below read a NilPoly's numerators directly and
-reduce their output once, by one common gcd, not per monomial.
+the kernels' record, built only by `_make`: it has no public constructor
+and no ring operation; the kernels below read its numerators directly
+and reduce their output once, by one common gcd.  The theta and bundle
+factors are not NilPolys: each is a tuple of its QSeries coefficients by
+x-degree (`qseries.XSeries`), which the kernels read directly.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -33,10 +23,10 @@ ell^g, so the degrees that no term reaches are skipped.  Per level one
 table of int q-products, its all-zero q-rows left out, turns the
 weights into numerators by int dot products, which is far cheaper than
 termwise ring multiplication; with f_b = 1 at ell_b = 0 it evaluates
-one series at a linear form.  mul_univariate multiplies by a series in
-one generator, top_product contracts two NilPolys to the top
-coefficient, and contract_axes contracts one against a series on each
-axis.
+one series at a linear form.  mul_univariate multiplies a NilPoly by a
+series in one generator, mul_linear by a series at a linear form,
+top_product contracts two NilPolys to the top coefficient, and
+contract_axes contracts one against a series on each axis.
 """
 from __future__ import annotations
 
@@ -52,7 +42,9 @@ from .qseries import QSeries, conv_add
 class NilPoly:
     """The residue kernels' record: cells maps exponent tuples (e_1..e_s),
     e_b <= cap_b, to int numerator lists over the one denominator den.
-    It has no public constructor: `_make` builds every NilPoly."""
+    It has no public constructor, `_make` builds every NilPoly, and it has
+    no ring operation: a product with a series at a linear form is
+    `mul_linear`, and there is no product of two NilPolys."""
 
     __slots__ = ("caps", "q_order", "cells", "den")
 
@@ -75,53 +67,11 @@ class NilPoly:
         obj.caps, obj.q_order, obj.cells, obj.den = caps, q_order, cells, den
         return obj
 
-    @property
-    def terms(self):
-        """The QSeries coefficient of each monomial, in a new dict."""
-        return {e: QSeries._make(num, self.den, self.q_order)
-                for e, num in self.cells.items()}
-
     def _check(self, other):
         if self.caps != other.caps:
             raise CapsMismatchError(f"caps {self.caps} vs {other.caps}")
         if self.q_order != other.q_order:
             raise OrderMismatchError("q-order mismatch")
-
-    def __mul__(self, other):
-        if not isinstance(other, NilPoly):
-            return NotImplemented
-        caps, qo = self.caps, self.q_order
-        self._check(other)
-        add, le = operator.add, operator.le
-        # each monomial over its own reduced denominator, as the QSeries
-        # of `terms`: over the one common denominator the numerators are
-        # larger, and the products slower.  One flat list per monomial: a
-        # live tuple per kept pair (10^5 on the five-direction tail) made
-        # the cyclic gc run 8x as often
-        groups = {}
-        b_terms = other.terms.items()
-        for ea, ca in self.terms.items():
-            for eb, cb in b_terms:
-                e = tuple(map(add, ea, eb))
-                if all(map(le, e, caps)):
-                    group = groups.get(e)
-                    if group is None:
-                        groups[e] = [ca, cb]
-                    else:
-                        group += ca, cb
-        out = {}
-        for e, group in groups.items():
-            fa, fb = group[::2], group[1::2]
-            dens = [a.den * b.den for a, b in zip(fa, fb)]
-            den = math.lcm(*dens)
-            num = [0] * (qo + 1)
-            for a, b, d in zip(fa, fb, dens):
-                s = den // d
-                conv_add(num, a.num if s == 1 else [s * x for x in a.num],
-                         b.num)
-            out[e] = QSeries._make(num, den, qo)
-        nums, den = _over_one_den(out.values())
-        return NilPoly._make(caps, qo, dict(zip(out, nums)), den)
 
     def __eq__(self, other):
         if not isinstance(other, NilPoly):
@@ -136,7 +86,8 @@ class NilPoly:
 
     def __repr__(self):
         parts = []
-        for e, c in sorted(self.terms.items()):
+        for e, num in sorted(self.cells.items()):
+            c = QSeries._make(num, self.den, self.q_order)
             mono = "*".join(f"x{i+1}^{k}" for i, k in enumerate(e) if k) or "1"
             parts.append(f"({c!r})*{mono}")
         return f"NilPoly[caps={self.caps}]({' + '.join(parts) or '0'})"
@@ -320,6 +271,65 @@ def mul_univariate(poly, coeffs, index):
                         break
                     num[i + j] += sum(map(operator.mul, fcol, acol))
             out[rest[:index] + (n,) + rest[index:]] = num
+    return NilPoly._make(caps, q_order, out, poly.den * den_f)
+
+
+def mul_linear(poly, coeffs, d):
+    """poly * f(ell) for f = sum_k coeffs[k] y^k, coeffs a sequence of
+    QSeries by x-degree to degree sum(caps), at ell = sum_b d_b x_b.
+
+    T_E[k] = [x^E] poly * ell^k obeys T_E[0] = poly[E] and T_E[k] =
+    sum_b d_b T_(E-e_b)[k-1].  It is built over the cap grid in
+    lexicographic order, one column over k per q-degree that poly
+    reaches, and T_(E-e_1) is dropped once E, its last reader, is built.
+    f is brought to one denominator once; each output numerator is one
+    int dot product over f's nonzero degrees k0 + gZ per pair of nonzero
+    q-degrees, as in mul_univariate, and the result is reduced once.
+    """
+    caps, q_order = poly.caps, poly.q_order
+    total = sum(caps)
+    if len(coeffs) - 1 < total:
+        raise InsufficientDegreeError("series not supplied to degree "
+                                      f"{total}")
+    if len(d) != len(caps):
+        raise ValueError("direction vector arity mismatch")
+    factor, den_f = _over_one_den(coeffs[:total + 1])
+    prog = _progression(factor)
+    if prog is None:
+        return NilPoly._make(caps, q_order, {}, 1)
+    k0, g, top = prog
+    g = g or 1
+    fcols = [(j, c) for j, c in enumerate(zip(*factor[k0:top + 1:g]))
+             if any(c)]
+    qs = [i for i in range(q_order + 1)
+          if any(num[i] for num in poly.cells.values())]
+    steps = [(b, db) for b, db in enumerate(d) if db]
+    T, out = {}, {}
+    for E in itertools.product(*[range(c + 1) for c in caps]):
+        # cols[c][k - 1] = sum_b d_b T_(E-e_b)[k - 1] at q-degree qs[c]
+        cols = None
+        for b, db in steps:
+            prev = T.get(E[:b] + (E[b] - 1,) + E[b + 1:])
+            if prev is None:
+                continue
+            cols = ([[db * y for y in col] for col in prev] if cols is None
+                    else [[x + db * y for x, y in zip(acc, col)]
+                          for acc, col in zip(cols, prev)])
+        T.pop((E[0] - 1,) + E[1:], None)
+        cell = poly.cells.get(E)
+        if cols is None:
+            if cell is None:
+                continue
+            cols = [[0] * min(sum(E), top)] * len(qs)
+        T[E] = cols = [[cell[i] if cell else 0] + col[:top]
+                       for i, col in zip(qs, cols)]
+        out[E] = num = [0] * (q_order + 1)
+        for i, col in zip(qs, cols):
+            col = col[k0::g]
+            for j, fcol in fcols:
+                if i + j > q_order:
+                    break
+                num[i + j] += sum(map(operator.mul, col, fcol))
     return NilPoly._make(caps, q_order, out, poly.den * den_f)
 
 

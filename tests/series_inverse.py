@@ -9,7 +9,7 @@ import itertools
 import operator
 from fractions import Fraction
 
-from nilpoly_ring import poly
+from nilpoly_ring import poly, terms
 from wittenq.qseries import QSeries
 
 
@@ -44,16 +44,16 @@ def inv_poly(p):
     """
     caps, qo = p.caps, p.q_order
     zero = (0,) * len(caps)
-    inv0 = inv_series(p.terms.get(zero, QSeries.zero(qo)))
-    rest = [(e, c) for e, c in p.terms.items() if e != zero]
-    terms = {zero: inv0}
+    inv0 = inv_series(terms(p).get(zero, QSeries.zero(qo)))
+    rest = [(e, c) for e, c in terms(p).items() if e != zero]
+    out = {zero: inv0}
     for E in itertools.product(*[range(c + 1) for c in caps]):
         acc = QSeries.zero(qo)
         for e, a in rest:
             if all(map(operator.le, e, E)):
-                b = terms.get(tuple(map(operator.sub, E, e)))
+                b = out.get(tuple(map(operator.sub, E, e)))
                 if b is not None:
                     acc = acc + a * b
         if not acc.is_zero():
-            terms[E] = -(acc * inv0)
-    return poly(caps, qo, terms)
+            out[E] = -(acc * inv0)
+    return poly(caps, qo, out)

@@ -275,6 +275,27 @@ def test_bad_search_bound_names_its_field(capsys, argv, field):
     assert f"error: {field} must be " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["genus", "{path}", "--q-order", "-1"], "q_order must be >= 0, got -1"),
+    (["verify", "--q-order", "-1"], "q_order must be >= 0, got -1"),
+    (["genus", "{path}", "--kind", "phi2", "--even-row", "-1"],
+     "even_row must be >= 0, got -1"),
+    (["genus", "{path}", "--q-order", "abc"],
+     "q_order must be an integer, got 'abc'"),
+    (["verify", "--q-order", "1.5"], "q_order must be an integer, got '1.5'"),
+], ids=["genus-q_order-1", "verify-q_order-1", "even_row-1",
+        "q_order-abc", "q_order-float"])
+def test_bad_flag_names_its_field(tmp_path, capsys, argv, message):
+    # a refused --q-order or --even-row exits 2 with the integer check's
+    # message for its field, as a refused search bound does
+    path = _write(tmp_path, "m2.json", {"n": [7], "D": [[2], [2]]})
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(path=path) for a in argv])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: {message}\n" in err
+
+
 def test_instance_q_order_precedence(tmp_path, capsys):
     # explicit flag > instance file > env default
     path = _write(tmp_path, "cp2.json", {"n": [2], "D": [], "q_order": 4})

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoly_ring import coeffs, from_univariate, horner, scale
+from nilpoly_ring import coeffs, from_univariate, horner, mul, scale
 from wittenq import bundles, genera, theta
 from wittenq.qseries import QSeries, rat
 from wittenq.theta import ThetaKind
@@ -80,7 +80,7 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
     phi = _phi_by_products(xo, qo)
     at_m = [ring([c * m ** k for k, c in enumerate(phi)]) for m in (-1, 2)]
     merged = ring(direction([(K.THETA, -1, -1), (K.THETA, -1, 2)], r=2))
-    assert scale(merged, -2) == at_m[0] * at_m[1]
+    assert scale(merged, -2) == mul(at_m[0], at_m[1])
 
 
 def test_eisenstein_g1_is_the_x2_log_coefficient():

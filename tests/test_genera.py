@@ -8,14 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoly_ring import (at_form, coeffs, from_univariate, one, poly, power,
-                          top_coeff)
+from nilpoly_ring import (at_form, coeffs, from_univariate, mul, one, poly,
+                          power, top_coeff)
 from wittenq import bundles, genera, theta
 from wittenq.errors import DimensionError
 from wittenq.gci import GCIData
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             wc_genus, witten_genus)
-from wittenq.nilring import NilPoly, top_product
+from wittenq.nilring import top_product
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
 
@@ -155,9 +155,9 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
     def full_product(axes, specs):
         prod = one(caps, qo)
         for b, f in enumerate(axes):
-            prod = prod * from_univariate(f, b, caps, qo)
+            prod = mul(prod, from_univariate(f, b, caps, qo))
         for f, d in specs:
-            prod = prod * at_form(f, d, caps, qo)
+            prod = mul(prod, at_form(f, d, caps, qo))
         return top_coeff(prod)
 
     got = genera._residue(g, axes, specs)
@@ -215,34 +215,36 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
     assert len(calls) == 2
 
 
-def _count_poly_products(monkeypatch):
-    """Count the general products NilPoly * NilPoly."""
-    calls, mul = [], NilPoly.__mul__
+def _count_mul_linear(monkeypatch):
+    """Count _residue's mul_linear calls: one per middle factor."""
+    calls, mul_linear = [], genera.mul_linear
 
-    def spy(self, other):
-        if isinstance(other, NilPoly):
-            calls.append(other)
-        return mul(self, other)
+    def spy(*args):
+        calls.append(args)
+        return mul_linear(*args)
 
-    monkeypatch.setattr(NilPoly, "__mul__", spy)
+    monkeypatch.setattr(genera, "mul_linear", spy)
     return calls
 
 
-@pytest.mark.parametrize("n, D, C, q_order, expect", [
+@pytest.mark.parametrize("n, D, C, q_order, expect, calls", [
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, -1), 8,
      ["21/1024", "0", "-10543/128", "0", "103889/64", "0", "571943/32", "0",
-      "286993/16"]),
+      "286993/16"], 1),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)), (1, -2), 4,
-     ["8", "0", "-7544", "0", "279011"]),
-], ids=["5dir", "6dir"])
-def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect):
-    # five off-axis directions (the odd one paired with the constant 1)
-    # and six (a middle pair): three pieces, so the theta route makes one
-    # general product, and the residue is nonzero
-    products = _count_poly_products(monkeypatch)
+     ["8", "0", "-7544", "0", "279011"], 2),
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, -1)), (1, -2), 4,
+     ["-6105/1024", "0", "155833/128", "0", "-2645541/128"], 3),
+], ids=["5dir", "6dir", "7dir"])
+def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect,
+                                    calls):
+    # five, six and seven off-axis directions: the first and the last two
+    # are pair products, and the theta route feeds each one between them
+    # through mul_linear; the residue is nonzero
+    products = _count_mul_linear(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route = wc_genus(g, route="theta").coeffs
-    assert len(products) == 1
+    assert len(products) == calls
     assert [str(c) for c in theta_route.coeffs] == expect
     assert wc_genus(g, route="bundle").coeffs == theta_route
 
@@ -388,7 +390,7 @@ def _pairing_by_nilpolys(g, M):
             quad[e] = quad.get(e, 0) + M[b][c]
     dual = one(caps, qo)
     for row in g.D:
-        dual = dual * poly(caps, qo, dict(zip(unit, row)))
+        dual = mul(dual, poly(caps, qo, dict(zip(unit, row))))
     return top_product(poly(caps, qo, quad), dual).coefficient(0)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the nilpotent-generator polynomial ring."""
 
+import functools
 import itertools
 import math
 import random
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpoly_ring import (add, at_form, coeffs, from_univariate, one, poly,
-                          scale, top_coeff)
+from nilpoly_ring import (add, at_form, coeffs, from_univariate, mul, one,
+                          poly, scale, terms, top_coeff)
 from series_inverse import inv_poly
 from wittenq.errors import CapsMismatchError, InsufficientDegreeError
-from wittenq.nilring import (NilPoly, contract_axes, mul_univariate,
-                             rank_pair_mul, top_product)
+from wittenq.nilring import (NilPoly, contract_axes, mul_linear,
+                             mul_univariate, rank_pair_mul, top_product)
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series
 
@@ -38,19 +39,21 @@ def _gen(caps, index, q_order):
 
 
 def test_nilpoly_public_surface():
-    # the residue kernels' record: `_make` builds it, and its one ring
-    # operation is the general product of two NilPolys
+    # the residue kernels' record: `_make` builds it, and it has no ring
+    # operation
     bookkeeping = {"__module__", "__qualname__", "__doc__", "__firstlineno__",
                    "__static_attributes__"}
     assert set(vars(NilPoly)) - bookkeeping == {
-        "__slots__", "caps", "q_order", "cells", "den", "_make", "terms",
-        "__new__", "_check", "__mul__", "__eq__", "__hash__", "__repr__"}
+        "__slots__", "caps", "q_order", "cells", "den", "_make", "__new__",
+        "_check", "__eq__", "__hash__", "__repr__"}
     # NilPoly() built a hollow instance whose repr and == raised
     # AttributeError
     for args in ((), ((2,), 1)):
         with pytest.raises(TypeError, match="_make"):
             NilPoly(*args)
     p = one((1,), 2)
+    with pytest.raises(TypeError):
+        p * p
     for scalar in (True, 2, Fraction(1, 2), QSeries.one(2)):
         with pytest.raises(TypeError):
             p * scalar
@@ -64,8 +67,8 @@ def test_nilpoly_public_surface():
 def test_overflow_monomials_dropped():
     # a product's monomials over a cap are dropped
     x, y = _gen((2, 1), 0, 3), _gen((2, 1), 1, 3)
-    assert list((x * y * x).terms) == [(2, 1)]
-    assert not (x * y * y).cells
+    assert list(terms(mul(mul(x, y), x))) == [(2, 1)]
+    assert not mul(mul(x, y), y).cells
 
 
 def test_cells_are_reduced_and_value_based():
@@ -75,34 +78,34 @@ def test_cells_are_reduced_and_value_based():
     assert (p.den, p.cells) == (6, {(0,): [3, 0], (1,): [2, 6]})
     assert p == poly((2,), 1, {(0,): half, (1,): QSeries([Fraction(1, 3), 1],
                                                          1), (2,): 0})
-    q = p * one((2,), 1)
+    q = mul(p, one((2,), 1))
     assert q == p and hash(q) == hash(p)
     zero = NilPoly._make((2,), 1, {(0,): [0, 0]}, 7)
     assert (zero.den, zero.cells) == (1, {})
     # terms is a new dict of reduced QSeries on each read
-    assert p.terms[(0,)] == half and p.terms[(0,)].den == 2
-    p.terms.clear()
-    assert len(p.terms) == 2
+    assert terms(p)[(0,)] == half and terms(p)[(0,)].den == 2
+    terms(p).clear()
+    assert len(terms(p)) == 2
 
 
 def test_generator_nilpotence():
     x = _gen((3, 2), 0, 4)
-    cube = x * x * x
+    cube = mul(mul(x, x), x)
     assert cube.cells
-    assert not (cube * x).cells
+    assert not mul(cube, x).cells
 
 
 def test_constant_and_top_coeff():
     u = one((1, 1), 3)
-    assert u.terms == {(0, 0): QSeries.one(3)}
+    assert terms(u) == {(0, 0): QSeries.one(3)}
     assert top_product(u, u).is_zero()
-    xy = _gen((1, 1), 0, 3) * _gen((1, 1), 1, 3)
+    xy = mul(_gen((1, 1), 0, 3), _gen((1, 1), 1, 3))
     assert top_product(xy, u).is_one()
 
 
 def test_caps_mismatch_raises():
     with pytest.raises(CapsMismatchError):
-        one((2,), 3) * one((3,), 3)
+        mul(one((2,), 3), one((3,), 3))
     with pytest.raises(CapsMismatchError):
         top_product(one((2,), 3), one((3,), 3))
 
@@ -115,11 +118,11 @@ def test_ring_axioms_randomized():
         a = _random_poly(rng, caps, qo)
         b = _random_poly(rng, caps, qo)
         c = _random_poly(rng, caps, qo)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * add(b, c) == add(a * b, a * c)
-        assert top_product(a * b, c) == top_product(a, b * c) == \
-            top_coeff(a * b * c)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert top_product(mul(a, b), c) == top_product(a, mul(b, c)) == \
+            top_coeff(mul(mul(a, b), c))
 
 
 def test_inv_unit_roundtrip():
@@ -128,9 +131,9 @@ def test_inv_unit_roundtrip():
         caps = (rng.randint(1, 3), rng.randint(1, 2))
         qo = 3
         a = add(_random_poly(rng, caps, qo), one(caps, qo))
-        if (0, 0) not in a.terms or not a.terms[(0, 0)].num[0]:
+        if (0, 0) not in terms(a) or not terms(a)[(0, 0)].num[0]:
             continue
-        prod = a * inv_poly(a)
+        prod = mul(a, inv_poly(a))
         assert prod == one(caps, qo)
 
 
@@ -184,8 +187,8 @@ def test_linear_weights_multinomial():
     # the all-ones series at x + y carries C(i+j, i) at x^i y^j
     ones = [QSeries.one(0)] * 5
     p = _paired_with_one(ones, [1, 1], (2, 2), 0)
-    assert p.terms == {(i, j): QSeries.constant(math.comb(i + j, i), 0)
-                       for i in range(3) for j in range(3)}
+    assert terms(p) == {(i, j): QSeries.constant(math.comb(i + j, i), 0)
+                        for i in range(3) for j in range(3)}
     assert _paired_with_one(ones[:3], [0], (2,), 0) == one((2,), 0)
 
 
@@ -219,7 +222,7 @@ def test_rank_pair_mul_matches_naive_product():
         da = [rng.randint(-3, 3) for _ in caps]
         db = [rng.randint(-3, 3) for _ in caps]
         got = rank_pair_mul(fa, da, fb, db, caps, qo)
-        expect = at_form(fa, da, caps, qo) * at_form(fb, db, caps, qo)
+        expect = mul(at_form(fa, da, caps, qo), at_form(fb, db, caps, qo))
         assert got == expect
 
 
@@ -232,7 +235,7 @@ def test_mul_univariate_matches_naive_product():
         poly = _random_poly(rng, caps, qo)
         u = _random_uni(rng, caps[idx], qo)
         got = mul_univariate(poly, u, idx)
-        expect = poly * from_univariate(u, idx, caps, qo)
+        expect = mul(poly, from_univariate(u, idx, caps, qo))
         assert got == expect
 
 
@@ -263,7 +266,7 @@ def test_rank_pair_mul_on_theta_factors(caps, pairs):
     qo = 4
     f = _theta_factors(sum(caps), qo)
     for a, da, b, db in pairs:
-        expect = at_form(f[a], da, caps, qo) * at_form(f[b], db, caps, qo)
+        expect = mul(at_form(f[a], da, caps, qo), at_form(f[b], db, caps, qo))
         assert rank_pair_mul(f[a], da, f[b], db, caps, qo) == expect
     assert _paired_with_one(f["phi"], (1, 0, -1)[:len(caps)], caps, qo) == \
         at_form(f["phi"], (1, 0, -1)[:len(caps)], caps, qo)
@@ -278,8 +281,34 @@ def test_mul_univariate_on_theta_factors(caps):
     for b, cap in enumerate(caps):
         for name in ("phi", "phi_pair", "twist", "one"):
             axis = _theta_factors(cap, qo)[name]
-            expect = poly * from_univariate(axis, b, caps, qo)
+            expect = mul(poly, from_univariate(axis, b, caps, qo))
             assert mul_univariate(poly, axis, b) == expect
+
+
+@pytest.mark.parametrize("caps", [(5, 7), (2, 3, 3)], ids=["5x7", "2x3x3"])
+def test_mul_linear_on_theta_factors(caps):
+    qo = 4
+    f = _theta_factors(sum(caps), qo)
+    poly = rank_pair_mul(f["phi"], (1, -2, 1)[:len(caps)], f["twist"],
+                         (1,) * len(caps), caps, qo)
+    for d in [(1, 1, 0), (2, -1, 3), (0, 3, -1), (0, 0, 0)]:
+        d = d[:len(caps)]
+        for name in ("phi", "phi_pair", "twist", "psi1", "one"):
+            expect = mul(poly, at_form(f[name], d, caps, qo))
+            assert mul_linear(poly, f[name], d) == expect
+
+
+def test_mul_linear_insufficient_degree():
+    p = one((1, 1), 2)
+    with pytest.raises(InsufficientDegreeError):
+        mul_linear(p, [QSeries.one(2)] * 2, (1, 1))
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_mul_linear_refuses_direction_of_wrong_arity(bad):
+    f = [QSeries.one(1)] * 5
+    with pytest.raises(ValueError):
+        mul_linear(one((2, 2), 1), f, bad)
 
 
 def test_top_product_matches_full_product():
@@ -289,23 +318,23 @@ def test_top_product_matches_full_product():
         qo = rng.randint(0, 3)
         a = _random_poly(rng, caps, qo)
         b = _random_poly(rng, caps, qo)
-        assert top_product(a, b) == top_coeff(a * b)
+        assert top_product(a, b) == top_coeff(mul(a, b))
 
 
 def test_from_univariate_and_scalar_mul():
     # the tests' ring: a series in one generator, and a scalar multiple
     u = [QSeries.one(2), QSeries.constant(3, 2)]
     p = from_univariate(u, 1, (2, 2), 2)
-    assert p.terms[(0, 0)].is_one()
-    assert p.terms[(0, 1)] == QSeries.constant(3, 2)
+    assert terms(p)[(0, 0)].is_one()
+    assert terms(p)[(0, 1)] == QSeries.constant(3, 2)
     assert not scale(p, 0).cells
-    assert scale(p, 2).terms[(0, 1)] == QSeries.constant(6, 2)
+    assert terms(scale(p, 2))[(0, 1)] == QSeries.constant(6, 2)
 
 
 def test_series_product_drops_terms_that_truncate_to_zero():
     # q^2 * q vanishes at q-order 2, so the product has no terms left
     p = poly((1,), 2, {(0,): QSeries.monomial(1, 2, 2)})
-    prod = p * poly((1,), 2, {(0,): QSeries.monomial(1, 1, 2)})
+    prod = mul(p, poly((1,), 2, {(0,): QSeries.monomial(1, 1, 2)}))
     assert (prod.den, prod.cells) == (1, {})
     assert prod == poly((1,), 2)
 
@@ -396,10 +425,10 @@ def test_general_product_matches_fraction_reference(data):
                     acc[i + j] += ca[i] * cb[j]
     pa, pb = (poly(caps, qo, {e: QSeries(c, qo) for e, c in p.items()})
               for p in (a, b))
-    got = pa * pb
-    assert ({e: c.coeffs for e, c in got.terms.items()}
+    got = mul(pa, pb)
+    assert ({e: c.coeffs for e, c in terms(got).items()}
             == {e: c for e, c in expect.items() if any(c)})
-    for c in got.terms.values():
+    for c in terms(got).values():
         assert math.gcd(c.den, *c.num) == 1
     assert math.gcd(got.den, *itertools.chain(*got.cells.values())) == 1
 
@@ -411,7 +440,7 @@ def test_rank_pair_mul_property(data):
     fa, fb = (data.draw(_factors(sum(caps), qo)) for _ in "ab")
     da, db = (data.draw(_directions(len(caps))) for _ in "ab")
     got = rank_pair_mul(fa, da, fb, db, caps, qo)
-    assert got == at_form(fa, da, caps, qo) * at_form(fb, db, caps, qo)
+    assert got == mul(at_form(fa, da, caps, qo), at_form(fb, db, caps, qo))
 
 
 @KERNELS
@@ -425,16 +454,29 @@ def test_mul_univariate_chain_property(data):
     da, db, dc = (data.draw(_directions(len(caps))) for _ in "abc")
     axes = [data.draw(_factors(cap, qo)) for cap in caps]
     poly = rank_pair_mul(fa, da, fb, db, caps, qo)
-    expect = at_form(fa, da, caps, qo) * at_form(fb, db, caps, qo)
-    assert contract_axes(poly, axes) == top_coeff(
-        expect * math.prod((from_univariate(f, b, caps, qo)
-                            for b, f in enumerate(axes)),
-                           start=one(caps, qo)))
+    expect = mul(at_form(fa, da, caps, qo), at_form(fb, db, caps, qo))
+    assert contract_axes(poly, axes) == top_coeff(mul(
+        expect, functools.reduce(mul, (from_univariate(f, b, caps, qo)
+                                       for b, f in enumerate(axes)),
+                                 one(caps, qo))))
     for b, f in enumerate(axes):
         poly = mul_univariate(poly, f, b)
-        expect = expect * from_univariate(f, b, caps, qo)
+        expect = mul(expect, from_univariate(f, b, caps, qo))
         assert poly == expect
     unit = [QSeries.one(qo)] + [QSeries.zero(qo)] * total
     last = rank_pair_mul(fc, dc, unit, (0,) * len(caps), caps, qo)
     assert top_product(poly, last) == \
-        top_coeff(expect * at_form(fc, dc, caps, qo))
+        top_coeff(mul(expect, at_form(fc, dc, caps, qo)))
+
+
+@KERNELS
+@given(st.data())
+def test_mul_linear_property(data):
+    # a poly with cells over different denominators times a series at a
+    # linear form, against the Horner-rule product
+    caps, qo = data.draw(_shapes())
+    p = poly(caps, qo, {e: QSeries(c, qo) for e, c in
+                        data.draw(_fraction_polys(caps, qo)).items()})
+    f = data.draw(_factors(sum(caps), qo))
+    d = data.draw(_directions(len(caps)))
+    assert mul_linear(p, f, d) == mul(p, at_form(f, d, caps, qo))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilpoly_ring import add, coeffs, from_univariate, one, poly
+from nilpoly_ring import add, coeffs, from_univariate, mul, one, poly
 from series_inverse import inv_poly
 from wittenq import theta
 from wittenq.nilring import rank_pair_mul
@@ -35,14 +35,14 @@ def test_uniseries_ring_axioms():
 
     for _ in range(6):
         a, b, c = rnd(), rnd(), rnd()
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * add(b, c) == add(a * b, a * c)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_uniseries_inv_and_scale():
     u = from_univariate([1, 1], 0, (6,), 4)
-    assert u * inv_poly(u) == one((6,), 4)
+    assert mul(u, inv_poly(u)) == one((6,), 4)
     # (1 + x) at the linear form 3x, times 1 at the zero form, is 1 + 3x
     s = rank_pair_mul(coeffs(u), [3], coeffs(one((6,), 4)), (0,), (6,), 4)
     assert coeffs(s)[1] == QSeries.constant(3, 4)
@@ -75,8 +75,8 @@ def test_x_over_phi_inverts_phi():
     xo, qo = 6, 10
     u = theta.x_over_phi(xo, qo)
     p = theta.phi(xo + 1, qo)
-    prod = (from_univariate(p[1:], 0, (xo,), qo)
-            * from_univariate(u, 0, (xo,), qo))
+    prod = mul(from_univariate(p[1:], 0, (xo,), qo),
+               from_univariate(u, 0, (xo,), qo))
     assert prod == one((xo,), qo)
 
 
