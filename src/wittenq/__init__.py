@@ -13,13 +13,10 @@ from .errors import (CapsMismatchError, DimensionError,
 from .qseries import QSeries, Q2Series, rat
 from .nilring import NilPoly
 from .theta import (ThetaKind, jacobi_check, numeric_theta,
-                    numeric_transform_suite, phi, psi, psi_product,
-                    x_over_phi)
-from .bundles import (lemma42_check, lemma42_report, lfactor_4k, lfactor_4k2,
-                      root_factor)
+                    numeric_transform_suite, phi, psi_product, x_over_phi)
+from .bundles import lemma42_report, lfactor_4k, lfactor_4k2, root_factor
 from .gci import (ConditionReport, GCIData, codim_ok, condition_report, dims,
-                  is_spin, is_string, is_stringc, p1_matrix, thm42_ok,
-                  w2_vector)
+                  p1_matrix, thm42_ok, w2_vector)
 from .genera import (GenusReport, dim4_closed_form, mod2_witten, wc_genus,
                      witten_genus)
 from .modforms import (ModFormFit, eisenstein, fit, sigma,
@@ -33,12 +30,10 @@ __all__ = [
     "NonIntegralError", "OrderMismatchError",
     "QSeries", "Q2Series", "rat", "NilPoly",
     "ThetaKind", "jacobi_check", "numeric_theta",
-    "numeric_transform_suite", "phi", "psi", "psi_product", "x_over_phi",
-    "lemma42_check", "lemma42_report", "lfactor_4k", "lfactor_4k2",
-    "root_factor",
+    "numeric_transform_suite", "phi", "psi_product", "x_over_phi",
+    "lemma42_report", "lfactor_4k", "lfactor_4k2", "root_factor",
     "ConditionReport", "GCIData", "codim_ok", "condition_report", "dims",
-    "is_spin", "is_string", "is_stringc", "p1_matrix", "thm42_ok",
-    "w2_vector",
+    "p1_matrix", "thm42_ok", "w2_vector",
     "GenusReport", "dim4_closed_form", "mod2_witten", "wc_genus",
     "witten_genus",
     "ModFormFit", "eisenstein", "fit", "sigma", "theta_constant_e4_check",

@@ -162,8 +162,9 @@ def lemma42_report(q_order, flip_sign=False):
     flip_sign=True is a negative control (replaces the second product's
     minus by plus so the cancellation fails).
 
-    Returns a report dict; 'quotient_q2' is the q^2-coefficient of the
-    w^1-part divided by 2, a small sanity value (-1 for the true lemma).
+    Returns a report dict; 'passed' is True iff D is divisible by w with
+    an even integral quotient, and 'quotient_q2' is the q^2-coefficient of
+    the w^1-part divided by 2, a small sanity value (-1 for the true lemma).
     """
     _check_int(q_order, "q_order")
     cap = q_order // 2  # one w-degree per pair: nothing is truncated
@@ -183,12 +184,3 @@ def lemma42_report(q_order, flip_sign=False):
         "quotient_q2": Fraction(diff[1][2] if cap else 0, 2),
         "passed": const_zero and halves_integral,
     }
-
-
-def lemma42_check(q_order, flip_sign=False):
-    """True iff the difference is divisible by w with an even integral quotient.
-
-    The computation is exact in w: every pair has w-degree 1 and the cap
-    holds them all, so every w-coefficient is checked.
-    """
-    return lemma42_report(q_order, flip_sign=flip_sign)["passed"]

@@ -1,16 +1,15 @@
 """Command-line surface: instance files in, genus reports and verdicts out.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 malformed input,
-3 precondition failure, 4 internal integrality failure.  The default
-q-order is 20, overridable per-invocation by --q-order and globally by
-the WITTENQ_Q_ORDER environment variable (which sets the default only),
-except `verify --suite vanishing`, which runs at q-order 12 unless given
---q-order.  A negative or non-integer q-order, from either source, is
-malformed input; `verify` of the modular suite (alone or in `all`) below
-q-order 4, too short to fit at weight 24, is a precondition failure
-before any suite runs.  `search` bounds, its --q-order too, parse as ints
-and SearchQuery is their one check: a refused bound is malformed input,
-named by its field.
+3 precondition failure, 4 internal integrality failure.  The q-order is
+--q-order if given, else an instance file's q_order, else
+DEFAULT_Q_ORDER (20), except `verify --suite vanishing`, which runs at
+q-order 12 unless given --q-order.  A negative or non-integer q-order,
+from either source, is malformed input; `verify` of the modular suite
+(alone or in `all`) below q-order 4, too short to fit at weight 24, is a
+precondition failure before any suite runs.  `search` bounds, its
+--q-order too, parse as ints and SearchQuery is their one check: a
+refused bound is malformed input, named by its field.
 Run as a program, wittenq dies quietly of SIGPIPE.
 """
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import signal
 import sys
 
@@ -35,6 +33,8 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTEGRALITY = 4
 
+DEFAULT_Q_ORDER = 20
+
 
 def nonneg_arg(name):
     """The argparse type of the int >= 0 `name`: text that is not one is
@@ -50,15 +50,6 @@ def nonneg_arg(name):
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
-
-
-def default_q_order():
-    """WITTENQ_Q_ORDER if set (ValueError if malformed), else 20."""
-    try:
-        return nonneg_arg("WITTENQ_Q_ORDER")(
-            os.environ.get("WITTENQ_Q_ORDER", "20"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(str(exc)) from None
 
 
 # "conditions" is in every `wittenq search` line; it is recomputed, not read
@@ -78,7 +69,7 @@ def _load_instance(path, q_order=None):
             raise ValueError(f"unknown instance keys {unknown}; allowed are "
                              f"{sorted(_INSTANCE_KEYS)}")
         qo = q_order if q_order is not None else doc.get("q_order",
-                                                         default_q_order())
+                                                         DEFAULT_Q_ORDER)
         return GCIData(doc["n"], doc["D"], doc.get("C"), q_order=qo)
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,9 +179,9 @@ def suite_bundles(q_order):
     results["lfactor_4k2=Phi/2"] = (
         tuple(c * 2 for c in bundles.lfactor_4k2(x_order, q_order))
         == theta.phi(x_order, q_order))
-    results["lemma42"] = bundles.lemma42_check(q_order)
-    results["lemma42_negative_control"] = not bundles.lemma42_check(
-        q_order, flip_sign=True)
+    results["lemma42"] = bundles.lemma42_report(q_order)["passed"]
+    results["lemma42_negative_control"] = not bundles.lemma42_report(
+        q_order, flip_sign=True)["passed"]
     return results
 
 
@@ -250,7 +241,7 @@ def suite_modular(q_order):
 
 
 def cmd_verify(args):
-    q_order = args.q_order if args.q_order is not None else default_q_order()
+    q_order = args.q_order if args.q_order is not None else DEFAULT_Q_ORDER
     suites = {
         "theta": lambda: suite_theta(q_order),
         "bundles": lambda: suite_bundles(q_order),
@@ -282,8 +273,7 @@ def cmd_search(args):
                             c_max=args.cmax, positive=args.positive,
                             require_codim=args.codim,
                             target_real_dim=args.target_dim,
-                            q_order=args.q_order if args.q_order is not None
-                            else default_q_order())
+                            q_order=args.q_order)
     except ValueError as exc:
         args.error(str(exc))  # argparse's refusal: usage, message, exit 2
     if args.parity == "string":
@@ -337,7 +327,7 @@ def build_parser():
     ps.add_argument("--codim", action=argparse.BooleanOptionalAction,
                     default=True)
     ps.add_argument("--target-dim", type=int, default=None)
-    ps.add_argument("--q-order", type=int, default=None)
+    ps.add_argument("--q-order", type=int, default=DEFAULT_Q_ORDER)
     ps.set_defaults(fn=cmd_search, error=ps.error)
     return p
 
@@ -346,11 +336,5 @@ def run(argv=None):
     if argv is None and hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
-    try:
-        default_q_order()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_INPUT
-    else:
-        code = args.fn(args)
+    code = args.fn(args)
     return sys.exit(code) if argv is None else code

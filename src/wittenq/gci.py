@@ -86,10 +86,6 @@ def w2_vector(g: GCIData):
     return [(g.n[b] + 1 - c) % 2 for b, c in enumerate(column_sums(g))]
 
 
-def is_spin(g: GCIData):
-    return condition_report(g).spin
-
-
 def p1_matrix(g: GCIData):
     """The first-Pontryagin Gram matrix Diag(n+1) - D^T D (s x s, symmetric)."""
     s = g.s
@@ -101,22 +97,10 @@ def p1_matrix(g: GCIData):
     return P
 
 
-def is_string(g: GCIData):
-    """Spin with vanishing half-first-Pontryagin class."""
-    return condition_report(g).string
-
-
 def stringc_coefficient(g: GCIData):
     """3 in real dimension 4k, 1 in 4k+2 (the anomaly coefficient 2 + (-1)^m)."""
     cdim, _ = dims(g)
     return 3 if cdim % 2 == 0 else 1
-
-
-def is_stringc(g: GCIData):
-    """The dimension-appropriate identity Diag(n+1) - D^T D = k * C^T C."""
-    if g.C is None:
-        raise ValueError("is_stringc requires the spin^c coefficient vector C")
-    return condition_report(g).stringc
 
 
 def codim_ok(g: GCIData):
@@ -153,8 +137,12 @@ class ConditionReport:
 
 
 def condition_report(g: GCIData):
-    """Evaluate every condition once and collect human-readable violations;
-    `is_spin`, `is_string`, `is_stringc` and `thm42_ok` read this report.
+    """Evaluate every condition once and collect human-readable violations.
+
+    spin is w2 = 0; string is spin with vanishing half-first-Pontryagin
+    class, Diag(n+1) - D^T D = 0; stringc is the dimension-appropriate
+    identity Diag(n+1) - D^T D = k * C^T C (`stringc_coefficient`), or
+    None when the instance has no C.  `thm42_ok` reads this report.
 
     The matrix identities are meaningful characterizations only under the
     codimension hypothesis; when that fails the report is marked

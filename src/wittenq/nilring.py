@@ -79,11 +79,6 @@ class NilPoly:
         return (self.caps == other.caps and self.q_order == other.q_order
                 and self.den == other.den and self.cells == other.cells)
 
-    def __hash__(self):
-        return hash((self.caps, self.q_order, self.den,
-                     frozenset((e, tuple(num))
-                               for e, num in self.cells.items())))
-
     def __repr__(self):
         parts = []
         for e, num in sorted(self.cells.items()):

@@ -13,9 +13,8 @@ coefficient product is an int product.
 lists: `QSeries.__mul__` and the products of `nilring` call it and reduce
 once.  (`theta.direction_series` and the linear-form kernels of
 `nilring` run fused int sums of their own.)  Nothing in the package
-inverts a series: the genera are top coefficients of products.  `power`
-is the one repeated-squaring loop, `QSeries.__pow__`'s, on exponents
-k >= 0.
+inverts a series: the genera are top coefficients of products, and
+`QSeries.__pow__` takes exponents k >= 0 by repeated squaring.
 `q_product` is the one product of binomials (1 + sign*q^e), on ints.
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
@@ -36,20 +35,6 @@ def rat(v):
     if isinstance(v, (float, bool)):
         raise TypeError(f"a {type(v).__name__} is not a coefficient, got {v!r}")
     return Fraction(v)
-
-
-def power(base, k, one):
-    """base ** k by repeated squaring, `one` being the unit of base's ring;
-    a negative k raises ValueError (there is no inverse)."""
-    _check_int(k, "exponent")
-    result = one
-    while k:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
 
 
 def _check_int(value, name="order", least=0):
@@ -182,12 +167,6 @@ class QSeries:
     def even_q_support(self):
         return not any(self.num[1::2])
 
-    def truncate(self, order):
-        _check_int(order)
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries._make(self.num[: order + 1], self.den, order)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other):
@@ -232,7 +211,17 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return power(self, k, QSeries.one(self.order))
+        """self ** k by repeated squaring; a negative k raises ValueError
+        (there is no inverse)."""
+        _check_int(k, "exponent")
+        result, base = QSeries.one(self.order), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def reduce_mod2(self):
         """Reduce an integral series to its coefficients modulo 2."""

@@ -57,9 +57,6 @@ class FoundInstance:
     g: GCIData
     report: object  # ConditionReport
 
-    def key(self):
-        return (self.g.n, self.g.D, self.g.C)
-
 
 def _canonical(n, D, C):
     """Sort rows, then sort ambient factors by (n, column, c), rebuilding D."""

@@ -19,9 +19,10 @@ numbers come from integer tangent numbers, which end the odd rows of
 Seidel's boustrophedon, so a longer table extends a shorter one.  Each
 factor is then one exponential of its logarithm, computed exactly by
 `direction_series`, the one exponential builder: it exponentiates an
-integer combination of these logarithms at multiples m*x, so `phi`, `psi`,
+integer combination of these logarithms at multiples m*x, so `phi`,
 `psi_product`, `x_over_phi` and the merged direction factors of the
-theta-route genera are each one call of it.
+theta-route genera are each one call of it, and Psi_i alone is
+`direction_series([(kind, 1, 1)], 0, x_order, q_order)`.
 The bundle route (`bundles`) keeps the product formulas and is the
 independent oracle these builders are checked against.
 
@@ -32,7 +33,7 @@ g_2h, so each step is an integer combination of int columns with cached
 integer weights, and each coefficient is reduced once.  It returns the
 tuple of QSeries coefficients by x-degree (an `XSeries`), which the
 genera keep in a bounded cache by merged exponent (`genera._factor`) and
-which `phi`, `psi`, `psi_product` and `x_over_phi` return.  A separate
+which `phi`, `psi_product` and `x_over_phi` return.  A separate
 complex-numeric evaluator checks the analytic transformation laws, which
 the formal truncated series cannot see.
 """
@@ -68,8 +69,8 @@ def _granular(x_order):
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(x_order):
-    """The integer tables (B, W, delta, den, row) to x^x_order.
+def _bernoulli_table(x_order):
+    """The integer tables (B, row) to x^x_order.
 
     For k = 1..x_order // 2, B[k] is the reduced (num, den) of
     B_2k/2k = (-1)^(k-1) T_k / (4^k (4^k - 1)), from the tangent number
@@ -78,43 +79,57 @@ def _tables(x_order):
     boustrophedon: row n is 0 followed by the running sums of row n - 1
     reversed (1; 0 1; 0 1 1; 0 1 2 2; ...), so each row needs only the
     one before it; `row` is the last one built, row 2 (x_order // 2),
-    which a longer table goes on from.
-
-    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
-    k = 1..h and den[h] = delta_h (2h)!, with delta_0 = 1 and
-    delta_h = lcm_(k<=h) d_k delta_(h-k); see `direction_series`.  It is
-    computed as 2 den(B_2h) delta_(h-1), with den(B_2h) = d_h / gcd(d_h, 2h):
-    by von Staudt-Clausen and Adams, v_p(d_k) = 1 + v_p(2k) if
-    (p - 1) | 2k, else 0, so the lcm has v_p = floor(2h/(p - 1)) (from
-    2k = p - 1) for odd p and 2h (from k = 1) for p = 2, which grow from
-    h - 1 to h by 1 iff p | den(B_2h), and by 2 at p = 2.  Like
-    `_log_columns`, a table extends the cached one 16 x-degrees shorter.
+    which a longer table goes on from.  Like `_log_columns`, a table
+    extends the cached one 16 x-degrees shorter.
     """
-    B, W, delta, den, row = (map(list, _tables(x_order - 16)) if x_order > 16
-                             else ([(0, 1)], [()], [1], [1], [1]))
+    B, row = (map(list, _bernoulli_table(x_order - 16)) if x_order > 16
+              else ([(0, 1)], [1]))
     for h in range(len(B), x_order // 2 + 1):
         row = list(itertools.accumulate(reversed(row), initial=0))  # T_h
         d = 4 ** h * (4 ** h - 1)
         g = math.gcd(row[-1], d)
-        d //= g
-        B.append(((-1) ** (h - 1) * (row[-1] // g), d))
+        B.append(((-1) ** (h - 1) * (row[-1] // g), d // g))
         row = list(itertools.accumulate(reversed(row), initial=0))
+    return tuple(B), tuple(row)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(x_order):
+    """The integer tables (W, delta, den) of the exponential to x^x_order.
+
+    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
+    k = 1..h and den[h] = delta_h (2h)!, with delta_0 = 1,
+    delta_h = lcm_(k<=h) d_k delta_(h-k) and d_k = den(B_2k/2k) from
+    `_bernoulli_table`; see `direction_series`.  delta_h is computed as
+    2 den(B_2h) delta_(h-1), with den(B_2h) = d_h / gcd(d_h, 2h): by von
+    Staudt-Clausen and Adams, v_p(d_k) = 1 + v_p(2k) if (p - 1) | 2k, else
+    0, so the lcm has v_p = floor(2h/(p - 1)) (from 2k = p - 1) for odd p
+    and 2h (from k = 1) for p = 2, which grow from h - 1 to h by 1 iff
+    p | den(B_2h), and by 2 at p = 2.  A table extends the cached one 16
+    x-degrees shorter.
+    """
+    B = _bernoulli_table(x_order)[0]
+    W, delta, den = (map(list, _tables(x_order - 16)) if x_order > 16
+                     else ([()], [1], [1]))
+    for h in range(len(W), x_order // 2 + 1):
+        d = B[h][1]
         delta.append(2 * d // math.gcd(d, 2 * h) * delta[h - 1])
         W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
                        // (B[k][1] * delta[h - k]) for k in range(1, h + 1)))
         den.append(delta[h] * math.factorial(2 * h))
-    return tuple(map(tuple, (B, W, delta, den, row)))
+    return tuple(map(tuple, (W, delta, den)))
 
 
 def bernoulli(n):
     """The Bernoulli number B_n (B_1 = -1/2) of an int n >= 0, read from
-    B_2k/2k in `_tables`; any other n raises TypeError or ValueError."""
+    B_2k/2k in `_bernoulli_table`, which builds no exponential weight; any
+    other n raises TypeError or ValueError."""
     _check_int(n, "n")
     if n < 2:
         return Fraction(1) if n == 0 else Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    num, den = _tables(_granular(n))[0][n // 2]
+    num, den = _bernoulli_table(_granular(n))[0][n // 2]
     return Fraction(n * num, den)
 
 
@@ -125,7 +140,8 @@ def eisenstein_g(k, q_order):
     _check_int(q_order, "q_order")
     xg = _granular(2 * k)
     col = _log_columns(ThetaKind.THETA, xg, q_order)[k]
-    return QSeries._make(list(col), 2 * _tables(xg)[0][k][1], q_order)
+    return QSeries._make(list(col), 2 * _bernoulli_table(xg)[0][k][1],
+                         q_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,17 +160,18 @@ def _log_columns(kind, x_order, q_order):
     = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
     log(sinh(x/2)/(x/2)) and log cosh(x/2).  So (2k)! L_2k is -B_2k/2k
     (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0 (Psi_2, Psi_3) plus twice an
-    integral divisor sum, and d_k = den(B_2k/2k), read from `_tables`,
-    clears it.  These columns are the package's one source of Eisenstein
-    series: `eisenstein_g` and `modforms.eisenstein` read the x/Phi
-    columns.  A table extends the cached one 16 x-degrees shorter.
+    integral divisor sum, and d_k = den(B_2k/2k), read from
+    `_bernoulli_table`, clears it.  These columns are the package's one
+    source of Eisenstein series: `eisenstein_g` and `modforms.eisenstein`
+    read the x/Phi columns.  A table extends the cached one 16 x-degrees
+    shorter.
     """
     K = ThetaKind
     odd = kind in (K.THETA2, K.THETA3)
     alternating = kind in (K.THETA1, K.THETA3)
     cols = (list(_log_columns(kind, x_order - 16, q_order)) if x_order > 16
             else [(0,) * (q_order + 1)])
-    B = _tables(x_order)[0]
+    B = _bernoulli_table(x_order)[0]
     for k in range(len(cols), x_order // 2 + 1):
         num, den = B[k]
         s = -2 * den if kind == K.THETA2 else 2 * den
@@ -197,9 +214,8 @@ def direction_series(terms, r, x_order, q_order):
         G_h = sum_k W[h][k] N_k G_(h-k),
         W[h][k] = C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)),
     integer weights that depend on h and k only and are cached per
-    granular x-order beside B_2k/2k (`_tables`).  A step makes no lcm and
-    no gcd; f_2h = G_h / (delta_h (2h)!) is reduced once, by
-    `QSeries._make`.
+    granular x-order (`_tables`).  A step makes no lcm and no gcd;
+    f_2h = G_h / (delta_h (2h)!) is reduced once, by `QSeries._make`.
     A step with at least as many terms k as q-degrees sums over k as int
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
@@ -219,7 +235,7 @@ def direction_series(terms, r, x_order, q_order):
         return XSeries([zero] * (x_order + 1))
     H, qn = (x_order - r) // 2, q_order + 1
     xg = _granular(x_order)
-    _, W, _, den, _ = _tables(xg)
+    W, _, den = _tables(xg)
     tables = [(_log_columns(kind, xg, q_order), pairs)
               for kind, pairs in powers.items()]
     N = [[0] * qn]
@@ -276,13 +292,6 @@ def phi(x_order, q_order):
     return direction_series([(ThetaKind.THETA, -1, 1)], 1, x_order, q_order)
 
 
-def psi(kind, x_order, q_order):
-    """Normalized ratio Psi_i(x) = theta_i(x/(2*pi*i)) / theta_i(0), i = 1, 2, 3."""
-    if not isinstance(kind, ThetaKind) or kind is ThetaKind.THETA:
-        raise ValueError("psi is defined for THETA1, THETA2, THETA3")
-    return direction_series([(kind, 1, 1)], 0, x_order, q_order)
-
-
 def psi_product(x_order, q_order):
     """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
     kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
@@ -296,9 +305,10 @@ def x_over_phi(x_order, q_order):
 
 # -- Jacobi identity as a pure q-series statement ---------------------
 
-def jacobi_product(q_order, skip=None):
-    """prod_j (1 + q^2j)(1 - q^(4j-2)), optionally skipping one factor
-    index, an int in 1..q_order // 2 (any other int raises ValueError)."""
+def jacobi_check(q_order, skip=None):
+    """The Jacobi triple-null identity reduced to
+    prod (1+q^2j)(1-q^(4j-2)) = 1, optionally skipping one factor index,
+    an int in 1..q_order // 2 (any other int raises ValueError)."""
     _check_int(q_order, "q_order")
     if skip is not None:
         _check_int(skip, "skip", None)
@@ -306,12 +316,8 @@ def jacobi_product(q_order, skip=None):
             raise ValueError(f"skip must be an int in 1..{q_order // 2}, "
                              f"got {skip!r}")
     return q_product([f for j in range(1, q_order // 2 + 2) if j != skip
-                      for f in ((1, 2 * j), (-1, 4 * j - 2))], q_order)
-
-
-def jacobi_check(q_order, skip=None):
-    """The Jacobi triple-null identity reduced to prod (1+q^2j)(1-q^(4j-2)) = 1."""
-    return jacobi_product(q_order, skip=skip).is_one()
+                      for f in ((1, 2 * j), (-1, 4 * j - 2))],
+                     q_order).is_one()
 
 
 # -- numeric evaluator ------------------------------------------------

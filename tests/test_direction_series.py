@@ -128,6 +128,19 @@ def test_bernoulli_matches_defining_recurrence():
         assert theta.bernoulli(n) == _bernoulli_reference(n), n
 
 
+def test_bernoulli_builds_no_exponential_weight():
+    # a lone B_398 once built the exponential's 20,100 weights beside
+    # B_2k/2k, about 3 MB of ints, and took 136-166 ms from cold
+    _clear_tables()
+    try:
+        assert theta.bernoulli(200) == _bernoulli_reference(200)
+        theta.bernoulli(398)
+        assert theta._tables.cache_info().currsize == 0
+        assert theta._bernoulli_table.cache_info().currsize == 25
+    finally:
+        _clear_tables()
+
+
 def test_bernoulli_values_and_domain():
     assert theta.bernoulli(0) == 1
     assert theta.bernoulli(1) == Fraction(-1, 2)
@@ -159,7 +172,8 @@ def test_direction_series_refuses_negative_sizes(r, x_order):
 
 def test_factors_refuse_negative_x_order():
     for build in (lambda: theta.phi(-1, 2), lambda: theta.x_over_phi(-1, 2),
-                  lambda: theta.psi(K.THETA1, -2, 2),
+                  lambda: theta.direction_series([(K.THETA1, 1, 1)], 0, -2,
+                                                 2),
                   lambda: theta.psi_product(-1, 2)):
         with pytest.raises(ValueError):
             build()
@@ -191,21 +205,24 @@ def test_int_kinds_are_refused_with_warm_caches():
     # ThetaKind is an IntEnum, so 0 == THETA and both are one key of the
     # cached log columns: the kinds are checked before any cache is read
     theta.x_over_phi(8, 4)
-    theta.psi(K.THETA1, 8, 4)
+    theta.direction_series([(K.THETA1, 1, 1)], 0, 8, 4)
     for build in (lambda: theta.direction_series([(0, 1, 1)], 0, 8, 4),
                   lambda: theta.direction_series([(K.THETA, 1, 1), (1, 1, 2)],
                                                  0, 8, 4),
                   lambda: theta.direction_series([(0, 1, 1)], 9, 8, 4),
-                  lambda: theta.psi(1, 8, 4),
-                  lambda: theta.psi(K.THETA, 8, 4),
                   lambda: theta.numeric_theta(0, 0.1, 1j)):
         with pytest.raises(ValueError):
             build()
 
 
+def _clear_tables():
+    theta._tables.cache_clear()
+    theta._bernoulli_table.cache_clear()
+
+
 def _spy_rows(monkeypatch):
-    """The indices of the boustrophedon rows `_tables` builds, in order
-    (row n has n + 1 entries)."""
+    """The indices of the boustrophedon rows `_bernoulli_table` builds, in
+    order (row n has n + 1 entries)."""
     built = []
 
     def accumulate(row, initial):
@@ -223,13 +240,15 @@ def test_exp_weights_compute_each_den_bound_once(monkeypatch):
     # tangent number and each B_2k/2k, once: a shorter table's entries are
     # the very objects of the longer one
     built = _spy_rows(monkeypatch)
-    theta._tables.cache_clear()
+    _clear_tables()
     try:
-        (B, W, *_), *shorter = [theta._tables(x) for x in (64, 48, 32, 16)]
+        (W, B), *shorter = [
+            (theta._tables(x)[0], theta._bernoulli_table(x)[0])
+            for x in (64, 48, 32, 16)]
     finally:
-        theta._tables.cache_clear()
+        _clear_tables()
     assert built == list(range(1, 65))
-    for B_short, W_short, *_ in shorter:
+    for W_short, B_short in shorter:
         assert all(map(operator.is_, B_short, B))
         assert all(map(operator.is_, W_short, W))
 
@@ -238,16 +257,18 @@ def test_tables_grow_row_by_row(monkeypatch):
     # from cold, x-order 80 misses the cache at 16, 32, ..., 80; going on
     # to 96 is one more miss, which builds rows 81..96 from row 80 alone
     built = _spy_rows(monkeypatch)
-    theta._tables.cache_clear()
+    _clear_tables()
     try:
-        B, W, _, _, row = theta._tables(80)
+        W, (B, row) = theta._tables(80)[0], theta._bernoulli_table(80)
         assert theta._tables.cache_info().misses == 5
+        assert theta._bernoulli_table.cache_info().misses == 5
         assert built == list(range(1, 81)) and len(row) == 81
         del built[:]
-        B96, W96, _, _, row = theta._tables(96)
+        W96, (B96, row) = theta._tables(96)[0], theta._bernoulli_table(96)
         assert theta._tables.cache_info().misses == 6
+        assert theta._bernoulli_table.cache_info().misses == 6
     finally:
-        theta._tables.cache_clear()
+        _clear_tables()
     assert built == list(range(81, 97))
     assert len(B96) == len(W96) == 49 and len(row) == 97
     assert all(map(operator.is_, B, B96)) and all(map(operator.is_, W, W96))
@@ -257,11 +278,11 @@ def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
     # B_2k/2k on ints against its Fraction form, and the weights against
     # delta_h = lcm_(k<=h) d_k delta_(h-k), to x-order 160
     H = 80
-    tables = theta._tables(160)
+    B = theta._bernoulli_table(160)[0]
     d = [1]
     for k in range(1, H + 1):
         b = _bernoulli_reference(2 * k) / (2 * k)
-        assert tables[0][k] == (b.numerator, b.denominator)
+        assert B[k] == (b.numerator, b.denominator)
         d.append(b.denominator)
     delta = [1]
     for h in range(1, H + 1):
@@ -270,7 +291,7 @@ def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
                       // (d[k] * delta[h - k]) for k in range(1, h + 1))
                 for h in range(1, H + 1)]
     den = tuple(delta[h] * math.factorial(2 * h) for h in range(H + 1))
-    assert tables[1:4] == (tuple(W), tuple(delta), den)
+    assert theta._tables(160) == (tuple(W), tuple(delta), den)
     # the log columns, B_2k/2k in their constant terms, against the
     # Fraction logarithms cleared by d_k (2k)!
     for kind in K:

@@ -4,9 +4,8 @@ import pytest
 
 from wittenq.errors import DimensionError
 from wittenq.gci import (GCIData, codim_ok, column_sums, condition_report,
-                         dims, even_rows, is_spin, is_string, is_stringc,
-                         m_vector, p1_matrix, stringc_coefficient, thm42_ok,
-                         w2_vector)
+                         dims, even_rows, m_vector, p1_matrix,
+                         stringc_coefficient, thm42_ok, w2_vector)
 
 
 def test_validation():
@@ -48,40 +47,40 @@ def test_shape_properties_and_dims():
 def test_w2_and_spin():
     # CP^2 is not spin (w2 = n + 1 = 3 odd), CP^3 is
     assert w2_vector(GCIData([2], [])) == [1]
-    assert is_spin(GCIData([3], []))
+    assert condition_report(GCIData([3], [])).spin
     # a quadric in CP^4: 5 - 2 = 3 odd -> not spin
-    assert not is_spin(GCIData([4], [[2]]))
+    assert not condition_report(GCIData([4], [[2]])).spin
     # V(1, 2) in CP^4: 5 - 3 = 2 even -> spin
-    assert is_spin(GCIData([4], [[1], [2]]))
+    assert condition_report(GCIData([4], [[1], [2]])).spin
 
 
 def test_p1_matrix_and_string():
     g = GCIData([4], [[1], [2]])
     assert p1_matrix(g) == [[0]]  # 5 - 1 - 4 = 0
-    assert is_string(g)
-    assert not is_string(GCIData([4], [[1], [1]]))
+    assert condition_report(g).string
+    assert not condition_report(GCIData([4], [[1], [1]])).string
     # two-factor string example: columns with sum of squares n + 1
     g2 = GCIData([4, 4], [[1, 2], [2, 1]])
     assert p1_matrix(g2) == [[0, -4], [-4, 0]]
-    assert not is_string(g2)
+    assert not condition_report(g2).string
 
 
 def test_stringc_both_parities():
     # real dim 4k: coefficient 3. V(1,1) in CP^4 with C = [1]: 5 - 2 = 3 * 1
     g = GCIData([4], [[1], [1]], C=[1])
     assert stringc_coefficient(g) == 3
-    assert is_stringc(g)
+    assert condition_report(g).stringc
     # real dim 4k+2: coefficient 1. V(2) in CP^4 with C = [1]: 5 - 4 = 1
     h = GCIData([4], [[2]], C=[1])
     assert stringc_coefficient(h) == 1
-    assert is_stringc(h)
-    with pytest.raises(ValueError):
-        is_stringc(GCIData([4], [[2]]))
+    assert condition_report(h).stringc
+    # no C: there is no string^c identity to evaluate
+    assert condition_report(GCIData([4], [[2]])).stringc is None
 
 
 def test_stringc_sign_symmetric_in_c():
     g = GCIData([4], [[1], [1]], C=[-1])
-    assert is_stringc(g)
+    assert condition_report(g).stringc
 
 
 def test_codim_hypothesis():
@@ -101,7 +100,7 @@ def test_even_rows_and_thm42():
     assert not ok2 and row2 is None
     # string in real dimension 2 with an even row, but m + 2 > n on CP^1
     f = GCIData([1, 3], [[-1, 0], [-1, 0], [0, -2]])
-    assert is_string(f) and not codim_ok(f)
+    assert condition_report(f).string and not codim_ok(f)
     assert thm42_ok(f) == (False, 2)
 
 

@@ -349,7 +349,7 @@ def test_bundle_route_builds_no_theta_factor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("theta builder called on the bundle route")
 
-    for name in ("phi", "psi", "psi_product", "x_over_phi", "eisenstein_g",
+    for name in ("phi", "psi_product", "x_over_phi", "eisenstein_g",
                  "direction_series"):
         monkeypatch.setattr(theta, name, refuse)
     genera._factor.cache_clear()

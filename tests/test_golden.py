@@ -30,7 +30,8 @@ FACTORS = {
     "x_over_phi": theta.x_over_phi,
     "phi": theta.phi,
     "psi_product": theta.psi_product,
-    "psi1": lambda xo, qo: theta.psi(ThetaKind.THETA1, xo, qo),
+    "psi1": lambda xo, qo: theta.direction_series([(ThetaKind.THETA1, 1, 1)],
+                                                  0, xo, qo),
     "root_factor": bundles.root_factor,
     "lfactor_4k": bundles.lfactor_4k,
     "lfactor_4k2": bundles.lfactor_4k2,

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import wittenq
+from wittenq import qseries, search, theta
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src", "tests", "demos", "tools")
@@ -70,8 +71,24 @@ def test_every_public_name_exists():
 
 
 def test_removed_names_are_not_importable():
-    # subst_linear (a rank_pair_mul with the constant 1) and sigma1_series
-    # (theta.eisenstein_g(1, .)) left the public API
-    for name in ("subst_linear", "sigma1_series"):
+    # subst_linear (a rank_pair_mul with the constant 1), sigma1_series
+    # (theta.eisenstein_g(1, .)), psi (direction_series([(kind, 1, 1)],
+    # 0, ...)), is_spin, is_string and is_stringc (condition_report(g)'s
+    # fields) and lemma42_check (lemma42_report(q)["passed"]) left the
+    # public API
+    for name in ("subst_linear", "sigma1_series", "psi", "is_spin",
+                 "is_string", "is_stringc", "lemma42_check"):
         with pytest.raises(ImportError):
             exec(f"from wittenq import {name}", {})
+
+
+def test_removed_members_are_gone():
+    # jacobi_product folded into jacobi_check and power into
+    # QSeries.__pow__; truncate and FoundInstance.key had no src caller
+    assert not hasattr(theta, "jacobi_product")
+    assert not hasattr(qseries, "power")
+    assert not hasattr(wittenq.QSeries, "truncate")
+    assert not hasattr(search.FoundInstance, "key")
+    # a record that holds a dict of lists does not hash by value
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(wittenq.NilPoly._make((1,), 0, {(0,): [1]}, 1))

@@ -152,7 +152,7 @@ def test_restrict_inverts_lift():
 def test_lift_and_restrict_refuse_unknown_orders():
     # E4 to q-tilde^3 fixes q^0..q^7 and nothing beyond: q^8 holds 17520
     e4 = eisenstein(4, 3)
-    assert lift(e4, 7) == lift(eisenstein(4, 10), 20).truncate(7)
+    assert lift(e4, 7) == lift(eisenstein(4, 10), 7)
     for q_order in (8, 20, -1):
         with pytest.raises(ValueError, match="q_order <= 7"):
             lift(e4, q_order)

@@ -79,7 +79,7 @@ def test_cells_are_reduced_and_value_based():
     assert p == poly((2,), 1, {(0,): half, (1,): QSeries([Fraction(1, 3), 1],
                                                          1), (2,): 0})
     q = mul(p, one((2,), 1))
-    assert q == p and hash(q) == hash(p)
+    assert q == p
     zero = NilPoly._make((2,), 1, {(0,): [0, 0]}, 7)
     assert (zero.den, zero.cells) == (1, {})
     # terms is a new dict of reduced QSeries on each read

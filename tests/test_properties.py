@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittenq.errors import NonIntegralError
-from wittenq.gci import GCIData, dims, even_rows, is_spin
+from wittenq.gci import GCIData, condition_report, dims, even_rows
 from wittenq.genera import mod2_witten, wc_genus, witten_genus
 
 PROPS = settings(deadline=None, max_examples=200, derandomize=True,
@@ -160,7 +160,7 @@ def _spin_phi2_instances():
                 continue
             for D in itertools.combinations_with_replacement(rows, t):
                 g = GCIData(n, [list(r) for r in D], q_order=4)
-                if len(even_rows(g)) >= 2 and is_spin(g):
+                if len(even_rows(g)) >= 2 and condition_report(g).spin:
                     yield g
 
 

@@ -238,16 +238,6 @@ def test_negative_power_raises():
     assert a ** 0 == QSeries.one(5)
 
 
-def test_truncate():
-    a = QSeries([1, 2, 3, 4], 3)
-    assert a.truncate(1).coeffs == [rat(1), rat(2)]
-    with pytest.raises(ValueError):
-        a.truncate(9)
-    # a negative order was a series the constructor refuses
-    with pytest.raises(ValueError, match="order must be >= 0"):
-        a.truncate(-1)
-
-
 def test_negative_coefficient_index_raises():
     # num[-1] would read the top coefficient from the end of the list
     a = QSeries([1, 2, 3], 2)
@@ -430,7 +420,6 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
     (lambda: modforms.monomial(True, 0, 2), "a", True),
     (lambda: QSeries.monomial(1, True, 4), "exponent", True),
     (lambda: QSeries.monomial(1, 0, 1.5), "order", 1.5),
-    (lambda: QSeries([1, 2, 3]).truncate(1.5), "order", 1.5),
     (lambda: theta.jacobi_check(2.0), "q_order", 2.0),
     (lambda: QSeries([1, 2, 3]).coefficient(True), "k", True),
     (lambda: QSeries([1, 1], 3) ** True, "exponent", True),
@@ -451,7 +440,7 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
 ], ids=["eisenstein_g-k-bool", "eisenstein_g-k-float",
         "eisenstein_g-q_order-float", "phi", "direction_series-coef",
         "root_factor", "lemma42_report", "eisenstein", "eisenstein-k",
-        "monomial", "QSeries.monomial", "QSeries.monomial-order", "truncate",
+        "monomial", "QSeries.monomial", "QSeries.monomial-order",
         "jacobi_check", "coefficient", "power",
         "weight_basis", "lift", "restrict", "numeric_theta", "mod2_witten",
         "theta_constant_e4_check", "sigma-k-bool", "sigma-k-float",

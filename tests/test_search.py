@@ -9,14 +9,19 @@ import pytest
 
 from wittenq import search
 from wittenq.gci import (GCIData, codim_ok, condition_report, dims,
-                         is_string, is_stringc, stringc_coefficient)
+                         stringc_coefficient)
 from wittenq.search import (FoundInstance, SearchQuery, find_string,
                             find_stringc)
 
 
+def _key(inst):
+    """The instance's (n, D, C), canonical as the search returns it."""
+    return inst.g.n, inst.g.D, inst.g.C
+
+
 def test_string_search_contains_known_instance():
     results = find_string(SearchQuery(s_max=1, t_max=2, d_max=2))
-    keys = {inst.key() for inst in results}
+    keys = {_key(inst) for inst in results}
     assert ((4,), ((1,), (2,)), None) in keys
 
 
@@ -30,7 +35,7 @@ def test_string_search_brute_force_completeness():
                 range(1, d_max + 1), t):
             for n in range(t, n_max + 1):  # n >= t keeps complex dim >= 0
                 g = GCIData([n], [[d] for d in ds])
-                if is_string(g) and codim_ok(g):
+                if condition_report(g).string and codim_ok(g):
                     expect.add(((n,), tuple((d,) for d in ds)))
     got = {(inst.g.n, inst.g.D)
            for inst in find_string(SearchQuery(s_max=1, t_max=t_max,
@@ -40,14 +45,14 @@ def test_string_search_brute_force_completeness():
 
 def test_string_results_all_satisfy_conditions():
     for inst in find_string(SearchQuery(s_max=2, t_max=3, d_max=3)):
-        assert is_string(inst.g)
+        assert condition_report(inst.g).string
         assert codim_ok(inst.g)
         assert inst.report.string
 
 
 def test_column_permutation_deduplication():
     results = find_string(SearchQuery(s_max=2, t_max=2, d_max=3))
-    keys = [inst.key() for inst in results]
+    keys = [_key(inst) for inst in results]
     assert len(keys) == len(set(keys))
     for inst in results:
         # canonical: ambient factors sorted by (n, column)
@@ -62,7 +67,7 @@ def test_stringc_parity_branches():
     q = SearchQuery(s_max=1, t_max=2, d_max=3, c_max=2)
     for parity, coef, residue in (("dim4k", 3, 0), ("dim4k2", 1, 2)):
         for inst in find_stringc(q, parity):
-            assert is_stringc(inst.g)
+            assert condition_report(inst.g).stringc
             assert stringc_coefficient(inst.g) == coef
             assert dims(inst.g)[1] % 4 == residue
     with pytest.raises(ValueError):
@@ -71,9 +76,9 @@ def test_stringc_parity_branches():
 
 def test_stringc_contains_known_instances():
     q = SearchQuery(s_max=1, t_max=2, d_max=2, c_max=1)
-    k4 = {inst.key() for inst in find_stringc(q, "dim4k")}
+    k4 = {_key(inst) for inst in find_stringc(q, "dim4k")}
     assert ((4,), ((1,), (1,)), (1,)) in k4
-    k42 = {inst.key() for inst in find_stringc(q, "dim4k2")}
+    k42 = {_key(inst) for inst in find_stringc(q, "dim4k2")}
     assert ((4,), ((2,),), (1,)) in k42
 
 
@@ -90,15 +95,16 @@ def test_codim_flag():
     strict = find_string(SearchQuery(s_max=2, t_max=3, d_max=3))
     loose = find_string(SearchQuery(s_max=2, t_max=3, d_max=3,
                                     require_codim=False))
-    strict_keys = {i.key() for i in strict}
-    loose_keys = {i.key() for i in loose}
+    strict_keys = {_key(i) for i in strict}
+    loose_keys = {_key(i) for i in loose}
     assert strict_keys <= loose_keys
     assert all(i.report.codim_ok for i in strict)
 
 
 def test_nonpositive_degrees_flag():
-    pos = {i.key() for i in find_string(SearchQuery(s_max=1, t_max=1, d_max=2))}
-    signed = {i.key() for i in find_string(
+    pos = {_key(i)
+           for i in find_string(SearchQuery(s_max=1, t_max=1, d_max=2))}
+    signed = {_key(i) for i in find_string(
         SearchQuery(s_max=1, t_max=1, d_max=2, positive=False))}
     assert pos <= signed
     # signed search admits negative-degree rows such as (-2)
@@ -113,7 +119,7 @@ def test_query_q_order_propagates():
 def test_found_instance_key_shape():
     inst = find_string(SearchQuery(s_max=1, t_max=2, d_max=2))[0]
     assert isinstance(inst, FoundInstance)
-    n, D, C = inst.key()
+    n, D, C = _key(inst)
     assert isinstance(n, tuple) and isinstance(D, tuple) and C is None
 
 
@@ -137,9 +143,10 @@ def _brute_force(q, coef):
                         continue
                     g = GCIData(*search._canonical(n, D, C), q_order=q.q_order)
                     if coef:
-                        ok = is_stringc(g) and stringc_coefficient(g) == coef
+                        ok = (condition_report(g).stringc
+                              and stringc_coefficient(g) == coef)
                     else:
-                        ok = is_string(g)
+                        ok = condition_report(g).string
                     if (not ok or q.require_codim and not codim_ok(g)
                             or q.target_real_dim not in (None, dims(g)[1])):
                         continue
@@ -157,10 +164,10 @@ def _brute_force(q, coef):
 def test_join_matches_brute_force(query):
     """The Gram join and its prune keep every instance the plain filter
     finds, with the same keys and condition reports."""
-    got = [(i.key(), i.report) for i in find_string(query)]
+    got = [(_key(i), i.report) for i in find_string(query)]
     want = _brute_force(query, 0)
     for parity, coef in (("dim4k", 3), ("dim4k2", 1)):
-        got += [(i.key(), i.report) for i in find_stringc(query, parity)]
+        got += [(_key(i), i.report) for i in find_stringc(query, parity)]
         want += _brute_force(query, coef)
     assert got == want
     # the signed queries must find instances over more than one factor
@@ -172,10 +179,11 @@ def test_signed_results_pass_the_checkers():
     """The join builds string and string^c instances by construction; the
     checkers of gci agree on every one of a large signed query."""
     q = SearchQuery(s_max=2, t_max=3, d_max=3, positive=False)
-    assert all(is_string(i.g) and i.report.string for i in find_string(q))
+    assert all(condition_report(i.g).string and i.report.string
+               for i in find_string(q))
     for parity, coef in (("dim4k", 3), ("dim4k2", 1)):
         for inst in find_stringc(q, parity):
-            assert is_stringc(inst.g) and inst.report.stringc
+            assert condition_report(inst.g).stringc and inst.report.stringc
             assert stringc_coefficient(inst.g) == coef
 
 
@@ -204,7 +212,7 @@ def test_query_fields_are_checked(field, bad, error):
 
 
 def _catalogs(q):
-    return [[(i.key(), i.report) for i in run]
+    return [[(_key(i), i.report) for i in run]
             for run in (find_string(q), find_stringc(q, "dim4k"),
                         find_stringc(q, "dim4k2"))]
 
@@ -227,7 +235,7 @@ def test_positive_degrees_leave_no_three_factor_instance():
     wide = _catalogs(SearchQuery(s_max=3, t_max=4))
     assert wide == _catalogs(SearchQuery())
     assert all(len(key[0]) <= 2 for run in wide for key, _ in run)
-    assert all(len(i.key()[0]) == 1 for i in find_string(SearchQuery(s_max=2)))
+    assert all(len(_key(i)[0]) == 1 for i in find_string(SearchQuery(s_max=2)))
 
 
 def test_default_catalog_is_pinned():
@@ -240,8 +248,8 @@ def test_default_catalog_is_pinned():
     assert [len(r) for r in runs] == [65, 271, 174]
     h = hashlib.sha256()
     for r in runs:
-        for inst in sorted(r, key=FoundInstance.key):
-            doc = [inst.key(), dataclasses.asdict(inst.report)]
+        for inst in sorted(r, key=_key):
+            doc = [_key(inst), dataclasses.asdict(inst.report)]
             h.update(json.dumps(doc).encode() + b"\n")
     assert h.hexdigest() == ("c6cff203fadae62a5ad9bc18ef937f5f"
                              "a052d0a8f66c4d16d6cff6bfc042421e")
