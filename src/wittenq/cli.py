@@ -189,10 +189,10 @@ def vanishing_cases(query):
     """(label, instance, zero_fn) triples for every theorem-qualified instance."""
     cases = []
     for inst in find_string(query):
-        g = inst.g
-        if inst.report.dims[1] % 4 == 0:
+        g, rep = inst.g, inst.report
+        if rep.dims[1] % 4 == 0:
             cases.append(("W", g, lambda g=g: witten_genus(g).coeffs.is_zero()))
-        if inst.report.thm42_ok:
+        if rep.thm42_ok:
             cases.append(("phi2", g,
                           lambda g=g: mod2_witten(g).coeffs.is_zero()))
     for parity in ("dim4k", "dim4k2"):

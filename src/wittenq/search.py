@@ -4,19 +4,20 @@ The diagonal equations n_b + 1 = sum_a d_ab^2 [+ k c_b^2] give the ambient
 dimensions, so only degree rows and spin^c coefficients are enumerated.
 The off-diagonal ones, sum_a d_ab d_ae = -k c_b c_e (k = 0 for string),
 are a join: C-vectors are bucketed by the Gram entries they require, and
-a depth-first walk over sorted rows carries the running sums, so a row
-multiset meets only its bucket, and no checker needs to run.  Positive
-rows raise every sum, so a prefix that no bucket key bounds is cut: no
-string instance has s >= 2, none has s >= 3, and degrees are bounded for
-s = 2.  Instances are canonical (rows and ambient factors sorted); a
-repeat up to column permutation is dropped before it is built.  Row
-signs are not quotiented.
+a depth-first walk over sorted rows adds each row's Gram increments and
+squares to the running sums, so a row multiset meets only its bucket, and
+no checker runs: a found instance computes its report only when read.
+Positive rows raise every sum, so a prefix that no bucket key bounds is
+cut: no string instance has s >= 2, none has s >= 3, and degrees are
+bounded for s = 2.  Instances are canonical (rows and ambient factors
+sorted); a repeat up to column permutation is dropped before it is
+built.  Row signs are not quotiented.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge
+from operator import add, ge
 from typing import Optional
 
 from .gci import GCIData, codim_ok, condition_report, dims
@@ -55,16 +56,22 @@ class SearchQuery:
 @dataclass
 class FoundInstance:
     g: GCIData
-    report: object  # ConditionReport
+
+    @property
+    def report(self):
+        """`condition_report(self.g)`, computed on each read."""
+        return condition_report(self.g)
 
 
 def _canonical(n, D, C):
-    """Sort rows, then sort ambient factors by (n, column, c), rebuilding D."""
+    """Sort rows, then sort ambient factors by (n, column, c), rebuilding D.
+    D's rows must be in nondecreasing order, as the join appends them: one
+    factor has no column to permute, so its key is (tuple(n), D, C)."""
     s = len(n)
-    cols = []
-    for b in range(s):
-        col = tuple(row[b] for row in D)
-        cols.append((n[b], col, C[b] if C is not None else 0))
+    if s == 1:
+        return tuple(n), D, C
+    cols = [(n[b], tuple(row[b] for row in D), C[b] if C is not None else 0)
+            for b in range(s)]
     order = sorted(range(s), key=lambda b: cols[b])
     n2 = tuple(n[b] for b in order)
     C2 = tuple(C[b] for b in order) if C is not None else None
@@ -79,7 +86,7 @@ def _instance(q: SearchQuery, n, D, C):
         return None
     if q.target_real_dim is not None and dims(g)[1] != q.target_real_dim:
         return None
-    return FoundInstance(g, condition_report(g))
+    return FoundInstance(g)
 
 
 def _find(q: SearchQuery, coef):
@@ -104,9 +111,12 @@ def _find(q: SearchQuery, coef):
         # is a pre-test for more
         top = tuple(map(max, zip(*buckets)))
         pretest = len(pairs) > 1
-        rows = sorted(itertools.product(values, repeat=s))
+        # each row with its Gram increments d_ab d_ae and its squares d_ab^2
+        rows = [(row, tuple(row[b] * row[e] for b, e in pairs),
+                 tuple(d * d for d in row))
+                for row in sorted(itertools.product(values, repeat=s))]
         # (first row allowed, rows so far, sum_a d_ab^2, Gram sums)
-        stack = [(0, (), [0] * s, (0,) * len(pairs))]
+        stack = [(0, (), (0,) * s, (0,) * len(pairs))]
         while stack:
             start, D, sq, gram = stack.pop()
             for C, extra in buckets.get(gram, ()) if D else ():
@@ -120,15 +130,14 @@ def _find(q: SearchQuery, coef):
                     found[key] = _instance(q, *key)
             if len(D) == q.t_max:
                 continue
-            for i in range(start, len(rows)):
-                row = rows[i]
-                nxt = tuple(x + row[b] * row[e] for x, (b, e) in zip(gram, pairs))
+            for i, (row, step, squares) in enumerate(rows[start:], start):
+                nxt = tuple(map(add, gram, step))
                 # positive rows only raise the sums: cut what no key bounds
                 if not q.positive or all(map(ge, top, nxt)) and (
                         not pretest or any(all(map(ge, key, nxt))
                                            for key in buckets)):
-                    stack.append((i, D + (row,),
-                                  [v + d * d for v, d in zip(sq, row)], nxt))
+                    stack.append((i, D + (row,), tuple(map(add, sq, squares)),
+                                  nxt))
     return [found[k] for k in sorted(found) if found[k] is not None]
 
 

@@ -88,3 +88,22 @@ def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     monkeypatch.setattr(bp.subprocess, "run", fake_subprocess_run)
     assert bp.run(tmp_path, "catalog_1f", 1, 1) == (None, None)
     assert seen == ["1"]
+
+
+@pytest.mark.parametrize("given", ["c0ffee", None])
+def test_change_commit_reaches_meta(tmp_path, given):
+    """--change-commit names the change measured from a checkout that is
+    not a git repository; without it the checkout's HEAD is recorded."""
+    bp = _load(tmp_path)
+    bp.run = lambda *args: ({"failed": 0, "metrics": {}},
+                            {"scalar": "int"})
+    bp.git_head = lambda checkout: f"head of {checkout.name}"
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tmp_path), "--parent-commit", "p",
+            "--seed0", "1", "--out", str(out)]
+    if given:
+        argv += ["--change-commit", given]
+    assert bp.main(argv) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["change_commit"] == (given or "head of change")
+    assert meta["parent_commit"] == "p"

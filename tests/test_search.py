@@ -218,13 +218,40 @@ def _catalogs(q):
 
 
 def test_one_report_per_instance(monkeypatch):
-    """A repeat is dropped by its canonical key before it is built, so
-    each returned instance costs one condition report."""
-    reports = []
+    """A repeat is dropped by its canonical key before it is built, and the
+    search makes no condition report: each read of `report` makes one."""
+    reports, built = [], []
     monkeypatch.setattr(search, "condition_report",
                         lambda g: reports.append(g) or condition_report(g))
+    monkeypatch.setattr(search, "FoundInstance",
+                        lambda g: built.append(g) or FoundInstance(g))
     q = SearchQuery(s_max=2, t_max=2, d_max=2, c_max=1, positive=False)
-    assert sum(len(run) for run in _catalogs(q)) == len(reports) == 142
+    found = [i for run in (find_string(q), find_stringc(q, "dim4k"),
+                           find_stringc(q, "dim4k2")) for i in run]
+    assert len(found) == len(built) == 142 and reports == []
+    for inst in found:
+        assert inst.report == condition_report(inst.g)
+    assert reports == [inst.g for inst in found]
+
+
+def test_canonical_keys(monkeypatch):
+    """Every one-factor candidate of a signed query is its own key, and a
+    two-factor key does not change when the two factors are swapped."""
+    canonical, seen = search._canonical, []
+    monkeypatch.setattr(search, "_canonical",
+                        lambda *args: seen.append(args) or canonical(*args))
+    q = SearchQuery(s_max=2, t_max=3, d_max=2, c_max=1, positive=False)
+    find_string(q), find_stringc(q, "dim4k"), find_stringc(q, "dim4k2")
+    one = [args for args in seen if len(args[0]) == 1]
+    two = [args for args in seen if len(args[0]) == 2]
+    assert one and two and len(one) + len(two) == len(seen)
+    assert any(len(set(D)) > 1 for _, D, _ in one)
+    for n, D, C in one:
+        assert canonical(n, D, C) == (tuple(n), tuple(sorted(D)), C)
+    for n, D, C in two:
+        swapped = (n[::-1], tuple(row[::-1] for row in D),
+                   C[::-1] if C is not None else None)
+        assert canonical(*swapped) == canonical(n, D, C)
 
 
 def test_positive_degrees_leave_no_three_factor_instance():

@@ -4,6 +4,9 @@
     python3 tools/bench_pairs.py --parent /tmp/parent --parent-commit <sha> \
         --seed0 1001 --out BENCH_<n>.json
 
+Run from a `git archive` of the change (whose src then holds no bytecode
+cache), pass `--change-commit <sha>` too, or the output names no change.
+
 For every workload of BENCHMARK.json, pair i runs `perfbench/run.py
 --workload <w> --seed <seed0 + i> --seconds <run_seconds> --trace 0` in
 the parent checkout and in this one, each with its own perfbench and src,
@@ -101,6 +104,9 @@ def main(argv=None):
     p.add_argument("--parent", required=True, help="parent checkout")
     p.add_argument("--parent-commit", default=None,
                    help="commit of --parent when it is not a git checkout")
+    p.add_argument("--change-commit", default=None,
+                   help="commit of this checkout when it is not a git "
+                        "checkout (default: its HEAD)")
     p.add_argument("--seed0", type=int, required=True)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
@@ -114,7 +120,7 @@ def main(argv=None):
         return 2
     out = {"meta": {
         "parent_commit": args.parent_commit or git_head(sides["parent"]),
-        "change_commit": git_head(ROOT),
+        "change_commit": args.change_commit or git_head(ROOT),
         "seeds": list(range(args.seed0, args.seed0 + PAIRS)),
         "seconds": seconds, "nproc": os.cpu_count(),
         "python": platform.python_version(), "scalar": None,
