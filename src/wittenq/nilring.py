@@ -6,12 +6,14 @@ at a common q-order.  Monomials that overflow a cap are silently dropped.
 A NilPoly is held as int numerator lists (length q_order + 1), one per
 monomial and none all zero, over one positive int denominator, reduced
 so that gcd(den, every numerator) = 1; equal values have equal
-representations, so equality and hashing are value-based.  A NilPoly is
-the kernels' record, built only by `_make`: it has no public constructor
-and no ring operation; the kernels below read its numerators directly
-and reduce their output once, by one common gcd.  The theta and bundle
-factors are not NilPolys: each is a tuple of its QSeries coefficients by
-x-degree (`qseries.XSeries`), which the kernels read directly.
+representations, so equality is value-based (hash() raises TypeError,
+as for the dict it holds).  A NilPoly is the kernels' record, built only
+by `_make`: it has no public constructor and no ring operation; the
+kernels below read its numerators directly and reduce their output once,
+by one common gcd.  The theta and bundle factors are not NilPolys: each
+is a tuple of its QSeries coefficients by x-degree (`qseries.XSeries`),
+which every kernel reads by `_int_factor`, to the degree it needs; a
+shorter one raises InsufficientDegreeError.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -36,7 +38,7 @@ import operator
 
 from .errors import (CapsMismatchError, InsufficientDegreeError,
                      OrderMismatchError)
-from .qseries import QSeries, conv_add
+from .qseries import QSeries, _check_int, conv_add
 
 
 class NilPoly:
@@ -88,22 +90,23 @@ class NilPoly:
         return f"NilPoly[caps={self.caps}]({' + '.join(parts) or '0'})"
 
 
-def _over_one_den(series):
-    """The int numerator lists of QSeries over their lcm denominator, and
-    that denominator."""
+def _int_factor(coeffs, degree):
+    """The one input form of a factor: coeffs, QSeries by x-degree, to
+    x^degree as (nums, den, r, g, top), the int numerator lists over
+    their lcm den, nonzero only at degrees in r + gZ (g = 0 for a single
+    one) ending at top; None when every degree is zero.  Raises
+    InsufficientDegreeError when coeffs stops short of degree."""
+    if len(coeffs) < degree + 1:
+        raise InsufficientDegreeError("series not supplied to degree "
+                                      f"{degree}")
+    series = coeffs[:degree + 1]
     den = math.lcm(*(c.den for c in series))
-    return [c.num if c.den == den else [x * (den // c.den) for x in c.num]
-            for c in series], den
-
-
-def _progression(nums):
-    """(r, g, top) for int numerator lists by x-degree: the nonzero
-    degrees lie in r + gZ (g = 0 for a single one) and end at top; None
-    when every degree is zero."""
+    nums = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
+            for c in series]
     ks = [k for k, u in enumerate(nums) if any(u)]
     if not ks:
         return None
-    return ks[0], math.gcd(*(k - ks[0] for k in ks)), ks[-1]
+    return nums, den, ks[0], math.gcd(*(k - ks[0] for k in ks)), ks[-1]
 
 
 def _times_linear(poly, d, caps, times):
@@ -138,8 +141,8 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     with A_e and B_e the integer coefficients of ell_a^g and ell_b^g, |e| = g.
     Only the previous level is kept, and a cell keeps only the window of s
     that it and its successors read.  With g = 1 and r = 0 this peels one
-    linear factor per step.  f_a and f_b are each put over one
-    denominator once; per level the products f_a[i] * f_b[K-i] are
+    linear factor per step.  f_a and f_b are each read to x^|caps| by
+    _int_factor, once; per level the products f_a[i] * f_b[K-i] are
     int q-convolutions, stored as one row per q-degree with the
     all-zero rows (the odd q-degrees) left out, so a cell's numerators are
     the dot products of its weights with the rows.  The result is reduced
@@ -147,17 +150,12 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     """
     caps = tuple(caps)
     total = sum(caps)
-    if len(fa_coeffs) - 1 < total or len(fb_coeffs) - 1 < total:
-        raise InsufficientDegreeError("series not supplied to degree "
-                                      f"{total}")
     if len(da) != len(caps) or len(db) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    fa, den_a = _over_one_den(fa_coeffs[:total + 1])
-    fb, den_b = _over_one_den(fb_coeffs[:total + 1])
-    prog_a, prog_b = _progression(fa), _progression(fb)
-    if prog_a is None or prog_b is None:
+    int_a, int_b = (_int_factor(f, total) for f in (fa_coeffs, fb_coeffs))
+    if int_a is None or int_b is None:
         return NilPoly._make(caps, q_order, {}, 1)
-    (ra, ga, top_a), (rb, gb, top_b) = prog_a, prog_b
+    (fa, den_a, ra, ga, top_a), (fb, den_b, rb, gb, top_b) = int_a, int_b
     g = math.gcd(ga, gb) or 1
     ta, tb = (top_a - ra) // g, (top_b - rb) // g
     # flat cell indices, the positions in lexicographic order; E - e off
@@ -222,11 +220,12 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
 
 def mul_univariate(poly, coeffs, index):
     """The NilPoly poly times sum_k coeffs[k] * x_index^k, coeffs a
-    sequence of QSeries by x-degree.
+    sequence of QSeries by x-degree to x^cap_index, index an int below
+    len(caps).
 
     A one-axis convolution: much cheaper than a general product when the
-    other factor only involves a single generator.  The factor is brought
-    to one denominator once.  Along a line of cells a_m (m the
+    other factor only involves a single generator.  The factor is read
+    by _int_factor, once.  Along a line of cells a_m (m the
     x_index-degree) the q^t numerator at degree n is
     sum_(i+j=t) sum_k a_(n-k)[i] * coeffs[k][j]: one int dot product per
     pair of nonzero q-degrees (i, j).  When the factor's nonzero degrees
@@ -236,12 +235,14 @@ def mul_univariate(poly, coeffs, index):
     result is reduced once, by one common gcd.
     """
     caps, q_order = poly.caps, poly.q_order
+    _check_int(index, "index")
+    if index >= len(caps):
+        raise ValueError(f"index must be < {len(caps)}, got {index}")
     cap = caps[index]
-    factor, den_f = _over_one_den(coeffs[:cap + 1])
-    prog = _progression(factor)
-    if prog is None:
+    int_f = _int_factor(coeffs, cap)
+    if int_f is None:
         return NilPoly._make(caps, q_order, {}, 1)
-    k0, g, _ = prog
+    factor, den_f, k0, g, _ = int_f
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
     lines = {}
@@ -277,22 +278,17 @@ def mul_linear(poly, coeffs, d):
     sum_b d_b T_(E-e_b)[k-1].  It is built over the cap grid in
     lexicographic order, one column over k per q-degree that poly
     reaches, and T_(E-e_1) is dropped once E, its last reader, is built.
-    f is brought to one denominator once; each output numerator is one
-    int dot product over f's nonzero degrees k0 + gZ per pair of nonzero
+    f is read by _int_factor, once; each output numerator is one int dot
+    product over f's nonzero degrees k0 + gZ per pair of nonzero
     q-degrees, as in mul_univariate, and the result is reduced once.
     """
     caps, q_order = poly.caps, poly.q_order
-    total = sum(caps)
-    if len(coeffs) - 1 < total:
-        raise InsufficientDegreeError("series not supplied to degree "
-                                      f"{total}")
     if len(d) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    factor, den_f = _over_one_den(coeffs[:total + 1])
-    prog = _progression(factor)
-    if prog is None:
+    int_f = _int_factor(coeffs, sum(caps))
+    if int_f is None:
         return NilPoly._make(caps, q_order, {}, 1)
-    k0, g, top = prog
+    factor, den_f, k0, g, top = int_f
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0:top + 1:g]))
              if any(c)]
@@ -342,19 +338,23 @@ def top_product(a, b):
 
 def contract_axes(poly, axes):
     """The top coefficient of P * prod_b axes[b](x_b) for a NilPoly P, the
-    axes[b] sequences of QSeries by x-degree, without forming the product.
+    axes[b] sequences of QSeries by x-degree to x^cap_b, one per axis,
+    without forming the product.
 
     sum_e P[e] * prod_b axes[b][cap_b - e_b], summed out one axis at a
-    time, the last first.  Only the axis coefficients that some cell
-    reads are brought to one denominator, and the sum is reduced once.
+    time, the last first.  Each axis factor is read by _int_factor, and
+    the sum is reduced once.
     """
     caps, q_order = poly.caps, poly.q_order
+    if len(axes) != len(caps):
+        raise ValueError("axis factor count mismatch")
+    factors = list(map(_int_factor, axes, caps))
+    if None in factors:
+        return QSeries.zero(q_order)
     cells, den = poly.cells, poly.den
     for b in reversed(range(len(caps))):
         cap = caps[b]
-        ks = sorted({cap - e[b] for e in cells})
-        nums, den_b = _over_one_den([axes[b][k] for k in ks])
-        col = dict(zip(ks, nums))
+        col, den_b = factors[b][:2]
         sums = {}
         for e, num in cells.items():
             acc = sums.get(e[:b])

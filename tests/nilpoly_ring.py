@@ -8,8 +8,15 @@ here, over `NilPoly._make`: `terms` is the QSeries view of a poly and
 import math
 import operator
 
-from wittenq.nilring import NilPoly, _over_one_den
+from wittenq.nilring import NilPoly
 from wittenq.qseries import QSeries, conv_add
+
+
+def _over_one_den(series):
+    """The int numerator lists of QSeries over their lcm denominator, and
+    that denominator."""
+    den = math.lcm(*(c.den for c in series))
+    return [[x * (den // c.den) for x in c.num] for c in series], den
 
 
 def terms(p):

@@ -298,17 +298,55 @@ def test_mul_linear_on_theta_factors(caps):
             assert mul_linear(poly, f[name], d) == expect
 
 
-def test_mul_linear_insufficient_degree():
-    p = one((1, 1), 2)
-    with pytest.raises(InsufficientDegreeError):
-        mul_linear(p, [QSeries.one(2)] * 2, (1, 1))
-
-
 @pytest.mark.parametrize("bad", [(1,), (1, 1, 1)], ids=["short", "long"])
 def test_mul_linear_refuses_direction_of_wrong_arity(bad):
     f = [QSeries.one(1)] * 5
     with pytest.raises(ValueError):
         mul_linear(one((2, 2), 1), f, bad)
+
+
+@pytest.mark.parametrize("kernel", [
+    "rank_pair_mul_a", "rank_pair_mul_b", "mul_univariate", "mul_linear",
+    "contract_axes"])
+def test_kernels_refuse_a_factor_short_of_its_degree(kernel):
+    # each kernel reads its factor to a degree (sum(caps), or cap_b on an
+    # axis) and refuses one coefficient fewer; mul_univariate dropped the
+    # missing terms and contract_axes raised IndexError
+    caps, qo = (2, 3), 2
+    total, d = sum(caps), (1, -1)
+    f = _theta_factors(total, qo)["twist"]
+    p = rank_pair_mul(f, d, f, (1, 2), caps, qo)
+    calls = {
+        "rank_pair_mul_a": lambda: rank_pair_mul(f[:total], d, f, d, caps,
+                                                 qo),
+        "rank_pair_mul_b": lambda: rank_pair_mul(f, d, f[:total], d, caps,
+                                                 qo),
+        "mul_univariate": lambda: mul_univariate(p, f[:caps[1]], 1),
+        "mul_linear": lambda: mul_linear(p, f[:total], d),
+        "contract_axes": lambda: contract_axes(p, [f[:caps[0] + 1],
+                                                   f[:caps[1]]]),
+    }
+    with pytest.raises(InsufficientDegreeError, match=r"degree \d"):
+        calls[kernel]()
+
+
+@pytest.mark.parametrize("index, error", [
+    (-1, ValueError), (2, ValueError), (True, TypeError)],
+    ids=["negative", "len_caps", "bool"])
+def test_mul_univariate_refuses_a_bad_index(index, error):
+    # -1 built cells with 4-entry exponents, and True was taken as axis 1
+    p = rank_pair_mul(_theta_factors(5, 1)["twist"], (1, 1),
+                      _theta_factors(5, 1)["one"], (0, 0), (3, 2), 1)
+    with pytest.raises(error, match="index"):
+        mul_univariate(p, _theta_factors(3, 1)["phi"], index)
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["missing", "extra"])
+def test_contract_axes_refuses_a_wrong_axis_count(count):
+    # a missing axis factor raised IndexError, an extra one was ignored
+    f = _theta_factors(4, 1)["twist"]
+    with pytest.raises(ValueError, match="axis"):
+        contract_axes(one((2, 2), 1), [f] * count)
 
 
 def test_top_product_matches_full_product():
