@@ -22,7 +22,7 @@ import sys
 
 from . import __version__, bundles, modforms, theta
 from .errors import DimensionError, NonIntegralError
-from .gci import GCIData, condition_report, dims
+from .gci import DEFAULT_Q_ORDER, GCIData, condition_report
 from .genera import mod2_witten, wc_genus, witten_genus
 from .qseries import QSeries, _check_int
 from .search import SearchQuery, find_string, find_stringc
@@ -32,8 +32,6 @@ EXIT_SUITE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_INTEGRALITY = 4
-
-DEFAULT_Q_ORDER = 20
 
 
 def nonneg_arg(name):
@@ -134,10 +132,8 @@ def cmd_genus(args):
         "modular_fit": None,
     }
     if args.modfit:
-        # the complex dimension, less 1 for W_c in real dimension 4k+2
-        weight = dims(g)[0] - (rep.kind == "Wc4k2")
         try:
-            ft = modforms.fit(rep.coeffs, weight)
+            ft = modforms.fit(rep.coeffs, rep.weight)
             doc["modular_fit"] = dataclasses.asdict(ft)
             if ft.solution is not None:
                 doc["modular_fit"]["solution"] = [str(v) for v in ft.solution]

@@ -13,6 +13,8 @@ from typing import Optional
 from .errors import DimensionError
 from .qseries import _check_int
 
+DEFAULT_Q_ORDER = 20  # of an instance, a search and the command
+
 
 def _ints(v, what):
     """v as a tuple of plain ints (type() is int, so bool is refused)."""
@@ -34,9 +36,9 @@ class GCIData:
     n: tuple
     D: tuple
     C: Optional[tuple] = None
-    q_order: int = 20
+    q_order: int = DEFAULT_Q_ORDER
 
-    def __init__(self, n, D, C=None, q_order=20):
+    def __init__(self, n, D, C=None, q_order=DEFAULT_Q_ORDER):
         n = _ints(n, "n")
         if not isinstance(D, (list, tuple)):
             raise TypeError(f"D must be a list of degree rows, got {D!r}")

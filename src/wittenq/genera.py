@@ -1,13 +1,14 @@
 """Witten-type genera of GCIs as top-coefficient extraction.
 
-Each genus is the formal residue (coefficient of x_1^{n_1}...x_s^{n_s}) of a
-product of per-root factors and theta-ratio twists evaluated on linear forms
-in the nilpotent cohomology generators.  Working in the variables
-x = 2*pi*i*z removes every transcendental constant: the q^0 coefficient is
-the (twisted) A-hat genus and integrality statements hold on the nose.
-
-Two assembly routes are provided for every genus; their agreement is one
-of the package's standing oracles.
+Each genus is the formal residue (coefficient of x_1^{n_1}...x_s^{n_s}) of
+one integrand: prod_b (x_b/Phi(x_b))^(n_b+1) times one factor per row
+(kind, d) of a list the genus builds, at the linear form ell_d in the
+nilpotent cohomology generators.  The kind is "phi" at each degree row,
+and at C "twist" (Psi_1Psi_2Psi_3, W_c in real dimension 4k) or "phi"
+(W_c in 4k+2); phi2 has "psi1" in place of "phi" at its even row.  In
+the variables x = 2*pi*i*z the q^0 coefficient is the (twisted) A-hat
+genus, with no transcendental constant.  Two assembly routes read the
+row list, each through its one table; their agreement is an oracle.
 
 The "theta" route merges the integrand by direction.  With L = log(x/Phi)
 and L1 = log Psi_1 (even in x, see `theta._log_columns`) every factor is an
@@ -19,6 +20,8 @@ exponential, up to a linear prefactor:
     Psi_1(ell)             = exp(L1(ell)),
 
 the twist by the duplication formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x).
+`_THETA_ROWS` holds each row kind's linear prefactors and log terms
+(kind, coef, j), each coef * log_kind at j times the row's form.
 
 A linear form ell = m*u with u primitive contributes m^k L_k (u.x)^k to
 the exponent, so all the forms on one line u (up to sign, L being even)
@@ -39,10 +42,10 @@ the bundle factors and the root powers.  Besides that only the int log
 columns and exponential weights inside `theta` and the w-power table
 inside `bundles` are cached.
 
-The "bundle" route builds one factor per root, degree row and twist from
-the symmetric/exterior-power characters of `bundles`, takes each root
-power (x/Phi)^(n_b+1) by Miller's recurrence on q-series (`_root_power`)
-and assembles them with the same nilring primitives.
+The "bundle" route builds one factor per row from the characters of
+`bundles` (`_BUNDLE_ROWS`: each kind's builder and multiple, Phi being
+2 lfactor_4k2), each root power (x/Phi)^(n_b+1) by Miller's recurrence
+(`_root_power`), and assembles them with the same nilring primitives.
 """
 from __future__ import annotations
 
@@ -68,7 +71,19 @@ class GenusReport:
     integral: bool
     even_q_support: bool
     instance: GCIData
+    weight: int  # sum(n) less the number of Phi rows, see _weight
     precursor: Optional[QSeries] = None  # integral lift, PHI_MOD2 only
+
+
+# -- the integrand: each row kind on each route -------------------------
+
+_THETA_ROWS = {
+    "phi": (1, ((ThetaKind.THETA, -1, 1),)),
+    "twist": (0, ((ThetaKind.THETA, 1, 1), (ThetaKind.THETA, -1, 2))),
+    "psi1": (0, ((ThetaKind.THETA1, 1, 1),))}
+_BUNDLE_ROWS = {"phi": (bundles.lfactor_4k2, 2),
+                "twist": (bundles.lfactor_4k, 1),
+                "psi1": (bundles.psi1_factor, 1)}
 
 
 # -- theta route: one exponential per direction ------------------------
@@ -111,45 +126,41 @@ def _direction_factor(terms, r, degree, q_order):
     return zero * r + f + zero * odd if r or odd else f
 
 
-def _theta_residue(g: GCIData, phi_rows, logs):
-    """Residue of prod_b (x_b/Phi)^(n_b+1) * prod_(d in phi_rows) Phi(ell_d)
-    * exp(sum over logs (kind, coef, d) of coef * log_kind(ell_d)).
-
-    Phi(ell) = ell * exp(-L(ell)) gives each Phi row's direction a linear
-    prefactor and a log term.  Over one factor every form is m*x_1, so the
-    residue is the x_1^n_1 coefficient of one direction factor.
-    """
+def _theta_residue(g: GCIData, rows):
+    """Residue of prod_b (x_b/Phi)^(n_b+1) times the row factors, read
+    from `_THETA_ROWS`.  Over one factor every form is m*x_1, so the
+    residue is the x_1^n_1 coefficient of one direction factor."""
     caps, qo = g.n, g.q_order
     if len(caps) == 1:
-        (cap,), r, scale = caps, len(phi_rows), 1
+        (cap,), r, scale = caps, 0, 1
         terms = [(ThetaKind.THETA, cap + 1, 1)]
-        for (m,) in phi_rows:
-            terms.append((ThetaKind.THETA, -1, m))
-            scale *= m
-        terms += [(kind, coef, m) for kind, coef, (m,) in logs if m]
+        for kind, (m,) in rows:
+            if kind == "phi":  # _THETA_ROWS["phi"] inline: the hot path
+                terms.append((ThetaKind.THETA, -1, m))
+                r, scale = r + 1, scale * m
+            elif m:
+                terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
         if r > cap or not scale:
             return QSeries.zero(qo)
         return _direction_factor(terms, r, cap, qo)[cap] * scale
     axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
     terms = {u: [(ThetaKind.THETA, cap + 1, 1)] for u, cap in zip(axes, caps)}
     power, scale = {}, 1
-    for d in phi_rows:
-        if not any(d):
-            return QSeries.zero(qo)
+    for kind, d in rows:
+        prefactors, logs = _THETA_ROWS[kind]
+        if not any(d):  # every logarithm vanishes at 0, leaving 0^prefactors
+            scale *= 0 ** prefactors
+            continue
         u, m = _primitive(d)
-        scale *= m
-        power[u] = power.get(u, 0) + 1
-        terms.setdefault(u, []).append((ThetaKind.THETA, -1, m))
-    for kind, coef, d in logs:
-        if any(d):  # every logarithm vanishes at 0
-            u, m = _primitive(d)
-            terms.setdefault(u, []).append((kind, coef, m))
+        scale *= m ** prefactors
+        power[u] = power.get(u, 0) + prefactors
+        terms.setdefault(u, []).extend([(k, c, j * m) for k, c, j in logs])
     axis_factors, specs = [], []
     for u, ts in terms.items():
         on_axis = u in axes
         degree = caps[u.index(1)] if on_axis else sum(caps)
         r = power.get(u, 0)
-        if r > degree:  # the factor y^r * exp(...) truncates to zero
+        if r > degree or not scale:  # y^r * exp(...) truncates, or Phi(0) = 0
             return QSeries.zero(qo)
         f = _direction_factor(ts, r, degree, qo)
         if on_axis:
@@ -211,30 +222,16 @@ def _residue(g: GCIData, axes, specs):
     return top_product(acc, rank_pair_mul(*specs[-2], *specs[-1], caps, qo))
 
 
-def _integrand_residue(g: GCIData, route, phi_rows, twist4k=None,
-                       psi1_row=None):
-    """Residue of prod_b (x_b/Phi(x_b))^(n_b+1) * prod_(d in phi_rows)
-    Phi(ell_d), times Psi_1Psi_2Psi_3(ell_twist4k) and Psi_1(ell_psi1_row)
-    when given, along `route`.
-    """
+def _integrand_residue(g: GCIData, route, rows):
+    """Residue of prod_b (x_b/Phi(x_b))^(n_b+1) times one factor per row
+    (kind, d) at ell_d, along `route`."""
     if route == "theta":
-        logs = []
-        if twist4k is not None:
-            logs = [(ThetaKind.THETA, 1, twist4k),
-                    (ThetaKind.THETA, -1, tuple(2 * c for c in twist4k))]
-        if psi1_row is not None:
-            logs.append((ThetaKind.THETA1, 1, psi1_row))
-        return _theta_residue(g, phi_rows, logs)
-    # Phi = 2 lfactor_4k2, and the residue is linear in each factor
-    specs = [(bundles.lfactor_4k2, d) for d in phi_rows]
-    if twist4k is not None:
-        specs.append((bundles.lfactor_4k, twist4k))
-    if psi1_row is not None:
-        specs.append((bundles.psi1_factor, psi1_row))
+        return _theta_residue(g, rows)
     xg, qo = theta._granular(sum(g.n)), g.q_order
-    specs = [(_factor(build, xg, qo), d) for build, d in specs]
+    specs = [(_factor(_BUNDLE_ROWS[kind][0], xg, qo), d) for kind, d in rows]
     axes = [_factor(_root_power, cap, qo) for cap in g.n]
-    return _residue(g, axes, specs) * 2 ** len(phi_rows)
+    scale = math.prod(_BUNDLE_ROWS[kind][1] for kind, _ in rows)
+    return _residue(g, axes, specs) * scale
 
 
 def _check_route(route):
@@ -242,9 +239,18 @@ def _check_route(route):
         raise ValueError(f"route must be 'theta' or 'bundle', got {route!r}")
 
 
-def _report(kind, series, g):
+def _weight(g, rows):
+    """sum(n) less the number of Phi rows: the complex dimension for W
+    and for W_c in real dimension 4k, 1 less in 4k+2, 1 more for phi2."""
+    return sum(g.n) - [kind for kind, _ in rows].count("phi")
+
+
+def _genus(kind, g, route, rows):
+    series = _integrand_residue(g, route, rows)
+    if kind == "Wc4k2":  # the 4k+2 integrand is twice the genus
+        series = QSeries._make(series.num, 2 * series.den, series.order)
     return GenusReport(kind, series, series.is_integral(),
-                       series.even_q_support(), g)
+                       series.even_q_support(), g, _weight(g, rows))
 
 
 def witten_genus(g: GCIData, route="theta"):
@@ -253,7 +259,7 @@ def witten_genus(g: GCIData, route="theta"):
     _, rdim = dims(g)
     if rdim % 4 != 0:
         raise DimensionError(f"Witten genus needs real dim = 0 mod 4, got {rdim}")
-    return _report("W", _integrand_residue(g, route, g.D), g)
+    return _genus("W", g, route, [("phi", d) for d in g.D])
 
 
 def wc_genus(g: GCIData, route="theta"):
@@ -262,11 +268,10 @@ def wc_genus(g: GCIData, route="theta"):
     if g.C is None:
         raise ValueError("wc_genus requires the spin^c coefficient vector C")
     _, rdim = dims(g)
+    rows = [("phi", d) for d in g.D]
     if rdim % 4 == 0:
-        series = _integrand_residue(g, route, g.D, twist4k=g.C)
-        return _report("Wc4k", series, g)
-    res = _integrand_residue(g, route, g.D + (g.C,))
-    return _report("Wc4k2", QSeries._make(res.num, 2 * res.den, res.order), g)
+        return _genus("Wc4k", g, route, rows + [("twist", g.C)])
+    return _genus("Wc4k2", g, route, rows + [("phi", g.C)])
 
 
 def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
@@ -283,26 +288,24 @@ def mod2_witten(g: GCIData, even_row=None, route="theta", strict=True):
     if strict and rdim % 8 != 2:
         raise DimensionError(
             f"mod 2 Witten genus needs real dim = 2 mod 8, got {rdim}")
-    rows = even_rows(g)
+    evens = even_rows(g)
     if even_row is not None:
         _check_int(even_row, "even_row")
-        if even_row not in rows:
+        if even_row not in evens:
             raise ValueError(
                 f"even_row {even_row} is not a nonzero all-even degree row")
-    if not all(any(row) for row in g.D):
-        precursor = QSeries.zero(g.q_order)
-    else:
-        if even_row is None:
-            if not rows:
-                raise ValueError("no all-even degree row to distinguish")
-            even_row = rows[0]
-        phi_rows = g.D[:even_row] + g.D[even_row + 1:]
-        precursor = _integrand_residue(g, route, phi_rows,
-                                       psi1_row=g.D[even_row])
+    empty = not all(map(any, g.D))
+    if even_row is None:
+        if not evens and not empty:
+            raise ValueError("no all-even degree row to distinguish")
+        even_row = evens[0] if evens else 0  # V empty: any row stands in
+    rows = [("psi1" if a == even_row else "phi", d)
+            for a, d in enumerate(g.D)]
+    precursor = (QSeries.zero(g.q_order) if empty
+                 else _integrand_residue(g, route, rows))
     reduced = precursor.reduce_mod2()  # raises NonIntegralError if not integral
-    return GenusReport(kind="PHI_MOD2", coeffs=reduced, integral=True,
-                       even_q_support=precursor.even_q_support(),
-                       instance=g, precursor=precursor)
+    return GenusReport("PHI_MOD2", reduced, True, precursor.even_q_support(),
+                       g, _weight(g, rows), precursor)
 
 
 # -- dimension-4 closed form ------------------------------------------

@@ -13,7 +13,8 @@ kernels below read its numerators directly and reduce their output once,
 by one common gcd.  The theta and bundle factors are not NilPolys: each
 is a tuple of its QSeries coefficients by x-degree (`qseries.XSeries`),
 which every kernel reads by `_int_factor`, to the degree it needs; a
-shorter one raises InsufficientDegreeError.
+shorter one raises InsufficientDegreeError, and one of another q-order
+OrderMismatchError.
 
 A series f evaluated at a linear form ell = sum d_b x_b has the separable
 coefficient structure f(ell)[e] = weight(e) * f_{|e|} with integer
@@ -90,16 +91,19 @@ class NilPoly:
         return f"NilPoly[caps={self.caps}]({' + '.join(parts) or '0'})"
 
 
-def _int_factor(coeffs, degree):
+def _int_factor(coeffs, degree, q_order):
     """The one input form of a factor: coeffs, QSeries by x-degree, to
     x^degree as (nums, den, r, g, top), the int numerator lists over
     their lcm den, nonzero only at degrees in r + gZ (g = 0 for a single
     one) ending at top; None when every degree is zero.  Raises
-    InsufficientDegreeError when coeffs stops short of degree."""
+    InsufficientDegreeError when coeffs stops short of degree and
+    OrderMismatchError when one of those coefficients is not at q_order."""
     if len(coeffs) < degree + 1:
         raise InsufficientDegreeError("series not supplied to degree "
                                       f"{degree}")
     series = coeffs[:degree + 1]
+    if {c.order for c in series} != {q_order}:
+        raise OrderMismatchError(f"factor q-order is not {q_order}")
     den = math.lcm(*(c.den for c in series))
     nums = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
             for c in series]
@@ -152,7 +156,8 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     total = sum(caps)
     if len(da) != len(caps) or len(db) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    int_a, int_b = (_int_factor(f, total) for f in (fa_coeffs, fb_coeffs))
+    int_a, int_b = (_int_factor(f, total, q_order)
+                    for f in (fa_coeffs, fb_coeffs))
     if int_a is None or int_b is None:
         return NilPoly._make(caps, q_order, {}, 1)
     (fa, den_a, ra, ga, top_a), (fb, den_b, rb, gb, top_b) = int_a, int_b
@@ -239,7 +244,7 @@ def mul_univariate(poly, coeffs, index):
     if index >= len(caps):
         raise ValueError(f"index must be < {len(caps)}, got {index}")
     cap = caps[index]
-    int_f = _int_factor(coeffs, cap)
+    int_f = _int_factor(coeffs, cap, q_order)
     if int_f is None:
         return NilPoly._make(caps, q_order, {}, 1)
     factor, den_f, k0, g, _ = int_f
@@ -285,7 +290,7 @@ def mul_linear(poly, coeffs, d):
     caps, q_order = poly.caps, poly.q_order
     if len(d) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    int_f = _int_factor(coeffs, sum(caps))
+    int_f = _int_factor(coeffs, sum(caps), q_order)
     if int_f is None:
         return NilPoly._make(caps, q_order, {}, 1)
     factor, den_f, k0, g, top = int_f
@@ -348,7 +353,7 @@ def contract_axes(poly, axes):
     caps, q_order = poly.caps, poly.q_order
     if len(axes) != len(caps):
         raise ValueError("axis factor count mismatch")
-    factors = list(map(_int_factor, axes, caps))
+    factors = [_int_factor(f, cap, q_order) for f, cap in zip(axes, caps)]
     if None in factors:
         return QSeries.zero(q_order)
     cells, den = poly.cells, poly.den

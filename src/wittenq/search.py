@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from operator import add, ge
 from typing import Optional
 
-from .gci import GCIData, codim_ok, condition_report, dims
+from .gci import (DEFAULT_Q_ORDER, GCIData, codim_ok, condition_report,
+                  dims)
 from .qseries import _check_int
 
 
@@ -33,7 +34,7 @@ class SearchQuery:
     target_real_dim: Optional[int] = None
     positive: bool = True
     require_codim: bool = True
-    q_order: int = 20
+    q_order: int = DEFAULT_Q_ORDER
 
     def __post_init__(self):
         """Each field checked as GCIData checks its own: plain ints (a

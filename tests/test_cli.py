@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, JSON round-trips, suites."""
 
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -218,6 +219,15 @@ def test_q_order_environment_variable_is_not_read(tmp_path, monkeypatch,
     doc = json.loads(capsys.readouterr().out)
     assert doc["instance"]["q_order"] == cli.DEFAULT_Q_ORDER == 20
     assert len(doc["coeffs"]) == 21
+
+
+def test_one_default_q_order():
+    # an instance, a search and the command each wrote the literal 20
+    assert cli.DEFAULT_Q_ORDER is wittenq.gci.DEFAULT_Q_ORDER
+    assert wittenq.GCIData([2], []).q_order == SearchQuery().q_order == \
+        cli.DEFAULT_Q_ORDER
+    assert inspect.signature(wittenq.GCIData).parameters[
+        "q_order"].default == cli.DEFAULT_Q_ORDER
 
 
 @pytest.mark.parametrize("doc", [

@@ -10,13 +10,14 @@ import pytest
 
 from nilpoly_ring import (at_form, coeffs, from_univariate, mul, one, poly,
                           power, top_coeff)
-from wittenq import bundles, genera, theta
+from wittenq import bundles, cli, genera, theta
 from wittenq.errors import DimensionError
-from wittenq.gci import GCIData
+from wittenq.gci import GCIData, dims
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             wc_genus, witten_genus)
 from wittenq.nilring import top_product
 from wittenq.qseries import QSeries
+from wittenq.search import SearchQuery
 from wittenq.theta import ThetaKind, direction_series
 
 
@@ -312,7 +313,8 @@ def test_wc_4k2_halving_matches_the_fraction_product(route):
     # real dimension 4k+2 halves the residue by doubling its denominator
     for n, D, C in (([3], [], [1]), ([2, 2], [[1, 1]], [1, 2])):
         g = GCIData(n, D, C=C, q_order=6)
-        series = genera._integrand_residue(g, route, g.D + (g.C,))
+        rows = [("phi", d) for d in g.D + (g.C,)]
+        series = genera._integrand_residue(g, route, rows)
         rep = wc_genus(g, route=route)
         assert rep.kind == "Wc4k2" and not series.is_zero()
         assert rep.coeffs == series * Fraction(1, 2)
@@ -342,6 +344,82 @@ def test_mod2_skips_all_zero_row():
             mod2_witten(g, even_row=0)
     g = GCIData([8], [[0], [2], [2]], q_order=6)
     assert mod2_witten(g, even_row=2).coeffs.is_zero()
+
+
+@pytest.mark.parametrize("route", ["theta", "bundle"])
+def test_weight_of_each_kind(route):
+    # sum(n) less the number of Phi rows: the complex dimension for W and
+    # W_c in real dimension 4k, 1 less in 4k+2, 1 more for phi2 (also when
+    # a zero row makes V empty and no even row is left)
+    cases = [
+        (witten_genus, [3, 3], [[1, 1], [2, 2]], None, "W", 0),
+        (wc_genus, [2, 3], [[1, 1]], [1, 1], "Wc4k", 0),
+        (wc_genus, [2, 2], [[1, 1]], [1, 2], "Wc4k2", -1),
+        (mod2_witten, [4, 3], [[2, 2], [1, 1]], None, "PHI_MOD2", 1),
+        (mod2_witten, [8], [[0], [1], [3]], None, "PHI_MOD2", 1),
+    ]
+    for fn, n, D, C, kind, offset in cases:
+        g = GCIData(n, D, C, q_order=2)
+        rep = fn(g, route=route)
+        assert (rep.kind, rep.weight) == (kind, dims(g)[0] + offset)
+
+
+def _row_lists(monkeypatch, calls):
+    """The row list each (genus, instance) call passes to the residue,
+    read with the residue itself replaced by zero: no genus is computed."""
+    seen = []
+
+    def spy(g, route, rows):
+        seen.append(rows)
+        return QSeries.zero(g.q_order)
+
+    monkeypatch.setattr(genera, "_integrand_residue", spy)
+    for fn, g in calls:
+        fn(g)
+    return seen
+
+
+def _exponent_x2(g, rows):
+    """The symmetric matrix of the x^2 coefficient of the theta route's
+    exponent, over L_2: sum_b (n_b+1) x_b^2 from the root powers plus
+    coef * j^2 * ell_d^2 for each THETA log term (kind, coef, j) of a row."""
+    s = g.s
+    Q = [[(n + 1) * (b == c) for c in range(s)] for b, n in enumerate(g.n)]
+    for kind, d in rows:
+        for log_kind, coef, j in genera._THETA_ROWS[kind][1]:
+            if log_kind == ThetaKind.THETA:
+                for b, c in itertools.product(range(s), repeat=2):
+                    Q[b][c] += coef * j * j * d[b] * d[c]
+    return Q
+
+
+def _gram(g, k):
+    """Diag(n+1) - D^T D - k C^T C."""
+    s, C = g.s, g.C or (0,) * g.s
+    return [[(g.n[b] + 1) * (b == c) - sum(d[b] * d[c] for d in g.D)
+             - k * C[b] * C[c] for c in range(s)] for b in range(s)]
+
+
+def test_theta_table_restates_the_gram_identity(monkeypatch):
+    # the x^2 part of the integrand, read from the theta table with each
+    # genus's row list, is Diag(n+1) - D^T D - k C^T C (k = 3 for the 4k
+    # twist, 1 for Phi at C): zero on every mass-run W and W_c case, and
+    # nonzero on the recorded non-string controls
+    from test_golden_nonvanishing import CASES, GENUS_FNS
+    fns = {"W": witten_genus, "Wc": wc_genus}
+    mass = [(fns[label], g) for label, g, _ in
+            cli.vanishing_cases(SearchQuery(q_order=12)) if label in fns]
+    controls = [(GENUS_FNS[kind], GCIData(n, D, C, q_order=2))
+                for kind, n, D, C, _ in CASES.values() if kind in fns]
+    assert (len(mass), len(controls)) == (286, 14)
+    for calls, vanishing in ((mass, True), (controls, False)):
+        row_lists = _row_lists(monkeypatch, calls)
+        assert len(row_lists) == len(calls)
+        for (fn, g), rows in zip(calls, row_lists):
+            k = 0 if g.C is None else 3 if dims(g)[1] % 4 == 0 else 1
+            Q = _exponent_x2(g, rows)
+            assert Q == _gram(g, k)
+            assert (not any(map(any, Q))) == vanishing, (g, Q)
 
 
 def test_bundle_route_builds_no_theta_factor(monkeypatch):

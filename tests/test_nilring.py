@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from nilpoly_ring import (add, at_form, coeffs, from_univariate, mul, one,
                           poly, scale, terms, top_coeff)
 from series_inverse import inv_poly
-from wittenq.errors import CapsMismatchError, InsufficientDegreeError
+from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
+                            OrderMismatchError)
 from wittenq.nilring import (NilPoly, contract_axes, mul_linear,
                              mul_univariate, rank_pair_mul, top_product)
 from wittenq.qseries import QSeries
@@ -328,6 +329,25 @@ def test_kernels_refuse_a_factor_short_of_its_degree(kernel):
     }
     with pytest.raises(InsufficientDegreeError, match=r"degree \d"):
         calls[kernel]()
+
+
+@pytest.mark.parametrize("kernel", ["rank_pair_mul", "mul_univariate",
+                                    "mul_linear", "contract_axes"])
+def test_kernels_refuse_a_factor_of_another_q_order(kernel):
+    # a factor at q-order 0 against a q-order-2 poly gave a q-order-2
+    # result whose q^1 and q^2 coefficients it never supplied, and one at
+    # q-order 3 was truncated silently; top_product already refused
+    caps, qo, d = (1, 1), 2, (1, 1)
+    for order in (0, 3):
+        f = (QSeries.one(order),) * (sum(caps) + 1)
+        calls = {
+            "rank_pair_mul": lambda: rank_pair_mul(f, d, f, d, caps, qo),
+            "mul_univariate": lambda: mul_univariate(one(caps, qo), f, 0),
+            "mul_linear": lambda: mul_linear(one(caps, qo), f, d),
+            "contract_axes": lambda: contract_axes(one(caps, qo), [f, f]),
+        }
+        with pytest.raises(OrderMismatchError, match="q-order"):
+            calls[kernel]()
 
 
 @pytest.mark.parametrize("index, error", [
