@@ -39,8 +39,9 @@ real dimension 4k+2 is W's integrand with C as one more row), so
 `_factor`, one bounded cache keyed by builder and arguments, holds the
 exponentials (by merged terms and length; the y^r shift is not cached),
 the bundle factors and the root powers.  Besides that only the int log
-columns and exponential weights inside `theta` and the w-power table
-inside `bundles` are cached.
+columns, the B_2k/2k table and the exponential weights inside `theta`,
+the w-power table inside `bundles` and the basis forms of
+`modforms.monomial` are cached.
 
 The "bundle" route builds one factor per row from the characters of
 `bundles` (`_BUNDLE_ROWS`: each kind's builder and multiple, Phi being

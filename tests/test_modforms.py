@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittenq import theta
+from wittenq import modforms, theta
 from wittenq.modforms import (ModFormFit, eisenstein, fit, lift, monomial,
                               restrict, sigma, theta_constant_e4_check,
                               weight_basis)
@@ -217,9 +217,17 @@ def test_theta_constant_e4_identity():
     assert theta_constant_e4_check(16)
 
 
-def test_theta_constant_negative_control():
-    assert not theta_constant_e4_check(10, exponent=6)
-    assert not theta_constant_e4_check(10, exponent=4)
+def test_theta_constant_negative_control(monkeypatch):
+    # q^2 added to any one of the three null products breaks the identity
+    exact = modforms._null_products
+    for i in range(3):
+        def perturbed(order, i=i):
+            nulls = list(exact(order))
+            nulls[i] = nulls[i] + QSeries.monomial(1, 2, order)
+            return tuple(nulls)
+
+        monkeypatch.setattr(modforms, "_null_products", perturbed)
+        assert not theta_constant_e4_check(10), i
 
 
 def test_theta_constant_check_names_the_callers_order():

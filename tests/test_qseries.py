@@ -430,27 +430,21 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
      "terms", True),
     (lambda: mod2_witten(GCIData([9], [[2], [2]], q_order=4), even_row=True,
                          strict=False), "even_row", True),
-    (lambda: modforms.theta_constant_e4_check(4, exponent=True), "exponent",
-     True),
     (lambda: modforms.sigma(True, 3), "k", True),
     (lambda: modforms.sigma(1.5, 3), "k", 1.5),
     (lambda: modforms.sigma(1, 2.0), "n", 2.0),
-    (lambda: theta.jacobi_check(50, skip=True), "skip", True),
-    (lambda: theta.jacobi_check(50, skip=1.0), "skip", 1.0),
 ], ids=["eisenstein_g-k-bool", "eisenstein_g-k-float",
         "eisenstein_g-q_order-float", "phi", "direction_series-coef",
         "root_factor", "lemma42_report", "eisenstein", "eisenstein-k",
         "monomial", "QSeries.monomial", "QSeries.monomial-order",
         "jacobi_check", "coefficient", "power",
         "weight_basis", "lift", "restrict", "numeric_theta", "mod2_witten",
-        "theta_constant_e4_check", "sigma-k-bool", "sigma-k-float",
-        "sigma-n-float", "jacobi_check-skip-bool", "jacobi_check-skip-float"])
+        "sigma-k-bool", "sigma-k-float", "sigma-n-float"])
 def test_integer_arguments_refuse_bools_and_floats(call, name, value):
     # each of these returned a value or failed with an unrelated error:
     # mod2_witten took True as row 1, lift built a series of q-order True,
     # monomial(True, 0, 2) read the cached monomial(1, 0, 2), warmed
-    # here, sigma(1.5, 3) returned a float, and jacobi_check took a skip
-    # of True or 1.0 as 1
+    # here, and sigma(1.5, 3) returned a float
     modforms.monomial(1, 0, 2)
     with pytest.raises(TypeError,
                        match=f"^{name} must be an integer, got {value!r}$"):

@@ -9,7 +9,7 @@ import pytest
 
 from nilpoly_ring import add, coeffs, from_univariate, mul, one, poly
 from series_inverse import inv_poly
-from wittenq import theta
+from wittenq import cli, theta
 from wittenq.nilring import rank_pair_mul
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind
@@ -99,19 +99,15 @@ def test_psi_product_x2_coefficient():
         assert _frac(c2, 2 * n) == -3 * s1
 
 
-def test_jacobi_identity_and_mutated_control():
+def test_jacobi_identity_and_mutated_control(monkeypatch):
     assert theta.jacobi_check(50)
-    # dropping one Euler factor breaks the identity
-    assert not theta.jacobi_check(50, skip=1)
-
-
-def test_jacobi_check_refuses_skips_that_drop_nothing():
-    # skip=0, -1, 26 or 100 named no factor the truncation sees, so the
-    # negative control returned True
-    assert not theta.jacobi_check(50, skip=25)
-    for skip in (0, -1, 26, 100):
-        with pytest.raises(ValueError, match="skip must be an int"):
-            theta.jacobi_check(50, skip=skip)
+    # dropping one Euler factor, 1 + q^2 or the last one the truncation
+    # sees, 1 + q^50, breaks the identity
+    full = theta.q_product
+    for drop in (0, -4):
+        monkeypatch.setattr(theta, "q_product", lambda factors, order:
+                            full(factors[:drop] + factors[drop + 1:], order))
+        assert not theta.jacobi_check(50), drop
 
 
 def test_jacobi_check_refuses_negative_orders():
@@ -249,37 +245,34 @@ def test_numeric_transform_suite_passes():
     assert all(e <= 1e-13 for e in rep["errors"].values())
 
 
-def test_numeric_transform_suite_far_from_the_cusp():
+def test_numeric_transform_suite_far_from_the_cusp(monkeypatch):
     # Im(-1/tau) is 1/26 at tau = 5 + i and 1/101 at 10 + i: 60 factors
     # left S:theta errors of 1.0e-6 and 0.10 there
     for tau in (5 + 1j, 10 + 1j):
-        rep = theta.numeric_transform_suite(samples=[(0.1 + 0.05j, tau)])
+        monkeypatch.setattr(theta, "_DEFAULT_SAMPLES", [(0.1 + 0.05j, tau)])
+        rep = theta.numeric_transform_suite()
         assert rep["passed"], tau
         assert max(rep["errors"].values()) <= 1e-12, tau
+    monkeypatch.setattr(theta, "_DEFAULT_SAMPLES", [(0.1 + 0.05j, 100 + 1j)])
     with pytest.raises(ValueError, match="factors"):
-        theta.numeric_transform_suite(samples=[(0.1 + 0.05j, 100 + 1j)])
+        theta.numeric_transform_suite()
 
 
-def test_numeric_transform_suite_rejects_low_im_tau():
-    with pytest.raises(ValueError):
-        theta.numeric_transform_suite(samples=[(0.1 + 0.1j, 0.5 + 0.5j)])
+def test_numeric_transform_suite_fails_on_a_wrong_theta(monkeypatch):
+    # THETA3 off by a relative 1e-6 breaks its laws past the 1e-9
+    # tolerance, and `verify --suite theta` exits 1
+    exact = theta.numeric_theta
 
+    def skewed(kind, z, tau, terms=None):
+        val = exact(kind, z, tau, terms)
+        return val * (1 + 1e-6) if kind is ThetaKind.THETA3 else val
 
-def test_numeric_transform_suite_refuses_empty_samples():
-    # an empty list passed with 22 errors of 0.0 and nothing evaluated
-    with pytest.raises(ValueError, match="samples must not be empty"):
-        theta.numeric_transform_suite(samples=[])
-    with pytest.raises(ValueError, match="samples must not be empty"):
-        theta.numeric_transform_suite(samples=iter([]))
-
-
-def test_numeric_transform_suite_reads_an_iterator_once():
-    # the Im(tau) check used to exhaust an iterator, so every law then
-    # saw no sample and passed with an error of 0.0
-    points = theta._DEFAULT_SAMPLES[:2]
-    rep = theta.numeric_transform_suite(samples=iter(points))
-    assert rep == theta.numeric_transform_suite(samples=points)
-    assert max(rep["errors"].values()) > 0
+    monkeypatch.setattr(theta, "numeric_theta", skewed)
+    rep = theta.numeric_transform_suite()
+    assert not rep["passed"]
+    assert rep["errors"]["T:theta2"] > rep["tol"]
+    assert rep["errors"]["z+1:theta1"] < 1e-12
+    assert cli.run(["verify", "--suite", "theta"]) == 1
 
 
 def test_numeric_matches_series_at_sample_point():
