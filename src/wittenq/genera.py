@@ -112,8 +112,8 @@ def _direction_factor(terms, r, degree, q_order):
     The terms are merged by (kind, |m|), their coefficients summed and
     zero sums dropped, which keeps every power sum sum coef * m^2k; the
     exponential of the merged terms to the even length below degree - r
-    is read from `_factor`, and the y^r shift and an odd length's
-    trailing zero are applied here.
+    is read from `_factor`, and the package's one y^r shift, r <= degree,
+    and an odd length's trailing zero are applied here.
     """
     merged = {}
     for kind, coef, m in terms:
@@ -122,7 +122,7 @@ def _direction_factor(terms, r, degree, q_order):
     key = tuple(sorted([(kind, coef, m) for (kind, m), coef in merged.items()
                         if coef], key=operator.itemgetter(0, 2)))
     odd = (degree - r) % 2
-    f = _factor(theta.direction_series, key, 0, degree - r - odd, q_order)
+    f = _factor(theta.direction_series, key, degree - r - odd, q_order)
     zero = (QSeries.zero(q_order),)
     return zero * r + f + zero * odd if r or odd else f
 

@@ -13,29 +13,29 @@ e^{2*pi*i*z} -> e^x, so
 with every q^(1/4) prefactor cancelling.  The factors are not built from
 these products.  Taking logarithms turns each product into divisor sums:
 log(x/Phi) = sum_k 2 G_2k(q^2) x^2k / (2k)! with the Eisenstein series
-G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and the
-Psi_i have sign-twisted analogues (see `_log_columns`).  The Bernoulli
+G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and log Psi_1
+has a sign-twisted analogue (see `_log_columns`).  The Bernoulli
 numbers come from integer tangent numbers, which end the odd rows of
 Seidel's boustrophedon, so a longer table extends a shorter one.  Each
 factor is then one exponential of its logarithm, computed exactly by
 `direction_series`, the one exponential builder: it exponentiates an
 integer combination of these logarithms at multiples m*x, so `phi`,
-`psi_product`, `x_over_phi` and the merged direction factors of the
-theta-route genera are each one call of it, and Psi_i alone is
-`direction_series([(kind, 1, 1)], 0, x_order, q_order)`.
+`x_over_phi`, Psi_1, the merged direction factors of the theta-route
+genera and `psi_product`, (x/Phi(x)) / (2x/Phi(2x)) by the duplication
+formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x), are each one call of it.
 The bundle route (`bundles`) keeps the product formulas and is the
 independent oracle these builders are checked against.
 
 `direction_series` runs the recurrence of exp on int columns: with
-g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times every
-kind's x^2k log coefficient, delta_h = 2 den(B_2h) delta_(h-1) clears
+g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times both
+logarithms' x^2k coefficients, delta_h = 2 den(B_2h) delta_(h-1) clears
 g_2h, so each step is an integer combination of int columns with cached
 integer weights, and each coefficient is reduced once.  It returns the
 tuple of QSeries coefficients by x-degree (an `XSeries`), which the
 genera keep in a bounded cache by merged exponent (`genera._factor`) and
-which `phi`, `psi_product` and `x_over_phi` return.  A separate
-complex-numeric evaluator checks the analytic transformation laws, which
-the formal truncated series cannot see.
+which `psi_product`, `x_over_phi` and (shifted by one degree) `phi`
+return.  A separate complex-numeric evaluator checks the analytic
+transformation laws, which the formal truncated series cannot see.
 """
 from __future__ import annotations
 
@@ -149,39 +149,33 @@ def _log_columns(kind, x_order, q_order):
     """The int columns N_k = d_k (2k)! L_2k over q^0..q^q_order of the
     logarithm L of `kind`, by k = 0..x_order // 2.
 
-    THETA stands for x/Phi; THETA1..3 for Psi_1..3.  Every logarithm is
-    even in x with no constant term, and its x^2k coefficient L_2k is
-    2/(2k)! times
+    THETA stands for x/Phi and THETA1 for Psi_1, the two logarithms the
+    genera read.  Each is even in x with no constant term, and its x^2k
+    coefficient L_2k is 2/(2k)! times
         x/Phi:  G_2k(q^2)
         Psi_1:  (2^2k - 1) B_2k/(4k) + sum_N sum_(m|N) (-1)^(m+1) m^(2k-1) q^(2N)
-        Psi_2:  -sum_N sum_(m|N, N/m odd) m^(2k-1) q^N
-        Psi_3:  sum_N sum_(m|N, N/m odd) (-1)^(m+1) m^(2k-1) q^N
     from log(1 + t e^x) + log(1 + t e^-x) - 2 log(1 + t)
     = -sum_m (-t)^m/m * 2 sum_k (mx)^2k/(2k)! and the Taylor series of
     log(sinh(x/2)/(x/2)) and log cosh(x/2).  So (2k)! L_2k is -B_2k/2k
-    (x/Phi), (4^k - 1) B_2k/2k (Psi_1) or 0 (Psi_2, Psi_3) plus twice an
-    integral divisor sum, and d_k = den(B_2k/2k), read from
-    `_bernoulli_table`, clears it.  These columns are the package's one
-    source of Eisenstein series: `eisenstein_g` and `modforms.eisenstein`
-    read the x/Phi columns.  A table extends the cached one 16 x-degrees
-    shorter.
+    (x/Phi) or (4^k - 1) B_2k/2k (Psi_1) plus twice an integral divisor
+    sum, and d_k = den(B_2k/2k), read from `_bernoulli_table`, clears it.
+    These columns are the package's one source of Eisenstein series:
+    `eisenstein_g` and `modforms.eisenstein` read the x/Phi columns.  A
+    table extends the cached one 16 x-degrees shorter.
     """
-    K = ThetaKind
-    odd = kind in (K.THETA2, K.THETA3)
-    alternating = kind in (K.THETA1, K.THETA3)
+    alternating = kind == ThetaKind.THETA1
     cols = (list(_log_columns(kind, x_order - 16, q_order)) if x_order > 16
             else [(0,) * (q_order + 1)])
     B = _bernoulli_table(x_order)[0]
     for k in range(len(cols), x_order // 2 + 1):
         num, den = B[k]
-        s = -2 * den if kind == K.THETA2 else 2 * den
+        s = 2 * den
         col = [0] * (q_order + 1)
-        col[0] = {K.THETA: -1, K.THETA1: 4 ** k - 1}.get(kind, 0) * num
-        # sum over m * e = N of eps^(m+1) m^(2k-1), e odd (Psi_2, Psi_3)
-        # or even, eps = -1 when alternating
+        col[0] = (4 ** k - 1 if alternating else -1) * num
+        # sum over m*e = N, e even, of eps^(m+1) m^(2k-1); eps = -1 for Psi_1
         for m in range(1, q_order + 1):
             w = (-s if alternating and m % 2 == 0 else s) * m ** (2 * k - 1)
-            for N in range(m if odd else 2 * m, q_order + 1, 2 * m):
+            for N in range(2 * m, q_order + 1, 2 * m):
                 col[N] += w
         cols.append(tuple(col))
     return tuple(cols)
@@ -189,24 +183,24 @@ def _log_columns(kind, x_order, q_order):
 
 # -- exponentials -----------------------------------------------------
 
-def direction_series(terms, r, x_order, q_order):
-    """y^r * exp(sum of coef * log_kind(m*y) over terms), to y^x_order,
-    as the tuple (an `XSeries`) of its QSeries coefficients by y-degree
-    0..x_order.
+def direction_series(terms, x_order, q_order):
+    """exp(sum of coef * log_kind(m*y) over terms) to y^x_order: the tuple
+    (an `XSeries`) of its QSeries coefficients by y-degree 0..x_order.
 
-    terms holds triples (kind, coef, m) of ints, kind a ThetaKind naming a
-    logarithm of `_log_columns`.  The exponent L has the y^2k coefficient
-    L_2k = sum_kind p_2k * log_kind_2k with the integer power sum
-    p_2k = sum coef * m^2k; it is even in y with no constant term, so
-    f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
-    n f_n = sum_j j L_j f_(n-j).  The result is all zero when r > x_order;
-    a negative r, x_order or q_order, or another kind, raises ValueError,
-    and a size, coef or m that is not a plain int raises TypeError.
+    terms holds triples (kind, coef, m) of ints, kind THETA (x/Phi) or
+    THETA1 (Psi_1), a logarithm of `_log_columns`.  The exponent L has the
+    y^2k coefficient L_2k = sum_kind p_2k * log_kind_2k with the integer
+    power sum p_2k = sum coef * m^2k; it is even in y with no constant
+    term, so f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
+    n f_n = sum_j j L_j f_(n-j).  A negative x_order or q_order raises
+    ValueError, and so does another kind (THETA2, THETA3 or an int, which
+    would key THETA's or THETA1's cached columns); a size, coef or m that
+    is not a plain int raises TypeError.
 
     The recurrence runs on int columns.  With g_n = n! f_n and
     Lambda_2k = (2k)! L_2k it reads
         g_2h = sum_(k=1..h) C(2h-1, 2k-1) Lambda_2k g_(2h-2k).
-    d_k = den(B_2k/2k) clears Lambda_2k for every kind (`_log_columns`),
+    d_k = den(B_2k/2k) clears Lambda_2k for both kinds (`_log_columns`),
     so N_k = d_k Lambda_2k is a sum of p_2k times cached int columns.  By
     induction delta_h = lcm_(k<=h) d_k delta_(h-k) clears g_2h: the
     k-th term of g_2h has a denominator dividing d_k delta_(h-k).  Then
@@ -220,20 +214,17 @@ def direction_series(terms, r, x_order, q_order):
     dot products, one per pair of q-degrees; a shorter step convolves
     each term in q, skipping zero coefficients.
     """
-    _check_int(r, "r")
     _check_int(x_order, "x_order")
     _check_int(q_order, "q_order")
     powers = {}
     for kind, coef, m in terms:
-        if not isinstance(kind, ThetaKind):  # 0 == THETA keys its columns
+        if not isinstance(kind, ThetaKind) or kind > ThetaKind.THETA1:
             raise ValueError(f"no logarithm for {kind!r}")
         _check_int(coef, "coef", None)
         _check_int(m, "m", None)
         powers.setdefault(kind, []).append((coef, m))
     zero = QSeries.zero(q_order)
-    if r > x_order:
-        return XSeries([zero] * (x_order + 1))
-    H, qn = (x_order - r) // 2, q_order + 1
+    H, qn = x_order // 2, q_order + 1
     xg = _granular(x_order)
     W, _, den = _tables(xg)
     tables = [(_log_columns(kind, xg, q_order), pairs)
@@ -279,9 +270,7 @@ def direction_series(terms, r, x_order, q_order):
         for j in range(qn):
             G_t[j].append(out[j])
         f += [zero, QSeries._make(out, den[h], q_order)]
-    if (x_order - r) % 2:
-        f.append(zero)
-    return XSeries([zero] * r + f)
+    return XSeries(f + [zero] * (x_order % 2))
 
 
 def phi(x_order, q_order):
@@ -289,18 +278,22 @@ def phi(x_order, q_order):
 
     Odd in x, leading term x: Phi = x * exp(-log(x/Phi)).
     """
-    return direction_series([(ThetaKind.THETA, -1, 1)], 1, x_order, q_order)
+    _check_int(x_order, "x_order")
+    f = direction_series([(ThetaKind.THETA, -1, 1)], max(x_order - 1, 0),
+                         q_order)
+    return XSeries(((QSeries.zero(q_order),) + f)[:x_order + 1])
 
 
 def psi_product(x_order, q_order):
-    """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor."""
-    kinds = (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)
-    return direction_series([(k, 1, 1) for k in kinds], 0, x_order, q_order)
+    """Psi_1 * Psi_2 * Psi_3, the 4k-dimensional twisting factor, by the
+    duplication formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x)."""
+    th = ThetaKind.THETA
+    return direction_series([(th, 1, 1), (th, -1, 2)], x_order, q_order)
 
 
 def x_over_phi(x_order, q_order):
     """The unit series x / Phi(x) (the per-Chern-root A-hat-type factor)."""
-    return direction_series([(ThetaKind.THETA, 1, 1)], 0, x_order, q_order)
+    return direction_series([(ThetaKind.THETA, 1, 1)], x_order, q_order)
 
 
 # -- Jacobi identity as a pure q-series statement ---------------------

@@ -27,6 +27,7 @@ from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind
 
 K = ThetaKind
+LOGS = [K.THETA, K.THETA1]  # the two logarithms of `theta._log_columns`
 KERNEL = settings(deadline=None, max_examples=200, derandomize=True,
                   database=None)
 
@@ -46,23 +47,18 @@ def _log_reference(kind, k, q_order):
     of `theta._log_columns`."""
     c = [Fraction(0)] * (q_order + 1)
     b = _bernoulli_reference(2 * k) / (4 * k)
-    if kind in (K.THETA, K.THETA1):
-        c[0] = -b if kind == K.THETA else (4 ** k - 1) * b
-        for N in range(1, q_order // 2 + 1):
-            c[2 * N] = sum((-1) ** (m + 1 if kind == K.THETA1 else 0)
-                           * m ** (2 * k - 1)
-                           for m in range(1, N + 1) if N % m == 0)
-    else:
-        for N in range(1, q_order + 1):
-            c[N] = sum((-1 if kind == K.THETA2 else (-1) ** (m + 1))
+    c[0] = -b if kind == K.THETA else (4 ** k - 1) * b
+    for N in range(1, q_order // 2 + 1):
+        c[2 * N] = sum((-1) ** (m + 1 if kind == K.THETA1 else 0)
                        * m ** (2 * k - 1)
-                       for m in range(1, N + 1) if N % m == 0 and N // m % 2)
+                       for m in range(1, N + 1) if N % m == 0)
     return QSeries([x * Fraction(2, math.factorial(2 * k)) for x in c],
                    q_order)
 
 
 def _naive_direction(terms, r, x_order, q_order):
-    """The rational recurrence the integer kernel replaced."""
+    """The rational recurrence the integer kernel replaced, shifted by y^r
+    as `genera._direction_factor` shifts it."""
     zero = QSeries.zero(q_order)
     logs, f = {}, [QSeries.one(q_order)]
     for n in range(1, x_order - r + 1):
@@ -84,19 +80,19 @@ def test_direction_series_matches_naive_recurrence():
     reached = set()
 
     @KERNEL
-    @given(terms=st.lists(st.tuples(st.sampled_from(list(K)),
+    @given(terms=st.lists(st.tuples(st.sampled_from(LOGS),
                                     st.integers(-5, 9), st.integers(1, 4)),
                           min_size=1, max_size=4),
-           r=st.integers(0, 3), x_order=st.integers(0, 70),
+           x_order=st.integers(0, 70),
            q_order=st.sampled_from([0, 1, 2, 3, 8, 12, 32]))
-    def check(terms, r, x_order, q_order):
-        got = theta.direction_series(terms, r, x_order, q_order)
+    def check(terms, x_order, q_order):
+        got = theta.direction_series(terms, x_order, q_order)
         assert len(got) == x_order + 1
-        assert _exact(got) == _exact(_naive_direction(terms, r, x_order,
+        assert _exact(got) == _exact(_naive_direction(terms, 0, x_order,
                                                       q_order))
         # step h sums over its h terms as dot products when h > q_order,
         # and convolves each term in q otherwise
-        steps = max(x_order - r, 0) // 2
+        steps = x_order // 2
         if steps > q_order:
             reached.add("dot products")
         if min(steps, q_order) >= 1:
@@ -107,8 +103,7 @@ def test_direction_series_matches_naive_recurrence():
 
 
 # explicit ids: an IntEnum member would be named by its value
-@pytest.mark.parametrize("kind", list(K),
-                         ids=lambda k: f"ThetaKind.{k.name}")
+@pytest.mark.parametrize("kind", LOGS, ids=lambda k: f"ThetaKind.{k.name}")
 def test_den_bound_clears_every_logarithm(kind):
     # d_k (2k)! L_2k is integral, the bound the kernel's weights rest on,
     # and the int column N_k of `_log_columns` is that integer
@@ -157,23 +152,27 @@ def test_bernoulli_values_and_domain():
             theta.bernoulli(n)
 
 
-@pytest.mark.parametrize("r, x_order", [(-1, 4), (0, -3), (-2, -2), (0, 4)])
-def test_direction_series_refuses_negative_sizes(r, x_order):
-    # a negative q-order is refused too, and alone at (0, 4); the first
-    # negative size is named
-    for q_order in (4, -1) if min(r, x_order) < 0 else (-1,):
-        name, value = next((name, value) for name, value in
-                           (("r", r), ("x_order", x_order),
-                            ("q_order", q_order)) if value < 0)
-        with pytest.raises(ValueError,
-                           match=f"^{name} must be >= 0, got {value}$"):
-            theta.direction_series([(K.THETA, 1, 1)], r, x_order, q_order)
+@pytest.mark.parametrize("x_order, q_order",
+                         [(-1, 4), (0, -3), (-2, -2), (0, 4)])
+def test_direction_series_refuses_negative_sizes(x_order, q_order):
+    # the first negative size is named; (0, 4) builds the constant 1
+    def build():
+        return theta.direction_series([(K.THETA, 1, 1)], x_order, q_order)
+
+    negative = [(name, value) for name, value in
+                (("x_order", x_order), ("q_order", q_order)) if value < 0]
+    if not negative:
+        assert [c.is_one() for c in build()] == [True]
+        return
+    name, value = negative[0]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be >= 0, got {value}$"):
+        build()
 
 
 def test_factors_refuse_negative_x_order():
     for build in (lambda: theta.phi(-1, 2), lambda: theta.x_over_phi(-1, 2),
-                  lambda: theta.direction_series([(K.THETA1, 1, 1)], 0, -2,
-                                                 2),
+                  lambda: theta.direction_series([(K.THETA1, 1, 1)], -2, 2),
                   lambda: theta.psi_product(-1, 2)):
         with pytest.raises(ValueError):
             build()
@@ -203,16 +202,17 @@ def test_factors_refuse_orders_that_are_not_ints():
 
 def test_int_kinds_are_refused_with_warm_caches():
     # ThetaKind is an IntEnum, so 0 == THETA and both are one key of the
-    # cached log columns: the kinds are checked before any cache is read
+    # cached log columns: the kinds are checked before any cache is read.
+    # Psi_2 and Psi_3 have no logarithm: Psi_1Psi_2Psi_3 is built from
+    # x/Phi by the duplication formula
     theta.x_over_phi(8, 4)
-    theta.direction_series([(K.THETA1, 1, 1)], 0, 8, 4)
-    for build in (lambda: theta.direction_series([(0, 1, 1)], 0, 8, 4),
-                  lambda: theta.direction_series([(K.THETA, 1, 1), (1, 1, 2)],
-                                                 0, 8, 4),
-                  lambda: theta.direction_series([(0, 1, 1)], 9, 8, 4),
-                  lambda: theta.numeric_theta(0, 0.1, 1j)):
-        with pytest.raises(ValueError):
-            build()
+    theta.direction_series([(K.THETA1, 1, 1)], 8, 4)
+    for kind in (0, 1, 2, 3, K.THETA2, K.THETA3):
+        for terms in ([(kind, 1, 1)], [(K.THETA, 1, 1), (kind, 1, 2)]):
+            with pytest.raises(ValueError, match="^no logarithm for"):
+                theta.direction_series(terms, 8, 4)
+    with pytest.raises(ValueError):
+        theta.numeric_theta(0, 0.1, 1j)
 
 
 def _clear_tables():
@@ -294,7 +294,7 @@ def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
     assert theta._tables(160) == (tuple(W), tuple(delta), den)
     # the log columns, B_2k/2k in their constant terms, against the
     # Fraction logarithms cleared by d_k (2k)!
-    for kind in K:
+    for kind in LOGS:
         cols = theta._log_columns(kind, 160, 4)
         for k in range(1, H + 1):
             cleared = _log_reference(kind, k, 4) * (
@@ -310,14 +310,14 @@ def _cache_counts():
 def test_equal_exponents_share_one_cache_entry():
     # the same power sums sum coef * m^2k per kind: permuted, split, of
     # either sign of m, or padded with terms that cancel
-    base = [(K.THETA, 3, 1), (K.THETA1, -1, 2), (K.THETA2, 2, 3)]
+    base = [(K.THETA, 3, 1), (K.THETA1, -1, 2), (K.THETA1, 2, 3)]
     variants = [
         base,
         base[::-1],
         [(K.THETA, 1, 1), (K.THETA1, -1, 2), (K.THETA, 2, 1),
-         (K.THETA2, 5, 3), (K.THETA2, -3, 3)],
-        [(K.THETA, 3, -1), (K.THETA1, -1, -2), (K.THETA2, 2, 3)],
-        base + [(K.THETA3, 4, 2), (K.THETA3, -4, -2)],
+         (K.THETA1, 5, 3), (K.THETA1, -3, 3)],
+        [(K.THETA, 3, -1), (K.THETA1, -1, -2), (K.THETA1, 2, -3)],
+        base + [(K.THETA, 4, 2), (K.THETA, -4, -2)],
     ]
     genera._factor.cache_clear()
     for r, degree in ((0, 14), (1, 16), (2, 16), (3, 18)):
@@ -333,7 +333,7 @@ def test_equal_exponents_share_one_cache_entry():
 def test_terms_that_cancel_share_the_empty_exponent():
     genera._factor.cache_clear()
     for terms in ([], [(K.THETA, 2, 1), (K.THETA, -2, -1)],
-                  [(K.THETA1, 1, 3), (K.THETA1, -1, 3), (K.THETA3, 0, 2)]):
+                  [(K.THETA1, 1, 3), (K.THETA1, -1, 3), (K.THETA, 0, 2)]):
         got = genera._direction_factor(terms, 1, 9, 6)
         assert _exact(got) == _exact(_naive_direction([], 1, 9, 6))
     assert _cache_counts() == (2, 1)
@@ -348,7 +348,10 @@ def test_cache_hit_equals_fresh_build():
     genera._factor.cache_clear()
     again = genera._direction_factor(terms, *args)
     assert _exact(miss) == _exact(hit) == _exact(again)
-    assert _exact(miss) == _exact(theta.direction_series(terms, *args))
+    # the y^2 shift is the factor's own: the exponential is built to 21
+    shift = [QSeries.zero(8)] * 2
+    assert _exact(miss) == _exact(shift + list(theta.direction_series(
+        terms, 21, 8)))
 
 
 def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):

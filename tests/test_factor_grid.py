@@ -3,10 +3,12 @@
 `theta` builds every factor as the exponential of its Eisenstein
 logarithm.  Here each one is compared, coefficient for coefficient, with
 a product-formula reference over a grid of x- and q-orders: the bundle
-route for x/Phi, Phi, Psi_1Psi_2Psi_3 and the root powers, and products
-of Lambda pairs for each single Psi_i.  The merged one-direction factors
-of the theta-route genera (`theta.direction_series`) are checked against
-the same references.
+route for x/Phi, Phi, Psi_1, Psi_1Psi_2Psi_3 and the root powers, and
+the product of the three Psi_i's Lambda-pair products for
+Psi_1Psi_2Psi_3, which `theta` builds from x/Phi alone by the
+duplication formula.  The merged one-direction factors of the
+theta-route genera (`theta.direction_series`) are checked against the
+same references.
 """
 
 import math
@@ -50,11 +52,15 @@ def test_theta_factors_equal_product_formulas(x_order, q_order):
     xo, qo = x_order, q_order
     assert theta.x_over_phi(xo, qo) == bundles.root_factor(xo, qo)
     assert theta.phi(xo, qo) == _phi_by_products(xo, qo)
-    assert theta.psi_product(xo, qo) == bundles.lfactor_4k(xo, qo)
-    for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3):
-        assert (theta.direction_series([(kind, 1, 1)], 0, xo, qo)
-                == _psi_by_products(kind, xo, qo))
-    assert (theta.direction_series([(ThetaKind.THETA, xo + 1, 1)], 0, xo, qo)
+    assert (theta.direction_series([(ThetaKind.THETA1, 1, 1)], xo, qo)
+            == bundles.psi1_factor(xo, qo))
+    psi_product = theta.psi_product(xo, qo)
+    assert psi_product == bundles.lfactor_4k(xo, qo)
+    psi1, psi2, psi3 = [
+        from_univariate(_psi_by_products(kind, xo, qo), 0, (xo,), qo)
+        for kind in (ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3)]
+    assert psi_product == tuple(coeffs(mul(mul(psi1, psi2), psi3)))
+    assert (theta.direction_series([(ThetaKind.THETA, xo + 1, 1)], xo, qo)
             == genera._root_power(xo, qo))
 
 
@@ -67,7 +73,9 @@ def test_direction_series_equal_product_formulas(x_order, q_order):
     K = ThetaKind
 
     def direction(terms, r=0):
-        return theta.direction_series(terms, r, xo, qo)
+        # y^r times the exponential, to y^xo, as `genera` shifts it
+        f = theta.direction_series(terms, max(xo - r, 0), qo)
+        return ((QSeries.zero(qo),) * r + f)[:xo + 1]
 
     assert direction([(K.THETA, -1, 1)], r=1) == _phi_by_products(xo, qo)
     assert direction([(K.THETA, 1, 1), (K.THETA, -1, 2)]) == \

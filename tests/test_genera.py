@@ -145,12 +145,12 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
     qo, s, th = 4, len(caps), ThetaKind.THETA
     g = GCIData(list(caps), [], q_order=qo)
     # factors of the parities that leave the residue nonzero
-    axes = [direction_series([(th, cap + 1 + b, 1)], cap % 2, cap, qo)
-            for b, cap in enumerate(caps)]
+    axes = [genera._direction_factor([(th, cap + 1 + b, 1)], cap % 2, cap,
+                                     qo) for b, cap in enumerate(caps)]
     total = sum(caps)
-    specs = [(direction_series([(th, 1, 1), (th, -1, 2)], 0, total, qo),
+    specs = [(direction_series([(th, 1, 1), (th, -1, 2)], total, qo),
               (1, -2, 1)[:s]),
-             (direction_series([(ThetaKind.THETA1, 1, 1)], 0, total, qo),
+             (direction_series([(ThetaKind.THETA1, 1, 1)], total, qo),
               (2, 1, 0)[:s])][:n_specs]
 
     def full_product(axes, specs):
@@ -257,9 +257,9 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
     # and moves these; the last two are the perfbench heavy_2f cases
     built, build = [], theta.direction_series
 
-    def recording(terms, *sizes):  # sizes end with x_order, q_order
-        built.append((len(terms), sizes[-2]))
-        return build(terms, *sizes)
+    def recording(terms, x_order, q_order):
+        built.append((len(terms), x_order))
+        return build(terms, x_order, q_order)
 
     monkeypatch.setattr(genera.theta, "direction_series", recording)
     genus = witten_genus if C is None else wc_genus

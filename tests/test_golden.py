@@ -31,7 +31,7 @@ FACTORS = {
     "phi": theta.phi,
     "psi_product": theta.psi_product,
     "psi1": lambda xo, qo: theta.direction_series([(ThetaKind.THETA1, 1, 1)],
-                                                  0, xo, qo),
+                                                  xo, qo),
     "root_factor": bundles.root_factor,
     "lfactor_4k": bundles.lfactor_4k,
     "lfactor_4k2": bundles.lfactor_4k2,

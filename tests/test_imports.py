@@ -73,7 +73,7 @@ def test_every_public_name_exists():
 def test_removed_names_are_not_importable():
     # subst_linear (a rank_pair_mul with the constant 1), sigma1_series
     # (theta.eisenstein_g(1, .)), psi (direction_series([(kind, 1, 1)],
-    # 0, ...)), is_spin, is_string and is_stringc (condition_report(g)'s
+    # ...)), is_spin, is_string and is_stringc (condition_report(g)'s
     # fields) and lemma42_check (lemma42_report(q)["passed"]) left the
     # public API
     for name in ("subst_linear", "sigma1_series", "psi", "is_spin",

@@ -18,7 +18,7 @@ from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
 from wittenq.nilring import (NilPoly, contract_axes, mul_linear,
                              mul_univariate, rank_pair_mul, top_product)
 from wittenq.qseries import QSeries
-from wittenq.theta import ThetaKind, direction_series
+from wittenq.theta import ThetaKind, direction_series, phi
 
 
 def _random_poly(rng, caps, q_order, density=0.6):
@@ -246,11 +246,11 @@ def _theta_factors(x_order, qo):
     th, th1 = ThetaKind.THETA, ThetaKind.THETA1
     one = [QSeries.one(qo)] + [QSeries.zero(qo)] * x_order
     return {
-        "phi": direction_series([(th, -1, 1)], 1, x_order, qo),
-        "phi_pair": direction_series([(th, -1, 1), (th, -1, 2)], 2,
-                                     x_order, qo),
-        "twist": direction_series([(th, 1, 1), (th, -1, 2)], 0, x_order, qo),
-        "psi1": direction_series([(th1, 1, 2)], 0, x_order, qo),
+        "phi": phi(x_order, qo),
+        "phi_pair": [QSeries.zero(qo)] * 2 + list(direction_series(
+            [(th, -1, 1), (th, -1, 2)], x_order - 2, qo)),
+        "twist": direction_series([(th, 1, 1), (th, -1, 2)], x_order, qo),
+        "psi1": direction_series([(th1, 1, 2)], x_order, qo),
         "one": one,
     }
 

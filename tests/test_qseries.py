@@ -411,7 +411,7 @@ def test_kernel_equal_values_compare_and_hash_equal(lists):
     (lambda: theta.eisenstein_g(1.5, 2), "k", 1.5),
     (lambda: theta.eisenstein_g(2, 2.0), "q_order", 2.0),
     (lambda: theta.phi(True, 2), "x_order", True),
-    (lambda: theta.direction_series([(ThetaKind.THETA, True, 1)], 0, 4, 2),
+    (lambda: theta.direction_series([(ThetaKind.THETA, True, 1)], 4, 2),
      "coef", True),
     (lambda: bundles.root_factor(True, 2), "x_order", True),
     (lambda: bundles.lemma42_report(True), "q_order", True),

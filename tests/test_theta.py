@@ -57,16 +57,9 @@ def test_phi_is_odd_with_leading_x():
 
 
 def test_psi1_is_even_with_unit_constant():
-    p = theta.direction_series([(ThetaKind.THETA1, 1, 1)], 0, 6, 10)
+    p = theta.direction_series([(ThetaKind.THETA1, 1, 1)], 6, 10)
     assert _x_parities(p) == {0}
     assert p[0].is_one()
-
-
-def test_psi23_even_unit():
-    for kind in (ThetaKind.THETA2, ThetaKind.THETA3):
-        p = theta.direction_series([(kind, 1, 1)], 0, 6, 10)
-        assert _x_parities(p) == {0}
-        assert p[0].is_one()
 
 
 def test_x_over_phi_inverts_phi():
