@@ -182,15 +182,16 @@ def suite_bundles(q_order):
 
 
 def vanishing_cases(query):
-    """(label, instance, zero_fn) triples for every theorem-qualified instance."""
+    """(label, instance, genus) triples for every theorem-qualified
+    instance: genus is witten_genus, mod2_witten or wc_genus, and the
+    theorem says genus(instance).coeffs is zero."""
     cases = []
     for inst in find_string(query):
         g, rep = inst.g, inst.report
         if rep.dims[1] % 4 == 0:
-            cases.append(("W", g, lambda g=g: witten_genus(g).coeffs.is_zero()))
+            cases.append(("W", g, witten_genus))
         if rep.thm42_ok:
-            cases.append(("phi2", g,
-                          lambda g=g: mod2_witten(g).coeffs.is_zero()))
+            cases.append(("phi2", g, mod2_witten))
     for parity in ("dim4k", "dim4k2"):
         for inst in find_stringc(query, parity):
             g = inst.g
@@ -199,16 +200,16 @@ def vanishing_cases(query):
             first = next((c for c in g.C if c), 0)
             if first < 0:
                 continue
-            cases.append(("Wc", g, lambda g=g: wc_genus(g).coeffs.is_zero()))
+            cases.append(("Wc", g, wc_genus))
     return cases
 
 
 def suite_vanishing(q_order):
     results = {}
-    for label, g, fn in vanishing_cases(SearchQuery(q_order=q_order)):
+    for label, g, genus in vanishing_cases(SearchQuery(q_order=q_order)):
         name = f"{label} n={list(g.n)} D={[list(r) for r in g.D]}" + (
             f" C={list(g.C)}" if g.C is not None else "")
-        results[name] = fn()
+        results[name] = genus(g).coeffs.is_zero()
     return results
 
 

@@ -196,23 +196,20 @@ def _residue(g: GCIData, axes, specs):
     """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i), every
     factor a sequence of QSeries by x-degree.
 
-    With 1 or 3 linear-form factors the constant 1 at the zero form is
-    added, and the first two are one rank_pair_mul product P.  With no
-    factor the residue is prod_b A_b[cap_b] for the axis factors A_b;
-    with two it is contract_axes(P, axes) = sum_e P[e] * prod_b
-    A_b[cap_b - e_b].  With more, the axis factors enter P by
+    The constant 1 at the zero form pads 0, 1 or 3 linear-form factors
+    to 2 or 4, and the first two are one rank_pair_mul product P.  With
+    two the residue is contract_axes(P, axes) = sum_e P[e] * prod_b
+    A_b[cap_b - e_b] for the axis factors A_b (prod_b A_b[cap_b] when P
+    is 1).  With four or more, the axis factors enter P by
     mul_univariate, each factor between the first two and the last two
     by mul_linear, and top_product contracts the result against the last
     two's pair product.  Every stage reads and returns int numerators
     over one denominator, reduced once.
     """
     caps, qo = g.n, g.q_order
-    if not specs:
-        return functools.reduce(operator.mul, map(operator.getitem, axes,
-                                                  caps))
-    if len(specs) in (1, 3):
+    if len(specs) in (0, 1, 3):
         one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
-        specs = [*specs, (one, (0,) * g.s)]
+        specs = specs + [(one, (0,) * g.s)] * (2 - len(specs) % 2)
     acc = rank_pair_mul(*specs[0], *specs[1], caps, qo)
     if len(specs) == 2:
         return contract_axes(acc, axes)

@@ -116,13 +116,11 @@ class ModFormFit:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over exact rationals for a square system."""
+    """Gaussian elimination over exact rationals, the system nonsingular."""
     m = len(rows)
     a = [list(r) + [v] for r, v in zip(rows, rhs)]
     for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            return None
+        piv = next(r for r in range(col, m) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [v * inv for v in a[col]]
@@ -137,8 +135,10 @@ def fit(series: QSeries, weight):
     """Express an even-q-support series as an exact E4^a E6^b combination.
 
     Solves on the first dim M_weight coefficients over the `monomial`
-    basis, then verifies every coefficient to truncation on ints: with the
-    solution p_i / r over one denominator r and L the lcm of the series'
+    basis (a nonsingular system: by the valence formula no nonzero form
+    of the weight vanishes at infinity to order dim M_weight), then
+    verifies every coefficient to truncation on ints: with the solution
+    p_i / r over one denominator r and L the lcm of the series'
     and the basis forms' denominators, the q-tilde^j coefficient checks
     sum_i p_i (L / den_i) N_i[j] == r (L / den_T) T[j].  Any mismatch is a
     failure with the first offending q-tilde exponent reported.  At
@@ -157,8 +157,6 @@ def fit(series: QSeries, weight):
         raise ValueError("series too short to determine a fit at this weight")
     rows = [[mat.coefficient(j) for mat in mats] for j in range(m)]
     sol = _solve_exact(rows, [target.coefficient(j) for j in range(m)])
-    if sol is None:
-        return ModFormFit(weight, basis, None, False, None)
     r = math.lcm(*(s.denominator for s in sol))
     L = math.lcm(target.den, *(mat.den for mat in mats))
     terms = [(s.numerator * (r // s.denominator) * (L // mat.den), mat.num)

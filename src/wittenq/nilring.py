@@ -94,8 +94,8 @@ class NilPoly:
 def _int_factor(coeffs, degree, q_order):
     """The one input form of a factor: coeffs, QSeries by x-degree, to
     x^degree as (nums, den, r, g, top), the int numerator lists over
-    their lcm den, nonzero only at degrees in r + gZ (g = 0 for a single
-    one) ending at top; None when every degree is zero.  Raises
+    their lcm den, nonzero only at degrees in r + gZ ending at top (g = 0
+    for one such degree; an all-zero factor has r = top = 0).  Raises
     InsufficientDegreeError when coeffs stops short of degree and
     OrderMismatchError when one of those coefficients is not at q_order."""
     if len(coeffs) < degree + 1:
@@ -107,9 +107,7 @@ def _int_factor(coeffs, degree, q_order):
     den = math.lcm(*(c.den for c in series))
     nums = [c.num if c.den == den else [x * (den // c.den) for x in c.num]
             for c in series]
-    ks = [k for k, u in enumerate(nums) if any(u)]
-    if not ks:
-        return None
+    ks = [k for k, u in enumerate(nums) if any(u)] or [0]
     return nums, den, ks[0], math.gcd(*(k - ks[0] for k in ks)), ks[-1]
 
 
@@ -156,11 +154,8 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     total = sum(caps)
     if len(da) != len(caps) or len(db) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    int_a, int_b = (_int_factor(f, total, q_order)
-                    for f in (fa_coeffs, fb_coeffs))
-    if int_a is None or int_b is None:
-        return NilPoly._make(caps, q_order, {}, 1)
-    (fa, den_a, ra, ga, top_a), (fb, den_b, rb, gb, top_b) = int_a, int_b
+    (fa, den_a, ra, ga, top_a), (fb, den_b, rb, gb, top_b) = (
+        _int_factor(f, total, q_order) for f in (fa_coeffs, fb_coeffs))
     g = math.gcd(ga, gb) or 1
     ta, tb = (top_a - ra) // g, (top_b - rb) // g
     # flat cell indices, the positions in lexicographic order; E - e off
@@ -244,10 +239,7 @@ def mul_univariate(poly, coeffs, index):
     if index >= len(caps):
         raise ValueError(f"index must be < {len(caps)}, got {index}")
     cap = caps[index]
-    int_f = _int_factor(coeffs, cap, q_order)
-    if int_f is None:
-        return NilPoly._make(caps, q_order, {}, 1)
-    factor, den_f, k0, g, _ = int_f
+    factor, den_f, k0, g, _ = _int_factor(coeffs, cap, q_order)
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
     lines = {}
@@ -290,10 +282,7 @@ def mul_linear(poly, coeffs, d):
     caps, q_order = poly.caps, poly.q_order
     if len(d) != len(caps):
         raise ValueError("direction vector arity mismatch")
-    int_f = _int_factor(coeffs, sum(caps), q_order)
-    if int_f is None:
-        return NilPoly._make(caps, q_order, {}, 1)
-    factor, den_f, k0, g, top = int_f
+    factor, den_f, k0, g, top = _int_factor(coeffs, sum(caps), q_order)
     g = g or 1
     fcols = [(j, c) for j, c in enumerate(zip(*factor[k0:top + 1:g]))
              if any(c)]
@@ -354,8 +343,6 @@ def contract_axes(poly, axes):
     if len(axes) != len(caps):
         raise ValueError("axis factor count mismatch")
     factors = [_int_factor(f, cap, q_order) for f, cap in zip(axes, caps)]
-    if None in factors:
-        return QSeries.zero(q_order)
     cells, den = poly.cells, poly.den
     for b in reversed(range(len(caps))):
         cap = caps[b]

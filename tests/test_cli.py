@@ -43,6 +43,12 @@ def test_check_malformed_input(tmp_path, capsys):
     assert run(["check", str(tmp_path / "missing.json")]) == EXIT_INPUT
 
 
+def test_check_refuses_degree_rows_that_are_not_a_list(tmp_path, capsys):
+    path = _write(tmp_path, "d5.json", {"n": [3], "D": 5})
+    assert run(["check", path]) == EXIT_INPUT
+    assert "D must be a list of degree rows, got 5" in capsys.readouterr().err
+
+
 def test_instance_unknown_key_refused(tmp_path, capsys):
     path = _write(tmp_path, "typo.json",
                   {"n": [4], "D": [[1], [2]], "qorder": 3})
@@ -120,6 +126,18 @@ def test_modfit_report_of_a_failing_fit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["modular_fit"] == {
         "weight": 4, "basis": [[1, 0]], "solution": None, "ok": False,
         "failure_exponent": 1}
+
+
+def test_modfit_report_of_a_series_too_short(tmp_path, capsys):
+    # W of n=(22) D=(6,6,6,5) has weight 18, whose basis has two forms,
+    # and q-order 1 gives one q-tilde coefficient: the fit is refused and
+    # the report says why
+    path = _write(tmp_path, "w22.json",
+                  {"n": [22], "D": [[6], [6], [6], [5]]})
+    assert run(["genus", path, "--q-order", "1", "--modfit"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["modular_fit"] == {
+        "ok": False,
+        "error": "series too short to determine a fit at this weight"}
 
 
 def test_modfit_solution_is_written_as_strings(tmp_path, capsys,

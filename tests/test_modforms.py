@@ -136,6 +136,19 @@ def test_fit_roundtrip_random_combinations():
         assert [Fraction(str(v)) for v in ft.solution] == coeffs
 
 
+def test_every_basis_form_fits_as_its_unit_vector():
+    # by the valence formula no nonzero form of weight w vanishes at
+    # infinity to order dim M_w, so the solve on the first dim M_w
+    # coefficients always finds its pivots
+    for weight in range(0, 122, 2):
+        basis = weight_basis(weight)
+        tilde = len(basis)
+        for i, (a, b) in enumerate(basis):
+            ft = fit(lift(monomial(a, b, tilde), 2 * tilde), weight)
+            assert ft.ok, (weight, a, b)
+            assert ft.solution == [int(j == i) for j in range(len(basis))]
+
+
 def test_restrict_inverts_lift():
     rng = random.Random(7)
     for tilde_order in (0, 1, 5, 10):

@@ -111,6 +111,11 @@ def test_caps_mismatch_raises():
         top_product(one((2,), 3), one((3,), 3))
 
 
+def test_top_product_refuses_another_q_order():
+    with pytest.raises(OrderMismatchError, match="q-order"):
+        top_product(one((2,), 3), one((2,), 4))
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(11)
     for _ in range(8):
