@@ -29,18 +29,21 @@ fold into one univariate factor y^r_u * exp(sum_k p_(u,k) L_k y^k) in
 y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
 number of linear prefactors on u; the integers m of those prefactors
 multiply the residue.  `theta.direction_series` builds each such factor
-from the (kind, coef, m) of its forms.  `_residue` multiplies the
-factors into one `NilPoly` by pair products (`rank_pair_mul`), one-axis
-convolutions (`mul_univariate`) and products by one factor at a linear
-form (`mul_linear`), and contracts it to the top coefficient
-(`contract_axes`, `top_product`).  Each factor is built once:
-many instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in
-real dimension 4k+2 is W's integrand with C as one more row), so
-`_factor`, one bounded cache keyed by builder and arguments, holds the
-exponentials (by merged terms and length; the y^r shift is not cached),
-the bundle factors and the root powers.  Besides that only the int log
-columns, the B_2k/2k table and the exponential weights inside `theta`,
-the w-power table inside `bundles` and the basis forms of
+from the (kind, coef, m) of its forms (merged by `_merged`).  Over one
+projective factor the residue is the x^(n_1 - r) coefficient of one
+exponential, which `theta.direction_coefficient` builds alone.
+Otherwise `_residue` multiplies the factors into one `NilPoly` by pair
+products (`rank_pair_mul`), one-axis convolutions (`mul_univariate`)
+and products by one factor at a linear form (`mul_linear`), and
+contracts it to the top coefficient (`contract_axes`, `top_product`).
+Each factor is built once: many instances share one (a degree-1 row on
+CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is W's integrand with C
+as one more row), so `_factor`, one bounded cache keyed by builder and
+arguments, holds the exponentials and the one-factor coefficients (by
+merged terms and length; the y^r shift is not cached), the bundle
+factors and the root powers.  Besides that only the int log columns,
+the B_2k/2k table and the exponential weights inside `theta`, the
+w-power table inside `bundles` and the basis forms of
 `modforms.monomial` are cached.
 
 The "bundle" route builds one factor per row from the characters of
@@ -99,30 +102,38 @@ def _primitive(d):
 
 @functools.lru_cache(maxsize=256)
 def _factor(build, *args):
-    """build(*args), a factor tuple of QSeries, shared by every direction,
-    instance and genus that asks for it; 256 entries hold the mass run's
-    126 distinct exponentials.
+    """build(*args), a factor tuple of QSeries or a one-factor
+    coefficient, shared by every direction, instance and genus that asks
+    for it; 256 entries hold the mass run's 126 distinct entries, 86
+    exponentials and 40 one-factor coefficients.
     """
     return build(*args)
+
+
+def _merged(terms):
+    """The cache key of the exponential of terms (kind, coef, m): merged
+    by (kind, |m|), their coefficients summed and zero sums dropped, which
+    keeps every power sum sum coef * m^2k, and sorted."""
+    merged = {}
+    for kind, coef, m in terms:
+        km = kind, abs(m)
+        merged[km] = merged.get(km, 0) + coef
+    return tuple(sorted([(kind, coef, m) for (kind, m), coef
+                         in merged.items() if coef],
+                        key=operator.itemgetter(0, 2)))
 
 
 def _direction_factor(terms, r, degree, q_order):
     """y^r * exp(sum of coef * log_kind(m*y) over terms) to y^degree.
 
-    The terms are merged by (kind, |m|), their coefficients summed and
-    zero sums dropped, which keeps every power sum sum coef * m^2k; the
-    exponential of the merged terms to the even length below degree - r
-    is read from `_factor`, and the package's one y^r shift, r <= degree,
-    and an odd length's trailing zero are applied here.
+    The exponential of the merged terms (`_merged`) to the even length
+    below degree - r is read from `_factor`, and the package's one y^r
+    shift, r <= degree, and an odd length's trailing zero are applied
+    here.
     """
-    merged = {}
-    for kind, coef, m in terms:
-        km = kind, abs(m)
-        merged[km] = merged.get(km, 0) + coef
-    key = tuple(sorted([(kind, coef, m) for (kind, m), coef in merged.items()
-                        if coef], key=operator.itemgetter(0, 2)))
     odd = (degree - r) % 2
-    f = _factor(theta.direction_series, key, degree - r - odd, q_order)
+    f = _factor(theta.direction_series, _merged(terms),
+                degree - r - odd, q_order)
     zero = (QSeries.zero(q_order),)
     return zero * r + f + zero * odd if r or odd else f
 
@@ -130,7 +141,9 @@ def _direction_factor(terms, r, degree, q_order):
 def _theta_residue(g: GCIData, rows):
     """Residue of prod_b (x_b/Phi)^(n_b+1) times the row factors, read
     from `_THETA_ROWS`.  Over one factor every form is m*x_1, so the
-    residue is the x_1^n_1 coefficient of one direction factor."""
+    residue is the x_1^n_1 coefficient of one direction factor: the
+    x_1^(n_1 - r) coefficient of its exponential, built alone by
+    `theta.direction_coefficient`."""
     caps, qo = g.n, g.q_order
     if len(caps) == 1:
         (cap,), r, scale = caps, 0, 1
@@ -143,7 +156,8 @@ def _theta_residue(g: GCIData, rows):
                 terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
         if r > cap or not scale:
             return QSeries.zero(qo)
-        return _direction_factor(terms, r, cap, qo)[cap] * scale
+        return _factor(theta.direction_coefficient, _merged(terms), cap - r,
+                       qo) * scale
     axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
     terms = {u: [(ThetaKind.THETA, cap + 1, 1)] for u, cap in zip(axes, caps)}
     power, scale = {}, 1

@@ -17,29 +17,35 @@ G_2k = -B_2k/(4k) + sum_N sigma_(2k-1)(N) q^N (Zagier 1988), and log Psi_1
 has a sign-twisted analogue (see `_log_columns`).  The Bernoulli
 numbers come from integer tangent numbers, which end the odd rows of
 Seidel's boustrophedon, so a longer table extends a shorter one.  Each
-factor is then one exponential of its logarithm, computed exactly by
-`direction_series`, the one exponential builder: it exponentiates an
-integer combination of these logarithms at multiples m*x, so `phi`,
-`x_over_phi`, Psi_1, the merged direction factors of the theta-route
-genera and `psi_product`, (x/Phi(x)) / (2x/Phi(2x)) by the duplication
-formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x), are each one call of it.
-The bundle route (`bundles`) keeps the product formulas and is the
-independent oracle these builders are checked against.
+factor is then one exponential of an integer combination of these
+logarithms at multiples m*x.  One helper, `_exponent`, checks the terms
+and builds the exponent's int columns, and two readers exponentiate it:
+`direction_series` the whole series, of which `phi`, `x_over_phi`,
+Psi_1, the merged direction factors of the multi-factor genera and
+`psi_product`, (x/Phi(x)) / (2x/Phi(2x)) by the duplication formula
+Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x), are each one call, and
+`direction_coefficient` its one top coefficient, which is a one-factor
+genus.  The bundle route (`bundles`) keeps the product formulas and is
+the independent oracle these builders are checked against.
 
-`direction_series` runs the recurrence of exp on int columns: with
-g_n = n! f_n and d_k = den(B_2k/2k), which clears (2k)! times both
-logarithms' x^2k coefficients, delta_h = 2 den(B_2h) delta_(h-1) clears
-g_2h, so each step is an integer combination of int columns with cached
-integer weights, and each coefficient is reduced once.  It returns the
-tuple of QSeries coefficients by x-degree (an `XSeries`), which the
-genera keep in a bounded cache by merged exponent (`genera._factor`) and
-which `psi_product`, `x_over_phi` and (shifted by one degree) `phi`
-return.  A separate complex-numeric evaluator checks the analytic
-transformation laws, which the formal truncated series cannot see.
+`direction_series` runs the recurrence of exp on int columns
+(`_exp_steps`): with g_n = n! f_n and d_k = den(B_2k/2k), which clears
+(2k)! times both logarithms' x^2k coefficients, delta_h =
+2 den(B_2h) delta_(h-1) clears g_2h, so each step is an integer
+combination of int columns with cached integer weights, and each
+coefficient is reduced once.  It returns the tuple of QSeries
+coefficients by x-degree (an `XSeries`), which `psi_product`,
+`x_over_phi` and (shifted by one degree) `phi` return.
+`direction_coefficient` splits exp(L) at the exponent's q^0 part, so
+only a scalar chain carries delta_h.  The genera keep both readers'
+results in one bounded cache (`genera._factor`).  A separate
+complex-numeric evaluator checks the analytic transformation laws,
+which the formal truncated series cannot see.
 """
 from __future__ import annotations
 
 import cmath
+import collections
 import enum
 import functools
 import itertools
@@ -95,12 +101,15 @@ def _bernoulli_table(x_order):
 
 @functools.lru_cache(maxsize=None)
 def _tables(x_order):
-    """The integer tables (W, delta, den) of the exponential to x^x_order.
+    """The integer tables (W, delta, den, C) of the exponential to
+    x^x_order.
 
-    W[h] lists the ints C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for
-    k = 1..h and den[h] = delta_h (2h)!, with delta_0 = 1,
+    C[h] lists the binomials C(2h-1, 2k-1) and W[h] the ints
+    C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)) for k = 1..h, and
+    den[h] = delta_h (2h)!, with delta_0 = 1,
     delta_h = lcm_(k<=h) d_k delta_(h-k) and d_k = den(B_2k/2k) from
-    `_bernoulli_table`; see `direction_series`.  delta_h is computed as
+    `_bernoulli_table`; see `direction_series` and
+    `direction_coefficient`.  delta_h is computed as
     2 den(B_2h) delta_(h-1), with den(B_2h) = d_h / gcd(d_h, 2h): by von
     Staudt-Clausen and Adams, v_p(d_k) = 1 + v_p(2k) if (p - 1) | 2k, else
     0, so the lcm has v_p = floor(2h/(p - 1)) (from 2k = p - 1) for odd p
@@ -109,15 +118,17 @@ def _tables(x_order):
     x-degrees shorter.
     """
     B = _bernoulli_table(x_order)[0]
-    W, delta, den = (map(list, _tables(x_order - 16)) if x_order > 16
-                     else ([()], [1], [1]))
+    W, delta, den, C = (map(list, _tables(x_order - 16)) if x_order > 16
+                        else ([()], [1], [1], [()]))
     for h in range(len(W), x_order // 2 + 1):
         d = B[h][1]
         delta.append(2 * d // math.gcd(d, 2 * h) * delta[h - 1])
-        W.append(tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
-                       // (B[k][1] * delta[h - k]) for k in range(1, h + 1)))
+        C.append(tuple(math.comb(2 * h - 1, 2 * k - 1)
+                       for k in range(1, h + 1)))
+        W.append(tuple(c * delta[h] // (B[k][1] * delta[h - k])
+                       for k, c in enumerate(C[h], 1)))
         den.append(delta[h] * math.factorial(2 * h))
-    return tuple(map(tuple, (W, delta, den)))
+    return tuple(map(tuple, (W, delta, den, C)))
 
 
 def bernoulli(n):
@@ -183,36 +194,19 @@ def _log_columns(kind, x_order, q_order):
 
 # -- exponentials -----------------------------------------------------
 
-def direction_series(terms, x_order, q_order):
-    """exp(sum of coef * log_kind(m*y) over terms) to y^x_order: the tuple
-    (an `XSeries`) of its QSeries coefficients by y-degree 0..x_order.
+def _exponent(terms, x_order, q_order):
+    """The int columns N_k = d_k (2k)! L_2k over q^0..q^q_order,
+    k = 0..x_order // 2, of the exponent L = sum of coef * log_kind(m*y)
+    over terms, after the exponential builders' argument checks.
 
     terms holds triples (kind, coef, m) of ints, kind THETA (x/Phi) or
-    THETA1 (Psi_1), a logarithm of `_log_columns`.  The exponent L has the
-    y^2k coefficient L_2k = sum_kind p_2k * log_kind_2k with the integer
-    power sum p_2k = sum coef * m^2k; it is even in y with no constant
-    term, so f = exp(L) has f_0 = 1, f_odd = 0 and, from f' = L'f,
-    n f_n = sum_j j L_j f_(n-j).  A negative x_order or q_order raises
-    ValueError, and so does another kind (THETA2, THETA3 or an int, which
-    would key THETA's or THETA1's cached columns); a size, coef or m that
-    is not a plain int raises TypeError.
-
-    The recurrence runs on int columns.  With g_n = n! f_n and
-    Lambda_2k = (2k)! L_2k it reads
-        g_2h = sum_(k=1..h) C(2h-1, 2k-1) Lambda_2k g_(2h-2k).
-    d_k = den(B_2k/2k) clears Lambda_2k for both kinds (`_log_columns`),
-    so N_k = d_k Lambda_2k is a sum of p_2k times cached int columns.  By
-    induction delta_h = lcm_(k<=h) d_k delta_(h-k) clears g_2h: the
-    k-th term of g_2h has a denominator dividing d_k delta_(h-k).  Then
-    G_h = delta_h g_2h is an int column with
-        G_h = sum_k W[h][k] N_k G_(h-k),
-        W[h][k] = C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)),
-    integer weights that depend on h and k only and are cached per
-    granular x-order (`_tables`).  A step makes no lcm and no gcd;
-    f_2h = G_h / (delta_h (2h)!) is reduced once, by `QSeries._make`.
-    A step with at least as many terms k as q-degrees sums over k as int
-    dot products, one per pair of q-degrees; a shorter step convolves
-    each term in q, skipping zero coefficients.
+    THETA1 (Psi_1), a logarithm of `_log_columns`.  L_2k is the sum over
+    kinds of the integer power sum p_2k = sum coef * m^2k times log_kind's
+    L_2k, so N_k is the sum of p_2k times the cached int columns.  A
+    negative x_order or q_order raises ValueError, and so does another
+    kind (THETA2, THETA3 or an int, which would key THETA's or THETA1's
+    cached columns); a size, coef or m that is not a plain int raises
+    TypeError.
     """
     _check_int(x_order, "x_order")
     _check_int(q_order, "q_order")
@@ -223,43 +217,54 @@ def direction_series(terms, x_order, q_order):
         _check_int(coef, "coef", None)
         _check_int(m, "m", None)
         powers.setdefault(kind, []).append((coef, m))
-    zero = QSeries.zero(q_order)
-    H, qn = x_order // 2, q_order + 1
     xg = _granular(x_order)
-    W, _, den = _tables(xg)
     tables = [(_log_columns(kind, xg, q_order), pairs)
               for kind, pairs in powers.items()]
-    N = [[0] * qn]
-    for k in range(1, H + 1):
-        col = [0] * qn
+    N = [[0] * (q_order + 1)]
+    for k in range(1, x_order // 2 + 1):
+        col = [0] * (q_order + 1)
         for table, pairs in tables:
             p = sum(coef * m ** (2 * k) for coef, m in pairs)
             col = [a + p * c for a, c in zip(col, table[k])]
         N.append(col)
-    # the q-degrees where some N_k is nonzero; with only even ones every
-    # G_h has even q-support too
-    nz = [i for i in range(qn) if any(col[i] for col in N)]
-    g_deg = range(0, qn, 2 if all(i % 2 == 0 for i in nz) else 1)
-    n_deg = [[i for i in nz if N[k][i]] for k in range(H + 1)]
-    N_t = {i: [N[k][i] for k in range(1, H + 1)] for i in nz}
-    # G_h as (q-degree, value) pairs of its nonzero entries, and G_t[j]
-    # listing G_0[j], G_1[j], ... for the dot products
-    G_nz, G_t = [[(0, 1)]], [[int(j == 0)] for j in range(qn)]
+    return N
+
+
+def _exp_steps(weights, cols, qn):
+    """The int columns G_1, G_2, ... over q^0..q^(qn - 1) of
+        G_h = sum_(k=1..h) weights[h][k-1] cols[k] G_(h-k),  G_0 = 1,
+    for h up to len(cols) - 1, one column a step.
+
+    The term k = h is weights[h][-1] cols[h].  The others sum over k as
+    int dot products, one per pair of q-degrees, in a step with at least
+    as many terms as q-degrees, and convolve each term in q, skipping
+    zero coefficients, in a shorter one.  Either way a q-degree where no
+    column or no G_h, h >= 1, is nonzero is skipped.
+    """
+    H = len(cols) - 1
+    nz = [i for i in range(qn) if any(col[i] for col in cols)]
+    n_deg = [[i for i in nz if col[i]] for col in cols]
+    N_t = {i: [cols[k][i] for k in range(1, H + 1)] for i in nz}
+    # G_h as (q-degree, value) pairs of its nonzero entries, G_t[j]
+    # listing G_(h-1)[j], ..., G_1[j] for the dot products, and the
+    # q-degrees where some G_h is nonzero
+    G_nz, G_t, live = [[]], [collections.deque() for _ in range(qn)], []
     mul = operator.mul
-    f = [QSeries.one(q_order)]
     for h in range(1, H + 1):
-        w, out = W[h], [0] * qn
+        w = weights[h]
+        out = [w[-1] * c for c in cols[h]]
         if h >= qn:
-            rev = {j: G_t[j][::-1] for j in g_deg}
             for i in nz:
+                if not live or i + live[0] >= qn:
+                    break
                 a = list(map(mul, w, N_t[i]))
-                for j in g_deg:
+                for j in live:
                     if i + j >= qn:
                         break
-                    out[i + j] += sum(map(mul, a, rev[j]))
+                    out[i + j] += sum(map(mul, a, G_t[j]))
         else:
-            for k in range(1, h + 1):
-                Nk, g = N[k], G_nz[h - k]
+            for k in range(1, h):
+                Nk, g = cols[k], G_nz[h - k]
                 for i in n_deg[k]:
                     t = w[k - 1] * Nk[i]
                     for j, v in g:
@@ -267,10 +272,75 @@ def direction_series(terms, x_order, q_order):
                             break
                         out[i + j] += t * v
         G_nz.append([(j, v) for j, v in enumerate(out) if v])
+        live = sorted({*live, *(j for j, _ in G_nz[h])})
         for j in range(qn):
-            G_t[j].append(out[j])
-        f += [zero, QSeries._make(out, den[h], q_order)]
+            G_t[j].appendleft(out[j])
+        yield out
+
+
+def direction_series(terms, x_order, q_order):
+    """exp(sum of coef * log_kind(m*y) over terms) to y^x_order: the tuple
+    (an `XSeries`) of its QSeries coefficients by y-degree 0..x_order.
+
+    The terms and sizes are read and checked by `_exponent`.  The
+    exponent L is even in y with no constant term, so f = exp(L) has
+    f_0 = 1, f_odd = 0 and, from f' = L'f, n f_n = sum_j j L_j f_(n-j).
+
+    The recurrence runs on int columns (`_exp_steps`).  With g_n = n! f_n
+    and Lambda_2k = (2k)! L_2k it reads
+        g_2h = sum_(k=1..h) C(2h-1, 2k-1) Lambda_2k g_(2h-2k).
+    d_k = den(B_2k/2k) clears Lambda_2k for both kinds (`_log_columns`),
+    so N_k = d_k Lambda_2k is an int column.  By induction
+    delta_h = lcm_(k<=h) d_k delta_(h-k) clears g_2h: the k-th term of
+    g_2h has a denominator dividing d_k delta_(h-k).  Then
+    G_h = delta_h g_2h is an int column with
+        G_h = sum_k W[h][k] N_k G_(h-k),
+        W[h][k] = C(2h-1, 2k-1) delta_h / (d_k delta_(h-k)),
+    integer weights that depend on h and k only and are cached per
+    granular x-order (`_tables`).  A step makes no lcm and no gcd;
+    f_2h = G_h / (delta_h (2h)!) is reduced once, by `QSeries._make`.
+    """
+    N = _exponent(terms, x_order, q_order)
+    W, _, den, _ = _tables(_granular(x_order))
+    zero, f = QSeries.zero(q_order), [QSeries.one(q_order)]
+    for h, G in enumerate(_exp_steps(W, N, q_order + 1), 1):
+        f += [zero, QSeries._make(G, den[h], q_order)]
     return XSeries(f + [zero] * (x_order % 2))
+
+
+def direction_coefficient(terms, x_order, q_order):
+    """direction_series(terms, x_order, q_order)[x_order] alone: one
+    QSeries, zero for an odd x_order, with the same checks (`_exponent`).
+
+    exp(L) = A E splits at the q^0 part L^0 of the exponent.
+    A = exp(L^0) is the q^0 column of `direction_series`'s recurrence,
+    the int chain G_h = sum_k W[h][k] N_k[0] G_(h-k).  E = exp(L^+) is
+    nilpotent in q; it runs on Hurwitz ints e_h = (2h)! E_2h,
+        e_h = sum_(k=1..h) C(2h-1, 2k-1) (N_k / d_k) e_(h-k)
+    over the q-degrees i >= 1 of N_k, every one of which is a multiple
+    of 2 d_k (`_log_columns`).  With x_order = 2H and delta_(H-k)
+    dividing delta_H, the coefficient is
+        sum_k C(2H, 2k) (delta_H / delta_(H-k)) G_(H-k) e_k
+    over delta_H (2H)!, reduced once.  Only the scalar chain carries
+    delta_h, so the ints are far smaller than the whole series'.
+    """
+    N = _exponent(terms, x_order, q_order)
+    if x_order % 2:
+        return QSeries.zero(q_order)
+    xg, H = _granular(x_order), x_order // 2
+    W, delta, den, C = _tables(xg)
+    B = _bernoulli_table(xg)[0]
+    mul, n0, A = operator.mul, [col[0] for col in N[1:]], [1]
+    for w in W[1:H + 1]:
+        A.append(sum(map(mul, map(mul, w, n0), reversed(A))))
+    plus = [[0] + [c // B[k][1] for c in col[1:]] for k, col in enumerate(N)]
+    E = [[1] + [0] * q_order] + list(_exp_steps(C, plus, q_order + 1))
+    out = [0] * (q_order + 1)
+    for k, e in enumerate(E):
+        c = math.comb(2 * H, 2 * k) * (delta[H] // delta[H - k]) * A[H - k]
+        for j, v in enumerate(e):
+            out[j] += c * v
+    return QSeries._make(out, den[H], q_order)
 
 
 def phi(x_order, q_order):

@@ -102,6 +102,37 @@ def test_direction_series_matches_naive_recurrence():
     assert reached == {"dot products", "convolutions"}
 
 
+def test_direction_coefficient_is_the_series_coefficient():
+    # the A E split at the exponent's q^0 part gives the x^n coefficient
+    # of the whole series exactly, for signed terms, terms that cancel,
+    # odd n (zero) and odd q-orders
+    reached = set()
+    term = st.tuples(st.sampled_from(LOGS), st.integers(-7, 9),
+                     st.integers(-5, 5).filter(bool))
+
+    @KERNEL
+    @given(terms=st.lists(term, max_size=4), cancel=st.lists(term, max_size=2),
+           n=st.integers(0, 90), q_order=st.integers(0, 20))
+    def check(terms, cancel, n, q_order):
+        terms = terms + [t for kind, coef, m in cancel
+                         for t in ((kind, coef, m), (kind, -coef, -m))]
+        got = theta.direction_coefficient(terms, n, q_order)
+        want = theta.direction_series(terms, n, q_order)[n]
+        assert (got.num, got.den, got.order) == (want.num, want.den,
+                                                 want.order)
+        # E's steps take dot products past h = q_order and convolve below
+        steps = n // 2
+        reached.update(["odd n"] * (n % 2) + ["odd q"] * (q_order % 2)
+                       + ["cancel"] * bool(cancel)
+                       + ["nonzero"] * (not got.is_zero())
+                       + ["dot products"] * (steps > q_order)
+                       + ["convolutions"] * (min(steps, q_order) >= 1))
+
+    check()
+    assert reached == {"odd n", "odd q", "cancel", "nonzero", "dot products",
+                       "convolutions"}
+
+
 # explicit ids: an IntEnum member would be named by its value
 @pytest.mark.parametrize("kind", LOGS, ids=lambda k: f"ThetaKind.{k.name}")
 def test_den_bound_clears_every_logarithm(kind):
@@ -152,17 +183,25 @@ def test_bernoulli_values_and_domain():
             theta.bernoulli(n)
 
 
+BUILDERS = ["direction_series", "direction_coefficient"]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
 @pytest.mark.parametrize("x_order, q_order",
                          [(-1, 4), (0, -3), (-2, -2), (0, 4)])
-def test_direction_series_refuses_negative_sizes(x_order, q_order):
+def test_exponential_builders_refuse_negative_sizes(builder, x_order, q_order):
     # the first negative size is named; (0, 4) builds the constant 1
     def build():
-        return theta.direction_series([(K.THETA, 1, 1)], x_order, q_order)
+        return getattr(theta, builder)([(K.THETA, 1, 1)], x_order, q_order)
 
     negative = [(name, value) for name, value in
                 (("x_order", x_order), ("q_order", q_order)) if value < 0]
     if not negative:
-        assert [c.is_one() for c in build()] == [True]
+        got = build()
+        if builder == "direction_series":
+            assert len(got) == 1
+            got = got[0]
+        assert got.is_one()
         return
     name, value = negative[0]
     with pytest.raises(ValueError,
@@ -200,17 +239,19 @@ def test_factors_refuse_orders_that_are_not_ints():
             build()
 
 
-def test_int_kinds_are_refused_with_warm_caches():
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_int_kinds_are_refused_with_warm_caches(builder):
     # ThetaKind is an IntEnum, so 0 == THETA and both are one key of the
     # cached log columns: the kinds are checked before any cache is read.
     # Psi_2 and Psi_3 have no logarithm: Psi_1Psi_2Psi_3 is built from
     # x/Phi by the duplication formula
+    build = getattr(theta, builder)
     theta.x_over_phi(8, 4)
-    theta.direction_series([(K.THETA1, 1, 1)], 8, 4)
+    build([(K.THETA1, 1, 1)], 8, 4)
     for kind in (0, 1, 2, 3, K.THETA2, K.THETA3):
         for terms in ([(kind, 1, 1)], [(K.THETA, 1, 1), (kind, 1, 2)]):
             with pytest.raises(ValueError, match="^no logarithm for"):
-                theta.direction_series(terms, 8, 4)
+                build(terms, 8, 4)
     with pytest.raises(ValueError):
         theta.numeric_theta(0, 0.1, 1j)
 
@@ -276,7 +317,8 @@ def test_tables_grow_row_by_row(monkeypatch):
 
 def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
     # B_2k/2k on ints against its Fraction form, and the weights against
-    # delta_h = lcm_(k<=h) d_k delta_(h-k), to x-order 160
+    # delta_h = lcm_(k<=h) d_k delta_(h-k) and the binomials C(2h-1, 2k-1)
+    # they are built from, to x-order 160
     H = 80
     B = theta._bernoulli_table(160)[0]
     d = [1]
@@ -287,11 +329,12 @@ def test_bernoulli_tables_match_fractions_and_the_lcm_recurrence():
     delta = [1]
     for h in range(1, H + 1):
         delta.append(math.lcm(*(d[k] * delta[h - k] for k in range(1, h + 1))))
-    W = [()] + [tuple(math.comb(2 * h - 1, 2 * k - 1) * delta[h]
-                      // (d[k] * delta[h - k]) for k in range(1, h + 1))
+    C = [()] + [tuple(math.comb(2 * h - 1, 2 * k - 1) for k in range(1, h + 1))
                 for h in range(1, H + 1)]
+    W = [()] + [tuple(C[h][k - 1] * delta[h] // (d[k] * delta[h - k])
+                      for k in range(1, h + 1)) for h in range(1, H + 1)]
     den = tuple(delta[h] * math.factorial(2 * h) for h in range(H + 1))
-    assert theta._tables(160) == (tuple(W), tuple(delta), den)
+    assert theta._tables(160) == (tuple(W), tuple(delta), den, tuple(C))
     # the log columns, B_2k/2k in their constant terms, against the
     # Fraction logarithms cleared by d_k (2k)!
     for kind in LOGS:

@@ -237,31 +237,41 @@ def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
 
 
 @pytest.mark.parametrize("n, D, C, q_order, misses, builds, bundle_misses", [
-    ((56,), ((3,), (4,), (4,), (4,)), None, 8, 1, [(3, 52)], 3),
-    ((22,), ((6,), (6,), (6,), (5,)), None, 8, 1, [(3, 18)], 3),
+    ((56,), ((3,), (4,), (4,), (4,)), None, 8, 1,
+     [("direction_coefficient", 3, 52)], 3),
+    ((22,), ((6,), (6,), (6,), (5,)), None, 8, 1,
+     [("direction_coefficient", 3, 18)], 3),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 0), 4, 3,
-     [(1, 4), (1, 6), (1, 12)], 4),
+     [("direction_series", 1, 4), ("direction_series", 1, 6),
+      ("direction_series", 1, 12)], 4),
     ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 4,
-     [(1, 22), (1, 28), (1, 50), (2, 52)], 5),
+     [("direction_series", 1, 22), ("direction_series", 1, 28),
+      ("direction_series", 1, 50), ("direction_series", 2, 52)], 5),
     ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 4,
-     [(1, 24), (1, 46), (1, 46), (2, 48)], 4),
+     [("direction_series", 1, 24), ("direction_series", 1, 46),
+      ("direction_series", 1, 46), ("direction_series", 2, 48)], 4),
     ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 5,
-     [(1, 16), (1, 38), (1, 52), (1, 54), (2, 54)], 6),
+     [("direction_series", 1, 16), ("direction_series", 1, 38),
+      ("direction_series", 1, 52), ("direction_series", 1, 54),
+      ("direction_series", 2, 54)], 6),
 ], ids=["W56", "W22", "Wc6,7", "Wc23,29", "Wc24,24", "Wc17,38"])
 def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
                                   builds, bundle_misses):
-    # from a cold `_factor`: each route's misses, and the number of merged
-    # terms and the x-order of each exponential the theta route builds.
-    # A lost merge, an axis factor sent through the linear-form kernels or
-    # an exponential built longer than its residue reads keeps every value
-    # and moves these; the last two are the perfbench heavy_2f cases
-    built, build = [], theta.direction_series
+    # from a cold `_factor`: each route's misses, and the builder, the
+    # number of merged terms and the x-order of each exponential or
+    # one-factor coefficient the theta route builds.  A lost merge, an
+    # axis factor sent through the linear-form kernels, an exponential
+    # built longer than its residue reads or a one-factor genus that
+    # builds its whole exponential keeps every value and moves these; the
+    # last two are the perfbench heavy_2f cases
+    built = []
+    for name in ("direction_series", "direction_coefficient"):
+        def recording(terms, x_order, q_order, name=name,
+                      build=getattr(theta, name)):
+            built.append((name, len(terms), x_order))
+            return build(terms, x_order, q_order)
 
-    def recording(terms, x_order, q_order):
-        built.append((len(terms), x_order))
-        return build(terms, x_order, q_order)
-
-    monkeypatch.setattr(genera.theta, "direction_series", recording)
+        monkeypatch.setattr(genera.theta, name, recording)
     genus = witten_genus if C is None else wc_genus
     g = GCIData(list(n), [list(r) for r in D], C and list(C),
                 q_order=q_order)
