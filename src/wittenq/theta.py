@@ -217,16 +217,17 @@ def _exponent(terms, x_order, q_order):
         _check_int(coef, "coef", None)
         _check_int(m, "m", None)
         powers.setdefault(kind, []).append((coef, m))
-    xg = _granular(x_order)
-    tables = [(_log_columns(kind, xg, q_order), pairs)
-              for kind, pairs in powers.items()]
-    N = [[0] * (q_order + 1)]
-    for k in range(1, x_order // 2 + 1):
-        col = [0] * (q_order + 1)
-        for table, pairs in tables:
-            p = sum(coef * m ** (2 * k) for coef, m in pairs)
-            col = [a + p * c for a, c in zip(col, table[k])]
-        N.append(col)
+    H = x_order // 2
+    N = [[0] * (q_order + 1) for _ in range(H + 1)]
+    for kind, pairs in powers.items():
+        table = _log_columns(kind, _granular(x_order), q_order)
+        # the power sums p_2k for k = 0..H, each coef * m^2k a running
+        # product
+        powers_2k = [itertools.accumulate(itertools.repeat(m * m, H),
+                                          operator.mul, initial=coef)
+                     for coef, m in pairs]
+        for k, p in enumerate(map(sum, zip(*powers_2k))):
+            N[k] = [a + p * c for a, c in zip(N[k], table[k])]
     return N
 
 
@@ -239,16 +240,21 @@ def _exp_steps(weights, cols, qn):
     int dot products, one per pair of q-degrees, in a step with at least
     as many terms as q-degrees, and convolve each term in q, skipping
     zero coefficients, in a shorter one.  Either way a q-degree where no
-    column or no G_h, h >= 1, is nonzero is skipped.
+    column or no G_h, h >= 1, can be nonzero is skipped.
     """
     H = len(cols) - 1
     nz = [i for i in range(qn) if any(col[i] for col in cols)]
-    n_deg = [[i for i in nz if col[i]] for col in cols]
+    n_deg = [[i for i in nz if col[i]] for col in cols[:qn]]
     N_t = {i: [cols[k][i] for k in range(1, H + 1)] for i in nz}
-    # G_h as (q-degree, value) pairs of its nonzero entries, G_t[j]
-    # listing G_(h-1)[j], ..., G_1[j] for the dot products, and the
-    # q-degrees where some G_h is nonzero
-    G_nz, G_t, live = [[]], [collections.deque() for _ in range(qn)], []
+    # every G_h, h >= 1, is a sum of products of columns, so it lives on
+    # the q-degrees from the columns' lowest, and on even ones if theirs
+    # are all even
+    live = range(nz[0] if nz else qn, qn,
+                 2 if all(i % 2 == 0 for i in nz) else 1)
+    # G_h as (q-degree, value) pairs of its nonzero entries for the
+    # convolutions, which stop below h = qn, and G_t[j] listing
+    # G_(h-1)[j], ..., G_1[j] for the dot products
+    G_nz, G_t = [[]], [collections.deque() for _ in range(qn)]
     mul = operator.mul
     for h in range(1, H + 1):
         w = weights[h]
@@ -271,10 +277,10 @@ def _exp_steps(weights, cols, qn):
                         if i + j >= qn:
                             break
                         out[i + j] += t * v
-        G_nz.append([(j, v) for j, v in enumerate(out) if v])
-        live = sorted({*live, *(j for j, _ in G_nz[h])})
-        for j in range(qn):
-            G_t[j].appendleft(out[j])
+        if h < qn:
+            G_nz.append([(j, v) for j, v in enumerate(out) if v])
+        for g, v in zip(G_t, out):
+            g.appendleft(v)
         yield out
 
 
@@ -334,13 +340,11 @@ def direction_coefficient(terms, x_order, q_order):
     for w in W[1:H + 1]:
         A.append(sum(map(mul, map(mul, w, n0), reversed(A))))
     plus = [[0] + [c // B[k][1] for c in col[1:]] for k, col in enumerate(N)]
-    E = [[1] + [0] * q_order] + list(_exp_steps(C, plus, q_order + 1))
-    out = [0] * (q_order + 1)
-    for k, e in enumerate(E):
-        c = math.comb(2 * H, 2 * k) * (delta[H] // delta[H - k]) * A[H - k]
-        for j, v in enumerate(e):
-            out[j] += c * v
-    return QSeries._make(out, den[H], q_order)
+    E = [[1] + [0] * q_order, *_exp_steps(C, plus, q_order + 1)]
+    row = [math.comb(2 * H, 2 * k) * (delta[H] // delta[H - k]) * A[H - k]
+           for k in range(H + 1)]
+    return QSeries._make([sum(map(mul, row, col)) for col in zip(*E)],
+                         den[H], q_order)
 
 
 def phi(x_order, q_order):
