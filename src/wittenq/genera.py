@@ -8,48 +8,48 @@ and at C "twist" (Psi_1Psi_2Psi_3, W_c in real dimension 4k) or "phi"
 (W_c in 4k+2); phi2 has "psi1" in place of "phi" at its even row.  In
 the variables x = 2*pi*i*z the q^0 coefficient is the (twisted) A-hat
 genus, with no transcendental constant.  Two assembly routes read the
-row list, each through its one table; their agreement is an oracle.
+row list through their tables; their agreement is an oracle.
 
-The "theta" route merges the integrand by direction.  With L = log(x/Phi)
-and L1 = log Psi_1 (even in x, see `theta._log_columns`) every factor is an
+The "theta" route merges the integrand by direction.  Over one
+projective factor every form is m*x_1.  With L = log(x/Phi) and
+L1 = log Psi_1 (even in x, see `theta._log_columns`) every factor is an
 exponential, up to a linear prefactor:
 
-    (x_b/Phi(x_b))^(n_b+1) = exp((n_b+1) L(x_b)),
-    Phi(ell)               = ell * exp(-L(ell)),
-    Psi_1Psi_2Psi_3(c)     = exp(L(c) - L(2c)),
-    Psi_1(ell)             = exp(L1(ell)),
+    (x_1/Phi(x_1))^(n_1+1) = exp((n_1+1) L(x_1)),
+    Phi(m x_1)             = m x_1 * exp(-L(m x_1)),
+    Psi_1Psi_2Psi_3(m x_1) = exp(L(m x_1) - L(2m x_1)),
+    Psi_1(m x_1)           = exp(L1(m x_1)),
 
 the twist by the duplication formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x).
 `_THETA_ROWS` holds each row kind's linear prefactors and log terms
-(kind, coef, j), each coef * log_kind at j times the row's form.
-
-A linear form ell = m*u with u primitive contributes m^k L_k (u.x)^k to
-the exponent, so all the forms on one line u (up to sign, L being even)
-fold into one univariate factor y^r_u * exp(sum_k p_(u,k) L_k y^k) in
-y = u.x, with integer power sums p_(u,k) = sum coef * m^k and r_u the
-number of linear prefactors on u; the integers m of those prefactors
-multiply the residue.  `theta.direction_series` builds each such factor
-from the (kind, coef, m) of its forms (merged by `_merged`).  Over one
-projective factor the residue is the x^(n_1 - r) coefficient of one
-exponential, which `theta.direction_coefficient` builds alone.
-Otherwise `_residue` multiplies the factors into one `NilPoly` by pair
-products (`rank_pair_mul`), one-axis convolutions (`mul_univariate`)
-and products by one factor at a linear form (`mul_linear`), and
-contracts it to the top coefficient (`contract_axes`, `top_product`).
-Each factor is built once: many instances share one (a degree-1 row on
-CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is W's integrand with C
-as one more row), so `_factor`, one bounded cache keyed by builder and
-arguments, holds the exponentials and the one-factor coefficients (by
-merged terms and length; the y^r shift is not cached), the bundle
-factors and the root powers.  Besides that only the int log columns,
-the B_2k/2k table and the exponential weights inside `theta`, the
-w-power table inside `bundles` and the basis forms of
-`modforms.monomial` are cached.
+(kind, coef, j), each coef * log_kind at j times the row's form, so the
+integrand is x_1^r times one exponential, whose x_1^(n_1 - r) coefficient
+`theta.direction_coefficient` builds alone.  Over two or more factors
+the theta route is a Riemann-Roch index sum (`_index_sum`): with
+t = e^(y/2) on each line y = u.x, u primitive, every factor is a Laurent
+polynomial in t over int q-series (`_INDEX_ROWS`), the factors on one
+line merge into one, each axis is read by Hirzebruch-Riemann-Roch on
+CP^n_b and only the off-axis lines are multiplied out.  It uses no
+Bernoulli number and no residue kernel.  Each factor is built once: many
+instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in real
+dimension 4k+2 is W's integrand with C as one more row), so `_factor`,
+one bounded cache keyed by builder and arguments, holds the one-factor
+coefficients (by merged terms and x-order), the index factors (by
+prefactors and product exponents), the bundle factors and the root
+powers.  Besides that only the int log columns, the B_2k/2k table and
+the exponential weights inside `theta`, the w-power table inside
+`bundles` and the basis forms of `modforms.monomial` are cached.
 
 The "bundle" route builds one factor per row from the characters of
 `bundles` (`_BUNDLE_ROWS`: each kind's builder and multiple, Phi being
 2 lfactor_4k2), each root power (x/Phi)^(n_b+1) by Miller's recurrence
-(`_root_power`), and assembles them with the same nilring primitives.
+(`_root_power`), and assembles them in `_residue` with the `nilring`
+kernels: pair products (`rank_pair_mul`), one-axis convolutions
+(`mul_univariate`), products by one factor at a linear form
+(`mul_linear`) and the top-coefficient contractions (`contract_axes`,
+`top_product`).  The two routes share only the row list, so over two
+or more factors their agreement checks the index sum and the kernels
+against each other.
 """
 from __future__ import annotations
 
@@ -85,35 +85,33 @@ _THETA_ROWS = {
     "phi": (1, ((ThetaKind.THETA, -1, 1),)),
     "twist": (0, ((ThetaKind.THETA, 1, 1), (ThetaKind.THETA, -1, 2))),
     "psi1": (0, ((ThetaKind.THETA1, 1, 1),))}
+_INDEX_ROWS = {
+    "phi": (-1, ((-1, 2, 1),)),
+    "twist": (1, ((-1, 4, 1), (-1, 2, -1))),
+    "psi1": (1, ((1, 2, 1),))}
 _BUNDLE_ROWS = {"phi": (bundles.lfactor_4k2, 2),
                 "twist": (bundles.lfactor_4k, 1),
                 "psi1": (bundles.psi1_factor, 1)}
 
 
-# -- theta route: one exponential per direction ------------------------
-
-def _primitive(d):
-    """(u, m) with d = m*u, u primitive, its first nonzero entry positive."""
-    m = math.gcd(*d)
-    if next(filter(None, d)) < 0:
-        m = -m
-    return tuple([x // m for x in d]), m
-
+# -- theta route over one factor: one exponential ---------------------
 
 @functools.lru_cache(maxsize=256)
 def _factor(build, *args):
-    """build(*args), a factor tuple of QSeries or a one-factor
-    coefficient, shared by every direction, instance and genus that asks
-    for it; 256 entries hold the mass run's 126 distinct entries, 86
-    exponentials and 40 one-factor coefficients.
+    """build(*args), shared by every direction, instance and genus that
+    asks for it: a one-factor coefficient, an index factor, or a bundle
+    factor or root power (a tuple of QSeries).  256 entries hold the
+    theta route's 92 distinct entries on the mass run, 40 one-factor
+    coefficients and 52 index factors.
     """
     return build(*args)
 
 
 def _merged(terms):
-    """The cache key of the exponential of terms (kind, coef, m): merged
-    by (kind, |m|), their coefficients summed and zero sums dropped, which
-    keeps every power sum sum coef * m^2k, and sorted."""
+    """The cache key of the exponential of terms (kind, coef, m) for its
+    one-factor coefficient: merged by (kind, |m|), their coefficients
+    summed and zero sums dropped, which keeps every power sum
+    sum coef * m^2k, and sorted."""
     merged = {}
     for kind, coef, m in terms:
         km = kind, abs(m)
@@ -123,66 +121,159 @@ def _merged(terms):
                         key=operator.itemgetter(0, 2)))
 
 
-def _direction_factor(terms, r, degree, q_order):
-    """y^r * exp(sum of coef * log_kind(m*y) over terms) to y^degree.
-
-    The exponential of the merged terms (`_merged`) to the even length
-    below degree - r is read from `_factor`, and the package's one y^r
-    shift, r <= degree, and an odd length's trailing zero are applied
-    here.
-    """
-    odd = (degree - r) % 2
-    f = _factor(theta.direction_series, _merged(terms),
-                degree - r - odd, q_order)
-    zero = (QSeries.zero(q_order),)
-    return zero * r + f + zero * odd if r or odd else f
-
-
 def _theta_residue(g: GCIData, rows):
-    """Residue of prod_b (x_b/Phi)^(n_b+1) times the row factors, read
-    from `_THETA_ROWS`.  Over one factor every form is m*x_1, so the
-    residue is the x_1^n_1 coefficient of one direction factor: the
+    """Residue of prod_b (x_b/Phi)^(n_b+1) times the row factors.  Over
+    one factor every form is m*x_1, so the residue is the x_1^n_1
+    coefficient of one direction factor, read from `_THETA_ROWS`: the
     x_1^(n_1 - r) coefficient of its exponential, built alone by
-    `theta.direction_coefficient`."""
+    `theta.direction_coefficient`.  Over more it is `_index_sum`."""
     caps, qo = g.n, g.q_order
-    if len(caps) == 1:
-        (cap,), r, scale = caps, 0, 1
-        terms = [(ThetaKind.THETA, cap + 1, 1)]
-        for kind, (m,) in rows:
-            if kind == "phi":  # _THETA_ROWS["phi"] inline: the hot path
-                terms.append((ThetaKind.THETA, -1, m))
-                r, scale = r + 1, scale * m
-            elif m:
-                terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
-        if r > cap or not scale:
-            return QSeries.zero(qo)
-        return _factor(theta.direction_coefficient, _merged(terms), cap - r,
-                       qo) * scale
+    if len(caps) > 1:
+        return _index_sum(g, rows)
+    (cap,), r, scale = caps, 0, 1
+    terms = [(ThetaKind.THETA, cap + 1, 1)]
+    for kind, (m,) in rows:
+        if kind == "phi":  # _THETA_ROWS["phi"] inline: the hot path
+            terms.append((ThetaKind.THETA, -1, m))
+            r, scale = r + 1, scale * m
+        elif m:
+            terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
+    if r > cap or not scale:
+        return QSeries.zero(qo)
+    return _factor(theta.direction_coefficient, _merged(terms), cap - r,
+                   qo) * scale
+
+
+# -- theta route over two or more factors: a Riemann-Roch index sum ----
+
+def _primitive(d):
+    """(u, m) with d = m*u, u primitive, its first nonzero entry positive."""
+    m = math.gcd(*d)
+    if next(filter(None, d)) < 0:
+        m = -m
+    return tuple([x // m for x in d]), m
+
+
+def _times(f, terms, p_order):
+    """f times sum c t^a p^i over terms (c, a, i), f and the result Laurent
+    polynomials in t, {exponent: int column over p^0..p^p_order}; the
+    products landing on one exponent are summed."""
+    g = {}
+    for v, col in f.items():
+        for c, a, i0 in terms:
+            out = g.setdefault(v + a, [0] * (p_order + 1))
+            for i in range(p_order + 1 - i0):
+                out[i + i0] += c * col[i]
+    return g
+
+
+def _binomial(s, j, e, N, p_order):
+    """(1 + s p^j t^e)^N to p^p_order, N of either sign, as the terms
+    (C(N, k) s^k, k e, k j) of `_times`."""
+    terms = [(1, 0, 0)]
+    for k in range(1, p_order // j + 1):
+        terms.append((terms[-1][0] * (N - k + 1) * s // k, k * e, k * j))
+    return terms
+
+
+def _index_factor(prefactors, products, p_order):
+    """prod over prefactors (sigma, m) of (t^m + sigma t^-m) times prod
+    over products ((s, e), N) and j = 1..p_order of
+    ((1 + s p^j t^e)(1 + s p^j t^-e))^N, to p^p_order: a Laurent
+    polynomial in t as sorted (exponent, int column) pairs, the zero
+    columns left out."""
+    f = {0: [1] + [0] * p_order}
+    for sigma, m in prefactors:
+        f = _times(f, [(1, m, 0), (sigma, -m, 0)], p_order)
+    for (s, e), N in products:
+        for j in range(1, p_order + 1):
+            for a in (e, -e):
+                f = _times(f, _binomial(s, j, a, N, p_order), p_order)
+    return tuple(sorted((v, tuple(col)) for v, col in f.items() if any(col)))
+
+
+def _riemann_roch(f, w, n, p_order):
+    """sum over (e, col) in f of col * prod_(i=1..n) (w + e - n - 1 + 2i):
+    the axis factor f on CP^n read at the half-unit exponent w, times
+    2^n n!."""
+    out = [0] * (p_order + 1)
+    for e, col in f:
+        r = math.prod(range(w + e - n + 1, w + e + n, 2))
+        if r:
+            out = [x + r * y for x, y in zip(out, col)]
+    return out
+
+
+def _index_sum(g: GCIData, rows):
+    """The residue of `_theta_residue` over two or more factors, as the
+    Riemann-Roch sum sum_k c_k(q) prod_b C(n_b + k_b, n_b).
+
+    With p = q^2 and t = e^(y/2) on a line y = u.x, u primitive, the
+    product formulas of `theta` make every factor a Laurent polynomial
+    in t over int p-series, up to a p-only scalar: x/Phi(x) is A(x)
+    prod_j (1 - p^j)^2 / ((1 - p^j t^2)(1 - p^j t^-2)), with
+    A(x) = x / (e^(x/2) - e^(-x/2)), and a row at m y is t^m + sigma t^-m
+    (halved but for Phi) times the products of `_INDEX_ROWS`.  The
+    factors on one line merge into one `_index_factor`, cached by
+    `_factor`.  By Hirzebruch-Riemann-Roch on CP^n,
+    [x^n] A(x)^(n+1) e^(w x/2) = prod_(i=1..n) (w - n - 1 + 2i) / (2^n n!)
+    for every w, so each axis factor is read alone (`_riemann_roch`) and
+    only the off-axis factors are multiplied out, into a lattice
+    {v: c_v} of exponent vectors in half units, contracted one axis at a
+    time.  The p-only scalar prod_j (1 + s p^j)^(-2N) of each product
+    and one denominator, 2^(number of twist and Psi_1 rows)
+    prod_b 2^n_b n_b!, come last.  No Bernoulli number, exponential or
+    `nilring` kernel enters, and the cost does not depend on the caps.
+    """
+    caps, P = g.n, g.q_order // 2
     axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
-    terms = {u: [(ThetaKind.THETA, cap + 1, 1)] for u, cap in zip(axes, caps)}
-    power, scale = {}, 1
+    pieces = {u: ([], {(-1, 2): -cap - 1}) for u, cap in zip(axes, caps)}
+    sign, halves = 1, 0
     for kind, d in rows:
-        prefactors, logs = _THETA_ROWS[kind]
-        if not any(d):  # every logarithm vanishes at 0, leaving 0^prefactors
-            scale *= 0 ** prefactors
+        sigma, products = _INDEX_ROWS[kind]
+        if not any(d):  # Phi(0) = 0; the twist and Psi_1 are 1 at 0
+            sign *= sigma > 0
             continue
         u, m = _primitive(d)
-        scale *= m ** prefactors
-        power[u] = power.get(u, 0) + prefactors
-        terms.setdefault(u, []).extend([(k, c, j * m) for k, c, j in logs])
-    axis_factors, specs = [], []
-    for u, ts in terms.items():
-        on_axis = u in axes
-        degree = caps[u.index(1)] if on_axis else sum(caps)
-        r = power.get(u, 0)
-        if r > degree or not scale:  # y^r * exp(...) truncates, or Phi(0) = 0
-            return QSeries.zero(qo)
-        f = _direction_factor(ts, r, degree, qo)
-        if on_axis:
+        if m < 0:  # t^m + sigma t^-m = sigma (t^-m + sigma t^m)
+            sign, m = sign * sigma, -m
+        halves += sigma > 0
+        prefactors, exponents = pieces.setdefault(u, ([], {}))
+        prefactors.append((sigma, m))
+        for s, e, N in products:
+            exponents[s, e * m] = exponents.get((s, e * m), 0) + N
+    if not sign:
+        return QSeries.zero(g.q_order)
+    lattice, axis_factors, scalar = {(0,) * g.s: [1] + [0] * P}, [], {}
+    for u, (prefactors, exponents) in pieces.items():
+        products = tuple(sorted(kv for kv in exponents.items() if kv[1]))
+        for (s, _), N in products:
+            scalar[s] = scalar.get(s, 0) - 2 * N
+        f = _factor(_index_factor, tuple(sorted(prefactors)), products, P)
+        if u in axes:
             axis_factors.append(f)
-        else:
-            specs.append((f, u))
-    return _residue(g, axis_factors, specs) * scale
+            continue
+        cells = {}
+        for v, c in lattice.items():
+            for k, col in f:
+                w = tuple([a + k * b for a, b in zip(v, u)])
+                conv_add(cells.setdefault(w, [0] * (P + 1)), c, col)
+        lattice = {v: c for v, c in cells.items() if any(c)}
+    for b in reversed(range(g.s)):  # the last axis, keyed by the others
+        n, f, cells, column = caps[b], axis_factors[b], {}, {}
+        for v, c in lattice.items():
+            if v[b] not in column:
+                column[v[b]] = _riemann_roch(f, v[b], n, P)
+            conv_add(cells.setdefault(v[:b], [0] * (P + 1)), c, column[v[b]])
+        lattice = cells
+    total = {0: [sign * x for x in lattice.get((), [0] * (P + 1))]}
+    for s, N in scalar.items():
+        for j in range(1, P + 1):
+            total = _times(total, _binomial(s, j, 0, N, P), P)
+    num = [0] * (g.q_order + 1)
+    num[::2] = total[0]
+    den = 2 ** (halves + sum(caps)) * math.prod(map(math.factorial, caps))
+    return QSeries._make(num, den, g.q_order)
 
 
 # -- bundle route: one factor per builder ------------------------------

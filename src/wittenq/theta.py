@@ -21,12 +21,13 @@ factor is then one exponential of an integer combination of these
 logarithms at multiples m*x.  One helper, `_exponent`, checks the terms
 and builds the exponent's int columns, and two readers exponentiate it:
 `direction_series` the whole series, of which `phi`, `x_over_phi`,
-Psi_1, the merged direction factors of the multi-factor genera and
-`psi_product`, (x/Phi(x)) / (2x/Phi(2x)) by the duplication formula
-Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x), are each one call, and
+Psi_1 and `psi_product`, (x/Phi(x)) / (2x/Phi(2x)) by the duplication
+formula Phi(2x) = 2 Phi(x) Psi_1Psi_2Psi_3(x), are each one call, and
 `direction_coefficient` its one top coefficient, which is a one-factor
-genus.  The bundle route (`bundles`) keeps the product formulas and is
-the independent oracle these builders are checked against.
+genus (the genera over two or more factors are a Riemann-Roch sum,
+`genera._index_sum`).  The bundle route (`bundles`) keeps the product
+formulas and is the independent oracle these builders are checked
+against.
 
 `direction_series` runs the recurrence of exp on int columns
 (`_exp_steps`): with g_n = n! f_n and d_k = den(B_2k/2k), which clears
@@ -37,8 +38,8 @@ coefficient is reduced once.  It returns the tuple of QSeries
 coefficients by x-degree (an `XSeries`), which `psi_product`,
 `x_over_phi` and (shifted by one degree) `phi` return.
 `direction_coefficient` splits exp(L) at the exponent's q^0 part, so
-only a scalar chain carries delta_h.  The genera keep both readers'
-results in one bounded cache (`genera._factor`).  A separate
+only a scalar chain carries delta_h.  The genera keep its results in
+one bounded cache (`genera._factor`).  A separate
 complex-numeric evaluator checks the analytic transformation laws,
 which the formal truncated series cannot see.
 """

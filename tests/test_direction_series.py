@@ -1,12 +1,14 @@
 """The integer exponential kernel of `theta.direction_series`, the
-Bernoulli numbers it rests on and the genera's cache of its exponentials,
-against test-local naive references.
+Bernoulli numbers it rests on and the genera's factor cache (the
+one-factor coefficients and the index factors), against test-local
+naive references.
 
 The references are deliberately the slow definitions: the logarithms from
 the divisor-sum formulas over Fractions, the exponential from the
 rational recurrence n f_n = sum_j j L_j f_(n-j) in QSeries arithmetic, and
-the Bernoulli numbers from sum_(j<=n) C(n+1, j) B_j = 0.  The kernel must
-equal them exactly, numerators and denominators.
+the Bernoulli numbers from sum_(j<=n) C(n+1, j) B_j = 0, and the index
+factors by multiplying out one binomial factor at a time.  The kernels
+must equal them exactly, numerators and denominators.
 """
 
 import functools
@@ -56,12 +58,11 @@ def _log_reference(kind, k, q_order):
                    q_order)
 
 
-def _naive_direction(terms, r, x_order, q_order):
-    """The rational recurrence the integer kernel replaced, shifted by y^r
-    as `genera._direction_factor` shifts it."""
+def _naive_direction(terms, x_order, q_order):
+    """The rational recurrence the integer kernel replaced."""
     zero = QSeries.zero(q_order)
     logs, f = {}, [QSeries.one(q_order)]
-    for n in range(1, x_order - r + 1):
+    for n in range(1, x_order + 1):
         if n % 2:
             f.append(zero)
             continue
@@ -69,7 +70,7 @@ def _naive_direction(terms, r, x_order, q_order):
                        for kind, coef, m in terms), zero)
         f.append(sum((logs[j] * f[n - j] * j for j in range(2, n + 1, 2)),
                      zero) * Fraction(1, n))
-    return ([zero] * r + f)[:x_order + 1]
+    return f
 
 
 def _exact(series_list):
@@ -88,7 +89,7 @@ def test_direction_series_matches_naive_recurrence():
     def check(terms, x_order, q_order):
         got = theta.direction_series(terms, x_order, q_order)
         assert len(got) == x_order + 1
-        assert _exact(got) == _exact(_naive_direction(terms, 0, x_order,
+        assert _exact(got) == _exact(_naive_direction(terms, x_order,
                                                       q_order))
         # step h sums over its h terms as dot products when h > q_order,
         # and convolves each term in q otherwise
@@ -350,6 +351,13 @@ def _cache_counts():
     return info.hits, info.misses
 
 
+def _one_factor(terms, x_order, q_order):
+    """A one-factor genus's read of `genera._factor`: the x^x_order
+    coefficient of the exponential of terms, keyed by `genera._merged`."""
+    return genera._factor(theta.direction_coefficient, genera._merged(terms),
+                          x_order, q_order)
+
+
 def test_equal_exponents_share_one_cache_entry():
     # the same power sums sum coef * m^2k per kind: permuted, split, of
     # either sign of m, or padded with terms that cancel
@@ -363,59 +371,86 @@ def test_equal_exponents_share_one_cache_entry():
         base + [(K.THETA, 4, 2), (K.THETA, -4, -2)],
     ]
     genera._factor.cache_clear()
-    for r, degree in ((0, 14), (1, 16), (2, 16), (3, 18)):
-        # only the length degree - r, rounded down to even, keys the entry
-        ref = _exact(_naive_direction(base, r, degree, 4))
+    for x_order in (14, 16):
+        ref = _exact(_naive_direction(base, x_order, 4)[x_order:])
         for terms in variants:
-            got = genera._direction_factor(terms, r, degree, 4)
-            assert len(got) == degree + 1
-            assert _exact(got) == ref
-    assert _cache_counts() == (4 * len(variants) - 1, 1)
+            assert _exact([_one_factor(terms, x_order, 4)]) == ref
+    assert _cache_counts() == (2 * len(variants) - 2, 2)
 
 
 def test_terms_that_cancel_share_the_empty_exponent():
     genera._factor.cache_clear()
     for terms in ([], [(K.THETA, 2, 1), (K.THETA, -2, -1)],
                   [(K.THETA1, 1, 3), (K.THETA1, -1, 3), (K.THETA, 0, 2)]):
-        got = genera._direction_factor(terms, 1, 9, 6)
-        assert _exact(got) == _exact(_naive_direction([], 1, 9, 6))
-    assert _cache_counts() == (2, 1)
+        # exp(0) = 1: one at x^0, zero past it
+        assert _one_factor(terms, 0, 6) == QSeries.one(6)
+        assert _one_factor(terms, 8, 6).is_zero()
+    assert _cache_counts() == (4, 2)
+
+
+def _naive_index_factor(prefactors, products, p_order):
+    """`genera._index_factor` by repeated multiplication over
+    {(t-exponent, p-degree): int}: (1 + s p^j t^a)^N as N factors
+    1 + s p^j t^a, or for N < 0 as -N geometric series
+    sum_k (-s p^j t^a)^k."""
+    def times(f, terms):
+        g = {}
+        for (v, i), x in f.items():
+            for (a, k), c in terms.items():
+                if i + k <= p_order:
+                    g[v + a, i + k] = g.get((v + a, i + k), 0) + x * c
+        return g
+
+    f = {(0, 0): 1}
+    for sigma, m in prefactors:
+        f = times(f, {(m, 0): 1, (-m, 0): sigma})
+    for (s, e), N in products:
+        for j, a in itertools.product(range(1, p_order + 1), (e, -e)):
+            step = ({(0, 0): 1, (a, j): s} if N > 0 else
+                    {(k * a, k * j): (-s) ** k
+                     for k in range(p_order // j + 1)})
+            for _ in range(abs(N)):
+                f = times(f, step)
+    cols = {}
+    for (v, i), x in f.items():
+        cols.setdefault(v, [0] * (p_order + 1))[i] += x
+    return tuple(sorted((v, tuple(c)) for v, c in cols.items() if any(c)))
 
 
 def test_cache_hit_equals_fresh_build():
-    terms, args = [(K.THETA, 4, 1), (K.THETA, -1, 3)], (2, 23, 8)
+    # an index factor: two prefactors and three products, one of them
+    # Psi_1's, exponents of either sign
+    args = (((-1, 1), (1, 2)),
+            (((-1, 2), -3), ((-1, 4), 1), ((1, 2), 2)), 3)
     genera._factor.cache_clear()
-    miss = genera._direction_factor(terms, *args)
-    hit = genera._direction_factor(terms, *args)
+    miss = genera._factor(genera._index_factor, *args)
+    hit = genera._factor(genera._index_factor, *args)
     assert _cache_counts() == (1, 1)
     genera._factor.cache_clear()
-    again = genera._direction_factor(terms, *args)
-    assert _exact(miss) == _exact(hit) == _exact(again)
-    # the y^2 shift is the factor's own: the exponential is built to 21
-    shift = [QSeries.zero(8)] * 2
-    assert _exact(miss) == _exact(shift + list(theta.direction_series(
-        terms, 21, 8)))
+    again = genera._factor(genera._index_factor, *args)
+    assert miss == hit == again == _naive_index_factor(*args)
+    assert len(miss) > 10
 
 
 def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
-    built, build = [], theta.direction_series
+    built, build = [], genera._index_factor
 
     def recording(*args):
         out = build(*args)
         built.append(out)
         return out
 
-    monkeypatch.setattr(genera.theta, "direction_series", recording)
+    monkeypatch.setattr(genera, "_index_factor", recording)
     genera._factor.cache_clear()
     g = GCIData([3, 2], [[1, 2]], C=[1, 0], q_order=8)
     first = genera.wc_genus(g).coeffs
-    snapshot = [[(c.num[:], c.den) for c in f] for f in built]
-    assert built
-    # the same genus again reads every exponential from the cache, and a
-    # second two-factor genus shares some of them
+    snapshot = list(built)
+    assert len(snapshot) == 3  # two axes, C merged into the first, and (1, 2)
+    # the same genus again reads every index factor from the cache, and a
+    # second two-factor genus shares the second axis's and (1, 1)'s with
+    # (1, 2)'s: one Phi row at a primitive form each
     assert genera.wc_genus(g).coeffs == first
     genera.witten_genus(GCIData([3, 2], [[1, 1]], q_order=8))
-    assert genera._factor.cache_info().hits >= len(snapshot)
-    assert [[(c.num, c.den) for c in f] for f in built[:len(snapshot)]] \
-        == snapshot
+    assert _cache_counts() == (5, 4)
+    assert built[:3] == snapshot
     assert genera.wc_genus(g, route="bundle").coeffs == first

@@ -145,8 +145,9 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
     qo, s, th = 4, len(caps), ThetaKind.THETA
     g = GCIData(list(caps), [], q_order=qo)
     # factors of the parities that leave the residue nonzero
-    axes = [genera._direction_factor([(th, cap + 1 + b, 1)], cap % 2, cap,
-                                     qo) for b, cap in enumerate(caps)]
+    axes = [[QSeries.zero(qo)] * (cap % 2) + list(direction_series(
+        [(th, cap + 1 + b, 1)], cap - cap % 2, qo))
+        for b, cap in enumerate(caps)]
     total = sum(caps)
     specs = [(direction_series([(th, 1, 1), (th, -1, 2)], total, qo),
               (1, -2, 1)[:s]),
@@ -188,6 +189,26 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _nilring_calls(monkeypatch):
+    """A dict counting the calls `genera` makes to each residue kernel."""
+    return _count_calls(monkeypatch, "rank_pair_mul", "mul_univariate",
+                        "mul_linear", "contract_axes", "top_product")
+
+
+def _index_builds(monkeypatch):
+    """The list of (prefactors, products, p_order) of each index factor
+    the theta route builds, from a cold `_factor`."""
+    built = []
+
+    def recording(*args, build=genera._index_factor):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(genera, "_index_factor", recording)
+    genera._factor.cache_clear()
+    return built
+
+
 @pytest.mark.parametrize("q_order", [4, 12])
 @pytest.mark.parametrize("n, D, C", [
     ((4, 4), ((1, 2), (2, 1)), (1, -1)),
@@ -196,14 +217,14 @@ def _count_calls(monkeypatch, *names):
     ((4, 6), ((1, 1), (1, 2), (2, 1)), (1, -1)),
 ], ids=["3dir-4k", "3dir-4k2", "4dir-4k", "4dir-4k2"])
 def test_multi_piece_residue_routes_agree(monkeypatch, n, D, C, q_order):
-    # W_c with 3 or 4 off-axis directions: the pair products, the axis
-    # convolutions and the top product, on both routes
+    # W_c with 3 or 4 linear forms: the bundle route's pair products, axis
+    # convolutions and top product against the theta route's index sum
     calls = _count_calls(monkeypatch, "top_product")
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
-    theta_route, bundle_route = (wc_genus(g, route=route).coeffs
-                                 for route in ("theta", "bundle"))
-    assert calls["top_product"] == 2
-    assert theta_route == bundle_route
+    theta_route = wc_genus(g, route="theta").coeffs
+    assert calls["top_product"] == 0
+    assert wc_genus(g, route="bundle").coeffs == theta_route
+    assert calls["top_product"] == 1
     assert not theta_route.is_zero()
 
 
@@ -216,7 +237,7 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
     for route in ("theta", "bundle"):
         rep = wc_genus(g, route=route)
         assert [str(c) for c in rep.coeffs.coeffs] == golden[route]["coeffs"]
-    assert calls["top_product"] == 2
+    assert calls["top_product"] == 1  # the bundle route's
 
 
 @pytest.mark.parametrize("n, D, C", [
@@ -225,15 +246,55 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
 ], ids=["C-on-axis", "row-on-axis"])
 def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
     # C = (1, 0) or the row (0, 2) lies on an axis, so the theta route
-    # merges its logarithm into that axis's factor: four off-axis
-    # directions, two pair products and no mul_linear; a fifth direction
-    # through mul_linear would give the same values
-    calls = _count_calls(monkeypatch, "rank_pair_mul", "mul_univariate",
-                         "mul_linear", "top_product")
+    # merges it into that axis's index factor: six `_factor` reads, two
+    # on the axes and four off them; a seventh through the lattice would
+    # give the same values.  The bundle route takes five linear forms:
+    # two pair products, two axis convolutions and one mul_linear
+    calls = _nilring_calls(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=4)
-    wc_genus(g, route="theta")
+    genera._factor.cache_clear()
+    theta_route = wc_genus(g, route="theta").coeffs
+    info = genera._factor.cache_info()
+    assert info.hits + info.misses == 6 and not any(calls.values())
+    assert wc_genus(g, route="bundle").coeffs == theta_route
     assert calls == {"rank_pair_mul": 2, "mul_univariate": 2,
-                     "mul_linear": 0, "top_product": 1}
+                     "mul_linear": 1, "contract_axes": 0, "top_product": 1}
+
+
+@pytest.mark.parametrize("n, D, C", [
+    ((3, 2), ((1, 2),), (1, 0)),
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, -1)), (1, -2)),
+    ((2, 2, 3), ((1, 1, 0), (0, 2, -1)), (1, 0, 1)),
+    ((4, 3), ((2, 2), (1, 1)), None),
+    ((5, 4), ((0, 0), (1, 1)), (1, 1)),
+], ids=["one-form", "seven-forms", "three-factors", "phi2", "zero-row"])
+def test_theta_route_calls_no_nilring_kernel(monkeypatch, n, D, C):
+    # over two or more factors the theta route is the index sum: no
+    # residue kernel, exponential or Bernoulli table runs, so its
+    # agreement with the bundle route checks those independently
+    def refuse(*args):
+        raise AssertionError("a residue kernel or exponential ran")
+
+    g = GCIData(list(n), [list(r) for r in D], C and list(C), q_order=6)
+    want = []
+    for route in ("bundle", "theta"):
+        if route == "theta":
+            for name in ("rank_pair_mul", "mul_univariate", "mul_linear",
+                         "contract_axes", "top_product"):
+                monkeypatch.setattr(genera, name, refuse)
+            for name in ("direction_series", "direction_coefficient",
+                         "_bernoulli_table", "_log_columns"):
+                monkeypatch.setattr(theta, name, refuse)
+        genera._factor.cache_clear()
+        reps = ([mod2_witten(g, route=route, strict=False)] if C is None
+                else [wc_genus(g, route=route)])
+        if C is not None and dims(g)[1] % 4 == 0:
+            reps.append(witten_genus(GCIData(g.n, g.D, q_order=6),
+                                     route=route))
+        got = [rep.precursor or rep.coeffs for rep in reps]
+        if want:
+            assert got == want
+        want = got
 
 
 @pytest.mark.parametrize("n, D, C, q_order, misses, builds, bundle_misses", [
@@ -242,28 +303,32 @@ def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
     ((22,), ((6,), (6,), (6,), (5,)), None, 8, 1,
      [("direction_coefficient", 3, 18)], 3),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 0), 4, 3,
-     [("direction_series", 1, 4), ("direction_series", 1, 6),
-      ("direction_series", 1, 12)], 4),
+     [((), (((-1, 2), -8),), 2), (((-1, 1),), (((-1, 2), -6),), 2),
+      (((-1, 1),), (((-1, 2), 1),), 2)], 4),
     ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 4,
-     [("direction_series", 1, 22), ("direction_series", 1, 28),
-      ("direction_series", 1, 50), ("direction_series", 2, 52)], 5),
+     [((), (((-1, 2), -30),), 2), ((), (((-1, 2), -24),), 2),
+      (((-1, 1),), (((-1, 2), 1),), 2),
+      (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 5),
     ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 4,
-     [("direction_series", 1, 24), ("direction_series", 1, 46),
-      ("direction_series", 1, 46), ("direction_series", 2, 48)], 4),
+     [((), (((-1, 2), -25),), 2), (((-1, 1),), (((-1, 2), 1),), 2),
+      (((-1, 2), (-1, 2)), (((-1, 4), 2),), 2),
+      (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 4),
     ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 5,
-     [("direction_series", 1, 16), ("direction_series", 1, 38),
-      ("direction_series", 1, 52), ("direction_series", 1, 54),
-      ("direction_series", 2, 54)], 6),
+     [((), (((-1, 2), -39),), 2), ((), (((-1, 2), -18),), 2),
+      (((-1, 1),), (((-1, 2), 1),), 2),
+      (((-1, 1), (-1, 1)), (((-1, 2), 2),), 2),
+      (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 6),
 ], ids=["W56", "W22", "Wc6,7", "Wc23,29", "Wc24,24", "Wc17,38"])
 def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
                                   builds, bundle_misses):
-    # from a cold `_factor`: each route's misses, and the builder, the
-    # number of merged terms and the x-order of each exponential or
-    # one-factor coefficient the theta route builds.  A lost merge, an
-    # axis factor sent through the linear-form kernels, an exponential
-    # built longer than its residue reads or a one-factor genus that
-    # builds its whole exponential keeps every value and moves these; the
-    # last two are the perfbench heavy_2f cases
+    # from a cold `_factor`: each route's misses, and what the theta route
+    # builds: over one factor the builder, the number of merged terms and
+    # the x-order of the one coefficient, over more the cache key
+    # (prefactors, products, p-order) of each index factor.  A lost merge,
+    # an axis factor sent through the lattice, a factor keyed by the
+    # order of its rows or a one-factor genus that builds its whole
+    # exponential keeps every value and moves these; the last two are
+    # the perfbench heavy_2f cases
     built = []
     for name in ("direction_series", "direction_coefficient"):
         def recording(terms, x_order, q_order, name=name,
@@ -272,6 +337,7 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
             return build(terms, x_order, q_order)
 
         monkeypatch.setattr(genera.theta, name, recording)
+    index_built = _index_builds(monkeypatch)
     genus = witten_genus if C is None else wc_genus
     g = GCIData(list(n), [list(r) for r in D], C and list(C),
                 q_order=q_order)
@@ -280,7 +346,7 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
         genera._factor.cache_clear()
         values[route] = genus(g, route=route).coeffs
         assert genera._factor.cache_info().misses == expect
-    assert sorted(built) == builds
+    assert sorted(built + index_built) == builds
     assert values["theta"] == values["bundle"]
 
 
@@ -295,15 +361,15 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
 ], ids=["5dir", "6dir", "7dir"])
 def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect,
                                     calls):
-    # five, six and seven off-axis directions: the first and the last two
-    # are pair products, and the theta route feeds each one between them
-    # through mul_linear; the residue is nonzero
+    # five, six and seven linear forms: the first and the last two are
+    # pair products, and the bundle route feeds each one between them
+    # through mul_linear; the residue is nonzero on both routes
     products = _count_calls(monkeypatch, "mul_linear")
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route = wc_genus(g, route="theta").coeffs
-    assert products["mul_linear"] == calls
     assert [str(c) for c in theta_route.coeffs] == expect
     assert wc_genus(g, route="bundle").coeffs == theta_route
+    assert products["mul_linear"] == calls
 
 
 def test_route_equivalence():

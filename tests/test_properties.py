@@ -12,12 +12,19 @@ q-order <= 4, so each genus takes milliseconds.  Checked:
 - C -> -C leaves W_c unchanged in real dimension 4k and negates it in 4k+2;
 - W is multiplicative: a block-diagonal instance, V1 x V2, has W(V1) W(V2).
 
+A second draw goes past those bounds for the theta route's Riemann-Roch
+index sum: s <= 3, signed degrees, all-zero rows, any C and q-order <= 8,
+where it must equal the bundle route's residue kernels exactly for W,
+both W_c parities and the phi2 precursor.
+
 Over an enumeration of spin 8k+2 instances with two or more nonzero
 all-even rows, every choice of the distinguished row gives an integral
 precursor with the same mod 2 reduction.
 """
 
+import collections
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +152,77 @@ def test_w_is_multiplicative_on_products(g1, g2):
                 [list(r) + pad1 for r in g1.D] + [pad2 + list(r) for r in g2.D],
                 q_order=q_order)
     assert _genus("W", g) == _genus("W", g1) * _genus("W", g2)
+
+
+@st.composite
+def index_instances(draw):
+    """An instance over s <= 3 factors (n_b <= 5, <= 3 over three) with
+    up to four degree rows in -3..3, an all-zero one in a quarter of the
+    draws and a nonzero all-even one in half, any C in -3..3, q-order
+    <= 8."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 5 if s < 3 else 3), min_size=s,
+                      max_size=s))
+    t = draw(st.integers(0, min(4, sum(n))))
+    entry = st.integers(-3, 3)
+    D = draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=t,
+                      max_size=t))
+    if t and draw(st.booleans()):
+        D[draw(st.integers(0, t - 1))] = draw(st.lists(
+            st.sampled_from([-2, 0, 2]), min_size=s, max_size=s).filter(any))
+    if t and draw(st.integers(0, 3)) == 0:
+        D[draw(st.integers(0, t - 1))] = [0] * s
+    C = draw(st.lists(entry, min_size=s, max_size=s))
+    return GCIData(n, D, C, q_order=draw(st.integers(0, 8)))
+
+
+def _off_axis_lines(g):
+    """The lines of the nonzero forms among the rows and C that lie on
+    no axis, each as its primitive vector up to sign."""
+    lines = set()
+    for d in g.D + (g.C,):
+        if sum(map(bool, d)) > 1:
+            m = math.gcd(*d) * (1 if next(filter(None, d)) > 0 else -1)
+            lines.add(tuple(x // m for x in d))
+    return lines
+
+
+def _genera_by_kind(g, route):
+    """{kind: W_c, and W and the phi2 precursor where they are defined}."""
+    rdim = dims(g)[1]
+    out = {"Wc4k2" if rdim % 4 else "Wc4k": wc_genus(g, route=route).coeffs}
+    if rdim % 4 == 0:
+        out["W"] = witten_genus(g, route=route).coeffs
+    if _has_even_row(g):
+        out["phi2"] = _phi2(g, route)
+    return out
+
+
+def test_index_sum_equals_bundle_route():
+    # the theta route (the index sum over two or more factors, one
+    # coefficient over one) against the bundle route, with no tolerance;
+    # three or more off-axis lines make the index sum's lattice cells
+    # collide
+    seen = collections.Counter()
+
+    @PROPS
+    @given(index_instances())
+    def check(g):
+        theta_route = _genera_by_kind(g, "theta")
+        assert theta_route == _genera_by_kind(g, "bundle")
+        nonzero = any(isinstance(v, str) or not v.is_zero()
+                      for v in theta_route.values())
+        seen.update(list(theta_route))
+        seen.update(["zero row"] * (not all(map(any, g.D)))
+                    + ["three factors"] * (g.s == 3)
+                    + ["nonzero"] * nonzero
+                    + ["three lines"] * (nonzero
+                                         and len(_off_axis_lines(g)) > 2))
+
+    check()
+    assert min(seen[k] for k in ("W", "Wc4k", "Wc4k2", "phi2", "zero row",
+                                 "three factors", "nonzero",
+                                 "three lines")) >= 20, seen
 
 
 def _spin_phi2_instances():
