@@ -128,20 +128,20 @@ def _theta_residue(g: GCIData, rows):
     x_1^(n_1 - r) coefficient of its exponential, built alone by
     `theta.direction_coefficient`.  Over more it is `_index_sum`."""
     caps, qo = g.n, g.q_order
-    if len(caps) > 1:
-        return _index_sum(g, rows)
-    (cap,), r, scale = caps, 0, 1
-    terms = [(ThetaKind.THETA, cap + 1, 1)]
-    for kind, (m,) in rows:
-        if kind == "phi":  # _THETA_ROWS["phi"] inline: the hot path
-            terms.append((ThetaKind.THETA, -1, m))
-            r, scale = r + 1, scale * m
-        elif m:
-            terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
-    if r > cap or not scale:
-        return QSeries.zero(qo)
-    return _factor(theta.direction_coefficient, _merged(terms), cap - r,
-                   qo) * scale
+    if len(caps) == 1:
+        (cap,), r, scale = caps, 0, 1
+        terms = [(ThetaKind.THETA, cap + 1, 1)]
+        for kind, (m,) in rows:
+            if kind == "phi":  # _THETA_ROWS["phi"] inline: the hot path
+                terms.append((ThetaKind.THETA, -1, m))
+                r, scale = r + 1, scale * m
+            elif m:
+                terms += [(k, c, j * m) for k, c, j in _THETA_ROWS[kind][1]]
+        if r > cap or not scale:
+            return QSeries.zero(qo)
+        return _factor(theta.direction_coefficient, _merged(terms), cap - r,
+                       qo) * scale
+    return _index_sum(g, rows)
 
 
 # -- theta route over two or more factors: a Riemann-Roch index sum ----
