@@ -29,8 +29,9 @@ the theta route is a Riemann-Roch index sum (`_index_sum`): with
 t = e^(y/2) on each line y = u.x, u primitive, every factor is a Laurent
 polynomial in t over int q-series (`_INDEX_ROWS`), the factors on one
 line merge into one, each axis is read by Hirzebruch-Riemann-Roch on
-CP^n_b and only the off-axis lines are multiplied out.  It uses no
-Bernoulli number and no residue kernel.  Each factor is built once: many
+CP^n_b and only the off-axis lines are multiplied out, each q-series
+packed into one int.  It uses no Bernoulli number and no residue
+kernel.  Each factor is built once: many
 instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in real
 dimension 4k+2 is W's integrand with C as one more row), so `_factor`,
 one bounded cache keyed by builder and arguments, holds the one-factor
@@ -101,8 +102,8 @@ def _factor(build, *args):
     """build(*args), shared by every direction, instance and genus that
     asks for it: a one-factor coefficient, an index factor, or a bundle
     factor or root power (a tuple of QSeries).  256 entries hold the
-    theta route's 92 distinct entries on the mass run, 40 one-factor
-    coefficients and 52 index factors.
+    theta route's 105 distinct entries on the mass run: 40 one-factor
+    coefficients, 52 index factors and 13 p-only scalars.
     """
     return build(*args)
 
@@ -154,54 +155,89 @@ def _primitive(d):
     return tuple([x // m for x in d]), m
 
 
-def _times(f, terms, p_order):
+def _pack(col, bits):
+    """sum col[i] 2^(bits i): an int column as one int (Kronecker), read
+    back by `_unpack` while every entry is below 2^(bits-1) in size."""
+    v = 0
+    for x in reversed(col):
+        v = (v << bits) + x
+    return v
+
+
+def _unpack(v, bits, n):
+    """The first n entries of the packed column v, each taken signed."""
+    out, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    for _ in range(n):
+        x = ((v + half) & mask) - half
+        out.append(x)
+        v = (v - x) >> bits
+    return out
+
+
+def _low(v, width):
+    """v mod 2^width taken signed: with width = bits * (P+1), a packed
+    product cut to p^0..p^P."""
+    half = 1 << (width - 1)
+    return ((v + half) & ((1 << width) - 1)) - half
+
+
+def _bits(norms):
+    """Entry bits for products whose factors have these L1 norms: every
+    coefficient of a product is at most the product of the norms."""
+    return math.prod(norms).bit_length() + 1
+
+
+def _times(f, terms, bits, width):
     """f times sum c t^a p^i over terms (c, a, i), f and the result Laurent
-    polynomials in t, {exponent: int column over p^0..p^p_order}; the
+    polynomials in t, {exponent: packed column}, cut at 2^width; the
     products landing on one exponent are summed."""
     g = {}
-    for v, col in f.items():
-        for c, a, i0 in terms:
-            out = g.setdefault(v + a, [0] * (p_order + 1))
-            for i in range(p_order + 1 - i0):
-                out[i + i0] += c * col[i]
-    return g
+    for v, x in f.items():
+        for c, a, i in terms:
+            g[v + a] = g.get(v + a, 0) + c * (x << i * bits)
+    return {v: y for v, x in g.items() if (y := _low(x, width))}
 
 
 def _binomial(s, j, e, N, p_order):
-    """(1 + s p^j t^e)^N to p^p_order, N of either sign, as the terms
-    (C(N, k) s^k, k e, k j) of `_times`."""
+    """(1 + s p^j t^e)^N to p^p_order, N of either sign, as the nonzero
+    terms (C(N, k) s^k, k e, k j) of `_times`."""
     terms = [(1, 0, 0)]
     for k in range(1, p_order // j + 1):
-        terms.append((terms[-1][0] * (N - k + 1) * s // k, k * e, k * j))
+        c = terms[-1][0] * (N - k + 1) * s // k
+        if not c:
+            break
+        terms.append((c, k * e, k * j))
     return terms
 
 
 def _index_factor(prefactors, products, p_order):
-    """prod over prefactors (sigma, m) of (t^m + sigma t^-m) times prod
-    over products ((s, e), N) and j = 1..p_order of
-    ((1 + s p^j t^e)(1 + s p^j t^-e))^N, to p^p_order: a Laurent
-    polynomial in t as sorted (exponent, int column) pairs, the zero
-    columns left out."""
-    f = {0: [1] + [0] * p_order}
-    for sigma, m in prefactors:
-        f = _times(f, [(1, m, 0), (sigma, -m, 0)], p_order)
-    for (s, e), N in products:
-        for j in range(1, p_order + 1):
-            for a in (e, -e):
-                f = _times(f, _binomial(s, j, a, N, p_order), p_order)
-    return tuple(sorted((v, tuple(col)) for v, col in f.items() if any(col)))
+    """prod over products ((s, e), N) and j = 1..p_order of
+    ((1 + s p^j t^e)(1 + s p^j t^-e))^N times prod over prefactors
+    (sigma, m) of (t^m + sigma t^-m), to p^p_order: a Laurent polynomial
+    in t as sorted (exponent, int column) pairs, the zero columns left
+    out, built on columns packed wide enough for every partial product."""
+    steps = [_binomial(s, j, a, N, p_order) for (s, e), N in products
+             for j in range(1, p_order + 1) for a in (e, -e)]
+    steps += [[(1, m, 0), (sigma, -m, 0)] for sigma, m in prefactors]
+    bits = _bits(sum(abs(c) for c, _, _ in terms) for terms in steps)
+    f = {0: 1}
+    for terms in steps:
+        f = _times(f, terms, bits, bits * (p_order + 1))
+    return tuple(sorted((v, tuple(_unpack(x, bits, p_order + 1)))
+                        for v, x in f.items()))
 
 
-def _riemann_roch(f, w, n, p_order):
-    """sum over (e, col) in f of col * prod_(i=1..n) (w + e - n - 1 + 2i):
-    the axis factor f on CP^n read at the half-unit exponent w, times
-    2^n n!."""
-    out = [0] * (p_order + 1)
-    for e, col in f:
-        r = math.prod(range(w + e - n + 1, w + e + n, 2))
-        if r:
-            out = [x + r * y for x, y in zip(out, col)]
-    return out
+def _riemann_roch(f, w, n):
+    """sum over (e, x) in f of x * prod_(i=1..n) (w + e - n - 1 + 2i):
+    the axis factor f on CP^n, its columns packed, read at the half-unit
+    exponent w, times 2^n n!."""
+    return sum([math.prod(range(w + e - n + 1, w + e + n, 2)) * x
+                for e, x in f])
+
+
+def _l1(f):
+    """The L1 norm of a Laurent polynomial of `_index_factor`."""
+    return sum([sum(map(abs, col)) for _, col in f])
 
 
 def _index_sum(g: GCIData, rows):
@@ -221,9 +257,18 @@ def _index_sum(g: GCIData, rows):
     only the off-axis factors are multiplied out, into a lattice
     {v: c_v} of exponent vectors in half units, contracted one axis at a
     time.  The p-only scalar prod_j (1 + s p^j)^(-2N) of each product
-    and one denominator, 2^(number of twist and Psi_1 rows)
-    prod_b 2^n_b n_b!, come last.  No Bernoulli number, exponential or
-    `nilring` kernel enters, and the cost does not depend on the caps.
+    (one more `_index_factor`) and one denominator,
+    2^(number of twist and Psi_1 rows) prod_b 2^n_b n_b!, come last.  No
+    Bernoulli number, exponential or `nilring` kernel enters, and the
+    cost does not depend on the cap grid.
+
+    Each p-series is packed into one int (`_pack`), so a product of two
+    is one int product.  The widths come from L1 norms, which bound
+    every coefficient of a product: the lattice's from its lines', the
+    contraction's from the lattice's times ||f_b||_1 (n_b + |w + e|)^n_b
+    for each axis factor f_b, over its exponents e and the w it is read
+    at.  The lattice's cells are unpacked once, so each of their entries
+    multiplies a packed axis column.
     """
     caps, P = g.n, g.q_order // 2
     axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
@@ -244,34 +289,48 @@ def _index_sum(g: GCIData, rows):
             exponents[s, e * m] = exponents.get((s, e * m), 0) + N
     if not sign:
         return QSeries.zero(g.q_order)
-    lattice, axis_factors, scalar = {(0,) * g.s: [1] + [0] * P}, [], {}
-    for u, (prefactors, exponents) in pieces.items():
-        products = tuple(sorted(kv for kv in exponents.items() if kv[1]))
-        for (s, _), N in products:
-            scalar[s] = scalar.get(s, 0) - 2 * N
-        f = _factor(_index_factor, tuple(sorted(prefactors)), products, P)
-        if u in axes:
-            axis_factors.append(f)
-            continue
+    factors = {u: _factor(_index_factor, tuple(sorted(prefactors)),
+                          tuple(sorted(kv for kv in exponents.items()
+                                       if kv[1])), P)
+               for u, (prefactors, exponents) in pieces.items()}
+    lines = [(u, f) for u, f in factors.items() if u not in axes]
+    bits = _bits([_l1(f) for _, f in lines])
+    lattice = {(0,) * g.s: 1}
+    for u, f in lines:
+        packed = [(k, _pack(col, bits)) for k, col in f]
         cells = {}
         for v, c in lattice.items():
-            for k, col in f:
+            for k, x in packed:
                 w = tuple([a + k * b for a, b in zip(v, u)])
-                conv_add(cells.setdefault(w, [0] * (P + 1)), c, col)
-        lattice = {v: c for v, c in cells.items() if any(c)}
+                cells[w] = cells.get(w, 0) + c * x
+        lattice = {v: y for v, c in cells.items()
+                   if (y := _low(c, bits * (P + 1)))}
+    lattice = {v: _unpack(c, bits, P + 1) for v, c in lattice.items()}
+    reach = [max([abs(v[b]) for v in lattice], default=0) for b in range(g.s)]
+    bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
+        _l1(f) * (n + r + max(abs(e) for e, _ in f)) ** n
+        for n, r, f in zip(caps, reach, map(factors.get, axes))])
     for b in reversed(range(g.s)):  # the last axis, keyed by the others
-        n, f, cells, column = caps[b], axis_factors[b], {}, {}
+        f = [(e, _pack(col, bits)) for e, col in factors[axes[b]]]
+        column, sums = {}, {}
         for v, c in lattice.items():
             if v[b] not in column:
-                column[v[b]] = _riemann_roch(f, v[b], n, P)
-            conv_add(cells.setdefault(v[:b], [0] * (P + 1)), c, column[v[b]])
-        lattice = cells
-    total = {0: [sign * x for x in lattice.get((), [0] * (P + 1))]}
-    for s, N in scalar.items():
-        for j in range(1, P + 1):
-            total = _times(total, _binomial(s, j, 0, N, P), P)
+                column[v[b]] = _riemann_roch(f, v[b], caps[b])
+            x, row = column[v[b]], sums.setdefault(v[:b], [0] * (P + 1))
+            for i, y in enumerate(c):  # row[i]: y p^i times the column
+                if y:
+                    row[i] += y * x
+        lattice = {v: _unpack(sum([y << i * bits for i, y in enumerate(row)]),
+                              bits, P + 1) for v, row in sums.items()}
+    scalar = {}
+    for _, exponents in pieces.values():
+        for (s, _), N in exponents.items():
+            scalar[s] = scalar.get(s, 0) - N
+    ((_, col),) = _factor(_index_factor, (), tuple(sorted(
+        [((s, 0), N) for s, N in scalar.items() if N])), P)
     num = [0] * (g.q_order + 1)
-    num[::2] = total[0]
+    num[::2] = [sign * x for x in conv_add([0] * (P + 1),
+                                           lattice.get((), ()), col)]
     den = 2 ** (halves + sum(caps)) * math.prod(map(math.factorial, caps))
     return QSeries._make(num, den, g.q_order)
 

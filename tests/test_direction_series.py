@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 import re
 import types
 from fractions import Fraction
@@ -432,6 +433,30 @@ def test_cache_hit_equals_fresh_build():
     assert len(miss) > 10
 
 
+def test_index_factor_at_a_longer_p_order():
+    # p^0..p^8 with an axis's product exponent -9: binomial coefficients
+    # and partial products wider than a machine word
+    args = (((-1, 3),), (((-1, 2), -9), ((1, 4), 2)), 8)
+    assert genera._index_factor(*args) == _naive_index_factor(*args)
+
+
+@pytest.mark.parametrize("bits", [2, 3, 31, 64, 200])
+def test_packed_columns_round_trip(bits):
+    # every entry below 2^(bits-1) in size, the extremes included, reads
+    # back from its packed int, and `_low` cuts off the higher digits
+    rng = random.Random(bits)
+    top = (1 << (bits - 1)) - 1
+    for n in (1, 2, 9):
+        for _ in range(30):
+            col, high = ([rng.choice([-top, top, 0, rng.randint(-top, top)])
+                          for _ in range(n)] for _ in range(2))
+            v = genera._pack(col, bits)
+            assert genera._unpack(v, bits, n) == col
+            longer = v + (genera._pack(high, bits) << bits * n)
+            assert genera._low(longer, bits * n) == v
+            assert genera._unpack(longer, bits, n) == col
+
+
 def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
     built, build = [], genera._index_factor
 
@@ -445,12 +470,13 @@ def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):
     g = GCIData([3, 2], [[1, 2]], C=[1, 0], q_order=8)
     first = genera.wc_genus(g).coeffs
     snapshot = list(built)
-    assert len(snapshot) == 3  # two axes, C merged into the first, and (1, 2)
+    # two axes, C merged into the first, (1, 2) and the p-only scalar
+    assert len(snapshot) == 4
     # the same genus again reads every index factor from the cache, and a
-    # second two-factor genus shares the second axis's and (1, 1)'s with
-    # (1, 2)'s: one Phi row at a primitive form each
+    # second two-factor genus shares the second axis's, (1, 1)'s with
+    # (1, 2)'s (one Phi row at a primitive form each) and the scalar
     assert genera.wc_genus(g).coeffs == first
     genera.witten_genus(GCIData([3, 2], [[1, 1]], q_order=8))
-    assert _cache_counts() == (5, 4)
-    assert built[:3] == snapshot
+    assert _cache_counts() == (7, 5)
+    assert built[:4] == snapshot
     assert genera.wc_genus(g, route="bundle").coeffs == first

@@ -246,19 +246,37 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
 ], ids=["C-on-axis", "row-on-axis"])
 def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
     # C = (1, 0) or the row (0, 2) lies on an axis, so the theta route
-    # merges it into that axis's index factor: six `_factor` reads, two
-    # on the axes and four off them; a seventh through the lattice would
-    # give the same values.  The bundle route takes five linear forms:
+    # merges it into that axis's index factor: seven `_factor` reads, two
+    # on the axes, four off them and the p-only scalar; an eighth through
+    # the lattice would give the same values.  The bundle route takes five
+    # linear forms:
     # two pair products, two axis convolutions and one mul_linear
     calls = _nilring_calls(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=4)
     genera._factor.cache_clear()
     theta_route = wc_genus(g, route="theta").coeffs
     info = genera._factor.cache_info()
-    assert info.hits + info.misses == 6 and not any(calls.values())
+    assert info.hits + info.misses == 7 and not any(calls.values())
     assert wc_genus(g, route="bundle").coeffs == theta_route
     assert calls == {"rank_pair_mul": 2, "mul_univariate": 2,
                      "mul_linear": 1, "contract_axes": 0, "top_product": 1}
+
+
+@pytest.mark.parametrize("n, D, C, q_order", [
+    ((30, 5), ((3, 1), (2, -1), (1, 1)), (2, 1), 10),
+    ((40, 3), ((3, 1), (-2, 1)), (3, 1), 12),
+    ((12, 9), ((1, 2), (2, 1), (1, 1), (1, -1)), (1, 2), 16),
+    ((6, 5), ((1, 2), (2, 1), (1, 1)), (1, -1), 32),
+    ((3, 4, 5), ((1, 1, 1), (1, -2, 0), (2, 0, 3)), (1, 1, -1), 16),
+])
+def test_index_sum_holds_large_weights_and_long_columns(n, D, C, q_order):
+    # the index sum packs each p-series into one int: large caps give
+    # Riemann-Roch weights of hundreds of bits, high q-orders long
+    # columns, so a packing too narrow for either garbles a nonzero value
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    theta_route = wc_genus(g).coeffs
+    assert theta_route == wc_genus(g, route="bundle").coeffs
+    assert max(map(abs, theta_route.num)).bit_length() > 30
 
 
 @pytest.mark.parametrize("n, D, C", [
@@ -302,19 +320,22 @@ def test_theta_route_calls_no_nilring_kernel(monkeypatch, n, D, C):
      [("direction_coefficient", 3, 52)], 3),
     ((22,), ((6,), (6,), (6,), (5,)), None, 8, 1,
      [("direction_coefficient", 3, 18)], 3),
-    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 0), 4, 3,
-     [((), (((-1, 2), -8),), 2), (((-1, 1),), (((-1, 2), -6),), 2),
+    ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, 0), 4, 4,
+     [((), (((-1, 0), 10),), 2), ((), (((-1, 2), -8),), 2),
+      (((-1, 1),), (((-1, 2), -6),), 2),
       (((-1, 1),), (((-1, 2), 1),), 2)], 4),
-    ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 4,
-     [((), (((-1, 2), -30),), 2), ((), (((-1, 2), -24),), 2),
-      (((-1, 1),), (((-1, 2), 1),), 2),
+    ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 5,
+     [((), (((-1, 0), 50),), 2), ((), (((-1, 2), -30),), 2),
+      ((), (((-1, 2), -24),), 2), (((-1, 1),), (((-1, 2), 1),), 2),
       (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 5),
-    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 4,
-     [((), (((-1, 2), -25),), 2), (((-1, 1),), (((-1, 2), 1),), 2),
+    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 5,
+     [((), (((-1, 0), 46),), 2), ((), (((-1, 2), -25),), 2),
+      (((-1, 1),), (((-1, 2), 1),), 2),
       (((-1, 2), (-1, 2)), (((-1, 4), 2),), 2),
       (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 4),
-    ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 5,
-     [((), (((-1, 2), -39),), 2), ((), (((-1, 2), -18),), 2),
+    ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 6,
+     [((), (((-1, 0), 54),), 2), ((), (((-1, 2), -39),), 2),
+      ((), (((-1, 2), -18),), 2),
       (((-1, 1),), (((-1, 2), 1),), 2),
       (((-1, 1), (-1, 1)), (((-1, 2), 2),), 2),
       (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 6),
