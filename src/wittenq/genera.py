@@ -164,13 +164,14 @@ def _pack(col, bits):
     return v
 
 
-def _unpack(v, bits, n):
-    """The first n entries of the packed column v, each taken signed."""
-    out, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
-    for _ in range(n):
-        x = ((v + half) & mask) - half
-        out.append(x)
-        v = (v - x) >> bits
+def _unpack(cells, bits, n):
+    """{key: the first n entries of its packed column, each taken signed}
+    for the packed cells {key: column}."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    bias, shifts, out = _pack([half] * n, bits), range(0, bits * n, bits), {}
+    for key, v in cells.items():
+        v += bias  # each entry plus half is a digit in 0..mask
+        out[key] = [((v >> i) & mask) - half for i in shifts]
     return out
 
 
@@ -223,16 +224,8 @@ def _index_factor(prefactors, products, p_order):
     f = {0: 1}
     for terms in steps:
         f = _times(f, terms, bits, bits * (p_order + 1))
-    return tuple(sorted((v, tuple(_unpack(x, bits, p_order + 1)))
-                        for v, x in f.items()))
-
-
-def _riemann_roch(f, w, n):
-    """sum over (e, x) in f of x * prod_(i=1..n) (w + e - n - 1 + 2i):
-    the axis factor f on CP^n, its columns packed, read at the half-unit
-    exponent w, times 2^n n!."""
-    return sum([math.prod(range(w + e - n + 1, w + e + n, 2)) * x
-                for e, x in f])
+    return tuple(sorted((v, tuple(col))
+                        for v, col in _unpack(f, bits, p_order + 1).items()))
 
 
 def _l1(f):
@@ -253,11 +246,11 @@ def _index_sum(g: GCIData, rows):
     factors on one line merge into one `_index_factor`, cached by
     `_factor`.  By Hirzebruch-Riemann-Roch on CP^n,
     [x^n] A(x)^(n+1) e^(w x/2) = prod_(i=1..n) (w - n - 1 + 2i) / (2^n n!)
-    for every w, so each axis factor is read alone (`_riemann_roch`) and
-    only the off-axis factors are multiplied out, into a lattice
-    {v: c_v} of exponent vectors in half units, contracted one axis at a
-    time.  The p-only scalar prod_j (1 + s p^j)^(-2N) of each product
-    (one more `_index_factor`) and one denominator,
+    for every w, so each axis factor is read alone and only the off-axis
+    factors are multiplied out, into a lattice {v: c_v} of exponent
+    vectors in half units, contracted one axis at a time.  The p-only
+    scalar prod_j (1 + s p^j)^(-2N) of each product (one more
+    `_index_factor`) and one denominator,
     2^(number of twist and Psi_1 rows) prod_b 2^n_b n_b!, come last.  No
     Bernoulli number, exponential or `nilring` kernel enters, and the
     cost does not depend on the cap grid.
@@ -266,9 +259,17 @@ def _index_sum(g: GCIData, rows):
     is one int product.  The widths come from L1 norms, which bound
     every coefficient of a product: the lattice's from its lines', the
     contraction's from the lattice's times ||f_b||_1 (n_b + |w + e|)^n_b
-    for each axis factor f_b, over its exponents e and the w it is read
-    at.  The lattice's cells are unpacked once, so each of their entries
-    multiplies a packed axis column.
+    for each axis factor f_b, over its exponents e and |w| <= reach_b.
+    Each v is one int, the balanced mixed-radix code sum_b v_b S_b with
+    S_(b+1) = S_b (2 reach_b + 1), reach_b = sum over lines of
+    max |k u_b|, so a line's term t^k moves a cell by k code(u), and the
+    contraction reads the top digit w = (v + (S_b - 1)/2) // S_b.  A
+    line's terms are sorted by their lowest p-degree, and a cell of
+    lowest degree i stops at the first term above P - i, whose products
+    would all be cut.  The lattice's cells are unpacked once, so each of
+    their entries multiplies a packed axis column, sum over e of
+    x_e prod_(i=1..n) (w + e - n - 1 + 2i): each product is computed once
+    per axis and w + e, and the zero ones are left out.
     """
     caps, P = g.n, g.q_order // 2
     axes = [(0,) * b + (1,) + (0,) * (g.s - b - 1) for b in range(g.s)]
@@ -295,33 +296,47 @@ def _index_sum(g: GCIData, rows):
                for u, (prefactors, exponents) in pieces.items()}
     lines = [(u, f) for u, f in factors.items() if u not in axes]
     bits = _bits([_l1(f) for _, f in lines])
-    lattice = {(0,) * g.s: 1}
+    reach = [sum([max([abs(k * u[b]) for k, _ in f]) for u, f in lines])
+             for b in range(g.s)]
+    strides = [1]
+    for r in reach:
+        strides.append(strides[-1] * (2 * r + 1))
+    lattice = {0: 1}
     for u, f in lines:
-        packed = [(k, _pack(col, bits)) for k, col in f]
+        step = sum(map(operator.mul, u, strides))
+        terms = [(k * step, _pack(col, bits)) for k, col in f]
+        terms = sorted([(((x & -x).bit_length() - 1) // bits, a, x)
+                        for a, x in terms])  # by lowest p-degree
         cells = {}
         for v, c in lattice.items():
-            for k, x in packed:
-                w = tuple([a + k * b for a, b in zip(v, u)])
-                cells[w] = cells.get(w, 0) + c * x
+            room = P - ((c & -c).bit_length() - 1) // bits
+            for d, a, x in terms:
+                if d > room:
+                    break
+                cells[v + a] = cells.get(v + a, 0) + c * x
         lattice = {v: y for v, c in cells.items()
                    if (y := _low(c, bits * (P + 1)))}
-    lattice = {v: _unpack(c, bits, P + 1) for v, c in lattice.items()}
-    reach = [max([abs(v[b]) for v in lattice], default=0) for b in range(g.s)]
+    lattice = _unpack(lattice, bits, P + 1)
     bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
         _l1(f) * (n + r + max(abs(e) for e, _ in f)) ** n
         for n, r, f in zip(caps, reach, map(factors.get, axes))])
-    for b in reversed(range(g.s)):  # the last axis, keyed by the others
+    for b in reversed(range(g.s)):  # the top digit, keyed by the others
+        n, stride = caps[b], strides[b]
         f = [(e, _pack(col, bits)) for e, col in factors[axes[b]]]
-        column, sums = {}, {}
+        tops = {v: (v + (stride - 1) // 2) // stride for v in lattice}
+        ws, sums = set(tops.values()), {}
+        products = {z: y for z in {w + e for w in ws for e, _ in f}
+                    if (y := math.prod(range(z - n + 1, z + n, 2)))}
+        column = {w: sum([x * products[w + e] for e, x in f
+                          if w + e in products]) for w in ws}
         for v, c in lattice.items():
-            if v[b] not in column:
-                column[v[b]] = _riemann_roch(f, v[b], caps[b])
-            x, row = column[v[b]], sums.setdefault(v[:b], [0] * (P + 1))
+            w = tops[v]
+            x, row = column[w], sums.setdefault(v - w * stride, [0] * (P + 1))
             for i, y in enumerate(c):  # row[i]: y p^i times the column
                 if y:
                     row[i] += y * x
-        lattice = {v: _unpack(sum([y << i * bits for i, y in enumerate(row)]),
-                              bits, P + 1) for v, row in sums.items()}
+        lattice = _unpack({v: _pack(row, bits) for v, row in sums.items()},
+                          bits, P + 1)
     scalar = {}
     for _, exponents in pieces.values():
         for (s, _), N in exponents.items():
@@ -330,7 +345,7 @@ def _index_sum(g: GCIData, rows):
         [((s, 0), N) for s, N in scalar.items() if N])), P)
     num = [0] * (g.q_order + 1)
     num[::2] = [sign * x for x in conv_add([0] * (P + 1),
-                                           lattice.get((), ()), col)]
+                                           lattice.get(0, ()), col)]
     den = 2 ** (halves + sum(caps)) * math.prod(map(math.factorial, caps))
     return QSeries._make(num, den, g.q_order)
 

@@ -451,10 +451,10 @@ def test_packed_columns_round_trip(bits):
             col, high = ([rng.choice([-top, top, 0, rng.randint(-top, top)])
                           for _ in range(n)] for _ in range(2))
             v = genera._pack(col, bits)
-            assert genera._unpack(v, bits, n) == col
+            assert genera._unpack({0: v}, bits, n) == {0: col}
             longer = v + (genera._pack(high, bits) << bits * n)
             assert genera._low(longer, bits * n) == v
-            assert genera._unpack(longer, bits, n) == col
+            assert genera._unpack({0: longer}, bits, n) == {0: col}
 
 
 def test_two_factor_genus_leaves_cached_series_unchanged(monkeypatch):

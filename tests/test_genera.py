@@ -279,6 +279,40 @@ def test_index_sum_holds_large_weights_and_long_columns(n, D, C, q_order):
     assert max(map(abs, theta_route.num)).bit_length() > 30
 
 
+@pytest.mark.parametrize("n, D, C, q_order", [
+    ((4, 4), ((1, 2),), (3, -1), 20),
+    ((8, 17), ((1, 1), (1, 1), (2, 2)), (2, -2), 20),
+    ((4, 4, 2), ((-1, 2, 1),), (-1, -1, 2), 8),
+], ids=["Wc4,4-q20", "Wc8,17-q20", "three-factors-balanced"])
+def test_index_sum_cap_and_decode_exact(n, D, C, q_order):
+    # the first two are the default SearchQuery's (4,4) D=((1,2)) C=(2,-1)
+    # and (8,17) D=((1,1),(1,1),(2,2)) C=(1,-2) with C shifted by e_1, so
+    # they are nonzero and every line product meets the q-degree cap at
+    # P = 10; in the third the lines (1,-2,-1) and (1,1,-2) put cells at
+    # v_0 < 0 under v_2 != 0, which only the balanced decode of the cells'
+    # int codes reads back
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    theta_route = wc_genus(g).coeffs
+    assert not theta_route.is_zero()
+    assert theta_route == wc_genus(g, route="bundle").coeffs
+
+
+def test_index_sum_skips_products_above_the_q_order(monkeypatch):
+    # each line's terms are sorted by their lowest p-degree, so a cell
+    # stops at the first term that would land past p^P: on heavy_2f's
+    # (24,24) at q-order 4 the capped lattice makes 356 products and cuts
+    # 332 cells, against 564 products, 208 of them entirely above P, and
+    # 500 cells with the cap switched off, which keeps the value
+    g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [2, -2],
+                q_order=4)
+    want = wc_genus(g).coeffs  # fills the factor cache
+    cuts, low = [], genera._low
+    monkeypatch.setattr(genera, "_low",
+                        lambda v, width: cuts.append(width) or low(v, width))
+    assert wc_genus(g).coeffs == want == wc_genus(g, route="bundle").coeffs
+    assert len(cuts) == 332
+
+
 @pytest.mark.parametrize("n, D, C", [
     ((3, 2), ((1, 2),), (1, 0)),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, -1)), (1, -2)),

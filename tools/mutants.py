@@ -10,6 +10,9 @@ once) and runs `pytest -x` on the named tests in that copy.  The mutant
 is killed when pytest reports a failed test (exit code 1); any other
 exit code is an error.  Before the mutants run, their named tests must
 pass on an unmutated copy, so a misspelt test id cannot pass for a kill.
+The mutants run in parallel, as many at once as the process may use CPUs
+(and no more than there are mutants), and are reported in the order of
+the file.
 
 The exit code is 0 when every mutant is killed, 1 when one survives or
 cannot be applied (its snippet no longer matches the source), and 2 when
@@ -18,6 +21,7 @@ with the refactor; a survivor is a missing test.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -82,6 +86,12 @@ def run(mutant):
     return {0: "survived", 1: "killed"}.get(code, f"pytest exit code {code}")
 
 
+def _timed(mutant):
+    """(verdict, seconds) of one mutant's run."""
+    t0 = time.perf_counter()
+    return run(mutant), time.perf_counter() - t0
+
+
 def main():
     mutants = load()
     tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
@@ -92,12 +102,13 @@ def main():
         print(f"the named tests fail unmutated (pytest exit code {code})")
         return 2
     bad = 0
-    for mutant in mutants:
-        t0 = time.perf_counter()
-        verdict = run(mutant)
-        bad += verdict != "killed"
-        print(f"{verdict:>10}  {mutant['name']}  "
-              f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    workers = min(len(os.sched_getaffinity(0)), len(mutants))
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        verdicts = pool.map(_timed, mutants)  # in the order of the file
+        for mutant, (verdict, seconds) in zip(mutants, verdicts):
+            bad += verdict != "killed"
+            print(f"{verdict:>10}  {mutant['name']}  ({seconds:.1f} s)",
+                  flush=True)
     print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
     return 1 if bad else 0
 
