@@ -30,10 +30,11 @@ t = e^(y/2) on each line y = u.x, u primitive, every factor is a Laurent
 polynomial in t over int q-series (`_INDEX_ROWS`), the factors on one
 line merge into one, each axis is read by Hirzebruch-Riemann-Roch on
 CP^n_b and only the off-axis lines are multiplied out, each q-series
-packed into one int.  It uses no Bernoulli number and no residue
-kernel.  Each factor is built once: many
-instances share one (a degree-1 row on CP^n leaves CP^(n-1); W_c in real
-dimension 4k+2 is W's integrand with C as one more row), so `_factor`,
+packed into one int, dropping each cell that can only end where an
+axis's Riemann-Roch column is 0.  It uses no Bernoulli number and no
+residue kernel.  Each factor is built once: many instances share one
+(a degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is
+W's integrand with C as one more row), so `_factor`,
 one bounded cache keyed by builder and arguments, holds the one-factor
 coefficients (by merged terms and x-order), the index factors (by
 prefactors and product exponents), the bundle factors and the root
@@ -233,6 +234,16 @@ def _l1(f):
     return sum([sum(map(abs, col)) for _, col in f])
 
 
+def _vanishing(n, exponents):
+    """The w, as a range, at which sum_e x_e prod_(i=1..n)
+    (w + e - n - 1 + 2i) is 0 for any x: a product is 0 just at
+    |w + e| < n, w + e + n odd, so at -n - min e < w < n - max e at that
+    parity, and at no w if the exponents' parities mix."""
+    if len({e % 2 for e in exponents}) > 1:
+        return range(0)
+    return range(1 - n - min(exponents), n - max(exponents), 2)
+
+
 def _index_sum(g: GCIData, rows):
     """The residue of `_theta_residue` over two or more factors, as the
     Riemann-Roch sum sum_k c_k(q) prod_b C(n_b + k_b, n_b).
@@ -266,8 +277,14 @@ def _index_sum(g: GCIData, rows):
     contraction reads the top digit w = (v + (S_b - 1)/2) // S_b.  A
     line's terms are sorted by their lowest p-degree, and a cell of
     lowest degree i stops at the first term above P - i, whose products
-    would all be cut.  The lattice's cells are unpacked once, so each of
-    their entries multiplies a packed axis column, sum over e of
+    would all be cut.  The sum is sum_v c_v prod_b R_b(v_b), R_b the axis
+    column, 0 on the window of `_vanishing`.  Every factor's exponents
+    share one parity (t^m + sigma t^-m has +-m, the products even ones),
+    so a cell of digit w_b after a line ends in w_b - rem_b, ..., w_b +
+    rem_b in steps of 2, rem_b the later lines' reach; it is dropped,
+    exactly, when both ends lie in the window on some axis.  The
+    lattice's cells are unpacked once, so each of their entries
+    multiplies a packed axis column, sum over e of
     x_e prod_(i=1..n) (w + e - n - 1 + 2i): each product is computed once
     per axis and w + e, and the zero ones are left out.
     """
@@ -296,13 +313,15 @@ def _index_sum(g: GCIData, rows):
                for u, (prefactors, exponents) in pieces.items()}
     lines = [(u, f) for u, f in factors.items() if u not in axes]
     bits = _bits([_l1(f) for _, f in lines])
-    reach = [sum([max([abs(k * u[b]) for k, _ in f]) for u, f in lines])
-             for b in range(g.s)]
+    spans = [[max([abs(k * x) for k, _ in f]) for x in u] for u, f in lines]
+    reach = rem = [sum(col) for col in zip([0] * g.s, *spans)]
     strides = [1]
     for r in reach:
         strides.append(strides[-1] * (2 * r + 1))
-    lattice = {0: 1}
-    for u, f in lines:
+    dead = [_vanishing(n, [e for e, _ in factors[u]])
+            for n, u in zip(caps, axes)]
+    lattice, half = {0: 1}, strides[-1] // 2
+    for (u, f), span in zip(lines, spans):
         step = sum(map(operator.mul, u, strides))
         terms = [(k * step, _pack(col, bits)) for k, col in f]
         terms = sorted([(((x & -x).bit_length() - 1) // bits, a, x)
@@ -314,8 +333,13 @@ def _index_sum(g: GCIData, rows):
                 if d > room:
                     break
                 cells[v + a] = cells.get(v + a, 0) + c * x
+        rem = list(map(operator.sub, rem, span))  # the later lines' reach
+        drop = [(S, 2 * r + 1, w) for S, r, k, d
+                in zip(strides, reach, rem, dead)
+                if (w := range(d.start + r + k, d.stop + r - k, 2))]
         lattice = {v: y for v, c in cells.items()
-                   if (y := _low(c, bits * (P + 1)))}
+                   if not any([(v + half) // S % R in w for S, R, w in drop])
+                   and (y := _low(c, bits * (P + 1)))}
     lattice = _unpack(lattice, bits, P + 1)
     bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
         _l1(f) * (n + r + max(abs(e) for e, _ in f)) ** n

@@ -1,7 +1,9 @@
 """Tests for the genus computations: values, vanishing, structure."""
 
+import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -297,20 +299,92 @@ def test_index_sum_cap_and_decode_exact(n, D, C, q_order):
     assert theta_route == wc_genus(g, route="bundle").coeffs
 
 
-def test_index_sum_skips_products_above_the_q_order(monkeypatch):
-    # each line's terms are sorted by their lowest p-degree, so a cell
-    # stops at the first term that would land past p^P: on heavy_2f's
-    # (24,24) at q-order 4 the capped lattice makes 356 products and cuts
-    # 332 cells, against 564 products, 208 of them entirely above P, and
-    # 500 cells with the cap switched off, which keeps the value
-    g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [2, -2],
-                q_order=4)
+def _cuts(monkeypatch, g):
+    """The number of lattice cells `_low` cuts in a warm theta-route
+    genus of g, which must equal the bundle route's."""
     want = wc_genus(g).coeffs  # fills the factor cache
     cuts, low = [], genera._low
     monkeypatch.setattr(genera, "_low",
                         lambda v, width: cuts.append(width) or low(v, width))
     assert wc_genus(g).coeffs == want == wc_genus(g, route="bundle").coeffs
-    assert len(cuts) == 332
+    monkeypatch.setattr(genera, "_low", low)
+    return len(cuts)
+
+
+def _no_window(monkeypatch):
+    monkeypatch.setattr(genera, "_vanishing", lambda n, exponents: range(0))
+
+
+def test_index_sum_skips_products_above_the_q_order(monkeypatch):
+    # each line's terms are sorted by their lowest p-degree, so a cell
+    # stops at the first term that would land past p^P: on W_c (24,24)
+    # with heavy_2f's D and C = (3,-2) at q-order 8, which is nonzero and
+    # keeps cells through the vanishing window, the capped lattice cuts
+    # 316 cells against 448 with the cap switched off, which keeps the
+    # value
+    g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [3, -2],
+                q_order=8)
+    assert _cuts(monkeypatch, g) == 316
+
+
+def test_index_sum_drops_cells_in_the_vanishing_window(monkeypatch):
+    # a cell whose every reachable digit on some axis lies where that
+    # axis's Riemann-Roch column is 0 is dropped after its line: on
+    # heavy_2f's (24,24) at q-order 4 the lattice cuts 50 cells, against
+    # 332 with the window switched off, which keeps the value
+    g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [2, -2],
+                q_order=4)
+    assert _cuts(monkeypatch, g) == 50
+    _no_window(monkeypatch)
+    assert _cuts(monkeypatch, g) == 332
+
+
+@pytest.mark.parametrize("n, exponents", [
+    (0, (-2, 0, 2)), (1, (0,)), (4, (-3, -1, 1, 3)), (5, (-4, 0, 2, 6)),
+    (6, (-1, 0, 1)), (3, (-2, 4)), (2, (5, 7))])
+def test_vanishing_window_is_where_every_column_is_zero(n, exponents):
+    # R(w) = sum_e x_e prod_(i=1..n) (w + e - n - 1 + 2i) is 0 for every x
+    # exactly on the window: one parity of an open interval, or nowhere
+    window = genera._vanishing(n, exponents)
+    for w in range(-n - 16, n + 16):
+        zero = all(math.prod(range(w + e - n + 1, w + e + n, 2)) == 0
+                   for e in exponents)
+        assert (w in window) == zero, w
+
+
+@pytest.mark.parametrize("n, D, C, q_order", [
+    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (3, -2), 8),
+    ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -1), 8),
+    ((13, 20), ((1, 2), (2, 1)), (3, -1), 8),
+], ids=["Wc24,24-q8", "Wc17,38-q8", "Wc13,20-q8"])
+def test_index_sum_window_is_exact_on_large_caps(monkeypatch, n, D, C,
+                                                 q_order):
+    # nonzero genera on caps of 13 to 38: both routes agree, and the
+    # window dropped cells, so the agreement covers it
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    assert not wc_genus(g).coeffs.is_zero()
+    cuts = _cuts(monkeypatch, g)
+    _no_window(monkeypatch)
+    assert cuts < _cuts(monkeypatch, g)
+
+
+def test_two_factor_catalog_vanishes_at_its_sturm_orders():
+    # every two-factor string^c W_c of SearchQuery(c_max=2, d_max=12), one
+    # of each pair C, -C: the genus is a level-1 modular form of weight w in
+    # q^2, which Sturm's bound makes zero once it is zero to q-order
+    # 2 floor(w/12).  The catalog reaches CP^155 at q-order 26, where the
+    # index sum's vanishing window drops most of the lattice
+    cases = [g for label, g, _ in
+             cli.vanishing_cases(SearchQuery(c_max=2, d_max=12))
+             if label == "Wc" and g.s == 2]
+    assert len(cases) == 133 and max(max(g.n) for g in cases) == 155
+    orders = []
+    for g in cases:
+        w = wc_genus(dataclasses.replace(g, q_order=0)).weight
+        orders.append(2 * (w // 12))
+        series = wc_genus(dataclasses.replace(g, q_order=orders[-1])).coeffs
+        assert series.is_zero(), (g.n, g.D, g.C)
+    assert max(orders) == 26
 
 
 @pytest.mark.parametrize("n, D, C", [
@@ -433,9 +507,15 @@ def test_route_equivalence():
         (GCIData([3], [[2]], q_order=8), witten_genus),
         (GCIData([3, 2], [[1, 2]], C=[1, 0], q_order=8), wc_genus),
         (GCIData([4], [[2]], C=[2], q_order=8), wc_genus),
+        (GCIData([5], [[2]], C=[1], q_order=8), wc_genus),
     ]
     for g, fn in cases:
         assert fn(g, route="theta").coeffs == fn(g, route="bundle").coeffs
+    # the last is the one kind of genus that reads the twist's row of
+    # `_THETA_ROWS`, a one-factor W_c in real dimension 4k, and no golden
+    # control is one
+    last = wc_genus(cases[-1][0])
+    assert last.kind == "Wc4k" and not last.coeffs.is_zero()
     # W of CP^38: the bundle route takes (x/Phi)^39 by Miller's
     # recurrence; nonzero, at the recorded q^0
     g = GCIData([38], [], q_order=12)
