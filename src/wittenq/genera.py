@@ -334,11 +334,14 @@ def _index_sum(g: GCIData, rows):
                     break
                 cells[v + a] = cells.get(v + a, 0) + c * x
         rem = list(map(operator.sub, rem, span))  # the later lines' reach
+        # per axis, the digits v_b + reach_b, read as (v + half) // S_b % R_b,
+        # whose every end lies in its window
         drop = [(S, 2 * r + 1, w) for S, r, k, d
                 in zip(strides, reach, rem, dead)
                 if (w := range(d.start + r + k, d.stop + r - k, 2))]
         lattice = {v: y for v, c in cells.items()
-                   if not any([(v + half) // S % R in w for S, R, w in drop])
+                   if not (drop and any(
+                       [(v + half) // S % R in w for S, R, w in drop]))
                    and (y := _low(c, bits * (P + 1)))}
     lattice = _unpack(lattice, bits, P + 1)
     bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
