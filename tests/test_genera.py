@@ -301,7 +301,7 @@ def test_index_sum_cap_and_decode_exact(n, D, C, q_order):
 
 def _cuts(monkeypatch, g):
     """The number of lattice cells `_low` cuts in a warm theta-route
-    genus of g, which must equal the bundle route's."""
+    genus of g, checked against the bundle route."""
     want = wc_genus(g).coeffs  # fills the factor cache
     cuts, low = [], genera._low
     monkeypatch.setattr(genera, "_low",
@@ -372,8 +372,7 @@ def test_two_factor_catalog_vanishes_at_its_sturm_orders():
     # every two-factor string^c W_c of SearchQuery(c_max=2, d_max=12), one
     # of each pair C, -C: the genus is a level-1 modular form of weight w in
     # q^2, which Sturm's bound makes zero once it is zero to q-order
-    # 2 floor(w/12).  The catalog reaches CP^155 at q-order 26, where the
-    # index sum's vanishing window drops most of the lattice
+    # 2 floor(w/12).  The catalog reaches CP^155 at q-order 26
     cases = [g for label, g, _ in
              cli.vanishing_cases(SearchQuery(c_max=2, d_max=12))
              if label == "Wc" and g.s == 2]
