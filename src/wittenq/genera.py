@@ -31,8 +31,10 @@ polynomial in t over int q-series (`_INDEX_ROWS`), the factors on one
 line merge into one, each axis is read by Hirzebruch-Riemann-Roch on
 CP^n_b and only the off-axis lines are multiplied out, each q-series
 packed into one int, dropping each cell that can only end where an
-axis's Riemann-Roch column is 0.  It uses no Bernoulli number and no
-residue kernel.  Each factor is built once: many instances share one
+axis's Riemann-Roch column is 0 (the lines ordered so that this can
+start before the last line, where an order can), and reading nothing
+more once no cell is left.  It uses no Bernoulli number and no residue
+kernel.  Each factor is built once: many instances share one
 (a degree-1 row on CP^n leaves CP^(n-1); W_c in real dimension 4k+2 is
 W's integrand with C as one more row), so `_factor`,
 one bounded cache keyed by builder and arguments, holds the one-factor
@@ -244,6 +246,20 @@ def _vanishing(n, exponents):
     return range(1 - n - min(exponents), n - max(exponents), 2)
 
 
+def _line_order(spans, dead):
+    """The order in which `_index_sum` multiplies its lines, from their
+    spans (each line's reach on each axis) and the axes' windows.  A
+    window drops cells after a line once the later lines' reach on its
+    axis is below its number of digits, so it can open before the last
+    line if the least span on its axis is.  If some window can, the
+    lines go by descending largest span, ties as listed; else as
+    listed."""
+    if any(min(col) < len(d) for col, d in zip(zip(*spans), dead)):
+        return sorted(range(len(spans)), key=lambda i: max(spans[i]),
+                      reverse=True)
+    return range(len(spans))
+
+
 def _index_sum(g: GCIData, rows):
     """The residue of `_theta_residue` over two or more factors, as the
     Riemann-Roch sum sum_k c_k(q) prod_b C(n_b + k_b, n_b).
@@ -282,8 +298,12 @@ def _index_sum(g: GCIData, rows):
     share one parity (t^m + sigma t^-m has +-m, the products even ones),
     so a cell of digit w_b after a line ends in w_b - rem_b, ..., w_b +
     rem_b in steps of 2, rem_b the later lines' reach; it is dropped,
-    exactly, when both ends lie in the window on some axis.  The
-    lattice's cells are unpacked once, so each of their entries
+    exactly, when both ends lie in the window on some axis.  Every cell
+    is a sum that does not depend on the order of the lines, so they are
+    taken in the order of `_line_order`, by descending span when that
+    lets a window open before the last line, and a lattice left with no
+    cell is 0 at once: no axis column, width or p-only scalar is read.
+    The lattice's cells are unpacked once, so each of their entries
     multiplies a packed axis column, sum over e of
     x_e prod_(i=1..n) (w + e - n - 1 + 2i): each product is computed once
     per axis and w + e, and the zero ones are left out.
@@ -321,7 +341,8 @@ def _index_sum(g: GCIData, rows):
     dead = [_vanishing(n, [e for e, _ in factors[u]])
             for n, u in zip(caps, axes)]
     lattice, half = {0: 1}, strides[-1] // 2
-    for (u, f), span in zip(lines, spans):
+    for i in _line_order(spans, dead):
+        (u, f), span = lines[i], spans[i]
         step = sum(map(operator.mul, u, strides))
         terms = [(k * step, _pack(col, bits)) for k, col in f]
         terms = sorted([(((x & -x).bit_length() - 1) // bits, a, x)
@@ -343,6 +364,8 @@ def _index_sum(g: GCIData, rows):
                    if not (drop and any(
                        [(v + half) // S % R in w for S, R, w in drop]))
                    and (y := _low(c, bits * (P + 1)))}
+    if not lattice:  # every cell dropped: no column or scalar is read
+        return QSeries.zero(g.q_order)
     lattice = _unpack(lattice, bits, P + 1)
     bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
         _l1(f) * (n + r + max(abs(e) for e, _ in f)) ** n

@@ -3,12 +3,11 @@
 Genera live in the nome q = e^{pi i tau}; SL(2,Z) forms have period-1
 Fourier series in q-tilde = e^{2 pi i tau} = q^2.  The fitter therefore
 demands even q-support, reindexes, and solves exactly on the monomial
-basis E4^a E6^b of weight 4a + 6b.
+basis E4^a E6^b of weight 4a + 6b, fraction-free on the int numerators.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -116,19 +115,22 @@ class ModFormFit:
 
 
 def _solve_exact(rows, rhs):
-    """Gaussian elimination over exact rationals, the system nonsingular."""
+    """(x, det) with rows . x = det * rhs, for an int system, nonsingular:
+    fraction-free Gauss-Jordan elimination (Bareiss), each division exact,
+    which ends with det, the determinant up to sign, on the diagonal."""
     m = len(rows)
     a = [list(r) + [v] for r, v in zip(rows, rhs)]
+    det = 1
     for col in range(m):
         piv = next(r for r in range(col, m) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
+        p = a[col][col]
         for r in range(m):
-            if r != col and a[r][col]:
+            if r != col:
                 f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+                a[r] = [(p * v - f * w) // det for v, w in zip(a[r], a[col])]
+        det = p
+    return [a[r][m] for r in range(m)], det
 
 
 def fit(series: QSeries, weight):
@@ -137,12 +139,14 @@ def fit(series: QSeries, weight):
     Solves on the first dim M_weight coefficients over the `monomial`
     basis (a nonsingular system: by the valence formula no nonzero form
     of the weight vanishes at infinity to order dim M_weight), then
-    verifies every coefficient to truncation on ints: with the solution
-    p_i / r over one denominator r and L the lcm of the series'
-    and the basis forms' denominators, the q-tilde^j coefficient checks
-    sum_i p_i (L / den_i) N_i[j] == r (L / den_T) T[j].  Any mismatch is a
-    failure with the first offending q-tilde exponent reported.  At
-    weight 2 the basis is empty, so only the zero series fits.
+    verifies every coefficient to truncation, all on ints: with the
+    basis forms N_i / den_i and the series T / den_T, the int system
+    sum_i N_i[j] z_i = T[j] has the solution z_i = p_i / det, so the
+    coefficient of E4^a E6^b is p_i den_i / (det den_T), and the
+    q-tilde^j coefficient checks sum_i p_i N_i[j] == det T[j].  Any
+    mismatch is a failure with the first offending q-tilde exponent
+    reported.  At weight 2 the basis is empty, so only the zero series
+    fits.
     """
     odd = next((k for k in range(1, series.order + 1, 2) if series.num[k]),
                None)
@@ -155,17 +159,15 @@ def fit(series: QSeries, weight):
     m = len(basis)
     if n_tilde + 1 < m:
         raise ValueError("series too short to determine a fit at this weight")
-    rows = [[mat.coefficient(j) for mat in mats] for j in range(m)]
-    sol = _solve_exact(rows, [target.coefficient(j) for j in range(m)])
-    r = math.lcm(*(s.denominator for s in sol))
-    L = math.lcm(target.den, *(mat.den for mat in mats))
-    terms = [(s.numerator * (r // s.denominator) * (L // mat.den), mat.num)
-             for s, mat in zip(sol, mats)]
-    scale = r * (L // target.den)
+    cols = [mat.num for mat in mats]
+    ps, det = _solve_exact([[col[j] for col in cols] for j in range(m)],
+                           target.num[:m])
     for j, t in enumerate(target.num):
-        if sum(p * col[j] for p, col in terms) != scale * t:
+        if sum(p * col[j] for p, col in zip(ps, cols)) != det * t:
             return ModFormFit(weight, basis, None, False, j)
-    return ModFormFit(weight, basis, sol, True)
+    return ModFormFit(weight, basis, [
+        Fraction(p * mat.den, det * target.den) for p, mat in zip(ps, mats)],
+        True)
 
 
 # -- theta null values ------------------------------------------------

@@ -320,23 +320,102 @@ def test_index_sum_skips_products_above_the_q_order(monkeypatch):
     # stops at the first term that would land past p^P: on W_c (24,24)
     # with heavy_2f's D and C = (3,-2) at q-order 8, which is nonzero and
     # keeps cells through the vanishing window, the capped lattice cuts
-    # 316 cells against 448 with the cap switched off, which keeps the
+    # 310 cells against 452 with the cap switched off, which keeps the
     # value
     g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [3, -2],
                 q_order=8)
-    assert _cuts(monkeypatch, g) == 316
+    assert _cuts(monkeypatch, g) == 310
 
 
 def test_index_sum_drops_cells_in_the_vanishing_window(monkeypatch):
     # a cell whose every reachable digit on some axis lies where that
     # axis's Riemann-Roch column is 0 is dropped after its line: on
-    # heavy_2f's (24,24) at q-order 4 the lattice cuts 50 cells, against
-    # 332 with the window switched off, which keeps the value
+    # heavy_2f's (24,24) at q-order 4 the lattice cuts 8 cells, against
+    # 332 with the window switched off, which keeps the value (and the
+    # lines in their listed order, as no window is left to open)
     g = GCIData([24, 24], [[1, 2], [2, 1], [2, 2], [2, 2]], [2, -2],
                 q_order=4)
-    assert _cuts(monkeypatch, g) == 50
+    assert _cuts(monkeypatch, g) == 8
     _no_window(monkeypatch)
     assert _cuts(monkeypatch, g) == 332
+
+
+def _products(monkeypatch, g, order, want):
+    """The number of products the index sum's lattice makes in a warm
+    theta-route genus of g with its lines in `order` (a stand-in for
+    `_line_order`), its value checked against want: each line's packed
+    terms are ints that count the products they are the right factor of,
+    which only the lattice's c * x makes."""
+    count = [0]
+
+    class Counted(int):
+        def __rmul__(self, other):
+            count[0] += 1
+            return int(other) * int(self)
+
+    pack, line_order = genera._pack, genera._line_order
+    monkeypatch.setattr(genera, "_line_order", order)
+    wc_genus(g)  # fills the factor cache
+    monkeypatch.setattr(genera, "_pack",
+                        lambda col, bits: Counted(pack(col, bits)))
+    assert wc_genus(g).coeffs == want
+    monkeypatch.setattr(genera, "_pack", pack)
+    monkeypatch.setattr(genera, "_line_order", line_order)
+    return count[0]
+
+
+@pytest.mark.parametrize("n, D, C, q_order, reordered, listed, descending", [
+    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, True, 188, 40),
+    ((23, 27), ((1, 2), (1, 2), (1, 2), (3, 2)), (2, -2), 12, True, 504, 472),
+    ((21, 29), ((1, 2), (1, 2), (2, 1), (2, 3)), (2, -2), 20, False, 3385,
+     4602),
+], ids=["Wc24,24-q4", "Wc23,27-q12-one-digit", "Wc21,29-q20-no-digit"])
+def test_line_order_opens_a_window_before_the_last_line(
+        monkeypatch, n, D, C, q_order, reordered, listed, descending):
+    # the lines go by descending largest span when on some axis the least
+    # span is below the window's number of digits, so the window can open
+    # before the last line: heavy_2f's (24,24) at q-order 4 then makes 40
+    # lattice products, not 188.  On (23,27) that leaves the window one
+    # digit; on (21,29) it leaves none, so its lines keep their listed
+    # order, where descending spans would make 4602 products
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    want = wc_genus(g, route="bundle").coeffs
+    orders, line_order = [], genera._line_order
+
+    def spy(spans, dead):
+        orders.append(list(line_order(spans, dead)))
+        return orders[-1]
+
+    by_rule = _products(monkeypatch, g, spy, want)
+    ((*order,), *_) = orders
+    assert (order != sorted(order)) == reordered
+    assert by_rule == (descending if reordered else listed)
+    assert _products(monkeypatch, g, lambda spans, dead: range(
+        len(spans)), want) == listed
+    assert _products(monkeypatch, g, lambda spans, dead: sorted(
+        range(len(spans)), key=lambda i: -max(spans[i])), want) == descending
+
+
+@pytest.mark.parametrize("n, D, C, q_order, lines", [
+    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (3, -2), 8, 4),
+    ((13, 133), ((1, 1), (1, 11)), (2, -2), 24, 3),
+    ((8, 17), ((1, 1), (1, 1), (2, 2)), (1, -2), 20, 2),
+], ids=["Wc24,24-q8", "Wc13,133-q24", "Wc8,17-q20"])
+def test_index_sum_is_the_same_in_every_line_order(monkeypatch, n, D, C,
+                                                   q_order, lines):
+    # every cell is a sum that does not depend on the order of the lines,
+    # and the window drops a cell exactly in any order, so every order
+    # gives the bundle route's value; the first case is nonzero
+    g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
+    want = wc_genus(g, route="bundle").coeffs
+    assert wc_genus(g).coeffs.is_zero() == (n != (24, 24))
+    sizes = []
+    for order in itertools.permutations(range(lines)):
+        monkeypatch.setattr(genera, "_line_order",
+                            lambda spans, dead, order=order: (
+                                sizes.append(len(spans)) or order))
+        assert wc_genus(g).coeffs == want, order
+    assert sizes == [lines] * math.factorial(lines)
 
 
 @pytest.mark.parametrize("n, exponents", [
@@ -431,17 +510,17 @@ def test_theta_route_calls_no_nilring_kernel(monkeypatch, n, D, C):
      [((), (((-1, 0), 10),), 2), ((), (((-1, 2), -8),), 2),
       (((-1, 1),), (((-1, 2), -6),), 2),
       (((-1, 1),), (((-1, 2), 1),), 2)], 4),
-    ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 5,
-     [((), (((-1, 0), 50),), 2), ((), (((-1, 2), -30),), 2),
+    ((23, 29), ((1, 1), (1, 2), (1, 3), (3, 2)), (2, -2), 4, 4,
+     [((), (((-1, 2), -30),), 2),
       ((), (((-1, 2), -24),), 2), (((-1, 1),), (((-1, 2), 1),), 2),
       (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 5),
-    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 5,
-     [((), (((-1, 0), 46),), 2), ((), (((-1, 2), -25),), 2),
+    ((24, 24), ((1, 2), (2, 1), (2, 2), (2, 2)), (2, -2), 4, 4,
+     [((), (((-1, 2), -25),), 2),
       (((-1, 1),), (((-1, 2), 1),), 2),
       (((-1, 2), (-1, 2)), (((-1, 4), 2),), 2),
       (((1, 2),), (((-1, 4), -1), ((-1, 8), 1)), 2)], 4),
-    ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 6,
-     [((), (((-1, 0), 54),), 2), ((), (((-1, 2), -39),), 2),
+    ((17, 38), ((1, 3), (1, 3), (2, 3)), (2, -2), 4, 5,
+     [((), (((-1, 2), -39),), 2),
       ((), (((-1, 2), -18),), 2),
       (((-1, 1),), (((-1, 2), 1),), 2),
       (((-1, 1), (-1, 1)), (((-1, 2), 2),), 2),
@@ -455,8 +534,9 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
     # (prefactors, products, p-order) of each index factor.  A lost merge,
     # an axis factor sent through the lattice, a factor keyed by the
     # order of its rows or a one-factor genus that builds its whole
-    # exponential keeps every value and moves these; the last two are
-    # the perfbench heavy_2f cases
+    # exponential keeps every value and moves these.  The last three
+    # vanish by the Riemann-Roch window alone, so they read no p-only
+    # scalar; the last two are the perfbench heavy_2f cases
     built = []
     for name in ("direction_series", "direction_coefficient"):
         def recording(terms, x_order, q_order, name=name,
