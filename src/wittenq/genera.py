@@ -302,7 +302,8 @@ def _index_sum(g: GCIData, rows):
     is a sum that does not depend on the order of the lines, so they are
     taken in the order of `_line_order`, by descending span when that
     lets a window open before the last line, and a lattice left with no
-    cell is 0 at once: no axis column, width or p-only scalar is read.
+    cell is 0 at once: no later line, axis column, width or p-only
+    scalar is read.
     The lattice's cells are unpacked once, so each of their entries
     multiplies a packed axis column, sum over e of
     x_e prod_(i=1..n) (w + e - n - 1 + 2i): each product is computed once
@@ -364,8 +365,8 @@ def _index_sum(g: GCIData, rows):
                    if not (drop and any(
                        [(v + half) // S % R in w for S, R, w in drop]))
                    and (y := _low(c, bits * (P + 1)))}
-    if not lattice:  # every cell dropped: no column or scalar is read
-        return QSeries.zero(g.q_order)
+        if not lattice:  # every cell dropped: nothing more is read
+            return QSeries.zero(g.q_order)
     lattice = _unpack(lattice, bits, P + 1)
     bits = _bits([sum([sum(map(abs, c)) for c in lattice.values()])] + [
         _l1(f) * (n + r + max(abs(e) for e, _ in f)) ** n

@@ -19,8 +19,9 @@ inverts a series: the genera are top coefficients of products, and
 `coeffs` and `coefficient` are the rational view, always stdlib
 `Fraction`, the package's one rational type; arithmetic never goes
 through them (`modforms.fit` solves on the int numerators and makes a
-`Fraction` only of each solved coefficient).  A series in x (a theta or bundle factor) is an `XSeries`,
-the tuple of its QSeries coefficients by x-degree.
+`Fraction` only of each solved coefficient).  A series in x (a theta or
+bundle factor) is an `XSeries`, the tuple of its QSeries coefficients by
+x-degree.
 """
 from __future__ import annotations
 

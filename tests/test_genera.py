@@ -387,7 +387,7 @@ def test_line_order_opens_a_window_before_the_last_line(
         return orders[-1]
 
     by_rule = _products(monkeypatch, g, spy, want)
-    ((*order,), *_) = orders
+    order = orders[0]
     assert (order != sorted(order)) == reordered
     assert by_rule == (descending if reordered else listed)
     assert _products(monkeypatch, g, lambda spans, dead: range(
