@@ -303,9 +303,8 @@ def _index_sum(g: GCIData, rows):
     taken in the order of `_line_order`, by descending span when that
     lets a window open before the last line, and a lattice left with no
     cell is 0 at once: no later line, axis column, width or p-only
-    scalar is read.
-    The lattice's cells are unpacked once, so each of their entries
-    multiplies a packed axis column, sum over e of
+    scalar is read.  The lattice's cells are unpacked once, so each of
+    their entries multiplies a packed axis column, sum over e of
     x_e prod_(i=1..n) (w + e - n - 1 + 2i): each product is computed once
     per axis and w + e, and the zero ones are left out.
     """
