@@ -7,9 +7,8 @@ checkers, theta/bundle oracles, modular-form fitting and exhaustive
 instance search.  All arithmetic is exact rational.
 """
 
-from .errors import (CapsMismatchError, DimensionError,
-                     InsufficientDegreeError, NonIntegralError,
-                     OrderMismatchError)
+from .errors import (DimensionError, InsufficientDegreeError,
+                     NonIntegralError, OrderMismatchError)
 from .qseries import QSeries, Q2Series, rat
 from .nilring import NilPoly
 from .theta import (ThetaKind, jacobi_check, numeric_theta,
@@ -26,8 +25,8 @@ from .search import FoundInstance, SearchQuery, find_string, find_stringc
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapsMismatchError", "DimensionError", "InsufficientDegreeError",
-    "NonIntegralError", "OrderMismatchError",
+    "DimensionError", "InsufficientDegreeError", "NonIntegralError",
+    "OrderMismatchError",
     "QSeries", "Q2Series", "rat", "NilPoly",
     "ThetaKind", "jacobi_check", "numeric_theta",
     "numeric_transform_suite", "phi", "psi_product", "x_over_phi",

@@ -5,10 +5,6 @@ class OrderMismatchError(ValueError):
     """Binary operation on q-series of different truncation orders."""
 
 
-class CapsMismatchError(ValueError):
-    """Binary operation on quotient-ring elements with different nilpotency caps."""
-
-
 class NonIntegralError(ValueError):
     """A coefficient expected to be an integer is not."""
 

@@ -47,13 +47,12 @@ the exponential weights inside `theta`, the w-power table inside
 The "bundle" route builds one factor per row from the characters of
 `bundles` (`_BUNDLE_ROWS`: each kind's builder and multiple, Phi being
 2 lfactor_4k2), each root power (x/Phi)^(n_b+1) by Miller's recurrence
-(`_root_power`), and assembles them in `_residue` with the `nilring`
-kernels: pair products (`rank_pair_mul`), one-axis convolutions
-(`mul_univariate`), products by one factor at a linear form
-(`mul_linear`) and the top-coefficient contractions (`contract_axes`,
-`top_product`).  The two routes share only the row list, so over two
-or more factors their agreement checks the index sum and the kernels
-against each other.
+(`_root_power`), and assembles them in `_residue` with three `nilring`
+kernels: one pair product (`rank_pair_mul`), a product by each further
+factor at its linear form (`mul_linear`) and the contraction against the
+axis factors (`contract_axes`).  The two routes share only the row list,
+so over two or more factors their agreement checks the index sum and the
+kernels against each other.
 """
 from __future__ import annotations
 
@@ -66,8 +65,7 @@ from typing import Optional, Union
 from . import bundles, theta
 from .errors import DimensionError
 from .gci import GCIData, dims, even_rows, p1_matrix
-from .nilring import (_times_linear, contract_axes, mul_linear,
-                      mul_univariate, rank_pair_mul, top_product)
+from .nilring import _times_linear, contract_axes, mul_linear, rank_pair_mul
 from .qseries import QSeries, Q2Series, _check_int, conv_add
 from .theta import ThetaKind
 
@@ -425,28 +423,20 @@ def _residue(g: GCIData, axes, specs):
     """top_coeff of prod_b axes[b](x_b) * prod specs f_i(ell_i), every
     factor a sequence of QSeries by x-degree.
 
-    The constant 1 at the zero form pads 0, 1 or 3 linear-form factors
-    to 2 or 4, and the first two are one rank_pair_mul product P.  With
-    two the residue is contract_axes(P, axes) = sum_e P[e] * prod_b
-    A_b[cap_b - e_b] for the axis factors A_b (prod_b A_b[cap_b] when P
-    is 1).  With four or more, the axis factors enter P by
-    mul_univariate, each factor between the first two and the last two
-    by mul_linear, and top_product contracts the result against the last
-    two's pair product.  Every stage reads and returns int numerators
-    over one denominator, reduced once.
+    The constant 1 at the zero form pads 0 or 1 linear-form factors to 2.
+    The first two are one rank_pair_mul product, each further factor
+    enters by mul_linear, and contract_axes reads the result P against
+    the axis factors A_b: sum_e P[e] * prod_b A_b[cap_b - e_b] (prod_b
+    A_b[cap_b] when P is 1).  Every stage reads and returns int
+    numerators over one denominator, reduced once.
     """
     caps, qo = g.n, g.q_order
-    if len(specs) in (0, 1, 3):
-        one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
-        specs = specs + [(one, (0,) * g.s)] * (2 - len(specs) % 2)
+    one = (QSeries.one(qo),) + (QSeries.zero(qo),) * sum(caps)
+    specs = specs + [(one, (0,) * g.s)] * (2 - len(specs))
     acc = rank_pair_mul(*specs[0], *specs[1], caps, qo)
-    if len(specs) == 2:
-        return contract_axes(acc, axes)
-    for b, f in enumerate(axes):
-        acc = mul_univariate(acc, f, b)
-    for f, d in specs[2:-2]:
+    for f, d in specs[2:]:
         acc = mul_linear(acc, f, d)
-    return top_product(acc, rank_pair_mul(*specs[-2], *specs[-1], caps, qo))
+    return contract_axes(acc, axes)
 
 
 def _integrand_residue(g: GCIData, route, rows):

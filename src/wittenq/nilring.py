@@ -26,10 +26,9 @@ ell^g, so the degrees that no term reaches are skipped.  Per level one
 table of int q-products, its all-zero q-rows left out, turns the
 weights into numerators by int dot products, which is far cheaper than
 termwise ring multiplication; with f_b = 1 at ell_b = 0 it evaluates
-one series at a linear form.  mul_univariate multiplies a NilPoly by a
-series in one generator, mul_linear by a series at a linear form,
-top_product contracts two NilPolys to the top coefficient, and
-contract_axes contracts one against a series on each axis.
+one series at a linear form.  mul_linear multiplies a NilPoly by a
+series at a linear form, and contract_axes contracts one against a
+series on each axis to the top coefficient.
 """
 from __future__ import annotations
 
@@ -37,9 +36,8 @@ import itertools
 import math
 import operator
 
-from .errors import (CapsMismatchError, InsufficientDegreeError,
-                     OrderMismatchError)
-from .qseries import QSeries, _check_int, conv_add
+from .errors import InsufficientDegreeError, OrderMismatchError
+from .qseries import QSeries, conv_add
 
 
 class NilPoly:
@@ -69,12 +67,6 @@ class NilPoly:
         obj = object.__new__(cls)
         obj.caps, obj.q_order, obj.cells, obj.den = caps, q_order, cells, den
         return obj
-
-    def _check(self, other):
-        if self.caps != other.caps:
-            raise CapsMismatchError(f"caps {self.caps} vs {other.caps}")
-        if self.q_order != other.q_order:
-            raise OrderMismatchError("q-order mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, NilPoly):
@@ -218,55 +210,6 @@ def rank_pair_mul(fa_coeffs, da, fb_coeffs, db, caps, q_order):
     return NilPoly._make(caps, q_order, cells, den_a * den_b)
 
 
-def mul_univariate(poly, coeffs, index):
-    """The NilPoly poly times sum_k coeffs[k] * x_index^k, coeffs a
-    sequence of QSeries by x-degree to x^cap_index, index an int below
-    len(caps).
-
-    A one-axis convolution: much cheaper than a general product when the
-    other factor only involves a single generator.  The factor is read
-    by _int_factor, once.  Along a line of cells a_m (m the
-    x_index-degree) the q^t numerator at degree n is
-    sum_(i+j=t) sum_k a_(n-k)[i] * coeffs[k][j]: one int dot product per
-    pair of nonzero q-degrees (i, j).  When the factor's nonzero degrees
-    lie in k0 + gZ (g = 2 for an even or odd theta factor), k runs over
-    that progression only, and n only over m + k0 + gZ from the lowest
-    occupied m of each class mod g: every other output is zero.  The
-    result is reduced once, by one common gcd.
-    """
-    caps, q_order = poly.caps, poly.q_order
-    _check_int(index, "index")
-    if index >= len(caps):
-        raise ValueError(f"index must be < {len(caps)}, got {index}")
-    cap = caps[index]
-    factor, den_f, k0, g, _ = _int_factor(coeffs, cap, q_order)
-    g = g or 1
-    fcols = [(j, c) for j, c in enumerate(zip(*factor[k0::g])) if any(c)]
-    lines = {}
-    for e, a in poly.cells.items():
-        lines.setdefault(e[:index] + e[index + 1:], {})[e[index]] = a
-    zeros = [0] * (q_order + 1)
-    out = {}
-    for rest, line in lines.items():
-        # acol[cap - m] is the q^i numerator of a_m
-        grid = [line.get(m, zeros) for m in range(cap, -1, -1)]
-        acols = [(i, acol) for i, acol in enumerate(zip(*grid)) if any(acol)]
-        # n reaches only the classes mod g of the occupied m, from the
-        # lowest occupied m of each class up
-        starts = {m % g: m for m in sorted(line, reverse=True)}.values()
-        for n in itertools.chain(*[range(m + k0, cap + 1, g)
-                                   for m in starts]):
-            num = [0] * (q_order + 1)
-            for i, acol in acols:
-                acol = acol[cap - n + k0::g]
-                for j, fcol in fcols:
-                    if i + j > q_order:
-                        break
-                    num[i + j] += sum(map(operator.mul, fcol, acol))
-            out[rest[:index] + (n,) + rest[index:]] = num
-    return NilPoly._make(caps, q_order, out, poly.den * den_f)
-
-
 def mul_linear(poly, coeffs, d):
     """poly * f(ell) for f = sum_k coeffs[k] y^k, coeffs a sequence of
     QSeries by x-degree to degree sum(caps), at ell = sum_b d_b x_b.
@@ -277,7 +220,7 @@ def mul_linear(poly, coeffs, d):
     reaches, and T_(E-e_1) is dropped once E, its last reader, is built.
     f is read by _int_factor, once; each output numerator is one int dot
     product over f's nonzero degrees k0 + gZ per pair of nonzero
-    q-degrees, as in mul_univariate, and the result is reduced once.
+    q-degrees, and the result is reduced once.
     """
     caps, q_order = poly.caps, poly.q_order
     if len(d) != len(caps):
@@ -316,18 +259,6 @@ def mul_linear(poly, coeffs, d):
                     break
                 num[i + j] += sum(map(operator.mul, col, fcol))
     return NilPoly._make(caps, q_order, out, poly.den * den_f)
-
-
-def top_product(a, b):
-    """The top coefficient of a * b for two NilPolys, without forming the
-    product: sum over e of a[e] * b[caps - e], reduced once."""
-    a._check(b)
-    out = [0] * (a.q_order + 1)
-    for e, num in a.cells.items():
-        other = b.cells.get(tuple(map(operator.sub, a.caps, e)))
-        if other is not None:
-            conv_add(out, num, other)
-    return QSeries._make(out, a.den * b.den, a.q_order)
 
 
 def contract_axes(poly, axes):

@@ -19,6 +19,13 @@ def _over_one_den(series):
     return [[x * (den // c.den) for x in c.num] for c in series], den
 
 
+def _check(a, b):
+    """Refuse two polys on different cap grids or at different q-orders."""
+    if (a.caps, a.q_order) != (b.caps, b.q_order):
+        raise ValueError(f"caps or q-order differ: {a.caps} at {a.q_order} "
+                         f"vs {b.caps} at {b.q_order}")
+
+
 def terms(p):
     """The QSeries coefficient of each monomial, in a new dict."""
     return {e: QSeries._make(num, p.den, p.q_order)
@@ -28,7 +35,7 @@ def terms(p):
 def mul(first, second):
     """The product of two NilPolys, monomials over a cap dropped."""
     caps, qo = first.caps, first.q_order
-    first._check(second)
+    _check(first, second)
     add, le = operator.add, operator.le
     # each monomial over its own reduced denominator, as the QSeries
     # of `terms`: over the one common denominator the numerators are
@@ -88,7 +95,7 @@ def from_univariate(coeffs, index, caps, q_order):
 
 
 def add(a, b):
-    a._check(b)
+    _check(a, b)
     out = terms(a)
     for e, c in terms(b).items():
         out[e] = out[e] + c if e in out else c

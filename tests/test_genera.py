@@ -17,7 +17,6 @@ from wittenq.errors import DimensionError
 from wittenq.gci import GCIData, dims
 from wittenq.genera import (dim4_closed_form, mod2_witten, quadratic_pairing,
                             wc_genus, witten_genus)
-from wittenq.nilring import top_product
 from wittenq.qseries import QSeries
 from wittenq.search import SearchQuery
 from wittenq.theta import ThetaKind, direction_series
@@ -140,10 +139,11 @@ def test_mod2_gates():
 
 @pytest.mark.parametrize("caps", [(4,), (3, 5), (2, 2, 3)],
                          ids=["s1", "s2", "s3"])
-@pytest.mark.parametrize("n_specs", [0, 1, 2])
+@pytest.mark.parametrize("n_specs", [0, 1, 2, 3])
 def test_residue_contraction_matches_full_product(caps, n_specs):
-    # with at most one linear-form piece, _residue contracts the axis
-    # factors; the oracle multiplies the whole integrand out
+    # _residue pads 0 or 1 linear-form factors to a pair, multiplies a
+    # third in by mul_linear and contracts the axis factors; the oracle
+    # multiplies the whole integrand out
     qo, s, th = 4, len(caps), ThetaKind.THETA
     g = GCIData(list(caps), [], q_order=qo)
     # factors of the parities that leave the residue nonzero
@@ -154,7 +154,9 @@ def test_residue_contraction_matches_full_product(caps, n_specs):
     specs = [(direction_series([(th, 1, 1), (th, -1, 2)], total, qo),
               (1, -2, 1)[:s]),
              (direction_series([(ThetaKind.THETA1, 1, 1)], total, qo),
-              (2, 1, 0)[:s])][:n_specs]
+              (2, 1, 0)[:s]),
+             (direction_series([(th, 2, 1)], total, qo),
+              (1, 1, -1)[:s])][:n_specs]
 
     def full_product(axes, specs):
         prod = one(caps, qo)
@@ -193,8 +195,8 @@ def _count_calls(monkeypatch, *names):
 
 def _nilring_calls(monkeypatch):
     """A dict counting the calls `genera` makes to each residue kernel."""
-    return _count_calls(monkeypatch, "rank_pair_mul", "mul_univariate",
-                        "mul_linear", "contract_axes", "top_product")
+    return _count_calls(monkeypatch, "rank_pair_mul", "mul_linear",
+                        "contract_axes")
 
 
 def _index_builds(monkeypatch):
@@ -219,14 +221,16 @@ def _index_builds(monkeypatch):
     ((4, 6), ((1, 1), (1, 2), (2, 1)), (1, -1)),
 ], ids=["3dir-4k", "3dir-4k2", "4dir-4k", "4dir-4k2"])
 def test_multi_piece_residue_routes_agree(monkeypatch, n, D, C, q_order):
-    # W_c with 3 or 4 linear forms: the bundle route's pair products, axis
-    # convolutions and top product against the theta route's index sum
-    calls = _count_calls(monkeypatch, "top_product")
+    # W_c with 3 or 4 linear forms: the bundle route's pair product, one
+    # mul_linear per further form and the axis contraction against the
+    # theta route's index sum
+    calls = _nilring_calls(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route = wc_genus(g, route="theta").coeffs
-    assert calls["top_product"] == 0
+    assert not any(calls.values())
     assert wc_genus(g, route="bundle").coeffs == theta_route
-    assert calls["top_product"] == 1
+    assert calls == {"rank_pair_mul": 1, "mul_linear": len(D) - 1,
+                     "contract_axes": 1}
     assert not theta_route.is_zero()
 
 
@@ -234,12 +238,13 @@ def test_multi_piece_residue_golden_four_directions(monkeypatch):
     label = "Wc4k n=5,6 D=(1,2),(2,1),(1,1) C=(1,-1)"
     golden = json.loads(pathlib.Path(__file__).with_name(
         "golden_nonvanishing.json").read_text())[label]
-    calls = _count_calls(monkeypatch, "top_product")
+    calls = _nilring_calls(monkeypatch)
     g = GCIData([5, 6], [[1, 2], [2, 1], [1, 1]], [1, -1], q_order=8)
     for route in ("theta", "bundle"):
         rep = wc_genus(g, route=route)
         assert [str(c) for c in rep.coeffs.coeffs] == golden[route]["coeffs"]
-    assert calls["top_product"] == 1  # the bundle route's
+    # the bundle route's: one pair product, two mul_linear, one contraction
+    assert calls == {"rank_pair_mul": 1, "mul_linear": 2, "contract_axes": 1}
 
 
 @pytest.mark.parametrize("n, D, C", [
@@ -251,8 +256,8 @@ def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
     # merges it into that axis's index factor: seven `_factor` reads, two
     # on the axes, four off them and the p-only scalar; an eighth through
     # the lattice would give the same values.  The bundle route takes five
-    # linear forms:
-    # two pair products, two axis convolutions and one mul_linear
+    # linear forms: one pair product, three mul_linear and the axis
+    # contraction
     calls = _nilring_calls(monkeypatch)
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=4)
     genera._factor.cache_clear()
@@ -260,8 +265,7 @@ def test_theta_route_merges_on_axis_factors(monkeypatch, n, D, C):
     info = genera._factor.cache_info()
     assert info.hits + info.misses == 7 and not any(calls.values())
     assert wc_genus(g, route="bundle").coeffs == theta_route
-    assert calls == {"rank_pair_mul": 2, "mul_univariate": 2,
-                     "mul_linear": 1, "contract_axes": 0, "top_product": 1}
+    assert calls == {"rank_pair_mul": 1, "mul_linear": 3, "contract_axes": 1}
 
 
 @pytest.mark.parametrize("n, D, C, q_order", [
@@ -483,8 +487,7 @@ def test_theta_route_calls_no_nilring_kernel(monkeypatch, n, D, C):
     want = []
     for route in ("bundle", "theta"):
         if route == "theta":
-            for name in ("rank_pair_mul", "mul_univariate", "mul_linear",
-                         "contract_axes", "top_product"):
+            for name in ("rank_pair_mul", "mul_linear", "contract_axes"):
                 monkeypatch.setattr(genera, name, refuse)
             for name in ("direction_series", "direction_coefficient",
                          "_bernoulli_table", "_log_columns"):
@@ -561,17 +564,17 @@ def test_cold_factor_cache_builds(monkeypatch, n, D, C, q_order, misses,
 @pytest.mark.parametrize("n, D, C, q_order, expect, calls", [
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3)), (1, -1), 8,
      ["21/1024", "0", "-10543/128", "0", "103889/64", "0", "571943/32", "0",
-      "286993/16"], 1),
+      "286993/16"], 3),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1)), (1, -2), 4,
-     ["8", "0", "-7544", "0", "279011"], 2),
+     ["8", "0", "-7544", "0", "279011"], 4),
     ((6, 7), ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, -1)), (1, -2), 4,
-     ["-6105/1024", "0", "155833/128", "0", "-2645541/128"], 3),
+     ["-6105/1024", "0", "155833/128", "0", "-2645541/128"], 5),
 ], ids=["5dir", "6dir", "7dir"])
 def test_three_piece_residue_values(monkeypatch, n, D, C, q_order, expect,
                                     calls):
-    # five, six and seven linear forms: the first and the last two are
-    # pair products, and the bundle route feeds each one between them
-    # through mul_linear; the residue is nonzero on both routes
+    # five, six and seven linear forms: the first two are one pair
+    # product, and the bundle route feeds each further one through
+    # mul_linear; the residue is nonzero on both routes
     products = _count_calls(monkeypatch, "mul_linear")
     g = GCIData(list(n), [list(r) for r in D], list(C), q_order=q_order)
     theta_route = wc_genus(g, route="theta").coeffs
@@ -805,7 +808,7 @@ def _pairing_by_nilpolys(g, M):
     dual = one(caps, qo)
     for row in g.D:
         dual = mul(dual, poly(caps, qo, dict(zip(unit, row))))
-    return top_product(poly(caps, qo, quad), dual).coefficient(0)
+    return top_coeff(mul(poly(caps, qo, quad), dual)).coefficient(0)
 
 
 def test_quadratic_pairing_matches_nilpoly_products():

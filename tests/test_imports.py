@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wittenq
-from wittenq import qseries, search, theta
+from wittenq import nilring, qseries, search, theta
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for folder in ("src", "tests", "demos", "tools")
@@ -74,18 +74,24 @@ def test_removed_names_are_not_importable():
     # subst_linear (a rank_pair_mul with the constant 1), sigma1_series
     # (theta.eisenstein_g(1, .)), psi (direction_series([(kind, 1, 1)],
     # ...)), is_spin, is_string and is_stringc (condition_report(g)'s
-    # fields) and lemma42_check (lemma42_report(q)["passed"]) left the
+    # fields), lemma42_check (lemma42_report(q)["passed"]) and
+    # CapsMismatchError (raised only by the removed top_product) left the
     # public API
     for name in ("subst_linear", "sigma1_series", "psi", "is_spin",
-                 "is_string", "is_stringc", "lemma42_check"):
+                 "is_string", "is_stringc", "lemma42_check",
+                 "CapsMismatchError"):
         with pytest.raises(ImportError):
             exec(f"from wittenq import {name}", {})
 
 
 def test_removed_members_are_gone():
     # jacobi_product folded into jacobi_check and power into
-    # QSeries.__pow__; truncate and FoundInstance.key had no src caller
+    # QSeries.__pow__; truncate and FoundInstance.key had no src caller;
+    # the bundle route's residue needs neither mul_univariate nor
+    # top_product
     assert not hasattr(theta, "jacobi_product")
+    assert not hasattr(nilring, "mul_univariate")
+    assert not hasattr(nilring, "top_product")
     assert not hasattr(qseries, "power")
     assert not hasattr(wittenq.QSeries, "truncate")
     assert not hasattr(search.FoundInstance, "key")

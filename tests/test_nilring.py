@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from nilpoly_ring import (add, at_form, coeffs, from_univariate, mul, one,
                           poly, scale, terms, top_coeff)
 from series_inverse import inv_poly
-from wittenq.errors import (CapsMismatchError, InsufficientDegreeError,
-                            OrderMismatchError)
-from wittenq.nilring import (NilPoly, contract_axes, mul_linear,
-                             mul_univariate, rank_pair_mul, top_product)
+from wittenq.errors import InsufficientDegreeError, OrderMismatchError
+from wittenq.nilring import NilPoly, contract_axes, mul_linear, rank_pair_mul
 from wittenq.qseries import QSeries
 from wittenq.theta import ThetaKind, direction_series, phi
 
@@ -46,7 +44,7 @@ def test_nilpoly_public_surface():
                    "__static_attributes__"}
     assert set(vars(NilPoly)) - bookkeeping == {
         "__slots__", "caps", "q_order", "cells", "den", "_make", "__new__",
-        "_check", "__eq__", "__hash__", "__repr__"}
+        "__eq__", "__hash__", "__repr__"}
     # NilPoly() built a hollow instance whose repr and == raised
     # AttributeError
     for args in ((), ((2,), 1)):
@@ -99,21 +97,19 @@ def test_generator_nilpotence():
 def test_constant_and_top_coeff():
     u = one((1, 1), 3)
     assert terms(u) == {(0, 0): QSeries.one(3)}
-    assert top_product(u, u).is_zero()
+    unit = [QSeries.one(3), QSeries.zero(3)]
+    assert top_coeff(u).is_zero() and contract_axes(u, [unit] * 2).is_zero()
     xy = mul(_gen((1, 1), 0, 3), _gen((1, 1), 1, 3))
-    assert top_product(xy, u).is_one()
+    assert top_coeff(xy).is_one() and contract_axes(xy, [unit] * 2).is_one()
 
 
 def test_caps_mismatch_raises():
-    with pytest.raises(CapsMismatchError):
-        mul(one((2,), 3), one((3,), 3))
-    with pytest.raises(CapsMismatchError):
-        top_product(one((2,), 3), one((3,), 3))
-
-
-def test_top_product_refuses_another_q_order():
-    with pytest.raises(OrderMismatchError, match="q-order"):
-        top_product(one((2,), 3), one((2,), 4))
+    # the tests' ring refuses operands on other grids or q-orders
+    for other in (one((3,), 3), one((2,), 4)):
+        with pytest.raises(ValueError, match="caps or q-order"):
+            mul(one((2,), 3), other)
+        with pytest.raises(ValueError, match="caps or q-order"):
+            add(one((2,), 3), other)
 
 
 def test_ring_axioms_randomized():
@@ -127,8 +123,6 @@ def test_ring_axioms_randomized():
         assert mul(a, b) == mul(b, a)
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert top_product(mul(a, b), c) == top_product(a, mul(b, c)) == \
-            top_coeff(mul(mul(a, b), c))
 
 
 def test_inv_unit_roundtrip():
@@ -232,23 +226,6 @@ def test_rank_pair_mul_matches_naive_product():
         assert got == expect
 
 
-def test_mul_univariate_matches_naive_product():
-    # the factor's lowest degrees k < k0 are zero in some draws, so the
-    # kernel's offset k0 is not always 0
-    rng = random.Random(66)
-    for _ in range(8):
-        caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        qo = rng.randint(0, 3)
-        idx = rng.randrange(len(caps))
-        poly = _random_poly(rng, caps, qo)
-        u = _random_uni(rng, caps[idx], qo)
-        k0 = rng.randint(0, caps[idx])
-        u[:k0] = [QSeries.zero(qo)] * k0
-        got = mul_univariate(poly, u, idx)
-        expect = mul(poly, from_univariate(u, idx, caps, qo))
-        assert got == expect
-
-
 def _theta_factors(x_order, qo):
     """Real integrand factors: zero odd (or even) x-degrees, Bernoulli
     denominators, and the constant 1."""
@@ -283,19 +260,6 @@ def test_rank_pair_mul_on_theta_factors(caps, pairs):
 
 
 @pytest.mark.parametrize("caps", [(5, 7), (2, 3, 3)], ids=["5x7", "2x3x3"])
-def test_mul_univariate_on_theta_factors(caps):
-    qo = 4
-    f = _theta_factors(sum(caps), qo)
-    d = (1, -2, 1)[:len(caps)]
-    poly = rank_pair_mul(f["phi"], d, f["twist"], (1,) * len(caps), caps, qo)
-    for b, cap in enumerate(caps):
-        for name in ("phi", "phi_pair", "twist", "one"):
-            axis = _theta_factors(cap, qo)[name]
-            expect = mul(poly, from_univariate(axis, b, caps, qo))
-            assert mul_univariate(poly, axis, b) == expect
-
-
-@pytest.mark.parametrize("caps", [(5, 7), (2, 3, 3)], ids=["5x7", "2x3x3"])
 def test_mul_linear_on_theta_factors(caps):
     qo = 4
     f = _theta_factors(sum(caps), qo)
@@ -316,12 +280,11 @@ def test_mul_linear_refuses_direction_of_wrong_arity(bad):
 
 
 @pytest.mark.parametrize("kernel", [
-    "rank_pair_mul_a", "rank_pair_mul_b", "mul_univariate", "mul_linear",
-    "contract_axes"])
+    "rank_pair_mul_a", "rank_pair_mul_b", "mul_linear", "contract_axes"])
 def test_kernels_refuse_a_factor_short_of_its_degree(kernel):
     # each kernel reads its factor to a degree (sum(caps), or cap_b on an
-    # axis) and refuses one coefficient fewer; mul_univariate dropped the
-    # missing terms and contract_axes raised IndexError
+    # axis) and refuses one coefficient fewer; contract_axes raised
+    # IndexError
     caps, qo = (2, 3), 2
     total, d = sum(caps), (1, -1)
     f = _theta_factors(total, qo)["twist"]
@@ -331,7 +294,6 @@ def test_kernels_refuse_a_factor_short_of_its_degree(kernel):
                                                  qo),
         "rank_pair_mul_b": lambda: rank_pair_mul(f, d, f[:total], d, caps,
                                                  qo),
-        "mul_univariate": lambda: mul_univariate(p, f[:caps[1]], 1),
         "mul_linear": lambda: mul_linear(p, f[:total], d),
         "contract_axes": lambda: contract_axes(p, [f[:caps[0] + 1],
                                                    f[:caps[1]]]),
@@ -340,34 +302,22 @@ def test_kernels_refuse_a_factor_short_of_its_degree(kernel):
         calls[kernel]()
 
 
-@pytest.mark.parametrize("kernel", ["rank_pair_mul", "mul_univariate",
-                                    "mul_linear", "contract_axes"])
+@pytest.mark.parametrize("kernel", ["rank_pair_mul", "mul_linear",
+                                    "contract_axes"])
 def test_kernels_refuse_a_factor_of_another_q_order(kernel):
     # a factor at q-order 0 against a q-order-2 poly gave a q-order-2
     # result whose q^1 and q^2 coefficients it never supplied, and one at
-    # q-order 3 was truncated silently; top_product already refused
+    # q-order 3 was truncated silently
     caps, qo, d = (1, 1), 2, (1, 1)
     for order in (0, 3):
         f = (QSeries.one(order),) * (sum(caps) + 1)
         calls = {
             "rank_pair_mul": lambda: rank_pair_mul(f, d, f, d, caps, qo),
-            "mul_univariate": lambda: mul_univariate(one(caps, qo), f, 0),
             "mul_linear": lambda: mul_linear(one(caps, qo), f, d),
             "contract_axes": lambda: contract_axes(one(caps, qo), [f, f]),
         }
         with pytest.raises(OrderMismatchError, match="q-order"):
             calls[kernel]()
-
-
-@pytest.mark.parametrize("index, error", [
-    (-1, ValueError), (2, ValueError), (True, TypeError)],
-    ids=["negative", "len_caps", "bool"])
-def test_mul_univariate_refuses_a_bad_index(index, error):
-    # -1 built cells with 4-entry exponents, and True was taken as axis 1
-    p = rank_pair_mul(_theta_factors(5, 1)["twist"], (1, 1),
-                      _theta_factors(5, 1)["one"], (0, 0), (3, 2), 1)
-    with pytest.raises(error, match="index"):
-        mul_univariate(p, _theta_factors(3, 1)["phi"], index)
 
 
 @pytest.mark.parametrize("count", [1, 3], ids=["missing", "extra"])
@@ -376,16 +326,6 @@ def test_contract_axes_refuses_a_wrong_axis_count(count):
     f = _theta_factors(4, 1)["twist"]
     with pytest.raises(ValueError, match="axis"):
         contract_axes(one((2, 2), 1), [f] * count)
-
-
-def test_top_product_matches_full_product():
-    rng = random.Random(77)
-    for _ in range(8):
-        caps = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        qo = rng.randint(0, 3)
-        a = _random_poly(rng, caps, qo)
-        b = _random_poly(rng, caps, qo)
-        assert top_product(a, b) == top_coeff(mul(a, b))
 
 
 def test_from_univariate_and_scalar_mul():
@@ -512,28 +452,23 @@ def test_rank_pair_mul_property(data):
 
 @KERNELS
 @given(st.data())
-def test_mul_univariate_chain_property(data):
-    # a pair product times one factor on every axis in turn, then the
-    # top coefficient against a second pair, and the axis contraction
+def test_residue_chain_property(data):
+    # the bundle route's residue: a pair product, times a third factor at
+    # its linear form, then the contraction against one factor per axis
     caps, qo = data.draw(_shapes())
-    total = sum(caps)
-    fa, fb, fc = (data.draw(_factors(total, qo)) for _ in "abc")
+    fa, fb, fc = (data.draw(_factors(sum(caps), qo)) for _ in "abc")
     da, db, dc = (data.draw(_directions(len(caps))) for _ in "abc")
     axes = [data.draw(_factors(cap, qo)) for cap in caps]
     poly = rank_pair_mul(fa, da, fb, db, caps, qo)
     expect = mul(at_form(fa, da, caps, qo), at_form(fb, db, caps, qo))
+    assert poly == expect
+    poly = mul_linear(poly, fc, dc)
+    expect = mul(expect, at_form(fc, dc, caps, qo))
+    assert poly == expect
     assert contract_axes(poly, axes) == top_coeff(mul(
         expect, functools.reduce(mul, (from_univariate(f, b, caps, qo)
                                        for b, f in enumerate(axes)),
                                  one(caps, qo))))
-    for b, f in enumerate(axes):
-        poly = mul_univariate(poly, f, b)
-        expect = mul(expect, from_univariate(f, b, caps, qo))
-        assert poly == expect
-    unit = [QSeries.one(qo)] + [QSeries.zero(qo)] * total
-    last = rank_pair_mul(fc, dc, unit, (0,) * len(caps), caps, qo)
-    assert top_product(poly, last) == \
-        top_coeff(mul(expect, at_form(fc, dc, caps, qo)))
 
 
 @KERNELS

@@ -1,6 +1,6 @@
 """Mutation check: every recorded mutant of the program must be killed.
 
-    python tools/mutants.py
+    python tools/mutants.py [--alone]
 
 Each entry of tools/mutants.json names a file, an exact snippet in it,
 the snippet's replacement, and the tests that must catch the change.
@@ -10,17 +10,21 @@ once) and runs `pytest -x` on the named tests in that copy.  The mutant
 is killed when pytest reports a failed test (exit code 1); any other
 exit code is an error.  Before the mutants run, their named tests must
 pass on an unmutated copy, so a misspelt test id cannot pass for a kill.
-The mutants run in parallel, as many at once as the process may use CPUs
-(and no more than there are mutants), and are reported in the order of
-the file.
+With --alone each named test runs by itself against its mutant, so a
+named test that does not kill its mutant alone shows, though another
+test named with it kills it.  The runs go in parallel, as many at once
+as the process may use CPUs (and no more than there are runs), and are
+reported in the order of the file.
 
-The exit code is 0 when every mutant is killed, 1 when one survives or
-cannot be applied (its snippet no longer matches the source), and 2 when
-the unmutated tests fail.  A snippet that a refactor breaks is updated
-with the refactor; a survivor is a missing test.
+The exit code is 0 when every mutant is killed (with --alone, by each
+of its named tests), 1 when one survives or cannot be applied (its
+snippet no longer matches the source), and 2 when the unmutated tests
+fail.  A snippet that a refactor breaks is updated with the refactor; a
+survivor is a missing test.
 """
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
 import json
 import os
@@ -71,8 +75,9 @@ def _pytest(cwd, tests):
                           check=False).returncode
 
 
-def run(mutant):
-    """'killed', 'survived', or why the mutant could not be run."""
+def run(mutant, tests=None):
+    """'killed', 'survived', or why the mutant could not be run, against
+    tests (by default the mutant's named tests, run together)."""
     with tempfile.TemporaryDirectory(prefix="wittenq-mutant-") as tmp:
         tmp = Path(tmp)
         _copy(tmp)
@@ -82,17 +87,21 @@ def run(mutant):
                                    mutant["replacement"]))
         except ValueError as exc:
             return f"not applied: {exc}"
-        code = _pytest(tmp, mutant["tests"])
+        code = _pytest(tmp, tests or mutant["tests"])
     return {0: "survived", 1: "killed"}.get(code, f"pytest exit code {code}")
 
 
-def _timed(mutant):
-    """(verdict, seconds) of one mutant's run."""
+def _timed(job):
+    """(verdict, seconds) of one run of a (mutant, tests) job."""
     t0 = time.perf_counter()
-    return run(mutant), time.perf_counter() - t0
+    return run(*job), time.perf_counter() - t0
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Run the recorded mutants.")
+    parser.add_argument("--alone", action="store_true",
+                        help="run each named test alone against its mutant")
+    alone = parser.parse_args(argv).alone
     mutants = load()
     tests = list(dict.fromkeys(t for m in mutants for t in m["tests"]))
     with tempfile.TemporaryDirectory(prefix="wittenq-mutant-") as tmp:
@@ -101,15 +110,18 @@ def main():
     if code != 0:
         print(f"the named tests fail unmutated (pytest exit code {code})")
         return 2
+    jobs = ([(m, [t]) for m in mutants for t in m["tests"]] if alone
+            else [(m, m["tests"]) for m in mutants])
     bad = 0
-    workers = min(len(os.sched_getaffinity(0)), len(mutants))
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        verdicts = pool.map(_timed, mutants)  # in the order of the file
-        for mutant, (verdict, seconds) in zip(mutants, verdicts):
+        verdicts = pool.map(_timed, jobs)  # in the order of the file
+        for (mutant, tests), (verdict, seconds) in zip(jobs, verdicts):
             bad += verdict != "killed"
-            print(f"{verdict:>10}  {mutant['name']}  ({seconds:.1f} s)",
-                  flush=True)
-    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
+            label = f"{mutant['name']}  {tests[0]}" if alone else mutant["name"]
+            print(f"{verdict:>10}  {label}  ({seconds:.1f} s)", flush=True)
+    what = "(mutant, test) pairs" if alone else "mutants"
+    print(f"{len(jobs) - bad} of {len(jobs)} {what} killed")
     return 1 if bad else 0
 
 
